@@ -23,7 +23,7 @@ from .deformation import (
     obstruction,
     trivialize,
 )
-from .errors import BihomError, InputError, MathCheckError, PreconditionError
+from .errors import BihomError, InputError, InternalError, MathCheckError, PreconditionError
 from .exactnum import Matrix, Scalar, Subspace, rank_nullspace, solve, subspace_ops
 from .extension import (
     annihilator,

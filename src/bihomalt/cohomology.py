@@ -17,13 +17,16 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import BiHomAlgebra
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
+    ONE,
     Matrix,
     Subspace,
+    _eliminate,
     nullspace_of_sparse_rows,
     rank_nullspace,
     support,
+    unit_vector,
     vector,
 )
 from .representation import Representation
@@ -170,6 +173,23 @@ def _require_cochain(alg: BiHomAlgebra, rep: Representation, f: Cochain, degree:
         raise PreconditionError(f"not a twist-compatible cochain (fails at {w})")
 
 
+def _expand(alg_dim: int, mod_dim: int, supports) -> dict[int, Fraction]:
+    """f(u_1, ..., u_k) as linear forms in f's flat coordinates.
+
+    Takes the supports of the arguments and returns {offset: coefficient}:
+    coordinate c of the value is the sum of coefficient * f[offset + c].
+    """
+    form = {}
+    for combo in itertools.product(*supports):
+        pos, coeff = 0, ONE
+        for i, a in combo:
+            pos = pos * alg_dim + i
+            coeff *= a
+        off = pos * mod_dim
+        form[off] = form.get(off, ZERO) + coeff
+    return form
+
+
 def cochain_space(alg: BiHomAlgebra, rep: Representation, degree: int) -> Subspace:
     """Basis of the twist-compatible n-linear maps inside the full coordinate space."""
     if degree not in (1, 2, 3):
@@ -177,117 +197,143 @@ def cochain_space(alg: BiHomAlgebra, rep: Representation, degree: int) -> Subspa
     n, m = alg.dim, rep.mod_dim
     total = m * n**degree
     rows = []
-    tuples = list(itertools.product(range(n), repeat=degree))
-    offsets = {t: i * m for i, t in enumerate(tuples)}
     for twist, tcols in ((rep.phi, alg.alpha), (rep.psi, alg.beta)):
-        cols = [tcols.column(i) for i in range(n)]
-        for t in tuples:
-            base = offsets[t]
+        sups = [support(tcols.column(i)) for i in range(n)]
+        for pos, t in enumerate(itertools.product(range(n), repeat=degree)):
+            base = pos * m
             # phi(f(e_t)) - f(twisted basis vectors) = 0, one row per output coordinate
-            transformed = []
-            for combo in itertools.product(*[support(cols[i]) for i in t]):
-                coeff = Fraction(1)
-                for _, c in combo:
-                    coeff *= c
-                transformed.append((offsets[tuple(i for i, _ in combo)], coeff))
+            transformed = _expand(n, m, [sups[i] for i in t])
             for c_out in range(m):
                 row = {}
                 for c_in in range(m):
                     e = twist.rows[c_out][c_in]
                     if e != 0:
                         row[base + c_in] = row.get(base + c_in, ZERO) + e
-                for off, coeff in transformed:
+                for off, coeff in transformed.items():
                     key = off + c_out
                     row[key] = row.get(key, ZERO) - coeff
                 rows.append({k: v for k, v in row.items() if v != 0})
     return nullspace_of_sparse_rows(rows, total)
 
 
-def _delta1_raw(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
+def _delta_terms(alg: BiHomAlgebra, rep: Representation, degree: int) -> Callable:
+    """The terms of (δf)(e_t) as (sign, action rows or None, argument supports) triples."""
     n = alg.dim
+    units = [unit_vector(n, i) for i in range(n)]
+    a_vecs = [alg.alpha.column(i) for i in range(n)]
+    b_vecs = [alg.beta.column(i) for i in range(n)]
+    ab_vecs = [(alg.alpha * alg.beta).column(i) for i in range(n)]
+    e, a, b, ab = ([support(v) for v in vecs] for vecs in (units, a_vecs, b_vecs, ab_vecs))
 
-    def at(i, j):
-        lv = rep.left_apply(_unit(n, i), f.value(j))
-        rv = rep.right_apply(_unit(n, j), f.value(i))
-        fv = f.evaluate(alg.basis_product(i, j))
-        return tuple(a + b - c for a, b, c in zip(lv, rv, fv))
+    def products(xs, ys):
+        return [[support(alg.product(x, y)) for y in ys] for x in xs]
 
-    return Cochain.from_function(2, n, f.mod_dim, at)
+    def actions(at, vecs):
+        """The action matrices at vecs, as one support list per output coordinate."""
+        return [[support(row) for row in at(v).rows] for v in vecs]
 
+    if degree == 1:
+        left = actions(rep.left_at, units)
+        right = actions(rep.right_at, units)
+        mu = products(units, units)
+        # (δf)(x,y) = l(x)f(y) + r(y)f(x) − f(x·y)
+        return lambda i, j: (
+            (1, left[i], (e[j],)),
+            (1, right[j], (e[i],)),
+            (-1, None, (mu[i][j],)),
+        )
 
-def _delta2_raw(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    n = alg.dim
-    acols = [alg.alpha.column(i) for i in range(n)]
-    bcols = [alg.beta.column(i) for i in range(n)]
-    abcols = [(alg.alpha * alg.beta).column(i) for i in range(n)]
-    units = [_unit(n, i) for i in range(n)]
-
-    def at(i, j, k):
-        terms = []
-        for x, y in ((i, j), (j, i)):
-            terms.append(rep.right_apply(bcols[k], f.evaluate(bcols[x], acols[y])))
-            terms.append(tuple(-a for a in rep.left_apply(abcols[x], f.evaluate(acols[y], units[k]))))
-            terms.append(f.evaluate(alg.product(bcols[x], acols[y]), bcols[k]))
-            terms.append(tuple(-a for a in f.evaluate(abcols[x], alg.product(acols[y], units[k]))))
-        return tuple(sum(t[c] for t in terms) for c in range(f.mod_dim))
-
-    return Cochain.from_function(3, n, f.mod_dim, at)
-
-
-def _delta3_raw(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    n = alg.dim
-    acols = [alg.alpha.column(i) for i in range(n)]
-    bcols = [alg.beta.column(i) for i in range(n)]
-    units = [_unit(n, i) for i in range(n)]
-
-    def at(x1, x2, x3, x4):
-        a = acols
-        b = bcols
-        e = units
-        terms = [
-            rep.left_apply(a[x1], f.evaluate(b[x2], b[x3], b[x4])),
-            _neg(rep.left_apply(a[x1], f.evaluate(b[x3], b[x2], b[x4]))),
-            rep.right_apply(b[x4], f.evaluate(a[x1], a[x2], a[x3])),
-            _neg(rep.right_apply(b[x4], f.evaluate(a[x2], a[x1], a[x3]))),
-            _neg(f.evaluate(alg.product(a[x1], b[x2]), e[x3], e[x4])),
-            _neg(f.evaluate(alg.product(a[x2], b[x3]), e[x1], e[x4])),
-            f.evaluate(e[x1], alg.product(a[x2], b[x3]), e[x4]),
-            f.evaluate(e[x3], alg.product(a[x1], b[x2]), e[x4]),
-            _neg(f.evaluate(e[x1], e[x2], alg.product(a[x3], b[x4]))),
-            f.evaluate(e[x2], e[x1], alg.product(a[x3], b[x4])),
+    if degree == 2:
+        r_b = actions(rep.right_at, b_vecs)
+        l_ab = actions(rep.left_at, ab_vecs)
+        ba = products(b_vecs, a_vecs)
+        ae = products(a_vecs, units)
+        return lambda i, j, k: [
+            term
+            for x, y in ((i, j), (j, i))
+            for term in (
+                (1, r_b[k], (b[x], a[y])),
+                (-1, l_ab[x], (a[y], e[k])),
+                (1, None, (ba[x][y], b[k])),
+                (-1, None, (ab[x], ae[y][k])),
+            )
         ]
-        return tuple(sum(t[c] for t in terms) for c in range(f.mod_dim))
 
-    return Cochain.from_function(4, n, f.mod_dim, at)
+    l_a = actions(rep.left_at, a_vecs)
+    r_b = actions(rep.right_at, b_vecs)
+    p = products(a_vecs, b_vecs)
+    return lambda x1, x2, x3, x4: (
+        (1, l_a[x1], (b[x2], b[x3], b[x4])),
+        (-1, l_a[x1], (b[x3], b[x2], b[x4])),
+        (1, r_b[x4], (a[x1], a[x2], a[x3])),
+        (-1, r_b[x4], (a[x2], a[x1], a[x3])),
+        (-1, None, (p[x1][x2], e[x3], e[x4])),
+        (-1, None, (p[x2][x3], e[x1], e[x4])),
+        (1, None, (e[x1], p[x2][x3], e[x4])),
+        (1, None, (e[x3], p[x1][x2], e[x4])),
+        (-1, None, (e[x1], e[x2], p[x3][x4])),
+        (1, None, (e[x2], e[x1], p[x3][x4])),
+    )
 
 
-def _unit(n, i):
-    return tuple(Fraction(1) if p == i else ZERO for p in range(n))
+def coboundary_operator(
+    alg: BiHomAlgebra, rep: Representation, degree: int
+) -> dict[int, dict[int, Fraction]]:
+    """δ_degree on the full coordinate space as sparse rows {row: {column: coefficient}}.
+
+    Rows and columns use the flat cochain layout; only non-zero rows are kept.
+    Each row is read off the structure constants, twists and actions, with no
+    cochain evaluated.
+    """
+    if degree not in (1, 2, 3):
+        raise InputError("coboundary operators exist for degrees 1, 2, 3")
+    n, m = alg.dim, rep.mod_dim
+    terms = _delta_terms(alg, rep, degree)
+    op = {}
+    for pos, t in enumerate(itertools.product(range(n), repeat=degree + 1)):
+        rows = [{} for _ in range(m)]
+        for sign, action, args in terms(*t):
+            form = _expand(n, m, args).items()
+            for c, row in enumerate(rows):
+                # an action mixes the output coordinates; without one, coordinate c maps to c
+                for c_in, s in action[c] if action is not None else ((c, ONE),):
+                    s = sign * s
+                    for off, coeff in form:
+                        key = off + c_in
+                        row[key] = row.get(key, ZERO) + s * coeff
+        for c, row in enumerate(rows):
+            row = {k: v for k, v in row.items() if v != 0}
+            if row:
+                op[pos * m + c] = row
+    return op
 
 
-def _neg(v):
-    return tuple(-a for a in v)
+def apply_coboundary(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
+    """δf through the assembled operator, without the twist-compatibility check."""
+    if f.alg_dim != alg.dim or f.mod_dim != rep.mod_dim:
+        raise InputError("cochain shape does not match algebra and coefficients")
+    out = [ZERO] * (f.mod_dim * f.alg_dim ** (f.degree + 1))
+    for r, row in coboundary_operator(alg, rep, f.degree).items():
+        out[r] = sum((a * f.data[col] for col, a in row.items()), ZERO)
+    return Cochain(f.degree + 1, f.alg_dim, f.mod_dim, out)
 
 
 def delta1(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
     """(d f)(x,y) = l(x)f(y) + r(y)f(x) − f(x·y)."""
     _require_cochain(alg, rep, f, 1)
-    return _delta1_raw(alg, rep, f)
+    return apply_coboundary(alg, rep, f)
 
 
 def delta2(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
     """The eight-term degree-2 operator, symmetric under swapping its first two inputs."""
     _require_cochain(alg, rep, f, 2)
-    return _delta2_raw(alg, rep, f)
+    return apply_coboundary(alg, rep, f)
 
 
 def delta3(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
     """The ten-term degree-3 operator; composed with delta2 it vanishes."""
     _require_cochain(alg, rep, f, 3)
-    return _delta3_raw(alg, rep, f)
-
-
-DELTAS = {1: _delta1_raw, 2: _delta2_raw, 3: _delta3_raw}
+    return apply_coboundary(alg, rep, f)
 
 
 @dataclass(frozen=True)
@@ -309,19 +355,56 @@ class ComplexReport:
 
 
 def delta_matrix_on_basis(
-    alg: BiHomAlgebra, rep: Representation, degree: int, basis: Subspace
+    alg: BiHomAlgebra,
+    rep: Representation,
+    degree: int,
+    basis: Subspace,
+    *,
+    operator: Optional[dict] = None,
 ) -> tuple[Matrix, list[Cochain]]:
-    """Matrix of delta_degree from given cochain coordinates into the ambient codomain."""
+    """Matrix of delta_degree from given cochain coordinates into the ambient codomain.
+
+    `operator` is coboundary_operator(alg, rep, degree) when the caller has it already.
+    """
     n, m = alg.dim, rep.mod_dim
     out_dim = m * n ** (degree + 1)
-    images = []
-    for vec in basis.basis:
-        f = Cochain(degree, n, m, vec)
-        images.append(DELTAS[degree](alg, rep, f))
-    if not images:
+    if not basis.basis:
         return Matrix.zero(out_dim, 1), []
-    cols = [img.data for img in images]
-    return Matrix(zip(*cols)), images
+    if operator is None:
+        operator = coboundary_operator(alg, rep, degree)
+    # the product operator · basis, walking each row's columns through the basis entries there
+    by_coord = {}
+    for j, vec in enumerate(basis.basis):
+        for col, v in support(vec):
+            by_coord.setdefault(col, []).append((j, v))
+    rows = [[ZERO] * basis.dim for _ in range(out_dim)]
+    for r, orow in operator.items():
+        acc = rows[r]
+        for col, a in orow.items():
+            for j, v in by_coord.get(col, ()):
+                acc[j] += a * v
+    matrix = Matrix(rows)
+    return matrix, [Cochain(degree + 1, n, m, col) for col in zip(*matrix.rows)]
+
+
+def _check_exactness(space: Subspace, images: Sequence[Cochain], operator: dict):
+    """Each image lies in the compatible space and the operator sends it to zero."""
+    elim = _eliminate((dict(support(vec)) for vec in space.basis), space.ambient_dim)
+    columns = {}
+    for r, row in operator.items():
+        for col, a in row.items():
+            columns.setdefault(col, []).append((r, a))
+    for img in images:
+        sparse = dict(support(img.data))
+        residual, _ = elim.reduce(dict(sparse))
+        if residual:
+            raise InternalError("coboundary escaped the compatible cochain space")
+        acc = {}
+        for col, v in sparse.items():
+            for r, a in columns.get(col, ()):
+                acc[r] = acc.get(r, ZERO) + a * v
+        if any(acc.values()):
+            raise InternalError("coboundary is not a cocycle")
 
 
 def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> ComplexReport:
@@ -331,9 +414,10 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
     space = cochain_space(alg, rep, degree)
     prev_space = cochain_space(alg, rep, degree - 1)
     dim_c = space.dim
+    operator = coboundary_operator(alg, rep, degree)
 
     if space.dim:
-        matrix, _ = delta_matrix_on_basis(alg, rep, degree, space)
+        matrix, _ = delta_matrix_on_basis(alg, rep, degree, space, operator=operator)
         rank, _kernel = rank_nullspace(matrix)
         dim_z = space.dim - rank
     else:
@@ -343,12 +427,7 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
         prev_matrix, images = delta_matrix_on_basis(alg, rep, degree - 1, prev_space)
         dim_b = rank_nullspace(prev_matrix)[0]
         # coboundaries must be cocycles: exactness guard, not a user-facing check
-        for img in images:
-            coeffs = space.coefficients_of(img.data)
-            assert coeffs is not None, "coboundary escaped the compatible cochain space"
-            if space.dim:
-                next_img = DELTAS[degree](alg, rep, img)
-                assert next_img.is_zero(), "coboundary is not a cocycle"
+        _check_exactness(space, images, operator)
     else:
         dim_b = 0
 

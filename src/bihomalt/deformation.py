@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .algebra import BiHomAlgebra
 from .cohomology import Cochain, cochain_space, compatibility_witness, delta_matrix_on_basis
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .exactnum import Matrix, solve, vector
 from .representation import adjoint
 
@@ -347,6 +347,8 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
     through n.  The composite isomorphism maps the original deformation to
     the null one.
     """
+    if max_order < 1:
+        raise PreconditionError("trivialization order must be at least 1")
     alg = defm.alg
     n_dim = alg.dim
     report = check_deformation(defm.padded(max(defm.order, max_order)))
@@ -373,6 +375,8 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
         f_cochain = Cochain(1, n_dim, n_dim, f_data)
         f_mat = Matrix([[f_cochain.value(j)[i] for j in range(n_dim)] for i in range(n_dim)])
         current = gauge(current, f_mat, level, max_order)
+        if not current.term(level).is_zero():
+            raise InternalError(f"gauging did not clear the order-{level} term")
         # step map old -> new is chi^{-1} = sum_i f^i t^{i·level}
         step = {}
         power = Matrix.identity(n_dim)
@@ -387,7 +391,6 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
             )
             for k in range(max_order + 1)
         }
-    assert all(current.term(k).is_zero() for k in range(1, max_order + 1))
     return FormalIsomorphism(tuple(total.get(k, Matrix.zero(n_dim, n_dim)) for k in range(1, max_order + 1)))
 
 

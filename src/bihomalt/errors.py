@@ -17,6 +17,10 @@ class PreconditionError(BihomError):
     """A documented precondition does not hold (e.g. non-invertible twist)."""
 
 
+class InternalError(BihomError):
+    """An exactness guard failed: a defect in the library, not in the input."""
+
+
 class MathCheckError(BihomError):
     """A mathematical condition failed; carries the condition name and a witness."""
 

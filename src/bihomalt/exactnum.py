@@ -34,7 +34,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise InputError(f"not a rational literal: {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:  # beyond the interpreter's integer-string digit limit
+            raise InputError(f"rational literal of {len(value)} characters is too long: {exc}") from exc
     raise InputError(f"not a rational literal: {value!r}")
 
 
@@ -45,7 +48,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def vector(entries) -> tuple[Fraction, ...]:
-    return tuple(Fraction(e) for e in entries)
+    # Fractions are immutable, so entries that already are one are kept as they are
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def zero_vector(n: int) -> tuple[Fraction, ...]:
@@ -83,7 +87,7 @@ class Matrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        rows = tuple(vector(row) for row in rows)
         if not rows:
             raise InputError("matrix needs at least one row")
         width = len(rows[0])

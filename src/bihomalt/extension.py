@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import BiHomAlgebra
-from .cohomology import Cochain
+from .cohomology import Cochain, apply_coboundary
 from .errors import InputError, MathCheckError, PreconditionError
 from .exactnum import Matrix, Subspace, nullspace_of_sparse_rows
 from .representation import (
@@ -148,27 +148,7 @@ def left_cocycle_residual(
     alg: BiHomAlgebra, rep: Representation, theta: Cochain
 ) -> Cochain:
     """The eight-term left condition on theta; equals the degree-2 coboundary of theta."""
-    n = alg.dim
-    acols = [alg.alpha.column(i) for i in range(n)]
-    bcols = [alg.beta.column(i) for i in range(n)]
-    abcols = [(alg.alpha * alg.beta).column(i) for i in range(n)]
-    units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
-
-    def at(i, j, k):
-        acc = [ZERO] * rep.mod_dim
-        for x, y in ((i, j), (j, i)):
-            pieces = (
-                (1, theta.evaluate(alg.product(bcols[x], acols[y]), bcols[k])),
-                (1, rep.right_apply(bcols[k], theta.evaluate(bcols[x], acols[y]))),
-                (-1, theta.evaluate(abcols[x], alg.product(acols[y], units[k]))),
-                (-1, rep.left_apply(abcols[x], theta.evaluate(acols[y], units[k]))),
-            )
-            for sign, val in pieces:
-                for c in range(rep.mod_dim):
-                    acc[c] += sign * val[c]
-        return tuple(acc)
-
-    return Cochain.from_function(3, n, rep.mod_dim, at)
+    return apply_coboundary(alg, rep, theta)
 
 
 def right_cocycle_residual(

@@ -224,6 +224,10 @@ def load_json_file(path: str):
         raise InputError(f"{path}: cannot read file ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # e.g. an integer literal beyond the digit limit
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def load_algebra(path: str) -> BiHomAlgebra:

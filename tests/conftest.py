@@ -42,6 +42,40 @@ def make_zero1():
     return BiHomAlgebra(1, [[[0]]], Matrix.identity(1), Matrix.identity(1))
 
 
+def make_quaternions():
+    """H as the Cayley–Dickson double of C with γ = −1: (a,b)(c,d) = (ac − d̄b, da + bc̄)."""
+
+    def cmul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def conj(x):
+        return (x[0], -x[1])
+
+    def mul(p, q):
+        a, b, c, d = p[:2], p[2:], q[:2], q[2:]
+        first = [s - t for s, t in zip(cmul(a, c), cmul(conj(d), b))]
+        second = [s + t for s, t in zip(cmul(d, a), cmul(b, conj(c)))]
+        return first + second
+
+    basis = [[int(i == j) for j in range(4)] for i in range(4)]
+    mu = [[mul(x, y) for y in basis] for x in basis]
+    return BiHomAlgebra(4, mu, Matrix.identity(4), Matrix.identity(4))
+
+
+def change_basis(alg: BiHomAlgebra, s: Matrix) -> BiHomAlgebra:
+    """The same algebra in the basis given by the columns of the invertible matrix s."""
+    s_inv = s.inverse()
+    n = alg.dim
+    mu = [[s_inv.apply(alg.product(s.column(i), s.column(j))) for j in range(n)] for i in range(n)]
+    return BiHomAlgebra(n, mu, s_inv * alg.alpha * s, s_inv * alg.beta * s)
+
+
+def random_signed_permutation(rng: Random, n: int) -> Matrix:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Matrix([[rng.choice([-1, 1]) if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+
+
 @pytest.fixture
 def z1():
     return make_z1()

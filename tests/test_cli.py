@@ -202,3 +202,43 @@ def test_determinism_byte_identical(files, capsys):
         outputs.append(capsys.readouterr().out)
         assert code == 0
     assert outputs[0] == outputs[1]
+
+
+def _run_error(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["status"] == "error"
+    return report
+
+
+def test_trivialize_negative_max_order_exit2(capsys, tmp_path):
+    defm = {"algebra": fileio.algebra_to_json(make_e1()), "terms": [[[["1"]]]]}
+    p = tmp_path / "defm.bhd"
+    p.write_text(json.dumps(defm))
+    report = _run_error(capsys, ["deform", "trivialize", str(p), "--max-order", "-3"])
+    assert "order" in report["diagnostics"][0]
+
+
+@pytest.mark.parametrize("literal", ["1" + "0" * 4400, "1/1" + "0" * 4400])
+def test_overlong_rational_string_exit2(capsys, tmp_path, literal):
+    p = tmp_path / "long.bha"
+    p.write_text(json.dumps({"dim": 1, "mu": [[["1"]]], "alpha": [[literal]], "beta": [["1"]]}))
+    report = _run_error(capsys, ["validate", str(p)])
+    assert "alpha[0][0]" in report["diagnostics"][0]
+
+
+def test_overlong_integer_literal_exit2(capsys, tmp_path):
+    p = tmp_path / "long.bha"
+    p.write_text('{"dim": 1, "mu": [[[1]]], "alpha": [[1' + "0" * 4400 + ']], "beta": [[1]]}')
+    _run_error(capsys, ["validate", str(p)])
+
+
+def test_deeply_nested_json_exit2(capsys, tmp_path):
+    depth = 100_000
+    p = tmp_path / "deep.bha"
+    p.write_text('{"dim": 1, "mu": ' + "[" * depth + "]" * depth + "}")
+    report = _run_error(capsys, ["validate", str(p)])
+    assert "nested too deeply" in report["diagnostics"][0]

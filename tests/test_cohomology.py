@@ -3,8 +3,10 @@ from random import Random
 
 import pytest
 
+import bihomalt.cohomology as cohomology
 from bihomalt.cohomology import (
     Cochain,
+    coboundary_operator,
     cochain_space,
     compatibility_witness,
     complex_report,
@@ -13,18 +15,24 @@ from bihomalt.cohomology import (
     delta3,
     delta_matrix_on_basis,
 )
-from bihomalt.errors import InputError, PreconditionError
+from bihomalt.deformation import TruncatedDeformation, term_from_nested, trivialize
+from bihomalt.errors import InputError, InternalError, PreconditionError
 from bihomalt.exactnum import Matrix
 from bihomalt.representation import Representation, adjoint, semidirect, validate_representation
 
 from conftest import (
     base_corpus,
+    change_basis,
+    make_d2,
+    make_e1,
+    make_quaternions,
     make_zero1,
     random_fraction,
+    random_signed_permutation,
     random_valid_representation,
     trivial_representation,
 )
-from oracle_naive import naive_complex_dims
+from oracle_naive import naive_complex_dims, naive_delta_rows
 
 
 def random_cochain_in(space, n, m, degree, rng):
@@ -222,3 +230,86 @@ def test_cochain_nested_roundtrip():
     f = Cochain.from_function(2, 2, 2, lambda i, j: (Fraction(i), Fraction(j)))
     again = Cochain.from_nested(2, 2, 2, f.nested())
     assert again == f
+
+
+def _dense_rows(operator, ncols):
+    rows = []
+    for r in sorted(operator):
+        row = [Fraction(0)] * ncols
+        for col, a in operator[r].items():
+            row[col] = a
+        rows.append(row)
+    return rows
+
+
+def test_operator_rows_match_naive_assembly():
+    rng = Random(43)
+    for name, alg in base_corpus():
+        reps = [adjoint(alg)] + [random_valid_representation(alg, rng) for _ in range(3)]
+        for rep in reps:
+            for degree in (1, 2, 3):
+                model, naive = naive_delta_rows(alg, rep, degree)
+                ours = _dense_rows(coboundary_operator(alg, rep, degree), model.count)
+                assert ours == naive, (name, rep.mod_dim, degree)
+
+
+def test_quaternion_degree3_pin():
+    h = make_quaternions()
+    dims = complex_report(h, adjoint(h), 3)
+    assert (dims.dim_C, dims.dim_Z, dims.dim_B, dims.dim_H) == (256, 160, 51, 109)
+    assert naive_complex_dims(h, adjoint(h), 3) == (256, 160, 51, 109)
+    moved = change_basis(h, random_signed_permutation(Random(47), 4))
+    assert moved != h
+    again = complex_report(moved, adjoint(moved), 3)
+    assert (again.dim_C, again.dim_Z, again.dim_B, again.dim_H) == (256, 160, 51, 109)
+
+
+def _corrupt(degree, change):
+    """A coboundary_operator whose degree-`degree` operator is passed through `change`."""
+    real = coboundary_operator
+
+    def corrupted(alg, rep, d):
+        op = real(alg, rep, d)
+        return change(alg, rep, op) if d == degree else op
+
+    return corrupted
+
+
+def test_guard_rejects_coboundary_outside_compatible_space(monkeypatch):
+    d2 = make_d2()
+
+    def all_ones(alg, rep, op):
+        width = rep.mod_dim * alg.dim
+        return {r: {c: Fraction(1) for c in range(width)} for r in range(width * alg.dim)}
+
+    monkeypatch.setattr(cohomology, "coboundary_operator", _corrupt(1, all_ones))
+    with pytest.raises(InternalError, match="escaped the compatible cochain space"):
+        complex_report(d2, adjoint(d2), 2)
+
+
+def test_guard_rejects_coboundary_that_is_not_a_cocycle(monkeypatch):
+    e1 = make_e1()
+    monkeypatch.setattr(cohomology, "coboundary_operator", _corrupt(2, lambda alg, rep, op: {0: {0: Fraction(1)}}))
+    with pytest.raises(InternalError, match="not a cocycle"):
+        complex_report(e1, adjoint(e1), 2)
+
+
+def test_trivialize_guard_rejects_a_gauge_that_leaves_the_term(monkeypatch):
+    e1 = make_e1()
+    defm = TruncatedDeformation(e1, [term_from_nested(1, [[[1]]]), term_from_nested(1, [[[-2]]])])
+    assert trivialize(defm, 4) is not None
+
+    def doubled(alg, rep, op):
+        return {r: {c: 2 * a for c, a in row.items()} for r, row in op.items()}
+
+    monkeypatch.setattr(cohomology, "coboundary_operator", _corrupt(1, doubled))
+    with pytest.raises(InternalError, match="did not clear the order-1 term"):
+        trivialize(defm, 4)
+
+
+@pytest.mark.parametrize("max_order", [0, -3])
+def test_trivialize_rejects_order_below_one(max_order):
+    e1 = make_e1()
+    defm = TruncatedDeformation(e1, [term_from_nested(1, [[[1]]])])
+    with pytest.raises(PreconditionError):
+        trivialize(defm, max_order)
