@@ -5,7 +5,9 @@ One command per invocation; the result is a single JSON report on stdout:
     {"status": "pass" | "fail" | "error", "command": ..., "payload": ..., "diagnostics": [...]}
 
 Exit codes: 0 pass, 1 a mathematical check failed (with witnesses in the
-payload), 2 unreadable input, schema violation or unmet precondition.
+payload), 2 unreadable input, schema violation or unmet precondition, 3 an
+internal error (a defect in the library, reported as "internal error:
+<Type>: <message>" with no traceback).
 Reports carry exact rational strings and no timestamps, so identical inputs
 produce byte-identical output.
 """
@@ -17,7 +19,7 @@ import json
 import sys
 
 from . import fileio
-from .algebra import validate, yau_twist
+from .algebra import validate
 from .cohomology import complex_report
 from .deformation import (
     TruncatedDeformation,
@@ -36,7 +38,7 @@ from .representation import (
     validate_representation,
 )
 
-PASS, FAIL, ERROR = 0, 1, 2
+PASS, FAIL, ERROR, INTERNAL = 0, 1, 2, 3
 
 _KIND_NAMES = {
     "der": "Der",
@@ -169,24 +171,17 @@ def _cmd_extend(args):
     cochain, target = fileio.load_cochain(args.cocycle)
     if cochain.degree != 2:
         raise InputError(f"{args.cocycle}: extension cocycles must have degree 2")
-    try:
-        if args.subverb == "central":
-            product = central_extension(alg, cochain.mod_dim, cochain)
-        elif args.subverb == "ttheta":
-            rep = _rep_or_adjoint(alg, args.representation)
-            product = t_theta_extension(alg, rep, cochain)
-        else:
-            rep = _rep_or_adjoint(alg, args.representation)
-            if target != "dual":
-                raise InputError(f"{args.cocycle}: T* extension expects a cocycle with target 'dual'")
-            product = t_star_theta_extension(alg, rep, cochain)
-    except MathCheckError as exc:
-        payload = {
-            "accepted": False,
-            "condition": exc.condition,
-            "witness": list(exc.witness) if exc.witness is not None else None,
-        }
-        return "fail", payload, [str(exc)]
+    # a failed extension condition raises MathCheckError, reported by run()
+    if args.subverb == "central":
+        product = central_extension(alg, cochain.mod_dim, cochain)
+    elif args.subverb == "ttheta":
+        rep = _rep_or_adjoint(alg, args.representation)
+        product = t_theta_extension(alg, rep, cochain)
+    else:
+        rep = _rep_or_adjoint(alg, args.representation)
+        if target != "dual":
+            raise InputError(f"{args.cocycle}: T* extension expects a cocycle with target 'dual'")
+        product = t_star_theta_extension(alg, rep, cochain)
     report = validate(product)
     payload = {
         "accepted": True,
@@ -225,29 +220,19 @@ def run(argv) -> int:
     command = args.verb if not hasattr(args, "subverb") else f"{args.verb} {args.subverb}"
     try:
         status, payload, diagnostics = _COMMANDS[args.verb](args)
+        code = PASS if status == "pass" else FAIL
     except (InputError, PreconditionError) as exc:
-        report = {
-            "status": "error",
-            "command": command,
-            "payload": {},
-            "diagnostics": [str(exc)],
-        }
-        print(json.dumps(report, indent=2))
-        return ERROR
+        status, payload, diagnostics, code = "error", {}, [str(exc)], ERROR
     except MathCheckError as exc:
         payload = {
             "accepted": False,
             "condition": exc.condition,
             "witness": list(exc.witness) if isinstance(exc.witness, (tuple, list)) else exc.witness,
         }
-        report = {
-            "status": "fail",
-            "command": command,
-            "payload": payload,
-            "diagnostics": [str(exc)],
-        }
-        print(json.dumps(report, indent=2))
-        return FAIL
+        status, diagnostics, code = "fail", [str(exc)], FAIL
+    except Exception as exc:  # InternalError or any other defect: one report, no traceback
+        status, payload, code = "error", {}, INTERNAL
+        diagnostics = [f"internal error: {type(exc).__name__}: {exc}"]
     report = {
         "status": status,
         "command": command,
@@ -255,7 +240,7 @@ def run(argv) -> int:
         "diagnostics": diagnostics,
     }
     print(json.dumps(report, indent=2))
-    return PASS if status == "pass" else FAIL
+    return code
 
 
 def main():

@@ -117,6 +117,17 @@ class Cochain:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.data)
 
+    def first_nonzero(self) -> Optional[tuple[int, ...]]:
+        """The first basis index tuple, in lexicographic order, with a non-zero value."""
+        pos = next((p for p, a in enumerate(self.data) if a != 0), None)
+        if pos is None:
+            return None
+        flat, idx = pos // self.mod_dim, []
+        for _ in range(self.degree):
+            flat, i = divmod(flat, self.alg_dim)
+            idx.append(i)
+        return tuple(reversed(idx))
+
     def nested(self) -> list:
         """Nested-list form, innermost = output coordinates (the file layout)."""
 
@@ -147,20 +158,23 @@ class Cochain:
         return Cochain(degree, alg_dim, mod_dim, data)
 
 
+def twist_witness(cochain: Cochain, twist_in: Matrix, twist_out: Matrix) -> Optional[tuple]:
+    """First basis tuple t, in lexicographic order, where twist_out(f(e_t)) ≠ f(twist_in e_t)."""
+    n = cochain.alg_dim
+    cols = [twist_in.column(i) for i in range(n)]
+    for idx in itertools.product(range(n), repeat=cochain.degree):
+        if twist_out.apply(cochain.value(*idx)) != cochain.evaluate(*[cols[i] for i in idx]):
+            return idx
+    return None
+
+
 def compatibility_witness(
     alg: BiHomAlgebra, rep: Representation, cochain: Cochain
 ) -> Optional[tuple]:
     """First basis tuple where phi/psi-compatibility breaks, or None."""
-    n, deg = alg.dim, cochain.degree
-    acols = [alg.alpha.column(i) for i in range(n)]
-    bcols = [alg.beta.column(i) for i in range(n)]
-    for idx in itertools.product(range(n), repeat=deg):
-        val = cochain.value(*idx)
-        if rep.phi.apply(val) != cochain.evaluate(*[acols[i] for i in idx]):
-            return idx
-        if rep.psi.apply(val) != cochain.evaluate(*[bcols[i] for i in idx]):
-            return idx
-    return None
+    w_phi = twist_witness(cochain, alg.alpha, rep.phi)
+    w_psi = twist_witness(cochain, alg.beta, rep.psi)
+    return min((w for w in (w_phi, w_psi) if w is not None), default=None)
 
 
 def _require_cochain(alg: BiHomAlgebra, rep: Representation, f: Cochain, degree: int):

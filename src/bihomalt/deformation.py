@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import BiHomAlgebra
-from .cohomology import Cochain, cochain_space, compatibility_witness, delta_matrix_on_basis
+from .cohomology import Cochain, cochain_space, delta_matrix_on_basis, twist_witness
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import Matrix, solve, vector
 from .representation import adjoint
@@ -31,18 +31,6 @@ ZERO = Fraction(0)
 def term_from_nested(alg_dim: int, nested) -> Cochain:
     """A bilinear deformation term in the degree-2 cochain layout."""
     return Cochain.from_nested(2, alg_dim, alg_dim, nested)
-
-
-def _twist_compat_witness(alg: BiHomAlgebra, term: Cochain) -> Optional[tuple]:
-    """First basis pair where d(alpha x, alpha y) != alpha d(x,y) (or beta)."""
-    n = alg.dim
-    for twist in (alg.alpha, alg.beta):
-        cols = [twist.column(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if term.evaluate(cols[i], cols[j]) != twist.apply(term.value(i, j)):
-                    return (i, j)
-    return None
 
 
 class TruncatedDeformation:
@@ -120,8 +108,10 @@ class DeformationReport:
 
 
 def _require_compatible_terms(defm: TruncatedDeformation):
+    alpha, beta = defm.alg.alpha, defm.alg.beta
     for i, t in enumerate(defm.terms, start=1):
-        w = _twist_compat_witness(defm.alg, t)
+        # every alpha failure is reported before any beta failure
+        w = twist_witness(t, alpha, alpha) or twist_witness(t, beta, beta)
         if w is not None:
             raise PreconditionError(
                 f"deformation term {i} does not commute with the twists (fails at {w})"
@@ -173,27 +163,12 @@ def check_deformation(defm: TruncatedDeformation) -> DeformationReport:
     _require_compatible_terms(defm)
     flags = []
     witnesses = {}
-    n = defm.alg.dim
     for k in range(defm.order + 1):
-        residual = order_residual(defm, k)
-        if residual.is_zero():
-            flags.append(True)
-        else:
-            flags.append(False)
-            witness = next(
-                idx
-                for idx in _triples(n)
-                if any(v != 0 for v in residual.value(*idx))
-            )
+        witness = order_residual(defm, k).first_nonzero()
+        flags.append(witness is None)
+        if witness is not None:
             witnesses[k] = witness
     return DeformationReport(tuple(flags), witnesses)
-
-
-def _triples(n):
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                yield (i, j, k)
 
 
 def obstruction(defm: TruncatedDeformation, m: int) -> Cochain:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import BiHomAlgebra
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
     Matrix,
     Subspace,
@@ -95,7 +95,7 @@ def twist_power(alg: BiHomAlgebra, k: int, l: int) -> Matrix:
         raise PreconditionError(f"negative twist exponent needs an invertible twist: {exc}") from exc
 
 
-def _commutation_rows(mat: Matrix, block: int, blocks: int, n: int):
+def _commutation_rows(mat: Matrix, block: int, n: int):
     """Sparse rows of X·mat − mat·X = 0 for the unknown block X."""
     rows = []
     base = block * n * n
@@ -125,13 +125,12 @@ def _product_rule_rows(
     out_block: Optional[int],
     left_block: Optional[int],
     right_block: Optional[int],
-    n_blocks: int,
-    sign_out: int = 1,
+    right_sign: int = 1,
 ):
-    """Rows of  sign_out·X_out(e_i e_j) − X_left(e_i)W(e_j) − W(e_i)X_right(e_j) = 0.
+    """Rows of  X_out(e_i e_j) − X_left(e_i)W(e_j) − right_sign·W(e_i)X_right(e_j) = 0.
 
-    Any block index may be None to drop that part of the rule (used for the
-    quasi-centroid balance, which has no output term).
+    Any block index may be None to drop that part of the rule (the centroid
+    rules drop one action term, the quasi-centroid balance the output term).
     """
     n = alg.dim
     rows = []
@@ -146,7 +145,7 @@ def _product_rule_rows(
                         coeff = alg.mu[i][j][k]
                         if coeff != 0:
                             key = base + c * n + k
-                            row[key] = row.get(key, ZERO) + sign_out * coeff
+                            row[key] = row.get(key, ZERO) + coeff
                 if left_block is not None:
                     base = left_block * n * n
                     for p in range(n):
@@ -169,7 +168,7 @@ def _product_rule_rows(
                                 coeff += wp * alg.mu[p][q][c]
                         if coeff != 0:
                             key = base + q * n + j
-                            row[key] = row.get(key, ZERO) - coeff
+                            row[key] = row.get(key, ZERO) - right_sign * coeff
                 row = {k_: v for k_, v in row.items() if v != 0}
                 if row:
                     rows.append(row)
@@ -181,8 +180,8 @@ def _solve_blocks(alg: BiHomAlgebra, n_blocks: int, rows) -> list[tuple[Matrix, 
     n = alg.dim
     all_rows = list(rows)
     for b in range(n_blocks):
-        all_rows.extend(_commutation_rows(alg.alpha, b, n_blocks, n))
-        all_rows.extend(_commutation_rows(alg.beta, b, n_blocks, n))
+        all_rows.extend(_commutation_rows(alg.alpha, b, n))
+        all_rows.extend(_commutation_rows(alg.beta, b, n))
     kernel = nullspace_of_sparse_rows(all_rows, n_blocks * n * n)
     sols = []
     for vec in kernel.basis:
@@ -209,72 +208,45 @@ def commutant(alg: BiHomAlgebra) -> OperatorSpace:
 
 def derivation_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
     w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 0, 0, 0, 1)
+    rows = _product_rule_rows(alg, w, 0, 0, 0)
     sols = _solve_blocks(alg, 1, rows)
     return OperatorSpace("Der", TwistExponents(k, l), tuple(s[0] for s in sols))
 
 
 def quasi_derivation_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
     w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 1, 0, 0, 2)
+    rows = _product_rule_rows(alg, w, 1, 0, 0)
     sols = _solve_blocks(alg, 2, rows)
     return _project_first_block("QDer", TwistExponents(k, l), sols, alg.dim)
 
 
 def generalized_derivation_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
     w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 2, 0, 1, 3)
+    rows = _product_rule_rows(alg, w, 2, 0, 1)
     sols = _solve_blocks(alg, 3, rows)
     return _project_first_block("GDer", TwistExponents(k, l), sols, alg.dim)
 
 
 def sgder_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
     w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 2, 0, 1, 3)
-    rows += _product_rule_rows(alg, w, 2, 1, 0, 3)
+    rows = _product_rule_rows(alg, w, 2, 0, 1)
+    rows += _product_rule_rows(alg, w, 2, 1, 0)
     sols = _solve_blocks(alg, 3, rows)
     return _project_first_block("SGDer", TwistExponents(k, l), sols, alg.dim)
 
 
 def centroid_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
     w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 0, 0, None, 1)
-    rows += _product_rule_rows(alg, w, 0, None, 0, 1)
+    rows = _product_rule_rows(alg, w, 0, 0, None)
+    rows += _product_rule_rows(alg, w, 0, None, 0)
     sols = _solve_blocks(alg, 1, rows)
     return OperatorSpace("Centroid", TwistExponents(k, l), tuple(s[0] for s in sols))
 
 
 def quasi_centroid_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
     w = twist_power(alg, k, l)
-    # T(x)W(y) − W(x)T(y) = 0: only the two action terms, opposite signs
-    n = alg.dim
-    rows = []
-    wcols = [w.column(j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for c in range(n):
-                row: dict[int, Fraction] = {}
-                for p in range(n):
-                    coeff = ZERO
-                    for q in range(n):
-                        wq = wcols[j][q]
-                        if wq != 0 and alg.mu[p][q][c] != 0:
-                            coeff += wq * alg.mu[p][q][c]
-                    if coeff != 0:
-                        key = p * n + i
-                        row[key] = row.get(key, ZERO) + coeff
-                for q in range(n):
-                    coeff = ZERO
-                    for p in range(n):
-                        wp = wcols[i][p]
-                        if wp != 0 and alg.mu[p][q][c] != 0:
-                            coeff += wp * alg.mu[p][q][c]
-                    if coeff != 0:
-                        key = q * n + j
-                        row[key] = row.get(key, ZERO) - coeff
-                row = {k_: v for k_, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
+    # T(x)W(y) − W(x)T(y) = 0: the two action terms with opposite signs, no output term
+    rows = _product_rule_rows(alg, w, None, 0, 0, right_sign=-1)
     sols = _solve_blocks(alg, 1, rows)
     return OperatorSpace("QuasiCentroid", TwistExponents(k, l), tuple(s[0] for s in sols))
 
@@ -313,7 +285,7 @@ def sgder_decompose(alg: BiHomAlgebra, k: int, l: int, d: Matrix) -> tuple[Matri
     q = (d + d_prime).scale(half)
     ccomp = (d - d_prime).scale(half)
     if not quasi_derivation_space(alg, k, l).contains_matrix(q):
-        raise AssertionError("quasi-derivation part escaped its space")
+        raise InternalError("quasi-derivation part escaped its space")
     if not quasi_centroid_space(alg, k, l).contains_matrix(ccomp):
-        raise AssertionError("quasi-centroid part escaped its space")
+        raise InternalError("quasi-centroid part escaped its space")
     return q, ccomp

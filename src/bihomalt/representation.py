@@ -298,6 +298,16 @@ def semidirect(alg: BiHomAlgebra, rep: Representation) -> BiHomAlgebra:
     The result is a valid algebra exactly when rep is a valid representation;
     validity is the caller's check.
     """
+    return block_sum(alg, rep)
+
+
+def block_sum(alg: BiHomAlgebra, rep: Representation, theta=None) -> BiHomAlgebra:
+    """The algebra on A⊕V: (x+u)·(y+v) = x·y + l(x)v + r(y)u + theta(x,y), twists α⊕φ, β⊕ψ.
+
+    theta is a bilinear map A x A -> V with a value(i, j) lookup, or None for
+    zero.  Semidirect products, central and T_theta extensions are all this
+    algebra; no condition is checked here.
+    """
     if rep.alg_dim != alg.dim:
         raise InputError("representation does not match the algebra")
     n, m = alg.dim, rep.mod_dim
@@ -305,32 +315,21 @@ def semidirect(alg: BiHomAlgebra, rep: Representation) -> BiHomAlgebra:
     mu = [[[ZERO] * total for _ in range(total)] for _ in range(total)]
     for i in range(n):
         for j in range(n):
-            prod = alg.mu[i][j]
-            for k in range(n):
-                mu[i][j][k] = prod[k]
+            mu[i][j][:n] = alg.mu[i][j]
+            if theta is not None:
+                mu[i][j][n:] = theta.value(i, j)
     for i in range(n):
         for b in range(m):
-            col = rep.l[i].column(b)
-            for k in range(m):
-                mu[i][n + b][n + k] = col[k]
+            mu[i][n + b][n:] = rep.l[i].column(b)
     for a in range(m):
         for j in range(n):
-            col = rep.r[j].column(a)
-            for k in range(m):
-                mu[n + a][j][n + k] = col[k]
-    alpha = _block_diag(alg.alpha, rep.phi)
-    beta = _block_diag(alg.beta, rep.psi)
-    return BiHomAlgebra(total, mu, alpha, beta)
+            mu[n + a][j][n:] = rep.r[j].column(a)
 
+    def diag(a: Matrix, b: Matrix) -> Matrix:
+        top = [list(row) + [ZERO] * m for row in a.rows]
+        return Matrix(top + [[ZERO] * n + list(row) for row in b.rows])
 
-def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    n, m = a.nrows, b.nrows
-    rows = []
-    for i in range(n):
-        rows.append(list(a.rows[i]) + [ZERO] * m)
-    for i in range(m):
-        rows.append([ZERO] * n + list(b.rows[i]))
-    return Matrix(rows)
+    return BiHomAlgebra(total, mu, diag(alg.alpha, rep.phi), diag(alg.beta, rep.psi))
 
 
 @dataclass(frozen=True)

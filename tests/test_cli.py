@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from bihomalt import fileio
+from bihomalt import cli, fileio
 from bihomalt.cli import run
+from bihomalt.errors import InternalError
 
 from conftest import make_d2, make_e1, make_z1
 
@@ -242,3 +243,27 @@ def test_deeply_nested_json_exit2(capsys, tmp_path):
     p.write_text('{"dim": 1, "mu": ' + "[" * depth + "]" * depth + "}")
     report = _run_error(capsys, ["validate", str(p)])
     assert "nested too deeply" in report["diagnostics"][0]
+
+
+@pytest.mark.parametrize(
+    "exc, diagnostic",
+    [
+        (InternalError("guard tripped"), "internal error: InternalError: guard tripped"),
+        (RuntimeError("boom"), "internal error: RuntimeError: boom"),
+    ],
+)
+def test_unexpected_exception_is_an_internal_error_report(files, capsys, monkeypatch, exc, diagnostic):
+    def broken(alg):
+        raise exc
+
+    monkeypatch.setattr(cli, "validate", broken)
+    code = run(["validate", files["e1"]])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert code == 3
+    assert json.loads(captured.out) == {
+        "status": "error",
+        "command": "validate",
+        "payload": {},
+        "diagnostics": [diagnostic],
+    }

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -313,3 +314,24 @@ def test_trivialize_rejects_order_below_one(max_order):
     defm = TruncatedDeformation(e1, [term_from_nested(1, [[[1]]])])
     with pytest.raises(PreconditionError):
         trivialize(defm, max_order)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("mod_dim", [1, 3])
+def test_first_nonzero_is_the_first_tuple_in_lexicographic_order(degree, mod_dim):
+    n = 3
+    assert Cochain.zero(degree, n, mod_dim).first_nonzero() is None
+    tuples = list(itertools.product(range(n), repeat=degree))
+    rng = Random(10 * degree + mod_dim)
+    for _ in range(10):
+        data = [Fraction(0)] * (mod_dim * n**degree)
+        for pos in rng.sample(range(len(data)), rng.randint(1, 3)):
+            data[pos] = random_fraction(rng) or Fraction(1)
+        f = Cochain(degree, n, mod_dim, data)
+        assert f.first_nonzero() == next(t for t in tuples if any(f.value(*t)))
+
+
+def test_first_nonzero_reads_past_zero_output_coordinates():
+    data = [Fraction(0)] * (2 * 3 * 3)
+    data[(2 * 3 + 0) * 2 + 1] = Fraction(-1, 2)  # only the second output coordinate at (2, 0)
+    assert Cochain(2, 3, 2, data).first_nonzero() == (2, 0)

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from bihomalt.algebra import validate
+from bihomalt.algebra import BiHomAlgebra, validate, zero_bilinear
 from bihomalt.cohomology import Cochain, cochain_space, delta2
 from bihomalt.errors import InputError, MathCheckError, PreconditionError
 from bihomalt.exactnum import Matrix
@@ -25,7 +25,7 @@ from bihomalt.representation import (
     validate_representation,
 )
 
-from conftest import base_corpus, make_d2, make_e1, random_fraction
+from conftest import base_corpus, make_d2, make_e1, make_p2, product_corpus, random_fraction
 
 
 def test_annihilator_of_zero_algebra(z1):
@@ -202,3 +202,47 @@ def test_t_star_rejects_noninvertible_twists(z1):
 def test_central_extension_input_errors(e1):
     with pytest.raises(InputError):
         central_extension(e1, 0, [[[]]])
+
+
+_CENTRAL_TO_T_THETA = {
+    "alpha_invariance": "twist_compatibility",
+    "beta_invariance": "twist_compatibility",
+    "left_condition": "left_cocycle",
+    "right_condition": "right_cocycle",
+}
+
+
+@pytest.mark.parametrize("v_dim", [1, 2])
+def test_central_extension_is_t_theta_over_the_trivial_module(v_dim):
+    """Same acceptance, witness and algebra as T_theta with l = r = 0 and identity twists.
+
+    Beyond the product corpus, P2 and a left-unital algebra fail the left and
+    right conditions, and a zero algebra with twists I, diag(1, −1) fails
+    beta-invariance alone.
+    """
+    rng = Random(83 + v_dim)
+    left_unital = BiHomAlgebra(2, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]], Matrix.identity(2), Matrix.identity(2))
+    beta_only = BiHomAlgebra(2, zero_bilinear(2), Matrix.identity(2), Matrix.diagonal([1, -1]))
+    for alg in [a for _, a in product_corpus()] + [make_p2(), left_unital, beta_only]:
+        n = alg.dim
+        zero, one = Matrix.zero(v_dim, v_dim), Matrix.identity(v_dim)
+        trivial = Representation(n, v_dim, [zero] * n, [zero] * n, one, one)
+        space = cochain_space(alg, trivial, 2)
+        for _ in range(12):
+            data = [Fraction(0)] * space.ambient_dim
+            for vec in space.basis:
+                c = random_fraction(rng)
+                data = [d + c * v for d, v in zip(data, vec)]
+            if rng.random() < 0.4:
+                data[rng.randrange(len(data))] += Fraction(1)
+            omega = Cochain(2, n, v_dim, data)
+            try:
+                central = central_extension(alg, v_dim, omega)
+            except MathCheckError as err:
+                with pytest.raises(MathCheckError) as t_err:
+                    t_theta_extension(alg, trivial, omega)
+                assert _CENTRAL_TO_T_THETA[err.condition] == t_err.value.condition
+                assert err.witness == t_err.value.witness
+            else:
+                assert central == assemble_t_theta(alg, trivial, omega)
+                assert central == t_theta_extension(alg, trivial, omega)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bihomalt.errors import InputError, PreconditionError
+import bihomalt.genderiv as genderiv
+from bihomalt.errors import InputError, InternalError, PreconditionError
 from bihomalt.exactnum import Matrix
 from bihomalt.genderiv import (
     OperatorSpace,
@@ -287,3 +288,24 @@ def test_space_of_kind_dispatch(e1):
     assert space_of_kind(e1, "U", 0, 0).dim == 1
     with pytest.raises(InputError):
         space_of_kind(e1, "Bogus", 0, 0)
+
+
+class _NoMatrix:
+    """An operator-space stand-in that contains no matrix at all."""
+
+    def contains_matrix(self, m):
+        return False
+
+
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        ("quasi_derivation_space", "quasi-derivation part escaped"),
+        ("quasi_centroid_space", "quasi-centroid part escaped"),
+    ],
+)
+def test_sgder_decompose_guards_raise_internal_error(monkeypatch, d2, space, message):
+    d = derivation_space(d2, 0, 0).basis[0]
+    monkeypatch.setattr(genderiv, space, lambda alg, k, l: _NoMatrix())
+    with pytest.raises(InternalError, match=message):
+        sgder_decompose(d2, 0, 0, d)
