@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import BiHomAlgebra
 from .cohomology import Cochain, cochain_space, delta_matrix_on_basis, twist_witness
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import Matrix, solve, vector
+from .exactnum import Matrix, solve, unit_vector, vector
 from .representation import adjoint
 
 ZERO = Fraction(0)
@@ -118,53 +119,116 @@ def _require_compatible_terms(defm: TruncatedDeformation):
             )
 
 
+def _term_tables(alg: BiHomAlgebra, term: Cochain):
+    """The tables one bilinear term t brings to the diamond pairing, or None when t = 0.
+
+    Returns (d, inner, outer) with every entry scaled to an integer by one common
+    denominator d: inner = (t(βe_x, αe_y) by [x][y], t(αe_y, e_z) by [y][z]) and
+    outer = (t(e_p, βe_z) by [p][z], t(αβe_x, e_q) by [x][q]), each an n-vector.
+    """
+    if term.is_zero():
+        return None
+    n = alg.dim
+    a = [alg.alpha.column(i) for i in range(n)]
+    b = [alg.beta.column(i) for i in range(n)]
+    ab = [(alg.alpha * alg.beta).column(i) for i in range(n)]
+    e = [unit_vector(n, i) for i in range(n)]
+    tables = [
+        [[term.evaluate(u[x], v[y]) for y in range(n)] for x in range(n)]
+        for u, v in ((b, a), (a, e), (e, b), (ab, e))
+    ]
+    d = lcm(*(x.denominator for table in tables for row in table for vec in row for x in vec))
+    b1, b2, a1, a2 = (
+        [[[x.numerator * (d // x.denominator) for x in vec] for vec in row] for row in table]
+        for table in tables
+    )
+    return d, (b1, b2), (a1, a2)
+
+
+def _pairing(n: int, outer, inner) -> list[list[int]]:
+    """a ⋄ b from the outer tables of a and the inner tables of b, by flat index (x, y, z).
+
+    a(b(βx,αy), βz) = Σ_p b(βx,αy)_p a(e_p, βz) and a(αβx, b(αy,z)) = Σ_q b(αy,z)_q a(αβx, e_q);
+    the pairing is symmetric in (x, y), so each unordered pair is contracted once.
+    """
+    a1, a2 = outer
+    b1, b2 = inner
+
+    def combine(coeffs, vecs):
+        acc = [0] * n
+        for s, vec in zip(coeffs, vecs):
+            if s:
+                for c in range(n):
+                    acc[c] += s * vec[c]
+        return acc
+
+    a1_at = [[a1[p][z] for p in range(n)] for z in range(n)]
+    second = [[[combine(b2[y][z], a2[x]) for z in range(n)] for y in range(n)] for x in range(n)]
+    out = [None] * n**3
+    for x in range(n):
+        for y in range(x, n):
+            sym = [s + t for s, t in zip(b1[x][y], b1[y][x])]
+            for z in range(n):
+                val = [f - s - t for f, s, t in zip(combine(sym, a1_at[z]), second[x][y][z], second[y][x][z])]
+                out[(x * n + y) * n + z] = out[(y * n + x) * n + z] = val
+    return out
+
+
+def _pairing_sum(n: int, pairs) -> Cochain:
+    """Σ a ⋄ b over (tables of a, tables of b) pairs, divided once per output coordinate."""
+    parts = [(ta[0] * tb[0], _pairing(n, ta[2], tb[1])) for ta, tb in pairs if ta and tb]
+    den = lcm(*(d for d, _ in parts))
+    total = [0] * n**4
+    for d, vals in parts:
+        f = den // d
+        for pos, val in enumerate(vals):
+            for c, v in enumerate(val):
+                if v:
+                    total[pos * n + c] += f * v
+    return Cochain(3, n, n, [Fraction(t, den) if t else ZERO for t in total])
+
+
 def diamond(alg: BiHomAlgebra, a: Cochain, b: Cochain) -> Cochain:
     """The four-term trilinear pairing of two bilinear terms.
 
     a ⋄ b (x,y,z) = a(b(βx,αy), βz) − a(αβx, b(αy,z))
                   + a(b(βy,αx), βz) − a(αβy, b(αx,z))
     """
-    n = alg.dim
-    acols = [alg.alpha.column(i) for i in range(n)]
-    bcols = [alg.beta.column(i) for i in range(n)]
-    abcols = [(alg.alpha * alg.beta).column(i) for i in range(n)]
-    units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
+    ta = _term_tables(alg, a)
+    tb = ta if b is a else _term_tables(alg, b)
+    return _pairing_sum(alg.dim, [(ta, tb)])
 
-    def at(i, j, k):
-        total = [ZERO] * n
-        for x, y in ((i, j), (j, i)):
-            for sign, val in (
-                (1, a.evaluate(b.evaluate(bcols[x], acols[y]), bcols[k])),
-                (-1, a.evaluate(abcols[x], b.evaluate(acols[y], units[k]))),
-            ):
-                for c in range(n):
-                    total[c] += sign * val[c]
-        return tuple(total)
 
-    return Cochain.from_function(3, n, n, at)
+def _residual(defm: TruncatedDeformation, tables: dict, k: int, lowest: int) -> Cochain:
+    """Σ d_i ⋄ d_{k−i} over lowest ≤ i ≤ k − lowest; tables holds each term's tables by index."""
+    pairs = []
+    for i in range(lowest, k - lowest + 1):
+        j = k - i
+        if i > defm.order or j > defm.order:
+            continue
+        for t in (i, j):
+            if t not in tables:
+                tables[t] = _term_tables(defm.alg, defm.term(t))
+        pairs.append((tables[i], tables[j]))
+    return _pairing_sum(defm.alg.dim, pairs)
 
 
 def order_residual(defm: TruncatedDeformation, k: int) -> Cochain:
     """sum_{i+j=k} d_i ⋄ d_j; zero iff the order-k deformation equation holds."""
-    alg = defm.alg
-    total = Cochain.zero(3, alg.dim, alg.dim)
-    data = list(total.data)
-    for i in range(0, k + 1):
-        j = k - i
-        if i > defm.order or j > defm.order:
-            continue
-        piece = diamond(alg, defm.term(i), defm.term(j))
-        data = [x + y for x, y in zip(data, piece.data)]
-    return Cochain(3, alg.dim, alg.dim, data)
+    return _residual(defm, {}, k, 0)
 
 
 def check_deformation(defm: TruncatedDeformation) -> DeformationReport:
     """Check the deformation equations at every order k = 0 ... m."""
+    return _check_orders(defm, {})
+
+
+def _check_orders(defm: TruncatedDeformation, tables: dict) -> DeformationReport:
     _require_compatible_terms(defm)
     flags = []
     witnesses = {}
     for k in range(defm.order + 1):
-        witness = order_residual(defm, k).first_nonzero()
+        witness = _residual(defm, tables, k, 0).first_nonzero()
         flags.append(witness is None)
         if witness is not None:
             witnesses[k] = witness
@@ -175,21 +239,15 @@ def obstruction(defm: TruncatedDeformation, m: int) -> Cochain:
     """sum_{i=1}^{m-1} d_i ⋄ d_{m-i}, defined once the deformation holds through m−1."""
     if m < 1:
         raise InputError("obstruction order must be at least 1")
-    report = check_deformation(defm.padded(max(defm.order, m - 1)))
+    # the padded deformation shares d_0 ... d_order, so their tables serve both passes
+    tables = {}
+    report = _check_orders(defm.padded(max(defm.order, m - 1)), tables)
     if not report.ok_through(m - 1):
         bad = next(k for k, ok in enumerate(report.order_ok) if not ok and k <= m - 1)
         raise PreconditionError(
             f"deformation equations fail at order {bad} (witness {report.witnesses[bad]})"
         )
-    alg = defm.alg
-    data = list(Cochain.zero(3, alg.dim, alg.dim).data)
-    for i in range(1, m):
-        j = m - i
-        if i > defm.order or j > defm.order:
-            continue
-        piece = diamond(alg, defm.term(i), defm.term(j))
-        data = [x + y for x, y in zip(data, piece.data)]
-    return Cochain(3, alg.dim, alg.dim, data)
+    return _residual(defm, tables, m, 1)
 
 
 def extend_one_order(defm: TruncatedDeformation) -> Optional[Cochain]:

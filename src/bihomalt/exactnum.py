@@ -4,13 +4,16 @@ Scalars are `fractions.Fraction` (arbitrary-precision, always reduced,
 positive denominator), so every operation in the package is exact; no
 floating point appears anywhere.  Elimination runs on a sparse row
 representation because the constraint systems assembled by the cohomology
-and derivation modules are large but very sparse.
+and derivation modules are large but very sparse, and fraction-free: rows
+are kept as primitive integer vectors and rationals are built only when a
+kernel basis, a solution or an inverse is read out.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError
@@ -197,13 +200,20 @@ class Matrix:
         if not self.is_square():
             raise PreconditionError("only square matrices can be inverted")
         n = self.nrows
-        cols = []
-        for j in range(n):
-            sol = solve(self, unit_vector(n, j))
-            if sol is None:
-                raise PreconditionError("matrix is singular")
-            cols.append(sol)
-        return Matrix(zip(*cols))
+        # one elimination of [M | I]: M is invertible iff every pivot lies in M,
+        # and then the reduced row p reads [e_p | row p of the inverse]
+        rows = _sparse_rows(self.rows)
+        for i, row in enumerate(rows):
+            row[n + i] = ONE
+        elim = _eliminate(rows, 2 * n)
+        if any(p >= n for p in elim.pivot_rows):
+            raise PreconditionError("matrix is singular")
+        out = []
+        for i in range(n):
+            row = elim.pivot_rows[i]
+            d = row[i]
+            out.append([Fraction(row[n + j], d) if n + j in row else ZERO for j in range(n)])
+        return Matrix(out)
 
     def power(self, k: int) -> "Matrix":
         """Integer power; negative exponents require invertibility."""
@@ -221,99 +231,145 @@ class Matrix:
 
 
 def _sparse_rows(matrix_rows) -> list[dict[int, Fraction]]:
-    out = []
-    for row in matrix_rows:
-        d = {j: a for j, a in enumerate(row) if a != 0}
-        out.append(d)
-    return out
+    return [{j: a for j, a in enumerate(row) if a} for row in matrix_rows]
+
+
+def _integer_row(row: dict, aug, ncols: int) -> tuple[dict[int, int], int]:
+    """(d·row with the augment at column ncols, d) for d the lcm of the denominators.
+
+    Entries may be ints or Fractions; zero entries are dropped.
+    """
+    items = [(c, v) for c, v in row.items() if v]
+    if aug:
+        items.append((ncols, aug))
+    d = 1
+    for _, v in items:
+        if v.denominator != 1:
+            d = lcm(d, v.denominator)
+    return {c: v.numerator * (d // v.denominator) for c, v in items}, d
 
 
 class _Eliminator:
-    """Incremental sparse row reduction keeping one normalized row per pivot column."""
+    """Incremental sparse row reduction on primitive integer rows (fraction-free).
+
+    Each stored row has its pivot at its minimal column, a positive pivot entry,
+    integer entries whose gcd is 1, the augment as column ncols, and zeros at
+    every other pivot column.  Divided by its pivot entry it is a row of the
+    reduced row echelon form of the rows inserted so far, which is unique, so
+    every read-out equals that of exact rational elimination.  Rationals are
+    built only at read-out.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, dict[int, Fraction]] = {}
-        self.pivot_aug: dict[int, Fraction] = {}
+        self.pivot_rows: dict[int, dict[int, int]] = {}
 
-    def reduce(self, row: dict[int, Fraction], aug: Fraction = ZERO):
-        """Reduce a row against the current pivots; returns the residual (row, aug)."""
-        while True:
-            hit = None
-            for col in row:
-                if col in self.pivot_rows:
-                    hit = col
-                    break
-            if hit is None:
-                return row, aug
-            factor = row[hit]
-            prow = self.pivot_rows[hit]
-            for col, val in prow.items():
-                new = row.get(col, ZERO) - factor * val
-                if new == 0:
-                    row.pop(col, None)
-                else:
+    def _reduce(self, row: dict[int, int]) -> tuple[dict[int, int], int]:
+        """(s·residual, s) on integers for a positive integer s; row is consumed."""
+        pivots = self.pivot_rows
+        # stored rows vanish at each other's pivots, so the pivot columns the
+        # residual must clear are those of the row as given, at their given entries
+        hits = [(c, v) for c, v in row.items() if c in pivots]
+        if not hits:
+            return row, 1
+        scale = 1
+        for c, _ in hits:
+            scale = lcm(scale, pivots[c][c])
+        if scale != 1:
+            row = {c: scale * v for c, v in row.items()}
+        for c, v in hits:
+            prow = pivots[c]
+            f = v * (scale // prow[c])
+            for col, pv in prow.items():
+                new = row.get(col, 0) - f * pv
+                if new:
                     row[col] = new
-            aug = aug - factor * self.pivot_aug[hit]
+                else:
+                    del row[col]
+        return row, scale
 
-    def insert(self, row: dict[int, Fraction], aug: Fraction = ZERO) -> tuple[Optional[int], Fraction]:
-        """Reduce and, if nonzero, store the row normalized at its minimal column.
+    def reduce(self, row: dict) -> dict[int, int]:
+        """A positive integer multiple of the residual of row."""
+        return self._reduce(_integer_row(row, 0, self.ncols)[0])[0]
 
-        Returns (pivot column or None, residual augment).  A None pivot with a
-        nonzero augment means the augmented system is inconsistent.
+    def insert(self, row: dict, aug=0) -> tuple[Optional[int], Fraction]:
+        """Reduce and, if nonzero, store the row with its pivot at its minimal column.
+
+        Returns (pivot column or None, augment): the stored row's augment
+        divided by its pivot entry, or with a None pivot the residual augment.
+        A None pivot with a nonzero augment means the augmented system is
+        inconsistent.
         """
-        row, aug = self.reduce(dict(row), aug)
-        if not row:
-            return None, aug
-        pivot = min(row)
-        inv = ONE / row[pivot]
-        row = {c: v * inv for c, v in row.items()}
-        aug = aug * inv
+        ncols = self.ncols
+        row, d = _integer_row(row, aug, ncols)
+        row, scale = self._reduce(row)
+        pivot = min(row, default=ncols)
+        if pivot == ncols:
+            rest = row.get(ncols, 0)
+            return None, Fraction(rest, d * scale) if rest else ZERO
+        g = gcd(*row.values())
+        if row[pivot] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+        p = row[pivot]
         # keep stored rows fully reduced against the new pivot
-        for col, prow in self.pivot_rows.items():
-            if pivot in prow:
-                f = prow[pivot]
-                for c, v in row.items():
-                    new = prow.get(c, ZERO) - f * v
-                    if new == 0:
-                        prow.pop(c, None)
-                    else:
-                        prow[c] = new
-                self.pivot_aug[col] = self.pivot_aug[col] - f * aug
+        for prow in self.pivot_rows.values():
+            f = prow.get(pivot)
+            if f is None:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for c in prow:
+                    prow[c] *= a
+            for c, v in row.items():
+                new = prow.get(c, 0) - b * v
+                if new:
+                    prow[c] = new
+                else:
+                    del prow[c]
+            g = gcd(*prow.values())
+            if g != 1:
+                for c in prow:
+                    prow[c] //= g
         self.pivot_rows[pivot] = row
-        self.pivot_aug[pivot] = aug
-        return pivot, aug
+        rest = row.get(ncols, 0)
+        return pivot, Fraction(rest, p) if rest else ZERO
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        pivots = self.pivot_rows
-        free_cols = [j for j in range(self.ncols) if j not in pivots]
-        basis = []
-        for f in free_cols:
-            vec = [ZERO] * self.ncols
+        ncols = self.ncols
+        free = {j: [ZERO] * ncols for j in range(ncols) if j not in self.pivot_rows}
+        for f, vec in free.items():
             vec[f] = ONE
-            for p, row in pivots.items():
-                c = row.get(f, ZERO)
-                if c != 0:
-                    vec[p] = -c
-            basis.append(tuple(vec))
-        return basis
+        for p, row in self.pivot_rows.items():
+            d = row[p]
+            for c, v in row.items():
+                if c in free:
+                    free[c][p] = Fraction(-v, d)
+        return [tuple(vec) for vec in free.values()]
 
 
-def _eliminate(rows: Iterable[dict[int, Fraction]], ncols: int) -> _Eliminator:
+def _eliminate(rows: Iterable[dict], ncols: int) -> _Eliminator:
     elim = _Eliminator(ncols)
     for row in rows:
         elim.insert(row)
     return elim
 
 
+def matrix_rank(m: Matrix) -> int:
+    """Exact rank, without building a kernel."""
+    return _eliminate(_sparse_rows(m.rows), m.ncols).rank
+
+
 def rank_nullspace(m: Matrix) -> tuple[int, "Subspace"]:
     """Exact rank and a kernel basis; rank + dim(kernel) = ncols."""
     elim = _eliminate(_sparse_rows(m.rows), m.ncols)
-    return elim.rank, Subspace(m.ncols, elim.kernel_basis())
+    return elim.rank, Subspace(m.ncols, elim.kernel_basis(), check=False)
 
 
 def nullspace_of_sparse_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> "Subspace":
@@ -329,7 +385,7 @@ def independent_subset_indices(vectors: Sequence[Sequence]) -> list[int]:
     elim = _Eliminator(len(vectors[0]))
     kept = []
     for i, v in enumerate(vectors):
-        pivot, _ = elim.insert({j: Fraction(a) for j, a in enumerate(v) if a != 0})
+        pivot, _ = elim.insert(dict(enumerate(v)))
         if pivot is not None:
             kept.append(i)
     return kept
@@ -343,13 +399,15 @@ def solve(m: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     elim = _Eliminator(m.ncols)
     for i, row in enumerate(_sparse_rows(m.rows)):
         pivot, aug = elim.insert(row, b[i])
-        if pivot is None and aug != 0:
+        if pivot is None and aug:
             return None
     # rows are kept in fully reduced form, so with free variables set to zero
-    # each pivot coordinate reads off its augment directly
+    # each pivot coordinate reads off its augment over its pivot entry
     sol = [ZERO] * m.ncols
-    for p in elim.pivot_rows:
-        sol[p] = elim.pivot_aug[p]
+    for p, row in elim.pivot_rows.items():
+        rest = row.get(m.ncols, 0)
+        if rest:
+            sol[p] = Fraction(rest, row[p])
     return tuple(sol)
 
 
@@ -375,7 +433,7 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise InputError("basis vector length does not match ambient dimension")
         if check and basis:
-            elim = _eliminate(({j: a for j, a in enumerate(v) if a != 0} for v in basis), ambient_dim)
+            elim = _eliminate((dict(enumerate(v)) for v in basis), ambient_dim)
             if elim.rank != len(basis):
                 raise InputError("basis vectors are linearly dependent")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -393,7 +451,7 @@ class Subspace:
             v = vector(v)
             if len(v) != ambient_dim:
                 raise InputError("vector length does not match ambient dimension")
-            pivot, _ = elim.insert({j: a for j, a in enumerate(v) if a != 0})
+            pivot, _ = elim.insert(dict(enumerate(v)))
             if pivot is not None:
                 kept.append(v)
         return Subspace(ambient_dim, kept, check=False)

@@ -29,6 +29,8 @@ from .exactnum import (
     independent_subset_indices,
     nullspace_of_sparse_rows,
     solve_columns,
+    support,
+    unit_vector,
 )
 
 ZERO = Fraction(0)
@@ -133,43 +135,35 @@ def _product_rule_rows(
     rules drop one action term, the quasi-centroid balance the output term).
     """
     n = alg.dim
-    rows = []
+    units = [unit_vector(n, i) for i in range(n)]
     wcols = [w.column(j) for j in range(n)]
+
+    def by_output(products):
+        """For each output coordinate c, the (index, coefficient) pairs with products[index][c] ≠ 0."""
+        return [[(p, vec[c]) for p, vec in enumerate(products) if vec[c]] for c in range(n)]
+
+    # mu(X e_i, W e_j) output c is sum_p X[p][i] mu(e_p, W e_j)[c]; likewise on the right
+    left = [by_output([alg.product(units[p], wcols[j]) for p in range(n)]) for j in range(n)]
+    right = [by_output([alg.product(wcols[i], units[q]) for q in range(n)]) for i in range(n)]
+    rows = []
     for i in range(n):
         for j in range(n):
+            out = support(alg.mu[i][j])
             for c in range(n):
                 row: dict[int, Fraction] = {}
                 if out_block is not None:
-                    base = out_block * n * n
-                    for k in range(n):
-                        coeff = alg.mu[i][j][k]
-                        if coeff != 0:
-                            key = base + c * n + k
-                            row[key] = row.get(key, ZERO) + coeff
+                    base = out_block * n * n + c * n
+                    for k, coeff in out:
+                        row[base + k] = row.get(base + k, ZERO) + coeff
                 if left_block is not None:
-                    base = left_block * n * n
-                    for p in range(n):
-                        # mu(X e_i, W e_j) output c: sum_{p,q} X[p][i] W[q][j] mu[p][q][c]
-                        coeff = ZERO
-                        for q in range(n):
-                            wq = wcols[j][q]
-                            if wq != 0 and alg.mu[p][q][c] != 0:
-                                coeff += wq * alg.mu[p][q][c]
-                        if coeff != 0:
-                            key = base + p * n + i
-                            row[key] = row.get(key, ZERO) - coeff
+                    base = left_block * n * n + i
+                    for p, coeff in left[j][c]:
+                        row[base + p * n] = row.get(base + p * n, ZERO) - coeff
                 if right_block is not None:
-                    base = right_block * n * n
-                    for q in range(n):
-                        coeff = ZERO
-                        for p in range(n):
-                            wp = wcols[i][p]
-                            if wp != 0 and alg.mu[p][q][c] != 0:
-                                coeff += wp * alg.mu[p][q][c]
-                        if coeff != 0:
-                            key = base + q * n + j
-                            row[key] = row.get(key, ZERO) - right_sign * coeff
-                row = {k_: v for k_, v in row.items() if v != 0}
+                    base = right_block * n * n + j
+                    for q, coeff in right[i][c]:
+                        row[base + q * n] = row.get(base + q * n, ZERO) - right_sign * coeff
+                row = {k_: v for k_, v in row.items() if v}
                 if row:
                     rows.append(row)
     return rows

@@ -42,24 +42,51 @@ def make_zero1():
     return BiHomAlgebra(1, [[[0]]], Matrix.identity(1), Matrix.identity(1))
 
 
-def make_quaternions():
-    """H as the Cayley–Dickson double of C with γ = −1: (a,b)(c,d) = (ac − d̄b, da + bc̄)."""
+def _cayley_dickson(mul, conj):
+    """The double of (A, mul, conj) with γ = −1: (a,b)(c,d) = (ac − d̄b, da + bc̄), (a,b)‾ = (ā, −b)."""
 
-    def cmul(x, y):
-        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-    def conj(x):
-        return (x[0], -x[1])
-
-    def mul(p, q):
-        a, b, c, d = p[:2], p[2:], q[:2], q[2:]
-        first = [s - t for s, t in zip(cmul(a, c), cmul(conj(d), b))]
-        second = [s + t for s, t in zip(cmul(d, a), cmul(b, conj(c)))]
+    def mul2(p, q):
+        h = len(p) // 2
+        a, b, c, d = p[:h], p[h:], q[:h], q[h:]
+        first = [s - t for s, t in zip(mul(a, c), mul(conj(d), b))]
+        second = [s + t for s, t in zip(mul(d, a), mul(b, conj(c)))]
         return first + second
 
-    basis = [[int(i == j) for j in range(4)] for i in range(4)]
+    def conj2(p):
+        h = len(p) // 2
+        return conj(p[:h]) + [-x for x in p[h:]]
+
+    return mul2, conj2
+
+
+def _doubled_algebra(times):
+    """R doubled `times` times, with identity twists: C, H, O for times = 1, 2, 3."""
+    mul, conj = (lambda x, y: [x[0] * y[0]]), list
+    for _ in range(times):
+        mul, conj = _cayley_dickson(mul, conj)
+    n = 2**times
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
     mu = [[mul(x, y) for y in basis] for x in basis]
-    return BiHomAlgebra(4, mu, Matrix.identity(4), Matrix.identity(4))
+    return BiHomAlgebra(n, mu, Matrix.identity(n), Matrix.identity(n))
+
+
+def make_quaternions():
+    """H as the Cayley–Dickson double of C with γ = −1: (a,b)(c,d) = (ac − d̄b, da + bc̄)."""
+    return _doubled_algebra(2)
+
+
+def make_octonions():
+    """O as the Cayley–Dickson double of H with γ = −1."""
+    return _doubled_algebra(3)
+
+
+OCTONION_TWISTS = ((1, 1, 1, 1, -1, -1, -1, -1), (1, 1, -1, -1, 1, 1, -1, -1))
+
+
+def make_twisted_octonions():
+    """O Yau-twisted by the sign automorphisms in OCTONION_TWISTS (α, then β)."""
+    a, b = OCTONION_TWISTS
+    return yau_twist(make_octonions(), Matrix.diagonal(a), Matrix.diagonal(b))
 
 
 def change_basis(alg: BiHomAlgebra, s: Matrix) -> BiHomAlgebra:

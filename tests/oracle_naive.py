@@ -10,12 +10,12 @@ import itertools
 from fractions import Fraction
 
 
-def dense_rref_rank(rows):
-    """Row-reduce a dense rational matrix in place; returns (rank, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
+def dense_rref(rows, ncols):
+    """Reduced row echelon form of a dense rational matrix: (non-zero rows, pivot columns).
+
+    Plain Gauss-Jordan on Fractions, pivoting on the first non-zero entry of each column.
+    """
+    rows = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     pivots = []
     for col in range(ncols):
@@ -35,7 +35,88 @@ def dense_rref_rank(rows):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
-    return rank, pivots
+    return rows[:rank], pivots
+
+
+def dense_rref_rank(rows):
+    """(rank, pivot columns) of a dense rational matrix."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 0, []
+    rref, pivots = dense_rref(rows, len(rows[0]))
+    return len(rref), pivots
+
+
+def dense_kernel_basis(rows, ncols):
+    """The kernel basis read off the RREF: one vector per free column, 1 there."""
+    rref, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(rref, pivots):
+            vec[p] = -row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def dense_solve(rows, b, ncols):
+    """The solution of rows·x = b with free variables 0, or None when inconsistent."""
+    rref, pivots = dense_rref([list(r) + [e] for r, e in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    sol = [Fraction(0)] * ncols
+    for row, p in zip(rref, pivots):
+        sol[p] = row[ncols]
+    return tuple(sol)
+
+
+def greedy_independent(vectors):
+    """Indices i where vectors[i] is outside the span of vectors[:i]."""
+    kept, rank = [], 0
+    for i in range(len(vectors)):
+        r = dense_rref_rank(vectors[: i + 1])[0]
+        if r > rank:
+            kept.append(i)
+            rank = r
+    return kept
+
+
+def dense_inverse(rows):
+    """Inverse of a square rational matrix by Gauss-Jordan on [M | I], or None when singular."""
+    n = len(rows)
+    rref, pivots = dense_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in rref]
+
+
+def naive_diamond(alg, a, b):
+    """The diamond pairing evaluated point by point on basis triples.
+
+    a ⋄ b (x,y,z) = a(b(βx,αy), βz) − a(αβx, b(αy,z))
+                  + a(b(βy,αx), βz) − a(αβy, b(αx,z))
+    """
+    from bihomalt.cohomology import Cochain
+
+    n = alg.dim
+    acols = [alg.alpha.column(i) for i in range(n)]
+    bcols = [alg.beta.column(i) for i in range(n)]
+    abcols = [(alg.alpha * alg.beta).column(i) for i in range(n)]
+    units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
+
+    def at(i, j, k):
+        total = [Fraction(0)] * n
+        for x, y in ((i, j), (j, i)):
+            for sign, val in (
+                (1, a.evaluate(b.evaluate(bcols[x], acols[y]), bcols[k])),
+                (-1, a.evaluate(abcols[x], b.evaluate(acols[y], units[k]))),
+            ):
+                for c in range(n):
+                    total[c] += sign * val[c]
+        return tuple(total)
+
+    return Cochain.from_function(3, n, n, at)
 
 
 def dense_nullity(rows, ncols):

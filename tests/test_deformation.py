@@ -14,13 +14,25 @@ from bihomalt.deformation import (
     gauge,
     null_deformation,
     obstruction,
+    order_residual,
     trivialize,
 )
 from bihomalt.errors import InputError, PreconditionError
 from bihomalt.exactnum import Matrix, rank_nullspace
 from bihomalt.representation import adjoint
 
-from conftest import base_corpus, make_e1, make_zero1, random_fraction
+from conftest import (
+    OCTONION_TWISTS,
+    base_corpus,
+    change_basis,
+    make_e1,
+    make_quaternions,
+    make_twisted_octonions,
+    make_zero1,
+    random_fraction,
+    random_signed_permutation,
+)
+from oracle_naive import naive_diamond
 
 
 def scalar_term(c):
@@ -123,6 +135,57 @@ def test_diamond_matches_delta2_decomposition():
         right = diamond(alg, f, mu)
         combo = Cochain(3, alg.dim, alg.dim, [a + b for a, b in zip(left.data, right.data)])
         assert combo == delta2(alg, rep, f)
+
+
+def random_compatible_term(alg, rng):
+    """A random twist-compatible bilinear term whose entries are mostly not integers."""
+    space = cochain_space(alg, adjoint(alg), 2)
+    data = [Fraction(0)] * space.ambient_dim
+    for vec in space.basis:
+        c = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10**6]))
+        data = [d + c * v for d, v in zip(data, vec)]
+    return Cochain(2, alg.dim, alg.dim, data)
+
+
+def test_diamond_equals_the_pointwise_formula():
+    rng = Random(23)
+    algebras = base_corpus() + [("H", change_basis(make_quaternions(), random_signed_permutation(rng, 4)))]
+    for _, alg in algebras:
+        mu = TruncatedDeformation(alg, []).term(0)
+        zero = Cochain.zero(2, alg.dim, alg.dim)
+        a, b = random_compatible_term(alg, rng), random_compatible_term(alg, rng)
+        for x, y in ((a, b), (b, a), (a, a), (mu, a), (a, mu), (mu, mu), (zero, a), (a, zero)):
+            assert diamond(alg, x, y) == naive_diamond(alg, x, y)
+
+
+def test_residuals_share_term_tables_and_equal_the_pointwise_sums():
+    rng = Random(29)
+    for _, alg in base_corpus():
+        terms = [random_compatible_term(alg, rng), Cochain.zero(2, alg.dim, alg.dim), random_compatible_term(alg, rng)]
+        defm = TruncatedDeformation(alg, terms)
+        expected = []
+        for k in range(defm.order + 1):
+            pieces = [naive_diamond(alg, defm.term(i), defm.term(k - i)) for i in range(k + 1)]
+            total = Cochain(3, alg.dim, alg.dim, [sum(vals, Fraction(0)) for vals in zip(*(p.data for p in pieces))])
+            assert order_residual(defm, k) == total
+            expected.append(total.first_nonzero())
+        report = check_deformation(defm)
+        assert report.order_ok == tuple(w is None for w in expected)
+        assert report.witnesses == {k: w for k, w in enumerate(expected) if w is not None}
+
+
+def test_twisted_octonion_gauge_deformation_checks_and_trivializes():
+    to = make_twisted_octonions()
+    a, b = OCTONION_TWISTS
+    rng = Random(31)
+    # integer entries inside the joint (α, β) eigenspaces, so f commutes with both twists
+    f = Matrix([[rng.choice([-2, -1, 1, 2]) if (a[i], b[i]) == (a[j], b[j]) else 0 for j in range(8)] for i in range(8)])
+    defm = gauge(null_deformation(to), f, 1, 4)
+    assert defm.order == 4 and not defm.term(1).is_zero()
+    assert check_deformation(defm).ok
+    iso = trivialize(defm, 4)
+    assert iso is not None and iso.order == 4
+    assert check_equivalence(defm, null_deformation(to).padded(4), iso, 4)
 
 
 def test_order1_condition_is_cocycle_condition():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bihomalt.errors import InputError, PreconditionError
@@ -9,12 +9,18 @@ from bihomalt.exactnum import (
     Matrix,
     Subspace,
     format_rational,
+    independent_subset_indices,
+    matrix_rank,
+    nullspace_of_sparse_rows,
     parse_rational,
     rank_nullspace,
     solve,
     subspace_ops,
     unit_vector,
+    vector,
 )
+
+from oracle_naive import dense_inverse, dense_kernel_basis, dense_rref, dense_solve, greedy_independent
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -157,3 +163,119 @@ def test_subspace_dimension_formula(vs, ws):
     assert s.dim + i.dim == a.dim + b.dim
     for v in i.basis:
         assert a.contains_vector(v) and b.contains_vector(v)
+
+
+# -- the eliminator against a dense Fraction RREF ----------------------------------------
+
+# ints stay ints, so rows reach the eliminator as ints as well as Fractions
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+
+
+@st.composite
+def systems(draw):
+    """(ncols, rows): random rows plus zero rows, duplicate rows and combinations of rows."""
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero" or not rows:
+            new = [0] * ncols
+        elif kind == "duplicate":
+            new = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entries), draw(entries)
+            new = [s * x + t * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return ncols, rows
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@given(systems())
+@settings(max_examples=80, deadline=None)
+def test_kernel_bases_equal_the_dense_rref_kernel(system):
+    ncols, rows = system
+    expected = dense_kernel_basis(rows, ncols)
+    sparse = nullspace_of_sparse_rows([{j: v for j, v in enumerate(r) if v} for r in rows], ncols)
+    assert sparse.basis == tuple(expected) and _all_fractions(sparse.basis)
+    if rows:
+        rank, kernel = rank_nullspace(Matrix(rows))
+        assert rank == matrix_rank(Matrix(rows)) == len(dense_rref(rows, ncols)[0])
+        assert kernel.basis == tuple(expected) and _all_fractions(kernel.basis)
+
+
+@given(systems(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_equals_the_dense_rref_solution(system, data):
+    ncols, rows = system
+    if not rows:
+        return
+    m = Matrix(rows)
+    if data.draw(st.booleans()):
+        b = m.apply(data.draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    else:
+        b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    expected = dense_solve(rows, b, ncols)
+    got = solve(m, b)
+    assert got == expected
+    if got is not None:
+        assert _all_fractions([got])
+
+
+def test_solve_reports_inconsistent_augmented_systems():
+    rows = [[1, 2], [2, 4], [0, 0]]
+    for b in ([1, 3, 0], [0, 0, Fraction(1, 10**6)]):
+        assert dense_solve(rows, b, 2) is None
+        assert solve(Matrix(rows), b) is None
+    assert solve(Matrix([[0]]), [0]) == (0,)
+    assert solve(Matrix([[3]]), [Fraction(1, 7)]) == (Fraction(1, 21),)
+
+
+@given(systems())
+@settings(max_examples=80, deadline=None)
+def test_independent_subsets_equal_the_greedy_dense_choice(system):
+    ncols, rows = system
+    kept = greedy_independent(rows)
+    assert independent_subset_indices(rows) == kept
+    assert Subspace.from_spanning(ncols, rows).basis == tuple(vector(rows[i]) for i in kept)
+
+
+# -- inverse and power against Gauss-Jordan and repeated multiplication --------------------
+
+
+@st.composite
+def invertible_matrices(draw):
+    n = draw(st.integers(1, 4))
+    m = Matrix(draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(matrix_rank(m) == n)
+    return m
+
+
+@given(invertible_matrices())
+@settings(max_examples=40, deadline=None)
+def test_inverse_and_power_equal_the_dense_references(m):
+    n = m.nrows
+    inverse = Matrix(dense_inverse(m.rows))
+    assert m.inverse() == inverse
+    for base, sign in ((m, 1), (inverse, -1)):
+        expected = Matrix.identity(n)
+        for k in range(5):
+            assert m.power(sign * k) == expected
+            expected = expected * base
+
+
+def test_singular_matrices_have_no_inverse_or_negative_power():
+    for rows in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        m = Matrix(rows)
+        assert dense_inverse(rows) is None
+        with pytest.raises(PreconditionError):
+            m.inverse()
+        with pytest.raises(PreconditionError):
+            m.power(-2)
+        assert m.power(0) == Matrix.identity(m.nrows)

@@ -21,7 +21,18 @@ from bihomalt.genderiv import (
     twist_power,
 )
 
-from conftest import base_corpus, make_d2, make_e1, make_z1
+from random import Random
+
+from conftest import (
+    base_corpus,
+    change_basis,
+    make_d2,
+    make_e1,
+    make_octonions,
+    make_twisted_octonions,
+    make_z1,
+    random_unimodular,
+)
 from oracle_naive import dense_nullity
 
 
@@ -309,3 +320,47 @@ def test_sgder_decompose_guards_raise_internal_error(monkeypatch, d2, space, mes
     monkeypatch.setattr(genderiv, space, lambda alg, k, l: _NoMatrix())
     with pytest.raises(InternalError, match=message):
         sgder_decompose(d2, 0, 0, d)
+
+
+# -- the dim-8 ladder: octonions and Yau-twisted octonions --------------------------------
+
+G2_DIM = 14  # Der(O) is the compact exceptional Lie algebra g2
+OCTONION_DIMS = {(0, 0): (G2_DIM, 29, 15)}
+TWISTED_OCTONION_DIMS = {(1, 0): (2, 5, 3), (1, 1): (2, 5, 3), (0, 1): (2, 5, 3)}
+
+
+def _der_gder_sgder(alg, k, l):
+    return tuple(space_of_kind(alg, kind, k, l).dim for kind in ("Der", "GDer", "SGDer"))
+
+
+def _is_derivation(alg, d):
+    n = alg.dim
+    cols = [d.column(i) for i in range(n)]
+    units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
+    return all(
+        d.apply(alg.basis_product(i, j))
+        == tuple(x + y for x, y in zip(alg.product(cols[i], units[j]), alg.product(units[i], cols[j])))
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def test_octonion_derivations_are_g2():
+    o = make_octonions()
+    assert _der_gder_sgder(o, 0, 0) == OCTONION_DIMS[(0, 0)]
+    der = derivation_space(o, 0, 0)
+    assert der.dim == G2_DIM and all(_is_derivation(o, d) for d in der.basis)
+
+
+def test_twisted_octonion_operator_space_dims():
+    to = make_twisted_octonions()
+    for (k, l), dims in TWISTED_OCTONION_DIMS.items():
+        assert _der_gder_sgder(to, k, l) == dims
+
+
+def test_dim8_operator_space_dims_survive_a_unimodular_change_of_basis():
+    rng = Random(37)
+    for builder, pins in ((make_octonions, OCTONION_DIMS), (make_twisted_octonions, TWISTED_OCTONION_DIMS)):
+        alg = change_basis(builder(), random_unimodular(rng, 8))
+        for (k, l), dims in pins.items():
+            assert _der_gder_sgder(alg, k, l) == dims
