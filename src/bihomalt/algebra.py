@@ -1,24 +1,28 @@
 """BiHom-alternative algebras given by rational structure constants.
 
-An algebra is a space with a bilinear product and two commuting,
-multiplicative twist maps alpha and beta.  The twisted associator is
+An algebra is a space with a bilinear product mu and two commuting,
+multiplicative twist maps alpha and beta.  Both alternative laws are one
+quadratic identity, mu ⋄ mu = 0, where ⋄ is the four-term diamond pairing
 
-    as(x, y, z) = (x·y)·beta(z) − alpha(x)·(y·z)
+    (a ⋄ b)(x, y, z) = a(b(βx, αy), βz) − a(αβx, b(αy, z)) + (x ↔ y)
 
-and the left identity demands as(beta(x), alpha(y), z) symmetrized in
-(x, y) to vanish; the right identity symmetrizes as(x, beta(y), alpha(z))
-in (y, z).  Both quadratic forms are checked through their polarized
-bilinear versions on basis pairs, which is equivalent over Q.
+of the deformation equations.  With the twisted associator
+as(x, y, z) = (x·y)·β(z) − α(x)·(y·z), (mu ⋄ mu)(x, y, z) is
+as(βx, αy, z) + as(βy, αx, z): the left law.  On the opposite algebra
+Aᵒᵖ = (mu(y, x), β, α) it is the right law with its inputs reversed.
+The pairing is contracted on integer tables that `transport` reads off the
+structure constants, so no identity is evaluated point by point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, MathCheckError
-from .exactnum import Matrix, support, vec_add, vec_is_zero, vec_sub, vector, zero_vector
+from .exactnum import Matrix, support, vec_sub, vector, zero_vector
 
 BilinearTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -158,73 +162,152 @@ def associator(alg: BiHomAlgebra, x: Sequence, y: Sequence, z: Sequence) -> tupl
     return vec_sub(left, right)
 
 
-def _multiplicativity_witness(alg: BiHomAlgebra, twist: Matrix) -> Optional[tuple[int, int]]:
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = twist.apply(alg.basis_product(i, j))
-            rhs = alg.product(twist.column(i), twist.column(j))
-            if lhs != rhs:
+def _integer_columns(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(d, columns): column j of d·m as its non-zero (row, integer) pairs."""
+    d = lcm(*(x.denominator for row in m.rows for x in row))
+    return d, [
+        [(p, x.numerator * (d // x.denominator)) for p, x in enumerate(col) if x]
+        for col in zip(*m.rows)
+    ]
+
+
+def _lincomb(coeffs, vecs) -> list[int]:
+    """Σ c·vecs[p] over the (p, c) pairs."""
+    acc = [0] * len(vecs[0])
+    for p, c in coeffs:
+        acc = [a + c * v for a, v in zip(acc, vecs[p])]
+    return acc
+
+
+def transport(
+    tensor, out: Optional[Matrix] = None, left: Optional[Matrix] = None, right: Optional[Matrix] = None
+) -> tuple[int, list]:
+    """P·t(L e_i, R e_j) on every basis pair, as (d, table) with table[i][j] integer numerators over d.
+
+    tensor[p][q] is the vector t(e_p, e_q), with rational or integer entries;
+    out = P, left = L and right = R are matrices, None standing for the identity.
+    """
+    d = lcm(*(x.denominator for row in tensor for cell in row for x in cell))
+    table = [[[x.numerator * (d // x.denominator) for x in cell] for cell in row] for row in tensor]
+    if left is not None:
+        dl, cols = _integer_columns(left)
+        by_q = list(zip(*table))
+        table = [[_lincomb(col, column) for column in by_q] for col in cols]
+        d *= dl
+    if right is not None:
+        dr, cols = _integer_columns(right)
+        table = [[_lincomb(col, row) for col in cols] for row in table]
+        d *= dr
+    if out is not None:
+        do, rows = _integer_columns(out.transpose())
+        table = [[[sum(c * vec[k] for k, c in r) for r in rows] for vec in row] for row in table]
+        d *= do
+    return d, table
+
+
+def _common_denominator(parts) -> tuple[int, list]:
+    """(den, tables): each (d, table) of parts rescaled to integer numerators over their lcm."""
+    den = lcm(*(d for d, _ in parts))
+    return den, [
+        table if d == den else [[[v * (den // d) for v in vec] for vec in row] for row in table]
+        for d, table in parts
+    ]
+
+
+def _table_sum(parts) -> tuple[int, list]:
+    """Σ of (d, table) pairs, as integer numerators over their lcm."""
+    den, tables = _common_denominator(parts)
+    return den, [[[sum(vs) for vs in zip(*vecs)] for vecs in zip(*rows)] for rows in zip(*tables)]
+
+
+def _term_tables(alg: BiHomAlgebra, tensor):
+    """The tables one bilinear term t brings to the diamond pairing, or None when t = 0.
+
+    Returns (d, inner, outer) with every entry scaled to an integer by one common
+    denominator d: inner = (t(βe_x, αe_y) by [x][y], t(αe_y, e_z) by [y][z]) and
+    outer = (t(e_p, βe_z) by [p][z], t(αβe_x, e_q) by [x][q]), each an n-vector.
+    """
+    if not any(x for row in tensor for cell in row for x in cell):
+        return None
+    a, b = alg.alpha, alg.beta
+    pairs = ((b, a), (a, None), (None, b), (a * b, None))
+    den, (b1, b2, a1, a2) = _common_denominator([transport(tensor, None, l, r) for l, r in pairs])
+    return den, (b1, b2), (a1, a2)
+
+
+def _pairing(n: int, outer, inner):
+    """Yield (x, y, z, (a ⋄ b)(e_x, e_y, e_z)) for x ≤ y, by z, then x, then y.
+
+    a ⋄ b is symmetric in (x, y).  outer holds the tables of a, inner those of b,
+    and each value is an integer vector over d_a·d_b.  a(b(βx,αy), βz) =
+    Σ_p b(βx,αy)_p a(e_p, βz) and a(αβx, b(αy,z)) = Σ_q b(αy,z)_q a(αβx, e_q);
+    the tables built for one z are dropped before the next.
+    """
+    a1, a2 = outer
+    b1, b2 = inner
+    ids = range(n)
+
+    def combine(coeffs, vecs):
+        return _lincomb([(p, s) for p, s in enumerate(coeffs) if s], vecs)
+
+    sym = {(x, y): [s + t for s, t in zip(b1[x][y], b1[y][x])] for x in ids for y in range(x, n)}
+    for z in ids:
+        a1_z = [a1[p][z] for p in ids]
+        second = [[combine(b2[y][z], a2[x]) for y in ids] for x in ids]
+        for x in ids:
+            for y in range(x, n):
+                first = combine(sym[x, y], a1_z)
+                yield x, y, z, [f - s - t for f, s, t in zip(first, second[x][y], second[y][x])]
+
+
+def opposite(alg: BiHomAlgebra) -> BiHomAlgebra:
+    """Aᵒᵖ = (mu(y, x), β, α): its left law is the right law of A."""
+    n = alg.dim
+    return BiHomAlgebra(n, [[alg.mu[j][i] for j in range(n)] for i in range(n)], alg.beta, alg.alpha)
+
+
+def _first_difference(p, q) -> Optional[tuple[int, int]]:
+    """The first basis pair (i, j) where two (d, table) transports differ as rationals, or None."""
+    (dp, tp), (dq, tq) = p, q
+    for i, (prow, qrow) in enumerate(zip(tp, tq)):
+        for j, (pvec, qvec) in enumerate(zip(prow, qrow)):
+            if any(dq * s != dp * t for s, t in zip(pvec, qvec)):
                 return (i, j)
     return None
 
 
-def _left_alternative_witness(alg: BiHomAlgebra) -> Optional[tuple[int, int, int]]:
-    n = alg.dim
-    bcols = [alg.beta.column(i) for i in range(n)]
-    acols = [alg.alpha.column(i) for i in range(n)]
-    basis = [tuple(Fraction(1) if p == i else Fraction(0) for p in range(n)) for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                total = vec_add(
-                    associator(alg, bcols[i], acols[j], basis[k]),
-                    associator(alg, bcols[j], acols[i], basis[k]),
-                )
-                if not vec_is_zero(total):
-                    return (i, j, k)
-    return None
-
-
-def _right_alternative_witness(alg: BiHomAlgebra) -> Optional[tuple[int, int, int]]:
-    n = alg.dim
-    bcols = [alg.beta.column(i) for i in range(n)]
-    acols = [alg.alpha.column(i) for i in range(n)]
-    basis = [tuple(Fraction(1) if p == i else Fraction(0) for p in range(n)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                total = vec_add(
-                    associator(alg, basis[i], bcols[j], acols[k]),
-                    associator(alg, basis[i], bcols[k], acols[j]),
-                )
-                if not vec_is_zero(total):
-                    return (i, j, k)
-    return None
+def _alternative_witness(alg: BiHomAlgebra, order) -> Optional[tuple[int, int, int]]:
+    """The least order(x, y, z) over the basis triples where mu ⋄ mu is non-zero, or None."""
+    tables = _term_tables(alg, alg.mu)
+    if tables is None:
+        return None
+    hits = (order(x, y, z) for x, y, z, val in _pairing(alg.dim, tables[2], tables[1]) if any(val))
+    return min(hits, default=None)
 
 
 def validate(alg: BiHomAlgebra) -> AlgebraReport:
-    """Check commuting twists, multiplicativity, and both alternative identities."""
-    witnesses = {}
-    commuting = alg.alpha.commutes_with(alg.beta)
-    if not commuting:
-        witnesses["commuting"] = ()
-    w = _multiplicativity_witness(alg, alg.alpha)
-    alpha_mult = w is None
-    if w is not None:
-        witnesses["alpha_multiplicative"] = w
-    w = _multiplicativity_witness(alg, alg.beta)
-    beta_mult = w is None
-    if w is not None:
-        witnesses["beta_multiplicative"] = w
-    w = _left_alternative_witness(alg)
-    left = w is None
-    if w is not None:
-        witnesses["left_alternative"] = w
-    w = _right_alternative_witness(alg)
-    right = w is None
-    if w is not None:
-        witnesses["right_alternative"] = w
-    return AlgebraReport(commuting, alpha_mult, beta_mult, left, right, witnesses)
+    """Check commuting twists, multiplicativity, and both alternative identities.
+
+    The left witness is the first (i, j, k) in lexicographic order where
+    (mu ⋄ mu)(e_i, e_j, e_k) ≠ 0; by the (i, j) symmetry it has i ≤ j.  The right
+    law at (i, j, k), symmetric in (j, k), is minus the left law of Aᵒᵖ at
+    (k, j, i), so its witness is the first (i, j, k) with j ≤ k where
+    (mu_op ⋄ mu_op)(e_j, e_k, e_i) ≠ 0.
+    """
+    found = {
+        "commuting": None if alg.alpha.commutes_with(alg.beta) else (),
+        # twist(e_i·e_j) against twist(e_i)·twist(e_j)
+        "alpha_multiplicative": _first_difference(
+            transport(alg.mu, alg.alpha), transport(alg.mu, None, alg.alpha, alg.alpha)
+        ),
+        "beta_multiplicative": _first_difference(
+            transport(alg.mu, alg.beta), transport(alg.mu, None, alg.beta, alg.beta)
+        ),
+        "left_alternative": _alternative_witness(alg, lambda x, y, z: (x, y, z)),
+        "right_alternative": _alternative_witness(opposite(alg), lambda x, y, z: (z, x, y)),
+    }
+    witnesses = {name: w for name, w in found.items() if w is not None}
+    return AlgebraReport(*(w is None for w in found.values()), witnesses)
 
 
 def is_morphism(f: AlgebraMap, a: BiHomAlgebra, b: BiHomAlgebra) -> bool:
@@ -234,11 +317,7 @@ def is_morphism(f: AlgebraMap, a: BiHomAlgebra, b: BiHomAlgebra) -> bool:
     m = f.matrix
     if m * a.alpha != b.alpha * m or m * a.beta != b.beta * m:
         return False
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if m.apply(a.basis_product(i, j)) != b.product(m.column(i), m.column(j)):
-                return False
-    return True
+    return _first_difference(transport(a.mu, m), transport(b.mu, None, m, m)) is None
 
 
 def yau_twist(alg: BiHomAlgebra, a2: Matrix, b2: Matrix) -> BiHomAlgebra:
@@ -247,9 +326,9 @@ def yau_twist(alg: BiHomAlgebra, a2: Matrix, b2: Matrix) -> BiHomAlgebra:
     The candidate is validated before being returned; a rejection carries the
     full report so callers can see which identity broke.
     """
-    n = alg.dim
-    mu = [[alg.product(a2.column(i), b2.column(j)) for j in range(n)] for i in range(n)]
-    candidate = BiHomAlgebra(n, mu, a2 * alg.alpha, b2 * alg.beta)
+    d, table = transport(alg.mu, None, a2, b2)
+    mu = [[[Fraction(v, d) for v in vec] for vec in row] for row in table]
+    candidate = BiHomAlgebra(alg.dim, mu, a2 * alg.alpha, b2 * alg.beta)
     report = validate(candidate)
     if not report.ok:
         failed = [k for k, v in report.as_dict().items() if v is False]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .algebra import BiHomAlgebra
+from .algebra import BiHomAlgebra, validate
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
     ONE,
@@ -30,7 +30,7 @@ from .exactnum import (
     unit_vector,
     vector,
 )
-from .representation import Representation
+from .representation import Representation, validate_representation
 
 ZERO = Fraction(0)
 
@@ -440,7 +440,15 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
         prev_matrix, images = delta_matrix_on_basis(alg, rep, degree - 1, prev_space)
         dim_b = matrix_rank(prev_matrix)
         # coboundaries must be cocycles: exactness guard, not a user-facing check
-        _check_exactness(space, images, operator)
+        try:
+            _check_exactness(space, images, operator)
+        except InternalError:
+            # δ∘δ = 0 needs the axioms, so on inputs that break them this is bad input
+            if not (validate(alg).ok and validate_representation(alg, rep).ok):
+                raise PreconditionError(
+                    "cohomology needs a BiHom-alternative algebra and a valid representation"
+                ) from None
+            raise
     else:
         dim_b = 0
 

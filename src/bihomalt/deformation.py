@@ -20,10 +20,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .algebra import BiHomAlgebra
+from .algebra import BiHomAlgebra, _first_difference, _pairing, _table_sum, _term_tables, transport
 from .cohomology import Cochain, cochain_space, delta_matrix_on_basis, twist_witness
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import Matrix, solve, unit_vector, vector
+from .exactnum import Matrix, solve, vector
 from .representation import adjoint
 
 ZERO = Fraction(0)
@@ -57,7 +57,8 @@ class TruncatedDeformation:
     def term(self, i: int) -> Cochain:
         """d_i with d_0 = mu."""
         if i == 0:
-            return Cochain.from_function(2, self.alg.dim, self.alg.dim, self.alg.basis_product)
+            n = self.alg.dim
+            return Cochain(2, n, n, [x for row in self.alg.mu for cell in row for x in cell])
         return self.terms[i - 1]
 
     def padded(self, order: int) -> "TruncatedDeformation":
@@ -119,61 +120,6 @@ def _require_compatible_terms(defm: TruncatedDeformation):
             )
 
 
-def _term_tables(alg: BiHomAlgebra, term: Cochain):
-    """The tables one bilinear term t brings to the diamond pairing, or None when t = 0.
-
-    Returns (d, inner, outer) with every entry scaled to an integer by one common
-    denominator d: inner = (t(βe_x, αe_y) by [x][y], t(αe_y, e_z) by [y][z]) and
-    outer = (t(e_p, βe_z) by [p][z], t(αβe_x, e_q) by [x][q]), each an n-vector.
-    """
-    if term.is_zero():
-        return None
-    n = alg.dim
-    a = [alg.alpha.column(i) for i in range(n)]
-    b = [alg.beta.column(i) for i in range(n)]
-    ab = [(alg.alpha * alg.beta).column(i) for i in range(n)]
-    e = [unit_vector(n, i) for i in range(n)]
-    tables = [
-        [[term.evaluate(u[x], v[y]) for y in range(n)] for x in range(n)]
-        for u, v in ((b, a), (a, e), (e, b), (ab, e))
-    ]
-    d = lcm(*(x.denominator for table in tables for row in table for vec in row for x in vec))
-    b1, b2, a1, a2 = (
-        [[[x.numerator * (d // x.denominator) for x in vec] for vec in row] for row in table]
-        for table in tables
-    )
-    return d, (b1, b2), (a1, a2)
-
-
-def _pairing(n: int, outer, inner) -> list[list[int]]:
-    """a ⋄ b from the outer tables of a and the inner tables of b, by flat index (x, y, z).
-
-    a(b(βx,αy), βz) = Σ_p b(βx,αy)_p a(e_p, βz) and a(αβx, b(αy,z)) = Σ_q b(αy,z)_q a(αβx, e_q);
-    the pairing is symmetric in (x, y), so each unordered pair is contracted once.
-    """
-    a1, a2 = outer
-    b1, b2 = inner
-
-    def combine(coeffs, vecs):
-        acc = [0] * n
-        for s, vec in zip(coeffs, vecs):
-            if s:
-                for c in range(n):
-                    acc[c] += s * vec[c]
-        return acc
-
-    a1_at = [[a1[p][z] for p in range(n)] for z in range(n)]
-    second = [[[combine(b2[y][z], a2[x]) for z in range(n)] for y in range(n)] for x in range(n)]
-    out = [None] * n**3
-    for x in range(n):
-        for y in range(x, n):
-            sym = [s + t for s, t in zip(b1[x][y], b1[y][x])]
-            for z in range(n):
-                val = [f - s - t for f, s, t in zip(combine(sym, a1_at[z]), second[x][y][z], second[y][x][z])]
-                out[(x * n + y) * n + z] = out[(y * n + x) * n + z] = val
-    return out
-
-
 def _pairing_sum(n: int, pairs) -> Cochain:
     """Σ a ⋄ b over (tables of a, tables of b) pairs, divided once per output coordinate."""
     parts = [(ta[0] * tb[0], _pairing(n, ta[2], tb[1])) for ta, tb in pairs if ta and tb]
@@ -181,10 +127,11 @@ def _pairing_sum(n: int, pairs) -> Cochain:
     total = [0] * n**4
     for d, vals in parts:
         f = den // d
-        for pos, val in enumerate(vals):
-            for c, v in enumerate(val):
-                if v:
-                    total[pos * n + c] += f * v
+        for x, y, z, val in vals:
+            for pos in {(x * n + y) * n + z, (y * n + x) * n + z}:
+                for c, v in enumerate(val):
+                    if v:
+                        total[pos * n + c] += f * v
     return Cochain(3, n, n, [Fraction(t, den) if t else ZERO for t in total])
 
 
@@ -194,8 +141,8 @@ def diamond(alg: BiHomAlgebra, a: Cochain, b: Cochain) -> Cochain:
     a ⋄ b (x,y,z) = a(b(βx,αy), βz) − a(αβx, b(αy,z))
                   + a(b(βy,αx), βz) − a(αβy, b(αx,z))
     """
-    ta = _term_tables(alg, a)
-    tb = ta if b is a else _term_tables(alg, b)
+    ta = _term_tables(alg, a.nested())
+    tb = ta if b is a else _term_tables(alg, b.nested())
     return _pairing_sum(alg.dim, [(ta, tb)])
 
 
@@ -208,7 +155,7 @@ def _residual(defm: TruncatedDeformation, tables: dict, k: int, lowest: int) -> 
             continue
         for t in (i, j):
             if t not in tables:
-                tables[t] = _term_tables(defm.alg, defm.term(t))
+                tables[t] = _term_tables(defm.alg, defm.term(t).nested())
         pairs.append((tables[i], tables[j]))
     return _pairing_sum(defm.alg.dim, pairs)
 
@@ -299,29 +246,20 @@ def check_equivalence(
     for t in phi.terms:
         if not (t.commutes_with(alg.alpha) and t.commutes_with(alg.beta)):
             return False
-    units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
-    phis = [phi.term(i, n) for i in range(order + 1)]
+    phis = [None] + [phi.term(i, n) for i in range(1, order + 1)]  # None: the identity
+    lhs_terms = [d.term(j).nested() for j in range(min(d.order, order) + 1)]
+    rhs_terms = [d_prime.term(i).nested() for i in range(min(d_prime.order, order) + 1)]
     for k in range(order + 1):
-        for a in range(n):
-            for b in range(n):
-                lhs = [ZERO] * n
-                for i in range(k + 1):
-                    j = k - i
-                    if j > d.order and j != 0:
-                        continue
-                    val = phis[i].apply(d.term(j).value(a, b))
-                    lhs = [x + y for x, y in zip(lhs, val)]
-                rhs = [ZERO] * n
-                for i in range(k + 1):
-                    if i > d_prime.order and i != 0:
-                        continue
-                    di = d_prime.term(i)
-                    for p in range(k - i + 1):
-                        q = k - i - p
-                        val = di.evaluate(phis[p].column(a), phis[q].column(b))
-                        rhs = [x + y for x, y in zip(rhs, val)]
-                if lhs != rhs:
-                    return False
+        lhs = _table_sum([transport(t, phis[k - j]) for j, t in enumerate(lhs_terms[: k + 1])])
+        rhs = _table_sum(
+            [
+                transport(t, None, phis[p], phis[k - i - p])
+                for i, t in enumerate(rhs_terms[: k + 1])
+                for p in range(k - i + 1)
+            ]
+        )
+        if _first_difference(lhs, rhs) is not None:
+            return False
     return True
 
 
@@ -338,37 +276,33 @@ def gauge(defm: TruncatedDeformation, f: Matrix, level: int, order: int) -> Trun
     if not (f.commutes_with(alg.alpha) and f.commutes_with(alg.beta)):
         raise PreconditionError("gauge generator must commute with both twists")
     padded = defm.padded(max(defm.order, order))
-    chi = {0: Matrix.identity(n), level: f.scale(-1)}
-    chi_inv = {}
-    power = Matrix.identity(n)
-    i = 0
-    while i * level <= order:
-        chi_inv[i * level] = power
-        power = power * f
-        i += 1
+    tensors = [padded.term(k).nested() for k in range(order + 1)]
+    # composed[m]: the order-m coefficient of d_t ∘ (chi_t ⊗ chi_t), chi_t = id − t^level f
+    chi = ((0, None), (level, f.scale(-1)))
+    composed = [
+        _table_sum(
+            [
+                transport(tensors[m - lo - ro], None, left, right)
+                for lo, left in chi
+                for ro, right in chi
+                if lo + ro <= m
+            ]
+        )
+        for m in range(order + 1)
+    ]
+    powers = [None, f]  # f^i, None standing for the identity
+    while len(powers) * level <= order:
+        powers.append(powers[-1] * f)
     new_terms = []
     for k in range(1, order + 1):
-        acc = [ZERO] * (n * n * n)
-        for inv_ord, inv_mat in chi_inv.items():
-            for term_ord in range(0, k - inv_ord + 1):
-                if term_ord > padded.order:
-                    continue
-                term = padded.term(term_ord)
-                for left_ord, chi_left in chi.items():
-                    right_ord = k - inv_ord - term_ord - left_ord
-                    chi_right = chi.get(right_ord)
-                    if chi_right is None:
-                        continue
-                    piece = Cochain.from_function(
-                        2,
-                        n,
-                        n,
-                        lambda i_, j_: inv_mat.apply(
-                            term.evaluate(chi_left.column(i_), chi_right.column(j_))
-                        ),
-                    )
-                    acc = [x + y for x, y in zip(acc, piece.data)]
-        new_terms.append(Cochain(2, n, n, acc))
+        parts = []
+        for i, power in enumerate(powers[: k // level + 1]):
+            den, table = composed[k - i * level]
+            d, moved = transport(table, power)
+            parts.append((den * d, moved))
+        den, total = _table_sum(parts)
+        data = [Fraction(v, den) for row in total for vec in row for v in vec]
+        new_terms.append(Cochain(2, n, n, data))
     return TruncatedDeformation(alg, new_terms)
 
 

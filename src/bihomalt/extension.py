@@ -11,9 +11,9 @@ two-sided validation whenever the base algebra does.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import product
 
-from .algebra import BiHomAlgebra
+from .algebra import BiHomAlgebra, opposite
 from .cohomology import Cochain, apply_coboundary, twist_witness
 from .errors import InputError, MathCheckError, PreconditionError
 from .exactnum import Matrix, Subspace, nullspace_of_sparse_rows
@@ -23,8 +23,6 @@ from .representation import (
     dual,
     validate_representation,
 )
-
-ZERO = Fraction(0)
 
 
 def annihilator(alg: BiHomAlgebra) -> Subspace:
@@ -76,28 +74,17 @@ def left_cocycle_residual(
 def right_cocycle_residual(
     alg: BiHomAlgebra, rep: Representation, theta: Cochain
 ) -> Cochain:
-    """The eight-term right condition, symmetrizing the last two inputs."""
-    n = alg.dim
-    acols = [alg.alpha.column(i) for i in range(n)]
-    bcols = [alg.beta.column(i) for i in range(n)]
-    abcols = [(alg.alpha * alg.beta).column(i) for i in range(n)]
-    units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
+    """The eight-term right condition, symmetrizing the last two inputs.
 
-    def at(i, j, k):
-        acc = [ZERO] * rep.mod_dim
-        for y, z in ((j, k), (k, j)):
-            pieces = (
-                (1, theta.evaluate(alg.product(units[i], bcols[y]), abcols[z])),
-                (1, rep.right_apply(abcols[z], theta.evaluate(units[i], bcols[y]))),
-                (-1, theta.evaluate(acols[i], alg.product(bcols[y], acols[z]))),
-                (-1, rep.left_apply(acols[i], theta.evaluate(bcols[y], acols[z]))),
-            )
-            for sign, val in pieces:
-                for c in range(rep.mod_dim):
-                    acc[c] += sign * val[c]
-        return tuple(acc)
-
-    return Cochain.from_function(3, n, rep.mod_dim, at)
+    It is the left condition on the opposite side with its inputs reversed:
+    R(x, y, z) = −δ2_op(θᵒᵖ)(z, y, x), where δ2_op is the coboundary of
+    Aᵒᵖ = (μ(y, x), β, α) in Vᵒᵖ = (r, l, ψ, φ) and θᵒᵖ(x, y) = θ(y, x).
+    """
+    n, m = alg.dim, rep.mod_dim
+    rep_op = Representation(n, m, rep.r, rep.l, rep.psi, rep.phi)
+    theta_op = Cochain(2, n, m, [c for x, y in product(range(n), repeat=2) for c in theta.value(y, x)])
+    left = apply_coboundary(opposite(alg), rep_op, theta_op)
+    return Cochain(3, n, m, [-c for x, y, z in product(range(n), repeat=3) for c in left.value(z, y, x)])
 
 
 _CENTRAL_CONDITIONS = {

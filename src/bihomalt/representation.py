@@ -69,12 +69,6 @@ class Representation:
     def right_at(self, x: Sequence) -> Matrix:
         return _combine(self.r, x, self.mod_dim)
 
-    def left_apply(self, x: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-        return _combine_apply(self.l, x, v, self.mod_dim)
-
-    def right_apply(self, x: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-        return _combine_apply(self.r, x, v, self.mod_dim)
-
 
 def _combine(mats, x, mod_dim) -> Matrix:
     rows = [[ZERO] * mod_dim for _ in range(mod_dim)]
@@ -87,19 +81,6 @@ def _combine(mats, x, mod_dim) -> Matrix:
                 if mrow[j] != 0:
                     row[j] += c * mrow[j]
     return Matrix(rows)
-
-
-def _combine_apply(mats, x, v, mod_dim) -> tuple[Fraction, ...]:
-    acc = [ZERO] * mod_dim
-    for p, c in support(x):
-        m = mats[p]
-        for j, a in support(v):
-            ca = c * a
-            for i in range(mod_dim):
-                e = m.rows[i][j]
-                if e != 0:
-                    acc[i] += e * ca
-    return tuple(acc)
 
 
 @dataclass(frozen=True)

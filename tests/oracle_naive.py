@@ -119,6 +119,105 @@ def naive_diamond(alg, a, b):
     return Cochain.from_function(3, n, n, at)
 
 
+def naive_alternative_witnesses(alg):
+    """(left, right): the first failing basis triple of each alternative law, or None.
+
+    Point by point through the associator as(x, y, z) = (x·y)·βz − αx·(y·z):
+    left polarizes as(βx, αy, z) over x ↔ y, scanned by (i ≤ j, k); right
+    polarizes as(x, βy, αz) over y ↔ z, scanned by (i, j ≤ k).
+    """
+    from bihomalt.algebra import associator
+
+    n = alg.dim
+    bcols = [alg.beta.column(i) for i in range(n)]
+    acols = [alg.alpha.column(i) for i in range(n)]
+    units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
+
+    def first(triples, terms):
+        for t in triples:
+            u, v = terms(*t)
+            if any(a + b for a, b in zip(associator(alg, *u), associator(alg, *v))):
+                return t
+        return None
+
+    left = first(
+        ((i, j, k) for i in range(n) for j in range(i, n) for k in range(n)),
+        lambda i, j, k: ((bcols[i], acols[j], units[k]), (bcols[j], acols[i], units[k])),
+    )
+    right = first(
+        ((i, j, k) for i in range(n) for j in range(n) for k in range(j, n)),
+        lambda i, j, k: ((units[i], bcols[j], acols[k]), (units[i], bcols[k], acols[j])),
+    )
+    return left, right
+
+
+def naive_gauge(defm, f, level, order):
+    """The gauge conjugation d'_t = chi_t^{-1} ∘ d_t ∘ (chi_t ⊗ chi_t), one piece at a time.
+
+    chi_t = id − t^level f and chi_t^{-1} = Σ_i f^i t^{i·level}; every piece
+    inv(d_term(chi_left e_i, chi_right e_j)) is tabulated point by point.
+    """
+    from bihomalt.cohomology import Cochain
+    from bihomalt.deformation import TruncatedDeformation
+    from bihomalt.exactnum import Matrix
+
+    n = defm.alg.dim
+    padded = defm.padded(max(defm.order, order))
+    chi = {0: Matrix.identity(n), level: f.scale(-1)}
+    chi_inv, power, i = {}, Matrix.identity(n), 0
+    while i * level <= order:
+        chi_inv[i * level] = power
+        power, i = power * f, i + 1
+    new_terms = []
+    for k in range(1, order + 1):
+        acc = [Fraction(0)] * (n * n * n)
+        for inv_ord, inv_mat in chi_inv.items():
+            for term_ord in range(0, k - inv_ord + 1):
+                term = padded.term(term_ord)
+                for left_ord, chi_left in chi.items():
+                    chi_right = chi.get(k - inv_ord - term_ord - left_ord)
+                    if chi_right is None:
+                        continue
+                    piece = Cochain.from_function(
+                        2,
+                        n,
+                        n,
+                        lambda i_, j_: inv_mat.apply(
+                            term.evaluate(chi_left.column(i_), chi_right.column(j_))
+                        ),
+                    )
+                    acc = [x + y for x, y in zip(acc, piece.data)]
+        new_terms.append(Cochain(2, n, n, acc))
+    return TruncatedDeformation(defm.alg, new_terms)
+
+
+def naive_right_cocycle_residual(alg, rep, theta):
+    """The eight-term right condition on theta, point by point, symmetrized in (y, z)."""
+    from bihomalt.cohomology import Cochain
+
+    n = alg.dim
+    acols = [alg.alpha.column(i) for i in range(n)]
+    bcols = [alg.beta.column(i) for i in range(n)]
+    abcols = [(alg.alpha * alg.beta).column(i) for i in range(n)]
+    units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
+
+    def at(i, j, k):
+        acc = [Fraction(0)] * rep.mod_dim
+        for y, z in ((j, k), (k, j)):
+            pieces = (
+                (1, theta.evaluate(alg.product(units[i], bcols[y]), abcols[z])),
+                (1, rep.right_at(abcols[z]).apply(theta.evaluate(units[i], bcols[y]))),
+                (-1, theta.evaluate(acols[i], alg.product(bcols[y], acols[z]))),
+                (-1, rep.left_at(acols[i]).apply(theta.evaluate(bcols[y], acols[z]))),
+            )
+            for sign, val in pieces:
+                for c in range(rep.mod_dim):
+                    acc[c] += sign * val[c]
+        return tuple(acc)
+
+    return Cochain.from_function(3, n, rep.mod_dim, at)
+
+
 def dense_nullity(rows, ncols):
     if not rows:
         return ncols

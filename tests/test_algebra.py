@@ -2,20 +2,35 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihomalt.algebra import (
     AlgebraMap,
     BiHomAlgebra,
     associator,
     is_morphism,
+    transport,
     validate,
     yau_twist,
     zero_bilinear,
 )
+from bihomalt.cohomology import Cochain
 from bihomalt.errors import InputError, MathCheckError
 from bihomalt.exactnum import Matrix, unit_vector, vec_add, vec_is_zero
+from bihomalt.representation import adjoint, semidirect
 
-from conftest import make_p2, random_fraction
+from conftest import (
+    change_basis,
+    make_octonions,
+    make_p2,
+    make_twisted_octonions,
+    random_commuting_invertible_pair,
+    random_fraction,
+    random_matrix,
+    random_signed_permutation,
+)
+from oracle_naive import naive_alternative_witnesses
 
 
 def test_associator_vanishes_on_zero_algebra(z1):
@@ -171,3 +186,95 @@ def test_validate_reports_identities_separately():
 
 def test_p2_is_two_sided_alternative():
     assert validate(make_p2()).ok
+
+
+@st.composite
+def random_algebras(draw):
+    """Dimension 1–4, rational mu of random density, twists identity or a random commuting pair."""
+    n = draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    mu = [
+        [[random_fraction(rng) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        for _ in range(n)
+    ]
+    if draw(st.booleans()):
+        alpha, beta = random_commuting_invertible_pair(rng, n)
+    else:
+        alpha = beta = Matrix.identity(n)
+    return BiHomAlgebra(n, mu, alpha, beta)
+
+
+@given(random_algebras())
+@settings(max_examples=150, deadline=None)
+def test_alternative_witnesses_equal_the_pointwise_scans(alg):
+    left, right = naive_alternative_witnesses(alg)
+    report = validate(alg)
+    assert report.witnesses.get("left_alternative") == left
+    assert report.witnesses.get("right_alternative") == right
+    assert report.left_alternative == (left is None)
+    assert report.right_alternative == (right is None)
+
+
+def test_alternative_witness_scan_sees_each_law_fail_alone():
+    # sparse products under diagonal twists with zero entries: each law also fails alone
+    rng = Random(5)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        mu = [[[rng.choice([0] * 8 + [1, -1]) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        alpha, beta = (Matrix.diagonal([rng.choice([1, -1, 0]) for _ in range(n)]) for _ in range(2))
+        alg = BiHomAlgebra(n, mu, alpha, beta)
+        left, right = naive_alternative_witnesses(alg)
+        report = validate(alg)
+        assert (report.witnesses.get("left_alternative"), report.witnesses.get("right_alternative")) == (left, right)
+        seen.add((left is None, right is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_dim8_and_dim16_algebras_validate():
+    rng = Random(11)
+    o = make_octonions()
+    for alg in (
+        change_basis(o, random_signed_permutation(rng, 8)),
+        make_twisted_octonions(),
+        semidirect(o, adjoint(o)),
+    ):
+        report = validate(alg)
+        assert report.ok and report.witnesses == {}
+
+
+def _pointwise_transport(cochain, out, left, right):
+    n = cochain.alg_dim
+    return [
+        [tuple(out.apply(cochain.evaluate(left.column(i), right.column(j)))) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _test_matrix(rng, kind, k, l):
+    """A k×l matrix: the identity (when square), one with a zero row, or a random rational one."""
+    if kind == "identity" and k == l:
+        return Matrix.identity(k)
+    m = random_matrix(rng, k, l)
+    if kind == "singular":
+        return Matrix([[0] * l] + [list(row) for row in m.rows[1:]])
+    return m
+
+
+def _as_fractions(d, table):
+    return [[tuple(Fraction(v, d) for v in vec) for vec in row] for row in table]
+
+
+def test_transport_equals_pointwise_evaluation():
+    rng = Random(13)
+    kinds = ("identity", "singular", "rational")
+    for _ in range(60):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        t = Cochain(2, n, m, [random_fraction(rng) if rng.random() < 0.6 else 0 for _ in range(n * n * m)])
+        out = _test_matrix(rng, rng.choice(kinds), rng.choice([m, m, 2]), m)
+        left, right = (_test_matrix(rng, rng.choice(kinds), n, n) for _ in range(2))
+        assert _as_fractions(*transport(t.nested(), out, left, right)) == _pointwise_transport(t, out, left, right)
+        # None stands for the identity in each place
+        expected = _pointwise_transport(t, Matrix.identity(m), left, Matrix.identity(n))
+        assert _as_fractions(*transport(t.nested(), None, left, None)) == expected

@@ -295,6 +295,17 @@ def test_guard_rejects_coboundary_that_is_not_a_cocycle(monkeypatch):
         complex_report(e1, adjoint(e1), 2)
 
 
+def test_guard_on_invalid_coefficients_is_a_precondition_error():
+    # l(e_0) of the D2 adjoint changed by one entry: δ∘δ ≠ 0 there, which is bad input, not a defect
+    d2 = make_d2()
+    rep = adjoint(d2)
+    l0 = Matrix([[rep.l[0].rows[0][0] + 1, rep.l[0].rows[0][1]], list(rep.l[0].rows[1])])
+    bad = Representation(2, 2, [l0, rep.l[1]], rep.r, rep.phi, rep.psi)
+    assert not validate_representation(d2, bad).ok
+    with pytest.raises(PreconditionError, match="valid representation"):
+        complex_report(d2, bad, 2)
+
+
 def test_trivialize_guard_rejects_a_gauge_that_leaves_the_term(monkeypatch):
     e1 = make_e1()
     defm = TruncatedDeformation(e1, [term_from_nested(1, [[[1]]]), term_from_nested(1, [[[-2]]])])

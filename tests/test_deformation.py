@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from bihomalt import deformation
 from bihomalt.cohomology import Cochain, cochain_space, delta2, delta3
 from bihomalt.deformation import (
     FormalIsomorphism,
@@ -32,7 +33,7 @@ from conftest import (
     random_fraction,
     random_signed_permutation,
 )
-from oracle_naive import naive_diamond
+from oracle_naive import naive_diamond, naive_gauge
 
 
 def scalar_term(c):
@@ -422,3 +423,44 @@ def test_padded_rejects_truncation(e1):
     defm = TruncatedDeformation(e1, [scalar_term(1)])
     with pytest.raises(InputError):
         defm.padded(0)
+
+
+def _twist_commuting_generator(rng):
+    """An integer f inside the joint (α, β) eigenspaces of the twisted octonions."""
+    a, b = OCTONION_TWISTS
+    return Matrix(
+        [[rng.choice([-2, -1, 1, 2]) if (a[i], b[i]) == (a[j], b[j]) else 0 for j in range(8)] for i in range(8)]
+    )
+
+
+def _random_integer_matrix(rng, n):
+    return Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+
+
+def _gauge_cases():
+    """(deformation, generator, level, order): H at levels 1–3 and order 8, twisted O at order 4."""
+    rng = Random(97)
+    h = make_quaternions()
+    h_defm = gauge(null_deformation(h), _random_integer_matrix(rng, 4), 1, 8)
+    cases = [(h_defm, _random_integer_matrix(rng, 4), level, 8) for level in (1, 2, 3)]
+    cases.append((h_defm, Matrix([[Fraction(1, 2) * (i + j) for j in range(4)] for i in range(4)]), 2, 8))
+    to = make_twisted_octonions()
+    to_defm = gauge(null_deformation(to), _twist_commuting_generator(rng), 1, 4)
+    cases.append((to_defm, _twist_commuting_generator(rng), 1, 4))
+    return cases
+
+
+def test_gauge_equals_the_pointwise_conjugation():
+    for defm, f, level, order in _gauge_cases():
+        gauged = gauge(defm, f, level, order)
+        assert gauged.terms == naive_gauge(defm, f, level, order).terms
+        assert not gauged.term(1).is_zero()
+
+
+def test_trivialize_is_unchanged_under_the_pointwise_gauge(monkeypatch):
+    cases = _gauge_cases()
+    isos = [trivialize(defm, order) for defm, _, _, order in (cases[0], cases[-1])]
+    monkeypatch.setattr(deformation, "gauge", naive_gauge)
+    pointwise = [trivialize(defm, order) for defm, _, _, order in (cases[0], cases[-1])]
+    assert all(iso is not None for iso in isos)
+    assert isos == pointwise

@@ -25,7 +25,18 @@ from bihomalt.representation import (
     validate_representation,
 )
 
-from conftest import base_corpus, make_d2, make_e1, make_p2, product_corpus, random_fraction
+from conftest import (
+    base_corpus,
+    make_d2,
+    make_e1,
+    make_p2,
+    make_quaternions,
+    perturb_representation,
+    product_corpus,
+    random_fraction,
+    random_valid_representation,
+)
+from oracle_naive import naive_right_cocycle_residual
 
 
 def test_annihilator_of_zero_algebra(z1):
@@ -139,6 +150,23 @@ def test_t_theta_left_residual_equals_delta2():
                 data = [d + c * v for d, v in zip(data, vec)]
             theta = Cochain(2, alg.dim, rep.mod_dim, data)
             assert left_cocycle_residual(alg, rep, theta) == delta2(alg, rep, theta)
+
+
+def test_right_residual_equals_the_pointwise_condition():
+    """Any theta, valid or perturbed coefficients: no compatibility is assumed on either side."""
+    rng = Random(89)
+    nonzero = 0
+    for _, alg in product_corpus() + [("H", make_quaternions())]:
+        for _ in range(3):
+            rep = random_valid_representation(alg, rng)
+            if rng.random() < 0.3:
+                rep = perturb_representation(rep, rng)
+            size = rep.mod_dim * alg.dim**2
+            theta = Cochain(2, alg.dim, rep.mod_dim, [random_fraction(rng) for _ in range(size)])
+            residual = right_cocycle_residual(alg, rep, theta)
+            assert residual == naive_right_cocycle_residual(alg, rep, theta)
+            nonzero += not residual.is_zero()
+    assert nonzero > 10
 
 
 def test_t_theta_validity_equivalence():

@@ -42,3 +42,50 @@ def test_the_scan_sees_every_form():
         "probe.py:4 raise AssertionError",
         "probe.py:5 raise AssertionError",
     ]
+
+
+def _imported_modules(source: str, name: str) -> set[str]:
+    """The last dotted component of every module a source imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.ImportFrom):  # from . import module
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return found
+
+
+def _pointwise_calls(source: str, name: str) -> list[str]:
+    """Calls of a method named evaluate or from_function, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("evaluate", "from_function"):
+                found.append(f"{name}:{node.lineno} {node.func.attr}")
+    return sorted(found)
+
+
+def test_algebra_sits_below_cohomology_and_deformation():
+    imported = _imported_modules((SRC / "algebra.py").read_text(), "algebra.py")
+    assert imported and not imported & {"cohomology", "deformation"}
+
+
+def test_no_pointwise_evaluation_in_the_kernel_paths():
+    # Cochain.evaluate stays public API (twist_witness and the tests use it)
+    names = ("algebra.py", "deformation.py", "extension.py")
+    assert [hit for n in names for hit in _pointwise_calls((SRC / n).read_text(), n)] == []
+
+
+def test_the_import_and_call_scans_see_every_form():
+    probe = (
+        "import bihomalt.cohomology\n"
+        "from .deformation import gauge\n"
+        "from . import exactnum\n"
+        "x = t.evaluate(a, b)\n"
+        "y = Cochain.from_function(2, n, n, f)\n"
+        "z = evaluate(a)\n"
+    )
+    assert _imported_modules(probe, "probe.py") == {"cohomology", "deformation", "exactnum"}
+    assert _pointwise_calls(probe, "probe.py") == ["probe.py:4 evaluate", "probe.py:5 from_function"]
