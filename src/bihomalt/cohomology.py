@@ -23,7 +23,6 @@ from .exactnum import (
     Matrix,
     Subspace,
     _eliminate,
-    matrix_rank,
     nullspace_of_sparse_rows,
     rank_nullspace,  # noqa: F401 - bench/test_bench.py checks that its wrapper here is removed
     support,
@@ -369,54 +368,56 @@ class ComplexReport:
         }
 
 
-def delta_matrix_on_basis(
+def delta_rows_on_basis(
     alg: BiHomAlgebra,
     rep: Representation,
     degree: int,
     basis: Subspace,
     *,
     operator: Optional[dict] = None,
-) -> tuple[Matrix, list[Cochain]]:
-    """Matrix of delta_degree from given cochain coordinates into the ambient codomain.
+) -> dict[int, dict[int, Fraction]]:
+    """delta_degree on the cochains Σ x_j basis[j], as rows {output coordinate: {j: coefficient}}.
 
-    `operator` is coboundary_operator(alg, rep, degree) when the caller has it already.
+    The product operator · basis with its zero rows dropped; column j is the
+    image of basis[j].  `operator` is coboundary_operator(alg, rep, degree)
+    when the caller has it already.
     """
-    n, m = alg.dim, rep.mod_dim
-    out_dim = m * n ** (degree + 1)
     if not basis.basis:
-        return Matrix.zero(out_dim, 1), []
+        return {}
     if operator is None:
         operator = coboundary_operator(alg, rep, degree)
-    # the product operator · basis, walking each row's columns through the basis entries there
+    # walk each operator row's columns through the basis entries there
     by_coord = {}
     for j, vec in enumerate(basis.basis):
         for col, v in support(vec):
             by_coord.setdefault(col, []).append((j, v))
-    rows = [[ZERO] * basis.dim for _ in range(out_dim)]
+    rows = {}
     for r, orow in operator.items():
-        acc = rows[r]
+        acc = {}
         for col, a in orow.items():
             for j, v in by_coord.get(col, ()):
-                acc[j] += a * v
-    matrix = Matrix(rows)
-    return matrix, [Cochain(degree + 1, n, m, col) for col in zip(*matrix.rows)]
+                acc[j] = acc.get(j, ZERO) + a * v
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            rows[r] = acc
+    return rows
 
 
-def _check_exactness(space: Subspace, images: Sequence[Cochain], operator: dict):
-    """Each image lies in the compatible space and the operator sends it to zero."""
+def _check_exactness(space: Subspace, prev_rows: dict, operator: dict):
+    """Each image, a column of prev_rows, lies in the compatible space and the operator sends it to zero."""
     elim = _eliminate((dict(support(vec)) for vec in space.basis), space.ambient_dim)
-    columns = {}
-    for r, row in operator.items():
-        for col, a in row.items():
-            columns.setdefault(col, []).append((r, a))
-    for img in images:
-        sparse = dict(support(img.data))
-        if elim.reduce(sparse):
-            raise InternalError("coboundary escaped the compatible cochain space")
+    images = {}
+    for r, row in prev_rows.items():
+        for j, v in row.items():
+            images.setdefault(j, {})[r] = v
+    if any(elim.reduce(image) for image in images.values()):
+        raise InternalError("coboundary escaped the compatible cochain space")
+    # operator · prev_rows, one row at a time: the composite restricted to the basis
+    for orow in operator.values():
         acc = {}
-        for col, v in sparse.items():
-            for r, a in columns.get(col, ()):
-                acc[r] = acc.get(r, ZERO) + a * v
+        for col, a in orow.items():
+            for j, v in prev_rows.get(col, {}).items():
+                acc[j] = acc.get(j, ZERO) + a * v
         if any(acc.values()):
             raise InternalError("coboundary is not a cocycle")
 
@@ -425,31 +426,24 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
     """Dimensions of cochains, cocycles, coboundaries and cohomology at degree 2 or 3."""
     if degree not in (2, 3):
         raise InputError("cohomology reports exist for degrees 2 and 3 only")
+    report = validate(alg)
+    if not report.ok:
+        name, w = min(report.witnesses.items())
+        raise PreconditionError(f"cohomology needs a BiHom-alternative algebra (fails {name} at {tuple(w)})")
     space = cochain_space(alg, rep, degree)
     prev_space = cochain_space(alg, rep, degree - 1)
-    dim_c = space.dim
     operator = coboundary_operator(alg, rep, degree)
-
-    if space.dim:
-        matrix, _ = delta_matrix_on_basis(alg, rep, degree, space, operator=operator)
-        dim_z = space.dim - matrix_rank(matrix)
-    else:
-        dim_z = 0
-
-    if prev_space.dim:
-        prev_matrix, images = delta_matrix_on_basis(alg, rep, degree - 1, prev_space)
-        dim_b = matrix_rank(prev_matrix)
+    rows = delta_rows_on_basis(alg, rep, degree, space, operator=operator)
+    dim_z = space.dim - _eliminate(rows.values(), space.dim).rank
+    prev_rows = delta_rows_on_basis(alg, rep, degree - 1, prev_space)
+    dim_b = _eliminate(prev_rows.values(), prev_space.dim).rank
+    if prev_rows:
         # coboundaries must be cocycles: exactness guard, not a user-facing check
         try:
-            _check_exactness(space, images, operator)
+            _check_exactness(space, prev_rows, operator)
         except InternalError:
-            # δ∘δ = 0 needs the axioms, so on inputs that break them this is bad input
-            if not (validate(alg).ok and validate_representation(alg, rep).ok):
-                raise PreconditionError(
-                    "cohomology needs a BiHom-alternative algebra and a valid representation"
-                ) from None
+            # δ∘δ = 0 needs the representation axioms, so on coefficients that break them this is bad input
+            if not validate_representation(alg, rep).ok:
+                raise PreconditionError("cohomology needs a valid representation") from None
             raise
-    else:
-        dim_b = 0
-
-    return ComplexReport(degree, dim_c, dim_z, dim_b, dim_z - dim_b)
+    return ComplexReport(degree, space.dim, dim_z, dim_b, dim_z - dim_b)

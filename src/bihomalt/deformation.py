@@ -21,9 +21,9 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import BiHomAlgebra, _first_difference, _pairing, _table_sum, _term_tables, transport
-from .cohomology import Cochain, cochain_space, delta_matrix_on_basis, twist_witness
+from .cohomology import Cochain, cochain_space, delta_rows_on_basis, twist_witness
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import Matrix, solve, vector
+from .exactnum import Matrix, solve_sparse_rows, vector
 from .representation import adjoint
 
 ZERO = Fraction(0)
@@ -209,10 +209,7 @@ def extend_one_order(defm: TruncatedDeformation) -> Optional[Cochain]:
     rep = adjoint(alg)
     space = cochain_space(alg, rep, 2)
     target = vector(-x for x in obs.data)
-    if not space.dim:
-        return Cochain.zero(2, alg.dim, alg.dim) if obs.is_zero() else None
-    matrix, _ = delta_matrix_on_basis(alg, rep, 2, space)
-    coeffs = solve(matrix, target)
+    coeffs = solve_sparse_rows(delta_rows_on_basis(alg, rep, 2, space), target, space.dim)
     if coeffs is None:
         return None
     data = [ZERO] * space.ambient_dim
@@ -325,14 +322,14 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
     current = defm.padded(max(defm.order, max_order))
     rep = adjoint(alg)
     c1 = cochain_space(alg, rep, 1)
-    d1_matrix, _ = delta_matrix_on_basis(alg, rep, 1, c1) if c1.dim else (None, None)
+    d1_rows = delta_rows_on_basis(alg, rep, 1, c1)
     total = {0: Matrix.identity(n_dim)}  # composed map original -> current, by order
     while True:
         level = next((k for k in range(1, max_order + 1) if not current.term(k).is_zero()), None)
         if level is None:
             break
         target = current.term(level).data
-        coeffs = solve(d1_matrix, target) if d1_matrix is not None else None
+        coeffs = solve_sparse_rows(d1_rows, target, c1.dim)
         if coeffs is None:
             return None
         f_data = [ZERO] * c1.ambient_dim

@@ -81,7 +81,7 @@ def vec_is_zero(u) -> bool:
 
 def support(u) -> list[tuple[int, Fraction]]:
     """Nonzero coordinates of a vector, for zero-skipping contractions."""
-    return [(i, a) for i, a in enumerate(u) if a != 0]
+    return [(i, a) for i, a in enumerate(u) if a]
 
 
 class Matrix:
@@ -361,11 +361,6 @@ def _eliminate(rows: Iterable[dict], ncols: int) -> _Eliminator:
     return elim
 
 
-def matrix_rank(m: Matrix) -> int:
-    """Exact rank, without building a kernel."""
-    return _eliminate(_sparse_rows(m.rows), m.ncols).rank
-
-
 def rank_nullspace(m: Matrix) -> tuple[int, "Subspace"]:
     """Exact rank and a kernel basis; rank + dim(kernel) = ncols."""
     elim = _eliminate(_sparse_rows(m.rows), m.ncols)
@@ -391,31 +386,43 @@ def independent_subset_indices(vectors: Sequence[Sequence]) -> list[int]:
     return kept
 
 
-def solve(m: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """One particular solution of m·x = b, or None when b is outside the column space."""
-    if len(b) != m.nrows:
-        raise InputError(f"right-hand side length {len(b)} does not match {m.nrows} rows")
-    b = [Fraction(e) for e in b]
-    elim = _Eliminator(m.ncols)
-    for i, row in enumerate(_sparse_rows(m.rows)):
+def solve_sparse_rows(rows: dict[int, dict], b: Sequence, ncols: int) -> Optional[tuple[Fraction, ...]]:
+    """One particular solution of the system {row index: {column: coefficient}} = b, or None.
+
+    A row index absent from rows is a zero row, so b must vanish there.
+    """
+    if any(a for i, a in enumerate(b) if i not in rows):
+        return None
+    elim = _Eliminator(ncols)
+    for i, row in rows.items():
         pivot, aug = elim.insert(row, b[i])
         if pivot is None and aug:
             return None
     # rows are kept in fully reduced form, so with free variables set to zero
     # each pivot coordinate reads off its augment over its pivot entry
-    sol = [ZERO] * m.ncols
+    sol = [ZERO] * ncols
     for p, row in elim.pivot_rows.items():
-        rest = row.get(m.ncols, 0)
+        rest = row.get(ncols, 0)
         if rest:
             sol[p] = Fraction(rest, row[p])
     return tuple(sol)
 
 
+def solve(m: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
+    """One particular solution of m·x = b, or None when b is outside the column space."""
+    if len(b) != m.nrows:
+        raise InputError(f"right-hand side length {len(b)} does not match {m.nrows} rows")
+    return solve_sparse_rows(dict(enumerate(_sparse_rows(m.rows))), [Fraction(e) for e in b], m.ncols)
+
+
 def solve_columns(cols: Sequence[Sequence], b: Sequence) -> Optional[tuple[Fraction, ...]]:
     """Solve Σ x_j cols[j] = b; convenience for membership in a span."""
-    if not cols:
-        return None if any(e != 0 for e in b) else tuple()
-    return solve(Matrix(zip(*cols)), b)
+    rows = {}
+    for j, col in enumerate(cols):
+        for i, a in enumerate(col):
+            if a:
+                rows.setdefault(i, {})[j] = a
+    return solve_sparse_rows(rows, b, len(cols))
 
 
 class Subspace:

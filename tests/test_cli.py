@@ -66,6 +66,17 @@ def test_cohomology_default_adjoint(files, capsys):
     assert report["payload"] == {"degree": 2, "dim_C": 1, "dim_Z": 1, "dim_B": 1, "dim_H": 0}
 
 
+@pytest.mark.parametrize("degree", ["2", "3"])
+def test_cohomology_of_a_non_alternative_algebra_exit2(files, capsys, degree):
+    # E1 with α = (2) is not multiplicative; degree 3 used to report 0/0/0/0 as a pass
+    code, report = run_cli(capsys, ["cohomology", "--degree", degree, files["broken"]])
+    assert code == 2
+    assert report["status"] == "error" and report["payload"] == {}
+    assert report["diagnostics"] == [
+        "cohomology needs a BiHom-alternative algebra (fails alpha_multiplicative at (0, 0))"
+    ]
+
+
 def test_rep_validate_with_explicit_file(files, capsys, tmp_path):
     from bihomalt.representation import adjoint
 

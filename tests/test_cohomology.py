@@ -14,7 +14,6 @@ from bihomalt.cohomology import (
     delta1,
     delta2,
     delta3,
-    delta_matrix_on_basis,
 )
 from bihomalt.deformation import TruncatedDeformation, term_from_nested, trivialize
 from bihomalt.errors import InputError, InternalError, PreconditionError
@@ -27,6 +26,7 @@ from conftest import (
     make_d2,
     make_e1,
     make_quaternions,
+    make_twisted_octonions,
     make_zero1,
     random_fraction,
     random_signed_permutation,
@@ -263,6 +263,22 @@ def test_quaternion_degree3_pin():
     assert moved != h
     again = complex_report(moved, adjoint(moved), 3)
     assert (again.dim_C, again.dim_Z, again.dim_B, again.dim_H) == (256, 160, 51, 109)
+
+
+def test_twisted_octonion_degree2_pin():
+    to = make_twisted_octonions()
+    dims = complex_report(to, adjoint(to), 2)
+    assert (dims.dim_C, dims.dim_Z, dims.dim_B, dims.dim_H) == (128, 14, 14, 0)
+
+
+def test_twisted_octonion_degree3_pin():
+    to = make_twisted_octonions()
+    rep = adjoint(to)
+    h3 = complex_report(to, rep, 3)
+    assert (h3.dim_C, h3.dim_Z, h3.dim_B, h3.dim_H) == (1024, 577, 114, 463)
+    # B³ is the image of δ2 on C², so rank-nullity fixes it from the degree-2 report
+    h2 = complex_report(to, rep, 2)
+    assert h3.dim_B == h2.dim_C - h2.dim_Z == 114
 
 
 def _corrupt(degree, change):

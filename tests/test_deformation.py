@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from bihomalt import deformation
-from bihomalt.cohomology import Cochain, cochain_space, delta2, delta3
+from bihomalt.cohomology import Cochain, cochain_space, delta2, delta3, delta_rows_on_basis
 from bihomalt.deformation import (
     FormalIsomorphism,
     TruncatedDeformation,
@@ -19,7 +19,7 @@ from bihomalt.deformation import (
     trivialize,
 )
 from bihomalt.errors import InputError, PreconditionError
-from bihomalt.exactnum import Matrix, rank_nullspace
+from bihomalt.exactnum import Matrix, nullspace_of_sparse_rows
 from bihomalt.representation import adjoint
 
 from conftest import (
@@ -42,14 +42,11 @@ def scalar_term(c):
 
 def random_cocycle(alg, rng):
     """A random element of the degree-2 cocycle space with adjoint coefficients."""
-    from bihomalt.cohomology import delta_matrix_on_basis
-
     rep = adjoint(alg)
     space = cochain_space(alg, rep, 2)
     if not space.dim:
         return Cochain.zero(2, alg.dim, alg.dim)
-    matrix, _ = delta_matrix_on_basis(alg, rep, 2, space)
-    _, kernel = rank_nullspace(matrix)
+    kernel = nullspace_of_sparse_rows(delta_rows_on_basis(alg, rep, 2, space).values(), space.dim)
     data = [Fraction(0)] * space.ambient_dim
     for coeffs in kernel.basis:
         c = random_fraction(rng)

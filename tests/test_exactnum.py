@@ -8,13 +8,14 @@ from bihomalt.errors import InputError, PreconditionError
 from bihomalt.exactnum import (
     Matrix,
     Subspace,
+    _eliminate,
     format_rational,
     independent_subset_indices,
-    matrix_rank,
     nullspace_of_sparse_rows,
     parse_rational,
     rank_nullspace,
     solve,
+    solve_sparse_rows,
     subspace_ops,
     unit_vector,
     vector,
@@ -202,11 +203,13 @@ def _all_fractions(vectors):
 def test_kernel_bases_equal_the_dense_rref_kernel(system):
     ncols, rows = system
     expected = dense_kernel_basis(rows, ncols)
-    sparse = nullspace_of_sparse_rows([{j: v for j, v in enumerate(r) if v} for r in rows], ncols)
+    sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    sparse = nullspace_of_sparse_rows(sparse_rows, ncols)
     assert sparse.basis == tuple(expected) and _all_fractions(sparse.basis)
     if rows:
         rank, kernel = rank_nullspace(Matrix(rows))
-        assert rank == matrix_rank(Matrix(rows)) == len(dense_rref(rows, ncols)[0])
+        # the rank-only path complex_report takes
+        assert rank == _eliminate(sparse_rows, ncols).rank == len(dense_rref(rows, ncols)[0])
         assert kernel.basis == tuple(expected) and _all_fractions(kernel.basis)
 
 
@@ -226,6 +229,9 @@ def test_solve_equals_the_dense_rref_solution(system, data):
     assert got == expected
     if got is not None:
         assert _all_fractions([got])
+    # the same system with its all-zero rows left out, as the cochain restrictions give it
+    sparse_rows = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(rows) if any(r)}
+    assert solve_sparse_rows(sparse_rows, [Fraction(e) for e in b], ncols) == got
 
 
 def test_solve_reports_inconsistent_augmented_systems():
@@ -235,6 +241,12 @@ def test_solve_reports_inconsistent_augmented_systems():
         assert solve(Matrix(rows), b) is None
     assert solve(Matrix([[0]]), [0]) == (0,)
     assert solve(Matrix([[3]]), [Fraction(1, 7)]) == (Fraction(1, 21),)
+    # row 1 of [[1, 2], [0, 0], [0, 1]] is all zero and left out: a non-zero target there has no solution
+    sparse_rows = {0: {0: Fraction(1), 1: Fraction(2)}, 2: {1: Fraction(1)}}
+    assert solve_sparse_rows(sparse_rows, [Fraction(3), Fraction(1), Fraction(1)], 2) is None
+    assert solve(Matrix([[1, 2], [0, 0], [0, 1]]), [3, 1, 1]) is None
+    assert solve_sparse_rows(sparse_rows, [Fraction(3), Fraction(0), Fraction(1)], 2) == (1, 1)
+    assert solve_sparse_rows({}, [Fraction(0), Fraction(5)], 2) is None
 
 
 @given(systems())
@@ -253,7 +265,7 @@ def test_independent_subsets_equal_the_greedy_dense_choice(system):
 def invertible_matrices(draw):
     n = draw(st.integers(1, 4))
     m = Matrix(draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
-    assume(matrix_rank(m) == n)
+    assume(rank_nullspace(m)[0] == n)
     return m
 
 

@@ -67,6 +67,33 @@ def _pointwise_calls(source: str, name: str) -> list[str]:
     return sorted(found)
 
 
+DENSE_SOLVERS = ("solve", "matrix_rank", "rank_nullspace")
+
+
+def _named_calls(source: str, name: str, callees) -> list[str]:
+    """Calls of the given names, bare or as an attribute (exactnum.solve), and of
+    their static methods (Matrix.zero), by line."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in callees:
+            found.append((node.lineno, f"{func.value.id}.{func.attr}"))
+        elif isinstance(func, ast.Name) and func.id in callees:
+            found.append((node.lineno, func.id))
+        elif isinstance(func, ast.Attribute) and func.attr in callees:
+            found.append((node.lineno, func.attr))
+    return [f"{name}:{line} {callee}" for line, callee in sorted(found)]
+
+
+def test_the_cochain_complex_stays_sparse():
+    # the restricted coboundaries reach the eliminator as sparse rows, never as a dense Matrix
+    cohomology, deformation = ((SRC / n).read_text() for n in ("cohomology.py", "deformation.py"))
+    assert _named_calls(cohomology, "cohomology.py", ("Matrix",) + DENSE_SOLVERS) == []
+    assert _named_calls(deformation, "deformation.py", DENSE_SOLVERS) == []
+
+
 def test_algebra_sits_below_cohomology_and_deformation():
     imported = _imported_modules((SRC / "algebra.py").read_text(), "algebra.py")
     assert imported and not imported & {"cohomology", "deformation"}
@@ -86,6 +113,17 @@ def test_the_import_and_call_scans_see_every_form():
         "x = t.evaluate(a, b)\n"
         "y = Cochain.from_function(2, n, n, f)\n"
         "z = evaluate(a)\n"
+        "m = Matrix(rows)\n"
+        "i = Matrix.identity(2)\n"
+        "x = exactnum.solve(m, b) or solve_sparse_rows(rows, b, 2)\n"
+        "r = matrix_rank(m) + rank_nullspace(m)[0]\n"
     )
     assert _imported_modules(probe, "probe.py") == {"cohomology", "deformation", "exactnum"}
     assert _pointwise_calls(probe, "probe.py") == ["probe.py:4 evaluate", "probe.py:5 from_function"]
+    assert _named_calls(probe, "probe.py", ("Matrix",) + DENSE_SOLVERS) == [
+        "probe.py:7 Matrix",
+        "probe.py:8 Matrix.identity",
+        "probe.py:9 solve",
+        "probe.py:10 matrix_rank",
+        "probe.py:10 rank_nullspace",
+    ]
