@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .algebra import BiHomAlgebra, validate
+from .algebra import BiHomAlgebra, _common_denominator, _integer_columns, transport, validate
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
-    ONE,
     Matrix,
     Subspace,
     _eliminate,
@@ -187,20 +187,21 @@ def _require_cochain(alg: BiHomAlgebra, rep: Representation, f: Cochain, degree:
         raise PreconditionError(f"not a twist-compatible cochain (fails at {w})")
 
 
-def _expand(alg_dim: int, mod_dim: int, supports) -> dict[int, Fraction]:
+def _expand(alg_dim: int, mod_dim: int, supports) -> dict[int, int]:
     """f(u_1, ..., u_k) as linear forms in f's flat coordinates.
 
-    Takes the supports of the arguments and returns {offset: coefficient}:
-    coordinate c of the value is the sum of coefficient * f[offset + c].
+    Takes the supports of the arguments, with integer entries, and returns
+    {offset: coefficient}: coordinate c of the value is the sum of
+    coefficient * f[offset + c].
     """
     form = {}
     for combo in itertools.product(*supports):
-        pos, coeff = 0, ONE
+        pos, coeff = 0, 1
         for i, a in combo:
             pos = pos * alg_dim + i
             coeff *= a
         off = pos * mod_dim
-        form[off] = form.get(off, ZERO) + coeff
+        form[off] = form.get(off, 0) + coeff
     return form
 
 
@@ -212,81 +213,121 @@ def cochain_space(alg: BiHomAlgebra, rep: Representation, degree: int) -> Subspa
     total = m * n**degree
     rows = []
     for twist, tcols in ((rep.phi, alg.alpha), (rep.psi, alg.beta)):
-        sups = [support(tcols.column(i)) for i in range(n)]
+        # phi(f(e_t)) - f(twisted basis vectors) = 0, one row per output coordinate, in
+        # integers: d_t·twist and d_c·tcols, so the twist side is scaled by d_c^degree
+        # and the transformed side by d_t; a scaled row has the same kernel
+        d_t, trows = _integer_columns(twist.transpose())
+        d_c, cols = _integer_columns(tcols)
+        trows = [[(c_in, e * d_c**degree) for c_in, e in trow] for trow in trows]
         for pos, t in enumerate(itertools.product(range(n), repeat=degree)):
             base = pos * m
-            # phi(f(e_t)) - f(twisted basis vectors) = 0, one row per output coordinate
-            transformed = _expand(n, m, [sups[i] for i in t])
-            for c_out in range(m):
-                row = {}
-                for c_in in range(m):
-                    e = twist.rows[c_out][c_in]
-                    if e != 0:
-                        row[base + c_in] = row.get(base + c_in, ZERO) + e
+            transformed = _expand(n, m, [cols[i] for i in t])
+            for c_out, trow in enumerate(trows):
+                row = {base + c_in: e for c_in, e in trow}
                 for off, coeff in transformed.items():
                     key = off + c_out
-                    row[key] = row.get(key, ZERO) - coeff
-                rows.append({k: v for k, v in row.items() if v != 0})
+                    row[key] = row.get(key, 0) - d_t * coeff
+                rows.append({k: v for k, v in row.items() if v})
     return nullspace_of_sparse_rows(rows, total)
 
 
-def _delta_terms(alg: BiHomAlgebra, rep: Representation, degree: int) -> Callable:
-    """The terms of (δf)(e_t) as (sign, action rows or None, argument supports) triples."""
-    n = alg.dim
-    units = [unit_vector(n, i) for i in range(n)]
-    a_vecs = [alg.alpha.column(i) for i in range(n)]
-    b_vecs = [alg.beta.column(i) for i in range(n)]
-    ab_vecs = [(alg.alpha * alg.beta).column(i) for i in range(n)]
-    e, a, b, ab = ([support(v) for v in vecs] for vecs in (units, a_vecs, b_vecs, ab_vecs))
+def _twisted(tensor, *twists) -> tuple[int, list]:
+    """t(T e_x, e_y) for T the product of the twists, as (d, table) with integer numerators over d."""
+    d, table = transport(tensor)
+    for twist in twists:
+        d_twist, table = transport(table, None, twist)
+        d *= d_twist
+    return d, table
 
-    def products(xs, ys):
-        return [[support(alg.product(x, y)) for y in ys] for x in xs]
 
-    def actions(at, vecs):
-        """The action matrices at vecs, as one support list per output coordinate."""
-        return [[support(row) for row in at(v).rows] for v in vecs]
+def _delta_terms(alg: BiHomAlgebra, rep: Representation, degree: int) -> tuple[int, Callable]:
+    """(d, terms): terms(*t) gives (δf)(e_t) as (sign, action rows, argument supports) triples.
+
+    Every factor table holds integers, d times the rationals they stand for, and
+    every term has degree + 1 factors: its action and its arguments.  A term
+    without an action has the identity times d in its place, so each term sums
+    to d^(degree + 1) times its value.
+    """
+    n, m = alg.dim, rep.mod_dim
+    alpha, beta = alg.alpha, alg.beta
+    # twists, actions and the product as bilinear tensors: A × Q → A, A × V → V, A × A → A
+    basis = [[unit_vector(n, p)] for p in range(n)]
+    left, right = ([[a.column(c) for c in range(m)] for a in acts] for acts in (rep.l, rep.r))
+
+    def actions(table):
+        """By x, the action at x as one support over the input coordinates per output coordinate."""
+        return [
+            [[(c_in, cell[c]) for c_in, cell in enumerate(row) if cell[c]] for c in range(m)] for row in table
+        ]
+
+    def products(table):
+        return [[support(v) for v in row] for row in table]
+
+    def vectors(table):
+        return [support(row[0]) for row in table]
+
+    def units(d):
+        return [[(i, d)] for i in range(n)], [[(c, d)] for c in range(m)]
 
     if degree == 1:
-        left = actions(rep.left_at, units)
-        right = actions(rep.right_at, units)
-        mu = products(units, units)
+        d, (l_e, r_e, mu) = _common_denominator([_twisted(left), _twisted(right), transport(alg.mu)])
+        l_e, r_e, mu = actions(l_e), actions(r_e), products(mu)
+        e, ident = units(d)
         # (δf)(x,y) = l(x)f(y) + r(y)f(x) − f(x·y)
-        return lambda i, j: (
-            (1, left[i], (e[j],)),
-            (1, right[j], (e[i],)),
-            (-1, None, (mu[i][j],)),
+        return d, lambda i, j: (
+            (1, l_e[i], (e[j],)),
+            (1, r_e[j], (e[i],)),
+            (-1, ident, (mu[i][j],)),
         )
 
     if degree == 2:
-        r_b = actions(rep.right_at, b_vecs)
-        l_ab = actions(rep.left_at, ab_vecs)
-        ba = products(b_vecs, a_vecs)
-        ae = products(a_vecs, units)
-        return lambda i, j, k: [
+        d, (r_b, l_ab, ba, ae, a, b, ab) = _common_denominator(
+            [
+                _twisted(right, beta),
+                _twisted(left, alpha, beta),
+                transport(alg.mu, None, beta, alpha),
+                transport(alg.mu, None, alpha),
+                _twisted(basis, alpha),
+                _twisted(basis, beta),
+                _twisted(basis, alpha, beta),
+            ]
+        )
+        r_b, l_ab, ba, ae = actions(r_b), actions(l_ab), products(ba), products(ae)
+        a, b, ab = vectors(a), vectors(b), vectors(ab)
+        e, ident = units(d)
+        return d, lambda i, j, k: [
             term
             for x, y in ((i, j), (j, i))
             for term in (
                 (1, r_b[k], (b[x], a[y])),
                 (-1, l_ab[x], (a[y], e[k])),
-                (1, None, (ba[x][y], b[k])),
-                (-1, None, (ab[x], ae[y][k])),
+                (1, ident, (ba[x][y], b[k])),
+                (-1, ident, (ab[x], ae[y][k])),
             )
         ]
 
-    l_a = actions(rep.left_at, a_vecs)
-    r_b = actions(rep.right_at, b_vecs)
-    p = products(a_vecs, b_vecs)
-    return lambda x1, x2, x3, x4: (
+    d, (l_a, r_b, p, a, b) = _common_denominator(
+        [
+            _twisted(left, alpha),
+            _twisted(right, beta),
+            transport(alg.mu, None, alpha, beta),
+            _twisted(basis, alpha),
+            _twisted(basis, beta),
+        ]
+    )
+    l_a, r_b, p, a, b = actions(l_a), actions(r_b), products(p), vectors(a), vectors(b)
+    e, ident = units(d)
+    return d, lambda x1, x2, x3, x4: (
         (1, l_a[x1], (b[x2], b[x3], b[x4])),
         (-1, l_a[x1], (b[x3], b[x2], b[x4])),
         (1, r_b[x4], (a[x1], a[x2], a[x3])),
         (-1, r_b[x4], (a[x2], a[x1], a[x3])),
-        (-1, None, (p[x1][x2], e[x3], e[x4])),
-        (-1, None, (p[x2][x3], e[x1], e[x4])),
-        (1, None, (e[x1], p[x2][x3], e[x4])),
-        (1, None, (e[x3], p[x1][x2], e[x4])),
-        (-1, None, (e[x1], e[x2], p[x3][x4])),
-        (1, None, (e[x2], e[x1], p[x3][x4])),
+        (-1, ident, (p[x1][x2], e[x3], e[x4])),
+        (-1, ident, (p[x2][x3], e[x1], e[x4])),
+        (1, ident, (e[x1], p[x2][x3], e[x4])),
+        (1, ident, (e[x3], p[x1][x2], e[x4])),
+        (-1, ident, (e[x1], e[x2], p[x3][x4])),
+        (1, ident, (e[x2], e[x1], p[x3][x4])),
     )
 
 
@@ -297,26 +338,29 @@ def coboundary_operator(
 
     Rows and columns use the flat cochain layout; only non-zero rows are kept.
     Each row is read off the structure constants, twists and actions, with no
-    cochain evaluated.
+    cochain evaluated.  The terms are summed as integers over one common
+    denominator D^(degree + 1), and each non-zero entry is divided by it once;
+    with D = 1 the entries stay ints.
     """
     if degree not in (1, 2, 3):
         raise InputError("coboundary operators exist for degrees 1, 2, 3")
     n, m = alg.dim, rep.mod_dim
-    terms = _delta_terms(alg, rep, degree)
+    d, terms = _delta_terms(alg, rep, degree)
+    den = d ** (degree + 1)
     op = {}
     for pos, t in enumerate(itertools.product(range(n), repeat=degree + 1)):
         rows = [{} for _ in range(m)]
         for sign, action, args in terms(*t):
             form = _expand(n, m, args).items()
-            for c, row in enumerate(rows):
-                # an action mixes the output coordinates; without one, coordinate c maps to c
-                for c_in, s in action[c] if action is not None else ((c, ONE),):
-                    s = sign * s
+            # an action mixes the output coordinates: row c takes coordinate c_in of f(args)
+            for row, mix in zip(rows, action):
+                for c_in, s in mix:
+                    s *= sign
                     for off, coeff in form:
                         key = off + c_in
-                        row[key] = row.get(key, ZERO) + s * coeff
+                        row[key] = row.get(key, 0) + s * coeff
         for c, row in enumerate(rows):
-            row = {k: v for k, v in row.items() if v != 0}
+            row = {k: v if den == 1 else Fraction(v, den) for k, v in row.items() if v}
             if row:
                 op[pos * m + c] = row
     return op
@@ -368,58 +412,66 @@ class ComplexReport:
         }
 
 
-def delta_rows_on_basis(
-    alg: BiHomAlgebra,
-    rep: Representation,
-    degree: int,
-    basis: Subspace,
-    *,
-    operator: Optional[dict] = None,
-) -> dict[int, dict[int, Fraction]]:
-    """delta_degree on the cochains Σ x_j basis[j], as rows {output coordinate: {j: coefficient}}.
+def _primitive_columns(basis: Subspace) -> tuple[list[dict[int, int]], list[Fraction]]:
+    """Each basis vector as a primitive integer vector {coordinate: entry}, and the factor scaling it so."""
+    columns, scales = [], []
+    for vec in basis.basis:
+        entries = support(vec)
+        d = lcm(*(v.denominator for _, v in entries))
+        col = {i: v.numerator * (d // v.denominator) for i, v in entries}
+        g = gcd(*col.values())
+        columns.append({i: v // g for i, v in col.items()} if g != 1 else col)
+        scales.append(Fraction(d, g))
+    return columns, scales
 
-    The product operator · basis with its zero rows dropped; column j is the
-    image of basis[j].  `operator` is coboundary_operator(alg, rep, degree)
-    when the caller has it already.
-    """
-    if not basis.basis:
-        return {}
-    if operator is None:
-        operator = coboundary_operator(alg, rep, degree)
-    # walk each operator row's columns through the basis entries there
+
+def _restrict(operator: dict, columns: list[dict]) -> dict[int, dict[int, int]]:
+    """operator · columns as rows {output coordinate: {j: entry}}, with the zero rows dropped."""
+    # walk each operator row's columns through the column entries there
     by_coord = {}
-    for j, vec in enumerate(basis.basis):
-        for col, v in support(vec):
-            by_coord.setdefault(col, []).append((j, v))
+    for j, col in enumerate(columns):
+        for c, v in col.items():
+            by_coord.setdefault(c, []).append((j, v))
     rows = {}
     for r, orow in operator.items():
         acc = {}
         for col, a in orow.items():
             for j, v in by_coord.get(col, ()):
-                acc[j] = acc.get(j, ZERO) + a * v
+                acc[j] = acc.get(j, 0) + a * v
         acc = {j: v for j, v in acc.items() if v}
         if acc:
             rows[r] = acc
     return rows
 
 
-def _check_exactness(space: Subspace, prev_rows: dict, operator: dict):
-    """Each image, a column of prev_rows, lies in the compatible space and the operator sends it to zero."""
-    elim = _eliminate((dict(support(vec)) for vec in space.basis), space.ambient_dim)
+def delta_rows_on_basis(
+    alg: BiHomAlgebra, rep: Representation, degree: int, basis: Subspace
+) -> dict[int, dict[int, Fraction]]:
+    """delta_degree on the cochains Σ x_j basis[j], as rows {output coordinate: {j: coefficient}}.
+
+    The product operator · basis with its zero rows dropped; column j is the
+    image of basis[j].
+    """
+    if not basis.basis:
+        return {}
+    columns, scales = _primitive_columns(basis)
+    # column j of the integer product is scales[j] times the image of basis[j]
+    rows = _restrict(coboundary_operator(alg, rep, degree), columns)
+    return {r: {j: v / scales[j] for j, v in row.items()} for r, row in rows.items()}
+
+
+def _check_exactness(columns: list[dict], ambient_dim: int, prev_rows: dict, operator: dict):
+    """Each image, a column of prev_rows, lies in the span of columns and the operator sends it to zero."""
     images = {}
     for r, row in prev_rows.items():
         for j, v in row.items():
             images.setdefault(j, {})[r] = v
+    elim = _eliminate(columns, ambient_dim)
     if any(elim.reduce(image) for image in images.values()):
         raise InternalError("coboundary escaped the compatible cochain space")
-    # operator · prev_rows, one row at a time: the composite restricted to the basis
-    for orow in operator.values():
-        acc = {}
-        for col, a in orow.items():
-            for j, v in prev_rows.get(col, {}).items():
-                acc[j] = acc.get(j, ZERO) + a * v
-        if any(acc.values()):
-            raise InternalError("coboundary is not a cocycle")
+    # operator · images: the composite restricted to the lower basis
+    if _restrict(operator, list(images.values())):
+        raise InternalError("coboundary is not a cocycle")
 
 
 def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> ComplexReport:
@@ -432,15 +484,19 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
         raise PreconditionError(f"cohomology needs a BiHom-alternative algebra (fails {name} at {tuple(w)})")
     space = cochain_space(alg, rep, degree)
     prev_space = cochain_space(alg, rep, degree - 1)
+    # a rank or a zero test is the same on non-zero multiples of the basis vectors,
+    # so both are read off primitive integer columns
+    columns = _primitive_columns(space)[0]
+    prev_columns = _primitive_columns(prev_space)[0]
     operator = coboundary_operator(alg, rep, degree)
-    rows = delta_rows_on_basis(alg, rep, degree, space, operator=operator)
+    rows = _restrict(operator, columns)
     dim_z = space.dim - _eliminate(rows.values(), space.dim).rank
-    prev_rows = delta_rows_on_basis(alg, rep, degree - 1, prev_space)
+    prev_rows = _restrict(coboundary_operator(alg, rep, degree - 1), prev_columns) if prev_columns else {}
     dim_b = _eliminate(prev_rows.values(), prev_space.dim).rank
     if prev_rows:
         # coboundaries must be cocycles: exactness guard, not a user-facing check
         try:
-            _check_exactness(space, prev_rows, operator)
+            _check_exactness(columns, space.ambient_dim, prev_rows, operator)
         except InternalError:
             # δ∘δ = 0 needs the representation axioms, so on coefficients that break them this is bad input
             if not validate_representation(alg, rep).ok:

@@ -81,7 +81,8 @@ def vec_is_zero(u) -> bool:
 
 def support(u) -> list[tuple[int, Fraction]]:
     """Nonzero coordinates of a vector, for zero-skipping contractions."""
-    return [(i, a) for i, a in enumerate(u) if a]
+    # the shared ZERO (every zero of a kernel basis vector) is passed over without a call into Fraction
+    return [(i, a) for i, a in enumerate(u) if a is not ZERO and a]
 
 
 class Matrix:
@@ -351,7 +352,8 @@ class _Eliminator:
             for c, v in row.items():
                 if c in free:
                     free[c][p] = Fraction(-v, d)
-        return [tuple(vec) for vec in free.values()]
+        # each list is dropped as its tuple is made, so a dense basis is held once, not twice
+        return [tuple(free.pop(j)) for j in list(free)]
 
 
 def _eliminate(rows: Iterable[dict], ncols: int) -> _Eliminator:
@@ -364,13 +366,12 @@ def _eliminate(rows: Iterable[dict], ncols: int) -> _Eliminator:
 def rank_nullspace(m: Matrix) -> tuple[int, "Subspace"]:
     """Exact rank and a kernel basis; rank + dim(kernel) = ncols."""
     elim = _eliminate(_sparse_rows(m.rows), m.ncols)
-    return elim.rank, Subspace(m.ncols, elim.kernel_basis(), check=False)
+    return elim.rank, Subspace._of_kernel(elim)
 
 
 def nullspace_of_sparse_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> "Subspace":
     """Kernel of a system given as sparse {column: coefficient} rows."""
-    elim = _eliminate(rows, ncols)
-    return Subspace(ncols, elim.kernel_basis(), check=False)
+    return Subspace._of_kernel(_eliminate(rows, ncols))
 
 
 def independent_subset_indices(vectors: Sequence[Sequence]) -> list[int]:
@@ -448,6 +449,14 @@ class Subspace:
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
+
+    @staticmethod
+    def _of_kernel(elim: _Eliminator) -> "Subspace":
+        """The kernel of an elimination, on its basis tuples as they are: no second pass over every entry."""
+        space = object.__new__(Subspace)
+        object.__setattr__(space, "ambient_dim", elim.ncols)
+        object.__setattr__(space, "basis", tuple(elim.kernel_basis()))
+        return space
 
     @staticmethod
     def from_spanning(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":

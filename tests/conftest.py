@@ -103,6 +103,22 @@ def random_signed_permutation(rng: Random, n: int) -> Matrix:
     return Matrix([[rng.choice([-1, 1]) if perm[j] == i else 0 for j in range(n)] for i in range(n)])
 
 
+def twist_preserving_signed_permutation(rng: Random, alg: BiHomAlgebra) -> Matrix:
+    """A random signed permutation that commutes with the diagonal twists of alg.
+
+    It permutes basis vectors only among those on which (alpha, beta) act by the
+    same pair of eigenvalues, so the moved algebra keeps both twists.
+    """
+    n = alg.dim
+    eigen = [(alg.alpha.rows[i][i], alg.beta.rows[i][i]) for i in range(n)]
+    perm = list(range(n))
+    for pair in sorted(set(eigen)):
+        block = [i for i in range(n) if eigen[i] == pair]
+        for i, j in zip(block, rng.sample(block, len(block))):
+            perm[i] = j
+    return Matrix([[rng.choice([-1, 1]) if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+
+
 @pytest.fixture
 def z1():
     return make_z1()

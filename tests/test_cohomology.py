@@ -25,6 +25,7 @@ from conftest import (
     change_basis,
     make_d2,
     make_e1,
+    make_octonions,
     make_quaternions,
     make_twisted_octonions,
     make_zero1,
@@ -32,6 +33,7 @@ from conftest import (
     random_signed_permutation,
     random_valid_representation,
     trivial_representation,
+    twist_preserving_signed_permutation,
 )
 from oracle_naive import naive_complex_dims, naive_delta_rows
 
@@ -279,6 +281,69 @@ def test_twisted_octonion_degree3_pin():
     # B³ is the image of δ2 on C², so rank-nullity fixes it from the degree-2 report
     h2 = complex_report(to, rep, 2)
     assert h3.dim_B == h2.dim_C - h2.dim_Z == 114
+
+
+def test_twisted_octonion_degree3_survives_a_twist_preserving_signed_permutation():
+    to = make_twisted_octonions()
+    moved = change_basis(to, twist_preserving_signed_permutation(Random(53), to))
+    assert moved != to
+    assert (moved.alpha, moved.beta) == (to.alpha, to.beta)
+    h3 = complex_report(moved, adjoint(moved), 3)
+    assert (h3.dim_C, h3.dim_Z, h3.dim_B, h3.dim_H) == (1024, 577, 114, 463)
+
+
+def test_octonion_degree3_pin():
+    o = make_octonions()
+    rep = adjoint(o)
+    h3 = complex_report(o, rep, 3)
+    assert (h3.dim_C, h3.dim_Z, h3.dim_B, h3.dim_H) == (4096, 2305, 462, 1843)
+    h2 = complex_report(o, rep, 2)
+    assert h3.dim_B == h2.dim_C - h2.dim_Z == 462
+
+
+# non-unimodular bases: the structure constants (and for D2 the twists) become non-integral,
+# so the factor tables of the operator need a common denominator greater than one
+RATIONAL_BASES = [
+    (make_d2, Matrix([[2, 1], [0, 1]])),
+    (make_quaternions, Matrix([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 1, 3]])),
+]
+
+
+@pytest.mark.parametrize("make, s", RATIONAL_BASES, ids=["D2", "H"])
+def test_operator_rows_match_naive_assembly_in_a_rational_basis(make, s):
+    moved = change_basis(make(), s)
+    entries = [x for row in moved.mu for cell in row for x in cell]
+    entries += [x for twist in (moved.alpha, moved.beta) for row in twist.rows for x in row]
+    assert any(x.denominator > 1 for x in entries)
+    rep = adjoint(moved)
+    for degree in (1, 2, 3):
+        model, naive = naive_delta_rows(moved, rep, degree)
+        assert _dense_rows(coboundary_operator(moved, rep, degree), model.count) == naive, degree
+
+
+@pytest.mark.parametrize("make, s", RATIONAL_BASES, ids=["D2", "H"])
+def test_cohomology_is_the_same_in_a_rational_basis(make, s):
+    alg = make()
+    moved = change_basis(alg, s)
+    # for H the integral-basis report at degree 3 is the pin 256/160/51/109
+    for degree in (2, 3):
+        assert complex_report(moved, adjoint(moved), degree) == complex_report(alg, adjoint(alg), degree)
+
+
+def test_coboundary_operator_sums_integers(monkeypatch):
+    # on integral structure constants every coefficient is summed as an int: no Fraction arithmetic at all
+    to = make_twisted_octonions()
+    rep = adjoint(to)
+    expected = coboundary_operator(to, rep, 2)
+
+    def refuse(*_):
+        raise AssertionError("Fraction arithmetic while assembling the coboundary operator")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    op = coboundary_operator(to, rep, 2)
+    monkeypatch.undo()
+    assert op == expected
 
 
 def _corrupt(degree, change):

@@ -149,6 +149,16 @@ def test_subspace_ambient_mismatch():
         Subspace(2, [(1, 0)]).sum(Subspace(3, [(1, 0, 0)]))
 
 
+def test_subspace_bases_hold_fraction_tuples():
+    # the public constructor converts its input; a kernel hands its own tuples through
+    given = Subspace(3, [[1, 0, 2]], check=False)
+    kernel = nullspace_of_sparse_rows([{0: 1, 1: -2}], 3)
+    for space in (given, kernel):
+        assert all(type(v) is tuple and all(type(a) is Fraction for a in v) for v in space.basis)
+    assert given.basis == ((Fraction(1), Fraction(0), Fraction(2)),)
+    assert kernel.basis == ((Fraction(2), Fraction(1), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1)))
+
+
 def test_subspace_rejects_dependent_basis():
     with pytest.raises(InputError):
         Subspace(2, [(1, 2), (2, 4)])
