@@ -16,10 +16,10 @@ structure constants, so no identity is evaluated point by point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, MathCheckError
 from .exactnum import Matrix, support, vec_sub, vector, zero_vector
@@ -108,21 +108,39 @@ class BiHomAlgebra:
         return self.mu[i][j]
 
 
-@dataclass(frozen=True)
 class AlgebraMap:
     """A linear map between algebras, candidate for being a morphism."""
 
-    source_dim: int
-    target_dim: int
-    matrix: Matrix
+    __slots__ = ("source_dim", "target_dim", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.nrows != self.target_dim or self.matrix.ncols != self.source_dim:
+    def __init__(self, source_dim: int, target_dim: int, matrix: Matrix):
+        if matrix.nrows != target_dim or matrix.ncols != source_dim:
             raise InputError("morphism matrix shape does not match declared dimensions")
+        object.__setattr__(self, "source_dim", source_dim)
+        object.__setattr__(self, "target_dim", target_dim)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, *_):
+        raise AttributeError("AlgebraMap is immutable")
+
+    def _key(self):
+        return self.source_dim, self.target_dim, self.matrix
+
+    def __eq__(self, other):
+        return isinstance(other, AlgebraMap) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"AlgebraMap(source_dim={self.source_dim}, target_dim={self.target_dim}, matrix={self.matrix!r})"
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+# the default witness map of a report: read-only, so no report can change another's
+_NO_WITNESSES = MappingProxyType({})
+
+
+class AlgebraReport(NamedTuple):
     """Per-identity validation flags with a witness index tuple for each failure."""
 
     commuting: bool
@@ -130,7 +148,7 @@ class AlgebraReport:
     beta_multiplicative: bool
     left_alternative: bool
     right_alternative: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = _NO_WITNESSES
 
     @property
     def ok(self) -> bool:

@@ -12,12 +12,11 @@ as the codomain of the degree-3 operator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .algebra import BiHomAlgebra, _common_denominator, _integer_columns, transport, validate
+from .algebra import BiHomAlgebra, _common_denominator, _first_difference, _integer_columns, transport, validate
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
     Matrix,
@@ -122,11 +121,7 @@ class Cochain:
         pos = next((p for p, a in enumerate(self.data) if a != 0), None)
         if pos is None:
             return None
-        flat, idx = pos // self.mod_dim, []
-        for _ in range(self.degree):
-            flat, i = divmod(flat, self.alg_dim)
-            idx.append(i)
-        return tuple(reversed(idx))
+        return _index_tuple(pos // self.mod_dim, self.alg_dim, self.degree)
 
     def nested(self) -> list:
         """Nested-list form, innermost = output coordinates (the file layout)."""
@@ -158,14 +153,38 @@ class Cochain:
         return Cochain(degree, alg_dim, mod_dim, data)
 
 
+def _index_tuple(flat: int, alg_dim: int, degree: int) -> tuple[int, ...]:
+    """The basis index tuple at a flat position of the lexicographic order."""
+    idx = []
+    for _ in range(degree):
+        flat, i = divmod(flat, alg_dim)
+        idx.append(i)
+    return tuple(reversed(idx))
+
+
+def _split(flat: Sequence, rows: int, cols: int) -> list:
+    """A flat cochain layout as a bilinear tensor [rows][cols] of equal slices."""
+    width = len(flat) // (rows * cols)
+    return [[flat[(r * cols + c) * width : (r * cols + c + 1) * width] for c in range(cols)] for r in range(rows)]
+
+
 def twist_witness(cochain: Cochain, twist_in: Matrix, twist_out: Matrix) -> Optional[tuple]:
-    """First basis tuple t, in lexicographic order, where twist_out(f(e_t)) ≠ f(twist_in e_t)."""
-    n = cochain.alg_dim
-    cols = [twist_in.column(i) for i in range(n)]
-    for idx in itertools.product(range(n), repeat=cochain.degree):
-        if twist_out.apply(cochain.value(*idx)) != cochain.evaluate(*[cols[i] for i in idx]):
-            return idx
-    return None
+    """First basis tuple t, in lexicographic order, where twist_out(f(e_t)) ≠ f(twist_in e_t).
+
+    Both sides are integer tables read through `transport`: twist_out acts on
+    the values, and twist_in on one argument axis at a time, axis a being the
+    second axis of the cochain viewed as a tensor [axes before a][a].
+    """
+    n, m, degree = cochain.alg_dim, cochain.mod_dim, cochain.degree
+    if (twist_in.nrows, twist_in.ncols, twist_out.nrows, twist_out.ncols) != (n, n, m, m):
+        raise InputError("twist shapes do not match the cochain")
+    d, flat = 1, cochain.data
+    for axis in range(degree):
+        step, table = transport(_split(flat, n**axis, n), None, None, twist_in)
+        d, flat = d * step, [v for row in table for vec in row for v in vec]
+    moved = transport(_split(cochain.data, n ** (degree - 1), n), twist_out)
+    w = _first_difference(moved, (d, _split(flat, n ** (degree - 1), n)))
+    return None if w is None else _index_tuple(w[0] * n + w[1], n, degree)
 
 
 def compatibility_witness(
@@ -394,8 +413,7 @@ def delta3(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
     return apply_coboundary(alg, rep, f)
 
 
-@dataclass(frozen=True)
-class ComplexReport:
+class ComplexReport(NamedTuple):
     degree: int
     dim_C: int
     dim_Z: int

@@ -15,12 +15,11 @@ condition reads  delta2(d_k) + sum_{i+j=k, i,j>=1} d_i ⋄ d_j = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .algebra import BiHomAlgebra, _first_difference, _pairing, _table_sum, _term_tables, transport
+from .algebra import _NO_WITNESSES, BiHomAlgebra, _first_difference, _pairing, _table_sum, _term_tables, transport
 from .cohomology import Cochain, cochain_space, delta_rows_on_basis, twist_witness
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import Matrix, solve_sparse_rows, vector
@@ -70,8 +69,7 @@ class TruncatedDeformation:
         return TruncatedDeformation(self.alg, self.terms + (zero,) * extra)
 
 
-@dataclass(frozen=True)
-class FormalIsomorphism:
+class FormalIsomorphism(NamedTuple):
     """phi_t = id + phi_1 t + ... + phi_m t^m; each term commutes with the twists."""
 
     terms: tuple[Matrix, ...]
@@ -88,12 +86,11 @@ class FormalIsomorphism:
         return Matrix.zero(dim, dim)
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(NamedTuple):
     """Per-order residual check of the deformation equations."""
 
     order_ok: tuple[bool, ...]
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = _NO_WITNESSES
 
     @property
     def ok(self) -> bool:

@@ -35,10 +35,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        match = _RATIONAL_RE.match(value)
+        if not match:
             raise InputError(f"not a rational literal: {value!r}")
         try:
-            return Fraction(value)
+            # an integer literal skips the string parser of Fraction
+            return Fraction(value) if match.group(1) else Fraction(int(value))
         except ValueError as exc:  # beyond the interpreter's integer-string digit limit
             raise InputError(f"rational literal of {len(value)} characters is too long: {exc}") from exc
     raise InputError(f"not a rational literal: {value!r}")

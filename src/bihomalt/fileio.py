@@ -49,19 +49,22 @@ def _expect_int(obj, path: str) -> int:
     return obj
 
 
-def _scalar(obj, path: str):
-    try:
-        return parse_rational(obj)
-    except InputError as exc:
-        _fail(path, str(exc))
+def _scalars(items: list, path: str) -> list:
+    """Each entry of a JSON array parsed as a rational; a bad one is named as path[k]."""
+    out = []
+    for k, e in enumerate(items):
+        try:
+            out.append(parse_rational(e))
+        except InputError as exc:
+            _fail(f"{path}[{k}]", str(exc))  # the path is built only for the entry that fails
+    return out
 
 
 def parse_matrix(obj, path: str, nrows: int, ncols: int) -> Matrix:
-    rows = _expect_list(obj, path, nrows)
     out = []
-    for i, row in enumerate(rows):
-        row = _expect_list(row, f"{path}[{i}]", ncols)
-        out.append([_scalar(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
+    for i, row in enumerate(_expect_list(obj, path, nrows)):
+        at = f"{path}[{i}]"
+        out.append(_scalars(_expect_list(row, at, ncols), at))
     return Matrix(out)
 
 
@@ -83,8 +86,8 @@ def parse_algebra(obj: Any, path: str = "algebra") -> BiHomAlgebra:
         row = _expect_list(row, f"{path}.mu[{i}]", dim)
         mu_row = []
         for j, cell in enumerate(row):
-            cell = _expect_list(cell, f"{path}.mu[{i}][{j}]", dim)
-            mu_row.append([_scalar(e, f"{path}.mu[{i}][{j}][{k}]") for k, e in enumerate(cell)])
+            at = f"{path}.mu[{i}][{j}]"
+            mu_row.append(_scalars(_expect_list(cell, at, dim), at))
         mu.append(mu_row)
     alpha = parse_matrix(obj["alpha"], f"{path}.alpha", dim, dim)
     beta = parse_matrix(obj["beta"], f"{path}.beta", dim, dim)
@@ -152,8 +155,7 @@ def parse_cochain(obj: Any, path: str = "cochain") -> tuple[Cochain, str]:
 
     def walk(node, depth, at):
         if depth == degree:
-            node = _expect_list(node, at, m)
-            data.extend(_scalar(e, f"{at}[{i}]") for i, e in enumerate(node))
+            data.extend(_scalars(_expect_list(node, at, m), at))
             return
         node = _expect_list(node, at, n)
         for i, child in enumerate(node):
@@ -193,8 +195,8 @@ def parse_deformation(obj: Any, path: str = "deformation") -> TruncatedDeformati
         for i, row in enumerate(tensor):
             row = _expect_list(row, f"{at}[{i}]", alg.dim)
             for j, cell in enumerate(row):
-                cell = _expect_list(cell, f"{at}[{i}][{j}]", alg.dim)
-                data.extend(_scalar(e, f"{at}[{i}][{j}][{k}]") for k, e in enumerate(cell))
+                cell_at = f"{at}[{i}][{j}]"
+                data.extend(_scalars(_expect_list(cell, cell_at, alg.dim), cell_at))
         terms.append(Cochain(2, alg.dim, alg.dim, data))
     return TruncatedDeformation(alg, terms)
 

@@ -17,11 +17,10 @@ tuple per basis element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .algebra import BiHomAlgebra
+from .algebra import BiHomAlgebra, _common_denominator, _integer_columns, transport
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
     Matrix,
@@ -29,23 +28,32 @@ from .exactnum import (
     independent_subset_indices,
     nullspace_of_sparse_rows,
     solve_columns,
-    support,
-    unit_vector,
 )
 
-ZERO = Fraction(0)
+# Per kind: the number of stacked unknown endomorphisms (blocks; the space is the
+# first) and its product rules (out, left, right, right_sign), each standing for
+#     X_out(e_i e_j) − X_left(e_i)W(e_j) − right_sign·W(e_i)X_right(e_j) = 0
+# with None dropping that term.
+_RULES = {
+    "U": (1, ()),
+    "Der": (1, ((0, 0, 0, 1),)),
+    "QDer": (2, ((1, 0, 0, 1),)),
+    "GDer": (3, ((2, 0, 1, 1),)),
+    "SGDer": (3, ((2, 0, 1, 1), (2, 1, 0, 1))),
+    "Centroid": (1, ((0, 0, None, 1), (0, None, 0, 1))),
+    # T(x)W(y) − W(x)T(y) = 0: the two action terms with opposite signs, no output term
+    "QuasiCentroid": (1, ((None, 0, 0, -1),)),
+}
 
-KINDS = ("U", "Der", "QDer", "GDer", "SGDer", "Centroid", "QuasiCentroid")
+KINDS = tuple(_RULES)
 
 
-@dataclass(frozen=True)
-class TwistExponents:
+class TwistExponents(NamedTuple):
     k: int
     l: int
 
 
-@dataclass(frozen=True)
-class OperatorSpace:
+class OperatorSpace(NamedTuple):
     """A basis of endomorphisms, each commuting with both twists.
 
     For projected kinds every basis matrix carries the witness tuple it was
@@ -97,95 +105,80 @@ def twist_power(alg: BiHomAlgebra, k: int, l: int) -> Matrix:
         raise PreconditionError(f"negative twist exponent needs an invertible twist: {exc}") from exc
 
 
-def _commutation_rows(mat: Matrix, block: int, n: int):
-    """Sparse rows of X·mat − mat·X = 0 for the unknown block X."""
-    rows = []
+def _commutation_rows(mat: Matrix, block: int, n: int) -> list[dict[int, int]]:
+    """Sparse integer rows of X·mat − mat·X = 0 for the unknown block X, scaled by the denominator of mat."""
+    _, cols = _integer_columns(mat)
+    _, rows = _integer_columns(mat.transpose())
+    out = []
     base = block * n * n
     for i in range(n):
         for j in range(n):
-            row: dict[int, Fraction] = {}
-            for p in range(n):
-                # (X·mat)_{ij} term X[i][p] mat[p][j]
-                c = mat.rows[p][j]
-                if c != 0:
-                    key = base + i * n + p
-                    row[key] = row.get(key, ZERO) + c
-                # (mat·X)_{ij} term mat[i][p] X[p][j]
-                c = mat.rows[i][p]
-                if c != 0:
-                    key = base + p * n + j
-                    row[key] = row.get(key, ZERO) - c
-            row = {k_: v for k_, v in row.items() if v != 0}
+            row: dict[int, int] = {}
+            for p, c in cols[j]:  # (X·mat)_{ij} term X[i][p] mat[p][j]
+                row[base + i * n + p] = c
+            for p, c in rows[i]:  # (mat·X)_{ij} term mat[i][p] X[p][j]
+                key = base + p * n + j
+                row[key] = row.get(key, 0) - c
+            row = {k_: v for k_, v in row.items() if v}
             if row:
-                rows.append(row)
-    return rows
+                out.append(row)
+    return out
 
 
-def _product_rule_rows(
-    alg: BiHomAlgebra,
-    w: Matrix,
-    out_block: Optional[int],
-    left_block: Optional[int],
-    right_block: Optional[int],
-    right_sign: int = 1,
-):
-    """Rows of  X_out(e_i e_j) − X_left(e_i)W(e_j) − right_sign·W(e_i)X_right(e_j) = 0.
+def _product_rule_rows(alg: BiHomAlgebra, w: Matrix, rules) -> list[dict[int, int]]:
+    """Sparse integer rows of each product rule (see _RULES), rule by rule, then by (i, j, c).
 
-    Any block index may be None to drop that part of the rule (the centroid
-    rules drop one action term, the quasi-centroid balance the output term).
+    mu(e_i, e_j), mu(e_p, W e_j) and mu(W e_i, e_q) come from `transport` over one
+    common denominator D, so every row is D times its rational form.
     """
     n = alg.dim
-    units = [unit_vector(n, i) for i in range(n)]
-    wcols = [w.column(j) for j in range(n)]
-
-    def by_output(products):
-        """For each output coordinate c, the (index, coefficient) pairs with products[index][c] ≠ 0."""
-        return [[(p, vec[c]) for p, vec in enumerate(products) if vec[c]] for c in range(n)]
-
-    # mu(X e_i, W e_j) output c is sum_p X[p][i] mu(e_p, W e_j)[c]; likewise on the right
-    left = [by_output([alg.product(units[p], wcols[j]) for p in range(n)]) for j in range(n)]
-    right = [by_output([alg.product(wcols[i], units[q]) for q in range(n)]) for i in range(n)]
+    _, (mu, left, right) = _common_denominator(
+        [transport(alg.mu), transport(alg.mu, None, None, w), transport(alg.mu, None, w)]
+    )
+    # mu(X e_i, W e_j) at c is Σ_p X[p][i] mu(e_p, W e_j)[c]: left_at[j][c] holds the (p, coefficient)
+    # pairs, and right_at[i][c] likewise the (q, coefficient) pairs of mu(W e_i, X e_j)
+    left_at = [[[(p, left[p][j][c]) for p in range(n) if left[p][j][c]] for c in range(n)] for j in range(n)]
+    right_at = [[[(q, right[i][q][c]) for q in range(n) if right[i][q][c]] for c in range(n)] for i in range(n)]
     rows = []
-    for i in range(n):
-        for j in range(n):
-            out = support(alg.mu[i][j])
-            for c in range(n):
-                row: dict[int, Fraction] = {}
-                if out_block is not None:
-                    base = out_block * n * n + c * n
-                    for k, coeff in out:
-                        row[base + k] = row.get(base + k, ZERO) + coeff
-                if left_block is not None:
-                    base = left_block * n * n + i
-                    for p, coeff in left[j][c]:
-                        row[base + p * n] = row.get(base + p * n, ZERO) - coeff
-                if right_block is not None:
-                    base = right_block * n * n + j
-                    for q, coeff in right[i][c]:
-                        row[base + q * n] = row.get(base + q * n, ZERO) - right_sign * coeff
-                row = {k_: v for k_, v in row.items() if v}
-                if row:
-                    rows.append(row)
+    for out_block, left_block, right_block, right_sign in rules:
+        for i in range(n):
+            for j in range(n):
+                out = [(k_, v) for k_, v in enumerate(mu[i][j]) if v]
+                for c in range(n):
+                    row: dict[int, int] = {}
+                    if out_block is not None:
+                        base = out_block * n * n + c * n
+                        for k_, coeff in out:
+                            row[base + k_] = coeff
+                    if left_block is not None:
+                        base = left_block * n * n + i
+                        for p, coeff in left_at[j][c]:
+                            row[base + p * n] = row.get(base + p * n, 0) - coeff
+                    if right_block is not None:
+                        base = right_block * n * n + j
+                        for q, coeff in right_at[i][c]:
+                            row[base + q * n] = row.get(base + q * n, 0) - right_sign * coeff
+                    row = {k_: v for k_, v in row.items() if v}
+                    if row:
+                        rows.append(row)
     return rows
 
 
-def _solve_blocks(alg: BiHomAlgebra, n_blocks: int, rows) -> list[tuple[Matrix, ...]]:
-    """Kernel of the stacked system, as tuples of per-block matrices."""
+def _operator_rows(alg: BiHomAlgebra, kind: str, k: int, l: int) -> tuple[int, list[dict[int, int]]]:
+    """(blocks, rows): the product-rule rows of a kind, then both commutation conditions on each block.
+
+    The rows hold integers; the space is their kernel over the stacked entries
+    of the blocks.
+    """
     n = alg.dim
-    all_rows = list(rows)
-    for b in range(n_blocks):
-        all_rows.extend(_commutation_rows(alg.alpha, b, n))
-        all_rows.extend(_commutation_rows(alg.beta, b, n))
-    kernel = nullspace_of_sparse_rows(all_rows, n_blocks * n * n)
-    sols = []
-    for vec in kernel.basis:
-        sols.append(tuple(_unflatten(vec[b * n * n : (b + 1) * n * n], n) for b in range(n_blocks)))
-    return sols
+    blocks, rules = _RULES[kind]
+    rows = _product_rule_rows(alg, twist_power(alg, k, l), rules) if rules else []
+    for block in range(blocks):
+        rows += _commutation_rows(alg.alpha, block, n) + _commutation_rows(alg.beta, block, n)
+    return blocks, rows
 
 
-def _project_first_block(
-    kind: str, exps: Optional[TwistExponents], sols, n: int
-) -> OperatorSpace:
+def _project_first_block(kind: str, exps: Optional[TwistExponents], sols) -> OperatorSpace:
     """Independent basis of the first-block projection, witnesses kept aligned."""
     firsts = [_flatten(sol[0]) for sol in sols]
     kept = independent_subset_indices(firsts)
@@ -196,68 +189,49 @@ def _project_first_block(
 
 def commutant(alg: BiHomAlgebra) -> OperatorSpace:
     """U: endomorphisms commuting with both twists."""
-    sols = _solve_blocks(alg, 1, [])
-    return OperatorSpace("U", None, tuple(s[0] for s in sols))
+    return space_of_kind(alg, "U", 0, 0)
 
 
 def derivation_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 0, 0, 0)
-    sols = _solve_blocks(alg, 1, rows)
-    return OperatorSpace("Der", TwistExponents(k, l), tuple(s[0] for s in sols))
+    return space_of_kind(alg, "Der", k, l)
 
 
 def quasi_derivation_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 1, 0, 0)
-    sols = _solve_blocks(alg, 2, rows)
-    return _project_first_block("QDer", TwistExponents(k, l), sols, alg.dim)
+    return space_of_kind(alg, "QDer", k, l)
 
 
 def generalized_derivation_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 2, 0, 1)
-    sols = _solve_blocks(alg, 3, rows)
-    return _project_first_block("GDer", TwistExponents(k, l), sols, alg.dim)
+    return space_of_kind(alg, "GDer", k, l)
 
 
 def sgder_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 2, 0, 1)
-    rows += _product_rule_rows(alg, w, 2, 1, 0)
-    sols = _solve_blocks(alg, 3, rows)
-    return _project_first_block("SGDer", TwistExponents(k, l), sols, alg.dim)
+    return space_of_kind(alg, "SGDer", k, l)
 
 
 def centroid_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    w = twist_power(alg, k, l)
-    rows = _product_rule_rows(alg, w, 0, 0, None)
-    rows += _product_rule_rows(alg, w, 0, None, 0)
-    sols = _solve_blocks(alg, 1, rows)
-    return OperatorSpace("Centroid", TwistExponents(k, l), tuple(s[0] for s in sols))
+    return space_of_kind(alg, "Centroid", k, l)
 
 
 def quasi_centroid_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    w = twist_power(alg, k, l)
-    # T(x)W(y) − W(x)T(y) = 0: the two action terms with opposite signs, no output term
-    rows = _product_rule_rows(alg, w, None, 0, 0, right_sign=-1)
-    sols = _solve_blocks(alg, 1, rows)
-    return OperatorSpace("QuasiCentroid", TwistExponents(k, l), tuple(s[0] for s in sols))
+    return space_of_kind(alg, "QuasiCentroid", k, l)
 
 
 def space_of_kind(alg: BiHomAlgebra, kind: str, k: int, l: int) -> OperatorSpace:
-    table = {
-        "U": lambda: commutant(alg),
-        "Der": lambda: derivation_space(alg, k, l),
-        "QDer": lambda: quasi_derivation_space(alg, k, l),
-        "GDer": lambda: generalized_derivation_space(alg, k, l),
-        "SGDer": lambda: sgder_space(alg, k, l),
-        "Centroid": lambda: centroid_space(alg, k, l),
-        "QuasiCentroid": lambda: quasi_centroid_space(alg, k, l),
-    }
-    if kind not in table:
+    """The operator space of a kind in KINDS at W = alpha^k beta^l (U ignores k and l).
+
+    Spaces with witness blocks keep an independent basis of the first-block
+    projection, each element with the witness tuple it was solved with.
+    """
+    if kind not in _RULES:
         raise InputError(f"unknown operator-space kind {kind!r}")
-    return table[kind]()
+    n = alg.dim
+    blocks, rows = _operator_rows(alg, kind, k, l)
+    kernel = nullspace_of_sparse_rows(rows, blocks * n * n)
+    sols = [tuple(_unflatten(vec[b * n * n : (b + 1) * n * n], n) for b in range(blocks)) for vec in kernel.basis]
+    exps = None if kind == "U" else TwistExponents(k, l)
+    if blocks == 1:
+        return OperatorSpace(kind, exps, tuple(s[0] for s in sols))
+    return _project_first_block(kind, exps, sols)
 
 
 def sgder_decompose(alg: BiHomAlgebra, k: int, l: int, d: Matrix) -> tuple[Matrix, Matrix]:

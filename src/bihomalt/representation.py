@@ -15,11 +15,10 @@ is what makes V* a representation with no extra hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .algebra import BiHomAlgebra
+from .algebra import _NO_WITNESSES, BiHomAlgebra, _common_denominator, _first_difference, _lincomb, transport
 from .errors import InputError, PreconditionError
 from .exactnum import Matrix, support
 
@@ -83,8 +82,7 @@ def _combine(mats, x, mod_dim) -> Matrix:
     return Matrix(rows)
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(NamedTuple):
     """Axiom flags; each failed axiom carries a witness basis tuple."""
 
     commuting: bool
@@ -96,7 +94,7 @@ class RepresentationReport:
     right_square: bool
     right_exchange: bool
     left_exchange: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = _NO_WITNESSES
 
     @property
     def ok(self) -> bool:
@@ -129,140 +127,94 @@ class RepresentationReport:
         }
 
 
+def _then(inner, outer) -> list:
+    """outer ∘ inner on integer matrices in column form: column v is Σ_q inner[v]_q outer[q]."""
+    return [_lincomb([(q, c) for q, c in enumerate(col) if c], outer) for col in inner]
+
+
+def _at(coeffs, table) -> list:
+    """Σ_p coeffs_p table[p] in column form: an action table read at an algebra vector."""
+    nonzero = [(p, c) for p, c in enumerate(coeffs) if c]
+    return [_lincomb(nonzero, col) for col in zip(*table)]
+
+
+def _add(a, b) -> list:
+    return [[s + t for s, t in zip(u, v)] for u, v in zip(a, b)]
+
+
 def validate_representation(alg: BiHomAlgebra, rep: Representation) -> RepresentationReport:
+    """Check the twists, the four intertwining relations and the four module axioms.
+
+    The actions are the bilinear tensors λ(e_p, v) = l[p]v and ρ(e_p, v) = r[p]v,
+    read through `transport` as integer tables; t[x] of a table t is then the
+    matrix of an action composed with twists, in column form.  Each
+    intertwining relation compares two transports.  Each module axiom is a
+    sector of the diamond pairing of the product on A⊕V (x·v = l(x)v,
+    v·x = r(x)v): the left alternative law on (x, y, v) is left_square and on
+    (x, v, y) right_exchange, and the right law gives right_square and
+    left_exchange.
+    Every side of every axiom is a sum of products of two tables over one
+    common denominator, so the axioms are compared on integers.  Witnesses are
+    the first failing index in lexicographic order: (i,) for an intertwining
+    relation, (i, j) with i ≤ j for the square axioms and any (i, j) for the
+    exchange axioms.
+    """
     if rep.alg_dim != alg.dim:
         raise InputError("representation algebra dimension does not match the algebra")
     n = alg.dim
-    acols = [alg.alpha.column(i) for i in range(n)]
-    bcols = [alg.beta.column(i) for i in range(n)]
-    abcols = [(alg.alpha * alg.beta).column(i) for i in range(n)]
-    witnesses = {}
+    a, b, phi, psi = alg.alpha, alg.beta, rep.phi, rep.psi
+    ab, phipsi = a * b, phi * psi
+    lam, rho = ([list(zip(*m.rows)) for m in acts] for acts in (rep.l, rep.r))
 
-    commuting = rep.phi.commutes_with(rep.psi)
-    if not commuting:
-        witnesses["commuting"] = ()
+    def intertwining(action, twist_in, twist_out):
+        # twist_out·action(e_i) against action(twist_in e_i)·twist_out
+        w = _first_difference(transport(action, twist_out), transport(action, None, twist_in, twist_out))
+        return None if w is None else w[:1]
 
-    def first_failure(pairs) -> Optional[tuple]:
-        for idx, lhs, rhs in pairs:
-            if lhs != rhs:
-                return idx
-        return None
-
-    w = first_failure(
-        ((i,), rep.phi * rep.l[i], rep.left_at(acols[i]) * rep.phi) for i in range(n)
+    _, tables = _common_denominator(
+        [
+            transport(alg.mu, None, b, a),
+            transport(alg.mu, None, a),
+            transport(alg.mu, None, None, b),
+            *(transport(lam, None, left, right) for left, right in ((None, psi), (a, None), (ab, None), (b, phi), (None, phipsi))),
+            *(transport(rho, None, left, right) for left, right in ((None, phi), (b, None), (ab, None), (a, psi), (None, phipsi))),
+        ]
     )
-    phi_left = w is None
-    if w:
-        witnesses["phi_left"] = w
-    w = first_failure(
-        ((i,), rep.phi * rep.r[i], rep.right_at(acols[i]) * rep.phi) for i in range(n)
-    )
-    phi_right = w is None
-    if w:
-        witnesses["phi_right"] = w
-    w = first_failure(
-        ((i,), rep.psi * rep.l[i], rep.left_at(bcols[i]) * rep.psi) for i in range(n)
-    )
-    psi_left = w is None
-    if w:
-        witnesses["psi_left"] = w
-    w = first_failure(
-        ((i,), rep.psi * rep.r[i], rep.right_at(bcols[i]) * rep.psi) for i in range(n)
-    )
-    psi_right = w is None
-    if w:
-        witnesses["psi_right"] = w
+    mu_ba, mu_a, mu_b, l_psi, l_a, l_ab, l_b_phi, l_phipsi, r_phi, r_b, r_ab, r_a_psi, r_phipsi = tables
+    # μ(βx, αy) + μ(βy, αx), and l(βx)φ + r(αx)ψ, which opens both exchange axioms
+    sym = [[[s + t for s, t in zip(mu_ba[x][y], mu_ba[y][x])] for y in range(n)] for x in range(n)]
+    opening = [_add(l_b_phi[x], r_a_psi[x]) for x in range(n)]
+    upper = [(x, y) for x in range(n) for y in range(x, n)]
+    every = [(x, y) for x in range(n) for y in range(n)]
 
-    # l(beta(x)·alpha(x))psi = l(alpha beta(x)) l(alpha(x)), polarized over pairs
-    def left_square_form(i, j) -> Matrix:
-        return rep.left_at(alg.product(bcols[i], acols[j])) * rep.psi - rep.left_at(
-            abcols[i]
-        ) * rep.left_at(acols[j])
+    def first_failure(pairs, holds):
+        return next((pair for pair in pairs if not holds(*pair)), None)
 
-    w = None
-    for i in range(n):
-        for j in range(i, n):
-            if not (left_square_form(i, j) + left_square_form(j, i)).is_zero():
-                w = (i, j)
-                break
-        if w:
-            break
-    left_square = w is None
-    if w:
-        witnesses["left_square"] = w
-
-    # r(beta(x)·alpha(x))phi = r(alpha beta(x)) r(beta(x)), polarized over pairs
-    def right_square_form(i, j) -> Matrix:
-        return rep.right_at(alg.product(bcols[i], acols[j])) * rep.phi - rep.right_at(
-            abcols[i]
-        ) * rep.right_at(bcols[j])
-
-    w = None
-    for i in range(n):
-        for j in range(i, n):
-            if not (right_square_form(i, j) + right_square_form(j, i)).is_zero():
-                w = (i, j)
-                break
-        if w:
-            break
-    right_square = w is None
-    if w:
-        witnesses["right_square"] = w
-
-    # r(beta(y)) l(beta(x)) phi − l(alpha beta(x)) r(y) phi
-    #   = r(alpha(x)·y) phi psi − r(beta(y)) r(alpha(x)) psi
-    w = None
-    phipsi = rep.phi * rep.psi
-    basis = [tuple(Fraction(1) if p == i else ZERO for p in range(n)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = rep.right_at(bcols[j]) * rep.left_at(bcols[i]) * rep.phi - rep.left_at(
-                abcols[i]
-            ) * rep.right_at(basis[j]) * rep.phi
-            rhs = rep.right_at(alg.product(acols[i], basis[j])) * phipsi - rep.right_at(
-                bcols[j]
-            ) * rep.right_at(acols[i]) * rep.psi
-            if lhs != rhs:
-                w = (i, j)
-                break
-        if w:
-            break
-    right_exchange = w is None
-    if w:
-        witnesses["right_exchange"] = w
-
-    # l(alpha(y)) r(alpha(x)) psi − r(alpha beta(x)) l(y) psi
-    #   = l(y·beta(x)) phi psi − l(alpha(y)) l(beta(x)) phi
-    w = None
-    for i in range(n):
-        for j in range(n):
-            lhs = rep.left_at(acols[j]) * rep.right_at(acols[i]) * rep.psi - rep.right_at(
-                abcols[i]
-            ) * rep.left_at(basis[j]) * rep.psi
-            rhs = rep.left_at(alg.product(basis[j], bcols[i])) * phipsi - rep.left_at(
-                acols[j]
-            ) * rep.left_at(bcols[i]) * rep.phi
-            if lhs != rhs:
-                w = (i, j)
-                break
-        if w:
-            break
-    left_exchange = w is None
-    if w:
-        witnesses["left_exchange"] = w
-
-    return RepresentationReport(
-        commuting,
-        phi_left,
-        phi_right,
-        psi_left,
-        psi_right,
-        left_square,
-        right_square,
-        right_exchange,
-        left_exchange,
-        witnesses,
-    )
+    found = {
+        "commuting": None if phi.commutes_with(psi) else (),
+        "phi_left": intertwining(lam, a, phi),
+        "phi_right": intertwining(rho, a, phi),
+        "psi_left": intertwining(lam, b, psi),
+        "psi_right": intertwining(rho, b, psi),
+        # l(μ(βx, αy))ψ = l(αβx) l(αy), polarized over x ≤ y
+        "left_square": first_failure(
+            upper, lambda x, y: _at(sym[x][y], l_psi) == _add(_then(l_a[y], l_ab[x]), _then(l_a[x], l_ab[y]))
+        ),
+        # r(μ(βx, αy))φ = r(αβx) r(βy), polarized over x ≤ y
+        "right_square": first_failure(
+            upper, lambda x, y: _at(sym[x][y], r_phi) == _add(_then(r_b[y], r_ab[x]), _then(r_b[x], r_ab[y]))
+        ),
+        # r(βy)(l(βx)φ + r(αx)ψ) = l(αβx) r(y)φ + r(μ(αx, y))φψ
+        "right_exchange": first_failure(
+            every, lambda x, y: _then(opening[x], r_b[y]) == _add(_then(r_phi[y], l_ab[x]), _at(mu_a[x][y], r_phipsi))
+        ),
+        # l(αy)(r(αx)ψ + l(βx)φ) = r(αβx) l(y)ψ + l(μ(y, βx))φψ
+        "left_exchange": first_failure(
+            every, lambda x, y: _then(opening[x], l_a[y]) == _add(_then(l_psi[y], r_ab[x]), _at(mu_b[y][x], l_phipsi))
+        ),
+    }
+    witnesses = {name: w for name, w in found.items() if w is not None}
+    return RepresentationReport(*(w is None for w in found.values()), witnesses)
 
 
 def adjoint(alg: BiHomAlgebra) -> Representation:
@@ -313,8 +265,7 @@ def block_sum(alg: BiHomAlgebra, rep: Representation, theta=None) -> BiHomAlgebr
     return BiHomAlgebra(total, mu, diag(alg.alpha, rep.phi), diag(alg.beta, rep.psi))
 
 
-@dataclass(frozen=True)
-class RegularRepresentation:
+class RegularRepresentation(NamedTuple):
     """A representation over invertible twists, with their inverses cached."""
 
     inner: Representation

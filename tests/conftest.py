@@ -252,16 +252,18 @@ def random_valid_representation(alg: BiHomAlgebra, rng: Random) -> Representatio
     return rep
 
 
-def perturb_representation(rep: Representation, rng: Random) -> Representation:
-    """Change a single entry of one action matrix by a random nonzero amount."""
-    which = rng.choice(["l", "r"])
-    mats = list(rep.l if which == "l" else rep.r)
+def perturb_representation(rep: Representation, rng: Random, part=None) -> Representation:
+    """Change a single entry of one matrix by a random nonzero amount.
+
+    part is "l", "r", "phi" or "psi"; None draws one of the two actions.
+    """
+    which = rng.choice(["l", "r"]) if part is None else part
+    parts = {"l": list(rep.l), "r": list(rep.r), "phi": [rep.phi], "psi": [rep.psi]}
+    mats = parts[which]
     idx = rng.randrange(len(mats))
     rows = [list(row) for row in mats[idx].rows]
     i = rng.randrange(rep.mod_dim)
     j = rng.randrange(rep.mod_dim)
     rows[i][j] += rng.choice([Fraction(1), Fraction(-1), Fraction(1, 2)])
     mats[idx] = Matrix(rows)
-    if which == "l":
-        return Representation(rep.alg_dim, rep.mod_dim, mats, rep.r, rep.phi, rep.psi)
-    return Representation(rep.alg_dim, rep.mod_dim, rep.l, mats, rep.phi, rep.psi)
+    return Representation(rep.alg_dim, rep.mod_dim, parts["l"], parts["r"], parts["phi"][0], parts["psi"][0])

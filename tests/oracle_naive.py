@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the cohomology and derivation tests.
+"""Independent brute-force oracles for the algebra, representation, cohomology and derivation tests.
 
 Everything here re-derives results from first principles with deliberately
 different machinery (dense symbolic assembly over unknown coefficients and
@@ -397,3 +397,155 @@ def naive_complex_dims(alg, rep, degree):
     else:
         dim_b = 0
     return dim_c, dim_z, dim_b, dim_z - dim_b
+
+
+def naive_representation_report(alg, rep):
+    """The representation axioms checked point by point with rational matrices, in the as_dict layout.
+
+    Each action is formed at a vector through left_at/right_at and the axioms
+    are compared as matrix products; witnesses are the first failing index in
+    lexicographic order ((i,) for an intertwining relation, (i, j) with i ≤ j
+    for the square axioms, any (i, j) for the exchange axioms).
+    """
+    n = alg.dim
+    acols = [alg.alpha.column(i) for i in range(n)]
+    bcols = [alg.beta.column(i) for i in range(n)]
+    abcols = [(alg.alpha * alg.beta).column(i) for i in range(n)]
+    basis = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
+    phipsi = rep.phi * rep.psi
+
+    def first(pairs, fails):
+        return next((list(p) for p in pairs if fails(*p)), None)
+
+    units = [(i,) for i in range(n)]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    every = [(i, j) for i in range(n) for j in range(n)]
+
+    def left_square(i, j):
+        return rep.left_at(alg.product(bcols[i], acols[j])) * rep.psi - rep.left_at(abcols[i]) * rep.left_at(acols[j])
+
+    def right_square(i, j):
+        return rep.right_at(alg.product(bcols[i], acols[j])) * rep.phi - rep.right_at(abcols[i]) * rep.right_at(bcols[j])
+
+    found = {
+        "commuting": None if rep.phi * rep.psi == rep.psi * rep.phi else [],
+        "phi_left": first(units, lambda i: rep.phi * rep.l[i] != rep.left_at(acols[i]) * rep.phi),
+        "phi_right": first(units, lambda i: rep.phi * rep.r[i] != rep.right_at(acols[i]) * rep.phi),
+        "psi_left": first(units, lambda i: rep.psi * rep.l[i] != rep.left_at(bcols[i]) * rep.psi),
+        "psi_right": first(units, lambda i: rep.psi * rep.r[i] != rep.right_at(bcols[i]) * rep.psi),
+        # l(beta(x)·alpha(x))psi = l(alpha beta(x)) l(alpha(x)), polarized over pairs
+        "left_square": first(upper, lambda i, j: not (left_square(i, j) + left_square(j, i)).is_zero()),
+        # r(beta(x)·alpha(x))phi = r(alpha beta(x)) r(beta(x)), polarized over pairs
+        "right_square": first(upper, lambda i, j: not (right_square(i, j) + right_square(j, i)).is_zero()),
+        # r(beta(y)) l(beta(x)) phi − l(alpha beta(x)) r(y) phi = r(alpha(x)·y) phi psi − r(beta(y)) r(alpha(x)) psi
+        "right_exchange": first(
+            every,
+            lambda i, j: rep.right_at(bcols[j]) * rep.left_at(bcols[i]) * rep.phi
+            - rep.left_at(abcols[i]) * rep.right_at(basis[j]) * rep.phi
+            != rep.right_at(alg.product(acols[i], basis[j])) * phipsi
+            - rep.right_at(bcols[j]) * rep.right_at(acols[i]) * rep.psi,
+        ),
+        # l(alpha(y)) r(alpha(x)) psi − r(alpha beta(x)) l(y) psi = l(y·beta(x)) phi psi − l(alpha(y)) l(beta(x)) phi
+        "left_exchange": first(
+            every,
+            lambda i, j: rep.left_at(acols[j]) * rep.right_at(acols[i]) * rep.psi
+            - rep.right_at(abcols[i]) * rep.left_at(basis[j]) * rep.psi
+            != rep.left_at(alg.product(basis[j], bcols[i])) * phipsi
+            - rep.left_at(acols[j]) * rep.left_at(bcols[i]) * rep.phi,
+        ),
+    }
+    report = {name: w is None for name, w in found.items()}
+    report["witnesses"] = {name: w for name, w in found.items() if w is not None}
+    return report
+
+
+def _naive_commutation_rows(mat, block, n):
+    """Rational rows of X·mat − mat·X = 0 for the unknown block X."""
+    rows = []
+    base = block * n * n
+    for i in range(n):
+        for j in range(n):
+            row = {}
+            for p in range(n):
+                c = mat.rows[p][j]  # (X·mat)_{ij} term X[i][p] mat[p][j]
+                if c:
+                    row[base + i * n + p] = row.get(base + i * n + p, Fraction(0)) + c
+                c = mat.rows[i][p]  # (mat·X)_{ij} term mat[i][p] X[p][j]
+                if c:
+                    row[base + p * n + j] = row.get(base + p * n + j, Fraction(0)) - c
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _naive_product_rule_rows(alg, w, out_block, left_block, right_block, right_sign=1):
+    """Rational rows of X_out(e_i e_j) − X_left(e_i)W(e_j) − right_sign·W(e_i)X_right(e_j) = 0.
+
+    The products mu(e_p, W e_j) and mu(W e_i, e_q) are formed point by point.
+    """
+    n = alg.dim
+    units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
+    wcols = [w.column(j) for j in range(n)]
+    left = [[alg.product(units[p], wcols[j]) for p in range(n)] for j in range(n)]
+    right = [[alg.product(wcols[i], units[q]) for q in range(n)] for i in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for c in range(n):
+                row = {}
+
+                def add(key, value):
+                    row[key] = row.get(key, Fraction(0)) + value
+
+                if out_block is not None:
+                    for k in range(n):
+                        if alg.mu[i][j][k]:
+                            add(out_block * n * n + c * n + k, alg.mu[i][j][k])
+                if left_block is not None:
+                    for p in range(n):
+                        if left[j][p][c]:
+                            add(left_block * n * n + p * n + i, -left[j][p][c])
+                if right_block is not None:
+                    for q in range(n):
+                        if right[i][q][c]:
+                            add(right_block * n * n + q * n + j, -right_sign * right[i][q][c])
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+# per kind: blocks and the product rules (out, left, right, right_sign), written out apart from genderiv
+NAIVE_OPERATOR_RULES = {
+    "U": (1, ()),
+    "Der": (1, ((0, 0, 0, 1),)),
+    "QDer": (2, ((1, 0, 0, 1),)),
+    "GDer": (3, ((2, 0, 1, 1),)),
+    "SGDer": (3, ((2, 0, 1, 1), (2, 1, 0, 1))),
+    "Centroid": (1, ((0, 0, None, 1), (0, None, 0, 1))),
+    "QuasiCentroid": (1, ((None, 0, 0, -1),)),
+}
+
+
+def naive_operator_rows(alg, kind, k, l):
+    """(blocks, rows): the rational product-rule rows of a kind, then the commutation rows of each block."""
+    blocks, rules = NAIVE_OPERATOR_RULES[kind]
+    rows = []
+    if rules:
+        w = alg.alpha.power(k) * alg.beta.power(l)
+        for rule in rules:
+            rows += _naive_product_rule_rows(alg, w, *rule)
+    for block in range(blocks):
+        rows += _naive_commutation_rows(alg.alpha, block, alg.dim) + _naive_commutation_rows(alg.beta, block, alg.dim)
+    return blocks, rows
+
+
+def naive_twist_witness(cochain, twist_in, twist_out):
+    """First basis tuple t, in lexicographic order, where twist_out(f(e_t)) ≠ f(twist_in e_t), point by point."""
+    n = cochain.alg_dim
+    cols = [twist_in.column(i) for i in range(n)]
+    for idx in itertools.product(range(n), repeat=cochain.degree):
+        if twist_out.apply(cochain.value(*idx)) != cochain.evaluate(*[cols[i] for i in idx]):
+            return idx
+    return None

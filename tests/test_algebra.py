@@ -278,3 +278,61 @@ def test_transport_equals_pointwise_evaluation():
         # None stands for the identity in each place
         expected = _pointwise_transport(t, Matrix.identity(m), left, Matrix.identity(n))
         assert _as_fractions(*transport(t.nested(), None, left, None)) == expected
+
+
+# -- the result records: immutable values -------------------------------------------------
+
+
+def _records():
+    """Pairs of equal, separately built records of every result class, and whether they hash."""
+    from bihomalt.algebra import AlgebraReport
+    from bihomalt.cohomology import ComplexReport
+    from bihomalt.deformation import DeformationReport, FormalIsomorphism
+    from bihomalt.genderiv import OperatorSpace, TwistExponents
+    from bihomalt.representation import RegularRepresentation, RepresentationReport
+
+    e1 = BiHomAlgebra(1, [[[1]]], Matrix.identity(1), Matrix.identity(1))
+    one = Matrix.identity(1)
+    makers = [
+        (lambda: AlgebraMap(1, 2, Matrix([[1], [0]])), True),
+        (lambda: AlgebraMap(source_dim=1, target_dim=2, matrix=Matrix([[1], [0]])), True),
+        (lambda: AlgebraReport(True, True, True, True, False, {"right_alternative": (0, 0, 0)}), False),
+        (lambda: RepresentationReport(*[True] * 9), False),
+        (lambda: ComplexReport(2, 4, 3, 1, 2), True),
+        (lambda: DeformationReport((True, False), {1: (0, 0, 0)}), False),
+        (lambda: FormalIsomorphism((one,)), True),
+        (lambda: TwistExponents(k=1, l=-1), True),
+        (lambda: OperatorSpace("Der", TwistExponents(0, 0), (one,)), True),
+        (lambda: RegularRepresentation(adjoint(e1), one, one, one, one), False),
+    ]
+    return [(make(), make(), hashable) for make, hashable in makers]
+
+
+@pytest.mark.parametrize("a, b, hashable", _records())
+def test_result_records_are_immutable_values(a, b, hashable):
+    assert a == b and a is not b
+    fields = getattr(type(a), "_fields", None) or type(a).__slots__
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+    if hashable:
+        assert hash(a) == hash(b)
+    else:  # a witness dict or a representation inside, as for any frozen value holding one
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def test_reports_share_no_mutable_default():
+    from bihomalt.algebra import AlgebraReport
+    from bihomalt.representation import RepresentationReport
+
+    report = RepresentationReport(*[True] * 9)
+    assert report.witnesses == {} and report.as_dict()["witnesses"] == {}
+    with pytest.raises(TypeError):
+        report.witnesses["commuting"] = ()
+    assert AlgebraReport(*[True] * 5).witnesses == {}
+
+
+def test_algebra_map_checks_its_shape():
+    with pytest.raises(InputError):
+        AlgebraMap(2, 1, Matrix([[1], [0]]))

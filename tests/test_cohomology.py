@@ -14,6 +14,7 @@ from bihomalt.cohomology import (
     delta1,
     delta2,
     delta3,
+    twist_witness,
 )
 from bihomalt.deformation import TruncatedDeformation, term_from_nested, trivialize
 from bihomalt.errors import InputError, InternalError, PreconditionError
@@ -35,7 +36,7 @@ from conftest import (
     trivial_representation,
     twist_preserving_signed_permutation,
 )
-from oracle_naive import naive_complex_dims, naive_delta_rows
+from oracle_naive import naive_complex_dims, naive_delta_rows, naive_twist_witness
 
 
 def random_cochain_in(space, n, m, degree, rng):
@@ -102,6 +103,46 @@ def test_all_deltas_vanish_over_zero_algebra(z1):
         space = cochain_space(z1, rep, degree)
         f = random_cochain_in(space, 2, 2, degree, rng)
         assert op(z1, rep, f).is_zero()
+
+
+def _twist_check_algebras(rng):
+    """D2 in a rational basis (dense rational twists), and twisted O under a twist-preserving signed permutation."""
+    to = make_twisted_octonions()
+    return [
+        change_basis(make_d2(), Matrix([[1, Fraction(1, 2)], [0, 2]])),
+        change_basis(to, twist_preserving_signed_permutation(rng, to)),
+    ]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_twist_witness_matches_the_pointwise_oracle(degree):
+    rng = Random(degree)
+    for alg in _twist_check_algebras(rng):
+        rep = adjoint(alg)
+        n = alg.dim
+        space = cochain_space(alg, rep, degree)
+        data = [Fraction(0)] * space.ambient_dim
+        for vec in rng.sample(space.basis, min(space.dim, 12)):
+            c = random_fraction(rng)
+            data = [d + c * v for d, v in zip(data, vec)]
+        clean = Cochain(degree, n, n, data)
+        assert compatibility_witness(alg, rep, clean) is None
+        corrupted = []
+        for _ in range(4):
+            bad = list(data)
+            bad[rng.randrange(len(bad))] += rng.choice([Fraction(1), Fraction(-1), Fraction(1, 3)])
+            corrupted.append(Cochain(degree, n, n, bad))
+        for f in [clean, *corrupted]:
+            for twist_in, twist_out in ((alg.alpha, rep.phi), (alg.beta, rep.psi), (alg.alpha, rep.psi)):
+                assert twist_witness(f, twist_in, twist_out) == naive_twist_witness(f, twist_in, twist_out)
+        assert any(compatibility_witness(alg, rep, f) for f in corrupted)
+
+
+def test_twist_witness_rejects_twists_of_the_wrong_shape():
+    f = Cochain.zero(2, 2, 2)
+    for twist_in, twist_out in ((Matrix.identity(3), Matrix.identity(2)), (Matrix.identity(2), Matrix.identity(1))):
+        with pytest.raises(InputError):
+            twist_witness(f, twist_in, twist_out)
 
 
 def test_delta2_rejects_incompatible_cochain(d2):

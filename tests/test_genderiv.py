@@ -33,7 +33,7 @@ from conftest import (
     make_z1,
     random_unimodular,
 )
-from oracle_naive import dense_nullity
+from oracle_naive import dense_nullity, naive_operator_rows
 
 
 EXPONENT_GRID = [(-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1), (-1, 1), (1, -1)]
@@ -364,3 +364,28 @@ def test_dim8_operator_space_dims_survive_a_unimodular_change_of_basis():
         alg = change_basis(builder(), random_unimodular(rng, 8))
         for (k, l), dims in pins.items():
             assert _der_gder_sgder(alg, k, l) == dims
+
+
+# -- the integer rows against the rational oracle rows ---------------------------------------
+
+ROW_EXPONENTS = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0)]
+
+
+def _row_algebras():
+    """D2, D2 in a rational non-unimodular basis (rational twists and products), and twisted O."""
+    d2 = make_d2()
+    return [d2, change_basis(d2, Matrix([[1, Fraction(1, 2)], [0, 2]])), make_twisted_octonions()]
+
+
+@pytest.mark.parametrize("kind", genderiv.KINDS)
+def test_operator_rows_are_positive_multiples_of_the_rational_rows(kind):
+    for alg in _row_algebras():
+        for k, l in ROW_EXPONENTS:
+            blocks, rows = genderiv._operator_rows(alg, kind, k, l)
+            naive_blocks, naive_rows = naive_operator_rows(alg, kind, k, l)
+            assert blocks == naive_blocks and len(rows) == len(naive_rows)
+            for row, ref in zip(rows, naive_rows):
+                assert row.keys() == ref.keys()
+                assert all(type(v) is int for v in row.values())
+                scales = {v / ref[c] for c, v in row.items()}
+                assert len(scales) == 1 and scales.pop() > 0, (k, l)

@@ -5,6 +5,9 @@ stops guarding.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bihomalt"
@@ -100,9 +103,37 @@ def test_algebra_sits_below_cohomology_and_deformation():
 
 
 def test_no_pointwise_evaluation_in_the_kernel_paths():
-    # Cochain.evaluate stays public API (twist_witness and the tests use it)
-    names = ("algebra.py", "deformation.py", "extension.py")
+    # Cochain.evaluate and Cochain.from_function stay public API (the oracles use them)
+    names = ("algebra.py", "cohomology.py", "deformation.py", "extension.py")
     assert [hit for n in names for hit in _pointwise_calls((SRC / n).read_text(), n)] == []
+
+
+POINTWISE = ("product", "left_at", "right_at", "evaluate", "apply")
+
+
+def _function_source(source: str, name: str) -> str:
+    """The source of the top-level function of that name, nested definitions included."""
+    tree = ast.parse(source)
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    return ast.get_source_segment(source, node)
+
+
+def test_operator_rows_and_twist_checks_read_integer_tables():
+    # the rows and checks contract `transport` tables; nothing forms a product or an action point by point
+    scanned = [
+        ("genderiv.py", (SRC / "genderiv.py").read_text()),
+        ("validate_representation", _function_source((SRC / "representation.py").read_text(), "validate_representation")),
+        ("twist_witness", _function_source((SRC / "cohomology.py").read_text(), "twist_witness")),
+    ]
+    assert [hit for name, source in scanned for hit in _named_calls(source, name, POINTWISE)] == []
+
+
+def test_the_cli_starts_without_dataclasses():
+    # dataclasses and the inspect module it pulls in cost about half of the import time of bihomalt.cli
+    probe = "import sys; before = set(sys.modules); import bihomalt.cli; print('dataclasses' in set(sys.modules) - before)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_the_import_and_call_scans_see_every_form():
@@ -127,3 +158,6 @@ def test_the_import_and_call_scans_see_every_form():
         "probe.py:10 matrix_rank",
         "probe.py:10 rank_nullspace",
     ]
+    nested = "def f(x):\n    g = lambda v: x.apply(v)\n    return g\n\n\ndef h(alg):\n    return alg.product(a, b)\n"
+    assert _named_calls(_function_source(nested, "f"), "f", POINTWISE) == ["f:2 apply"]
+    assert _named_calls(probe, "probe.py", POINTWISE) == ["probe.py:4 evaluate", "probe.py:6 evaluate"]

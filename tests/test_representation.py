@@ -18,10 +18,20 @@ from bihomalt.representation import (
 
 from conftest import (
     base_corpus,
+    change_basis,
+    conjugate_representation,
+    make_d2,
+    make_octonions,
+    make_quaternions,
+    make_twisted_octonions,
     perturb_representation,
+    random_signed_permutation,
+    random_unimodular,
     random_valid_representation,
     trivial_representation,
+    twist_preserving_signed_permutation,
 )
+from oracle_naive import naive_representation_report
 
 
 def test_trivial_rep_over_z1_is_valid(z1):
@@ -180,3 +190,46 @@ def test_representation_shape_errors():
     with pytest.raises(InputError):
         Representation(1, 2, [Matrix.identity(3)], [Matrix.identity(3)],
                        Matrix.identity(3), Matrix.identity(3))
+
+
+# -- the integer tables against the pointwise oracle ---------------------------------------
+
+ORACLE_ALGEBRAS = [("D2", make_d2), ("H", make_quaternions), ("O", make_octonions), ("TO", make_twisted_octonions)]
+
+
+def _oracle_representations(alg, rng):
+    """The adjoint, the coadjoint, and the dual of the adjoint in another basis of V.
+
+    The dim-8 basis change is a signed permutation, which keeps the pointwise oracle fast.
+    """
+    n = alg.dim
+    s = random_unimodular(rng, n) if n < 8 else random_signed_permutation(rng, n)
+    return [adjoint(alg), coadjoint(alg), dual(alg, conjugate_representation(adjoint(alg), s))]
+
+
+def _assert_matches_oracle(alg, rep):
+    report = validate_representation(alg, rep).as_dict()
+    expected = naive_representation_report(alg, rep)
+    assert report == expected
+    assert list(report["witnesses"]) == list(expected["witnesses"])  # the JSON order
+    return report
+
+
+@pytest.mark.parametrize("name, build", ORACLE_ALGEBRAS)
+def test_representation_checks_match_the_pointwise_oracle(name, build):
+    alg = build()
+    for rep in _oracle_representations(alg, Random(name)):
+        assert _assert_matches_oracle(alg, rep)["witnesses"] == {}
+
+
+@pytest.mark.parametrize("part", ["l", "r", "phi", "psi"])
+@pytest.mark.parametrize("name, build", ORACLE_ALGEBRAS)
+def test_corrupted_representations_fail_as_the_pointwise_oracle_does(name, build, part):
+    rng = Random(f"{name}:{part}")
+    alg = build()
+    alg = change_basis(alg, twist_preserving_signed_permutation(rng, alg))
+    failed = set()
+    for rep in _oracle_representations(alg, rng):
+        report = _assert_matches_oracle(alg, perturb_representation(rep, rng, part))
+        failed.update(report["witnesses"])
+    assert failed
