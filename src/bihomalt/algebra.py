@@ -152,23 +152,15 @@ class AlgebraReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return (
-            self.commuting
-            and self.alpha_multiplicative
-            and self.beta_multiplicative
-            and self.left_alternative
-            and self.right_alternative
-        )
+        return all(self[:-1])  # every flag; the witness map is the last field
 
     def as_dict(self) -> dict:
-        return {
-            "commuting": self.commuting,
-            "alpha_multiplicative": self.alpha_multiplicative,
-            "beta_multiplicative": self.beta_multiplicative,
-            "left_alternative": self.left_alternative,
-            "right_alternative": self.right_alternative,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
+        return _report_dict(self)
+
+
+def _report_dict(report) -> dict:
+    """A report's fields in order, with each witness index tuple as a list."""
+    return {**report._asdict(), "witnesses": {k: list(v) for k, v in report.witnesses.items()}}
 
 
 def associator(alg: BiHomAlgebra, x: Sequence, y: Sequence, z: Sequence) -> tuple[Fraction, ...]:

@@ -9,13 +9,18 @@ payload), 2 unreadable input, schema violation or unmet precondition, 3 an
 internal error (a defect in the library, reported as "internal error:
 <Type>: <message>" with no traceback).
 Reports carry exact rational strings and no timestamps, so identical inputs
-produce byte-identical output.
+produce byte-identical output.  A result with an integer longer than the
+interpreter's digit limit for integer-string conversion is reported as an
+error with exit 2, naming its digit count and the limit.  When stdout is a
+pipe that nobody reads, the report is dropped silently: nothing goes to
+stderr and the exit code is still the report's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fileio
@@ -239,7 +244,12 @@ def run(argv) -> int:
         "payload": payload,
         "diagnostics": diagnostics,
     }
-    print(json.dumps(report, indent=2))
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # nobody reads the report: send what is left to devnull, so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

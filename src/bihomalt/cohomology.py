@@ -421,13 +421,7 @@ class ComplexReport(NamedTuple):
     dim_H: int
 
     def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dim_C": self.dim_C,
-            "dim_Z": self.dim_Z,
-            "dim_B": self.dim_B,
-            "dim_H": self.dim_H,
-        }
+        return self._asdict()
 
 
 def _primitive_columns(basis: Subspace) -> tuple[list[dict[int, int]], list[Fraction]]:

@@ -209,11 +209,7 @@ def extend_one_order(defm: TruncatedDeformation) -> Optional[Cochain]:
     coeffs = solve_sparse_rows(delta_rows_on_basis(alg, rep, 2, space), target, space.dim)
     if coeffs is None:
         return None
-    data = [ZERO] * space.ambient_dim
-    for c, vec in zip(coeffs, space.basis):
-        if c != 0:
-            data = [d + c * v for d, v in zip(data, vec)]
-    return Cochain(2, alg.dim, alg.dim, data)
+    return Cochain(2, alg.dim, alg.dim, space._lift(coeffs))
 
 
 def check_equivalence(
@@ -329,11 +325,7 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
         coeffs = solve_sparse_rows(d1_rows, target, c1.dim)
         if coeffs is None:
             return None
-        f_data = [ZERO] * c1.ambient_dim
-        for c, vec in zip(coeffs, c1.basis):
-            if c != 0:
-                f_data = [x + c * v for x, v in zip(f_data, vec)]
-        f_cochain = Cochain(1, n_dim, n_dim, f_data)
+        f_cochain = Cochain(1, n_dim, n_dim, c1._lift(coeffs))
         f_mat = Matrix([[f_cochain.value(j)[i] for j in range(n_dim)] for i in range(n_dim)])
         current = gauge(current, f_mat, level, max_order)
         if not current.term(level).is_zero():

@@ -12,6 +12,7 @@ kernel basis, a solution or an inverse is read out.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -47,9 +48,23 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # beyond the interpreter's integer-string digit limit
+        digits = max(_digit_count(value.numerator), _digit_count(value.denominator))
+        raise PreconditionError(
+            f"a result has an integer of {digits} digits, beyond the limit of"
+            f" {sys.get_int_max_str_digits()} digits for integer-string conversion"
+        ) from exc
+
+
+def _digit_count(n: int) -> int:
+    """The number of decimal digits of |n|, without converting it to a string."""
+    n = abs(n)
+    guess = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2): exact or one short
+    return guess + (n >= 10**guess)
 
 
 def vector(entries) -> tuple[Fraction, ...]:
@@ -463,16 +478,10 @@ class Subspace:
     @staticmethod
     def from_spanning(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         """Reduce an arbitrary spanning set to an independent basis."""
-        elim = _Eliminator(ambient_dim)
-        kept = []
-        for v in vectors:
-            v = vector(v)
-            if len(v) != ambient_dim:
-                raise InputError("vector length does not match ambient dimension")
-            pivot, _ = elim.insert(dict(enumerate(v)))
-            if pivot is not None:
-                kept.append(v)
-        return Subspace(ambient_dim, kept, check=False)
+        vecs = [vector(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in vecs):
+            raise InputError("vector length does not match ambient dimension")
+        return Subspace(ambient_dim, [vecs[i] for i in independent_subset_indices(vecs)], check=False)
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -513,16 +522,15 @@ class Subspace:
         cols = [list(v) for v in self.basis] + [[-e for e in v] for v in other.basis]
         combined = Matrix(zip(*cols))
         _, ker = rank_nullspace(combined)
-        vecs = []
-        na = len(self.basis)
-        for k in ker.basis:
-            acc = [ZERO] * self.ambient_dim
-            for j in range(na):
-                if k[j] != 0:
-                    for i in range(self.ambient_dim):
-                        acc[i] += k[j] * self.basis[j][i]
-            vecs.append(tuple(acc))
-        return Subspace.from_spanning(self.ambient_dim, vecs)
+        return Subspace.from_spanning(self.ambient_dim, [self._lift(k[: len(self.basis)]) for k in ker.basis])
+
+    def _lift(self, coeffs: Sequence) -> list[Fraction]:
+        """Σ c_j·basis[j]: the ambient vector with these coordinates in this basis."""
+        acc = [ZERO] * self.ambient_dim
+        for c, vec in zip(coeffs, self.basis):
+            if c:
+                acc = [a + c * v for a, v in zip(acc, vec)]
+        return acc
 
     def _same_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

@@ -60,16 +60,27 @@ def _scalars(items: list, path: str) -> list:
     return out
 
 
+def _rationals(obj, path: str, shape) -> list:
+    """A nested JSON array of rationals as nested lists, of length shape[k] at depth k (None: any)."""
+    items = _expect_list(obj, path, shape[0])
+    if len(shape) == 1:
+        return _scalars(items, path)
+    return [_rationals(child, f"{path}[{i}]", shape[1:]) for i, child in enumerate(items)]
+
+
+def _literals(node) -> list:
+    """A nested array of rationals as the same nesting of string literals."""
+    if node and isinstance(node[0], (list, tuple)):
+        return [_literals(child) for child in node]
+    return [format_rational(e) for e in node]
+
+
 def parse_matrix(obj, path: str, nrows: int, ncols: int) -> Matrix:
-    out = []
-    for i, row in enumerate(_expect_list(obj, path, nrows)):
-        at = f"{path}[{i}]"
-        out.append(_scalars(_expect_list(row, at, ncols), at))
-    return Matrix(out)
+    return Matrix(_rationals(obj, path, (nrows, ncols)))
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[format_rational(e) for e in row] for row in m.rows]
+    return _literals(m.rows)
 
 
 def parse_algebra(obj: Any, path: str = "algebra") -> BiHomAlgebra:
@@ -80,15 +91,7 @@ def parse_algebra(obj: Any, path: str = "algebra") -> BiHomAlgebra:
     dim = _expect_int(obj["dim"], f"{path}.dim")
     if dim < 1:
         _fail(f"{path}.dim", "must be positive")
-    mu_obj = _expect_list(obj["mu"], f"{path}.mu", dim)
-    mu = []
-    for i, row in enumerate(mu_obj):
-        row = _expect_list(row, f"{path}.mu[{i}]", dim)
-        mu_row = []
-        for j, cell in enumerate(row):
-            at = f"{path}.mu[{i}][{j}]"
-            mu_row.append(_scalars(_expect_list(cell, at, dim), at))
-        mu.append(mu_row)
+    mu = _rationals(obj["mu"], f"{path}.mu", (dim, dim, dim))
     alpha = parse_matrix(obj["alpha"], f"{path}.alpha", dim, dim)
     beta = parse_matrix(obj["beta"], f"{path}.beta", dim, dim)
     return BiHomAlgebra(dim, mu, alpha, beta)
@@ -97,10 +100,7 @@ def parse_algebra(obj: Any, path: str = "algebra") -> BiHomAlgebra:
 def algebra_to_json(alg: BiHomAlgebra) -> dict:
     return {
         "dim": alg.dim,
-        "mu": [
-            [[format_rational(e) for e in cell] for cell in row]
-            for row in alg.mu
-        ],
+        "mu": _literals(alg.mu),
         "alpha": matrix_to_json(alg.alpha),
         "beta": matrix_to_json(alg.beta),
     }
@@ -115,10 +115,9 @@ def parse_representation(obj: Any, path: str = "representation") -> Representati
     m = _expect_int(obj["mod_dim"], f"{path}.mod_dim")
     if n < 1 or m < 1:
         _fail(path, "dimensions must be positive")
-    l_list = _expect_list(obj["l"], f"{path}.l", n)
-    r_list = _expect_list(obj["r"], f"{path}.r", n)
-    l = [parse_matrix(e, f"{path}.l[{i}]", m, m) for i, e in enumerate(l_list)]
-    r = [parse_matrix(e, f"{path}.r[{i}]", m, m) for i, e in enumerate(r_list)]
+    for key in ("l", "r"):  # both action lists are checked before any of their entries
+        _expect_list(obj[key], f"{path}.{key}", n)
+    l, r = ([Matrix(rows) for rows in _rationals(obj[key], f"{path}.{key}", (n, m, m))] for key in ("l", "r"))
     phi = parse_matrix(obj["phi"], f"{path}.phi", m, m)
     psi = parse_matrix(obj["psi"], f"{path}.psi", m, m)
     return Representation(n, m, l, r, phi, psi)
@@ -128,8 +127,8 @@ def representation_to_json(rep: Representation) -> dict:
     return {
         "alg_dim": rep.alg_dim,
         "mod_dim": rep.mod_dim,
-        "l": [matrix_to_json(m) for m in rep.l],
-        "r": [matrix_to_json(m) for m in rep.r],
+        "l": _literals([m.rows for m in rep.l]),
+        "r": _literals([m.rows for m in rep.r]),
         "phi": matrix_to_json(rep.phi),
         "psi": matrix_to_json(rep.psi),
     }
@@ -151,32 +150,17 @@ def parse_cochain(obj: Any, path: str = "cochain") -> tuple[Cochain, str]:
     target = obj.get("target", "module")
     if target not in ("module", "dual"):
         _fail(f"{path}.target", "must be 'module' or 'dual'")
-    data = []
-
-    def walk(node, depth, at):
-        if depth == degree:
-            data.extend(_scalars(_expect_list(node, at, m), at))
-            return
-        node = _expect_list(node, at, n)
-        for i, child in enumerate(node):
-            walk(child, depth + 1, f"{at}[{i}]")
-
-    walk(obj["tensor"], 0, f"{path}.tensor")
-    return Cochain(degree, n, m, data), target
+    tensor = _rationals(obj["tensor"], f"{path}.tensor", (n,) * degree + (m,))
+    return Cochain.from_nested(degree, n, m, tensor), target
 
 
 def cochain_to_json(cochain: Cochain, target: str = "module") -> dict:
-    def build(prefix):
-        if len(prefix) == cochain.degree:
-            return [format_rational(v) for v in cochain.value(*prefix)]
-        return [build(prefix + (i,)) for i in range(cochain.alg_dim)]
-
     return {
         "degree": cochain.degree,
         "alg_dim": cochain.alg_dim,
         "mod_dim": cochain.mod_dim,
         "target": target,
-        "tensor": build(()),
+        "tensor": _literals(cochain.nested()),
     }
 
 
@@ -186,36 +170,20 @@ def parse_deformation(obj: Any, path: str = "deformation") -> TruncatedDeformati
         if key not in obj:
             _fail(path, f"missing key {key!r}")
     alg = parse_algebra(obj["algebra"], f"{path}.algebra")
-    terms_obj = _expect_list(obj["terms"], f"{path}.terms")
-    terms = []
-    for t, tensor in enumerate(terms_obj):
-        at = f"{path}.terms[{t}]"
-        tensor = _expect_list(tensor, at, alg.dim)
-        data = []
-        for i, row in enumerate(tensor):
-            row = _expect_list(row, f"{at}[{i}]", alg.dim)
-            for j, cell in enumerate(row):
-                cell_at = f"{at}[{i}][{j}]"
-                data.extend(_scalars(_expect_list(cell, cell_at, alg.dim), cell_at))
-        terms.append(Cochain(2, alg.dim, alg.dim, data))
-    return TruncatedDeformation(alg, terms)
+    n = alg.dim
+    terms = _rationals(obj["terms"], f"{path}.terms", (None, n, n, n))
+    return TruncatedDeformation(alg, [Cochain.from_nested(2, n, n, t) for t in terms])
 
 
 def deformation_to_json(defm: TruncatedDeformation) -> dict:
     return {
         "algebra": algebra_to_json(defm.alg),
-        "terms": [
-            [
-                [[format_rational(v) for v in t.value(i, j)] for j in range(defm.alg.dim)]
-                for i in range(defm.alg.dim)
-            ]
-            for t in defm.terms
-        ],
+        "terms": _literals([t.nested() for t in defm.terms]),
     }
 
 
 def isomorphism_to_json(iso: FormalIsomorphism) -> dict:
-    return {"terms": [matrix_to_json(m) for m in iso.terms]}
+    return {"terms": _literals([m.rows for m in iso.terms])}
 
 
 def load_json_file(path: str):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import _NO_WITNESSES, BiHomAlgebra, _common_denominator, _first_difference, _lincomb, transport
+from .algebra import _NO_WITNESSES, BiHomAlgebra, _common_denominator, _first_difference, _lincomb, _report_dict, transport
 from .errors import InputError, PreconditionError
 from .exactnum import Matrix, support
 
@@ -98,33 +98,10 @@ class RepresentationReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return all(
-            (
-                self.commuting,
-                self.phi_left,
-                self.phi_right,
-                self.psi_left,
-                self.psi_right,
-                self.left_square,
-                self.right_square,
-                self.right_exchange,
-                self.left_exchange,
-            )
-        )
+        return all(self[:-1])  # every flag; the witness map is the last field
 
     def as_dict(self) -> dict:
-        return {
-            "commuting": self.commuting,
-            "phi_left": self.phi_left,
-            "phi_right": self.phi_right,
-            "psi_left": self.psi_left,
-            "psi_right": self.psi_right,
-            "left_square": self.left_square,
-            "right_square": self.right_square,
-            "right_exchange": self.right_exchange,
-            "left_exchange": self.left_exchange,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
+        return _report_dict(self)
 
 
 def _then(inner, outer) -> list:

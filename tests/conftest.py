@@ -199,6 +199,40 @@ def random_commuting_invertible_pair(rng: Random, n: int) -> tuple[Matrix, Matri
     return s * d1 * s_inv, s * d2 * s_inv
 
 
+def _sparse_integer_matrix(rng: Random, n: int, density: float) -> Matrix:
+    return Matrix([[rng.choice([1, -1, 2]) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)])
+
+
+def random_noncommuting_pair(rng: Random, n: int) -> tuple[Matrix, Matrix]:
+    """Two sparse integer matrices a, b with ab ≠ ba."""
+    while True:
+        a, b = _sparse_integer_matrix(rng, n, 0.5), _sparse_integer_matrix(rng, n, 0.5)
+        if a * b != b * a:
+            return a, b
+
+
+def random_noncommuting_algebra(rng: Random) -> BiHomAlgebra:
+    """A dim-2 or dim-3 algebra with a sparse non-zero ±1 product and twists with αβ ≠ βα.
+
+    Sparse data leaves most identities holding at most basis tuples, so the
+    first failing tuple depends on the order in which the twists are composed.
+    """
+    n = rng.randint(2, 3)
+    while True:
+        mu = [[[rng.choice([1, -1]) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        if any(x for row in mu for cell in row for x in cell):
+            break
+    return BiHomAlgebra(n, mu, *random_noncommuting_pair(rng, n))
+
+
+def random_noncommuting_representation(alg: BiHomAlgebra, rng: Random) -> Representation:
+    """Sparse integer actions on a dim-2 or dim-3 module whose twists have φψ ≠ ψφ."""
+    m = rng.randint(2, 3)
+    phi, psi = random_noncommuting_pair(rng, m)
+    l, r = ([_sparse_integer_matrix(rng, m, 0.3) for _ in range(alg.dim)] for _ in range(2))
+    return Representation(alg.dim, m, l, r, phi, psi)
+
+
 def conjugate_representation(rep: Representation, s: Matrix) -> Representation:
     s_inv = s.inverse()
     return Representation(

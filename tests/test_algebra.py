@@ -28,6 +28,7 @@ from conftest import (
     random_commuting_invertible_pair,
     random_fraction,
     random_matrix,
+    random_noncommuting_algebra,
     random_signed_permutation,
 )
 from oracle_naive import naive_alternative_witnesses
@@ -230,6 +231,16 @@ def test_alternative_witness_scan_sees_each_law_fail_alone():
         assert (report.witnesses.get("left_alternative"), report.witnesses.get("right_alternative")) == (left, right)
         seen.add((left is None, right is None))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_noncommuting_twists_keep_the_pointwise_witnesses():
+    # with αβ ≠ βα, the twist αβ of the diamond tables cannot be swapped for βα unseen
+    for seed in range(20):
+        alg = random_noncommuting_algebra(Random(seed))
+        report = validate(alg)
+        assert alg.alpha * alg.beta != alg.beta * alg.alpha and not report.commuting
+        left, right = naive_alternative_witnesses(alg)
+        assert (report.witnesses.get("left_alternative"), report.witnesses.get("right_alternative")) == (left, right)
 
 
 def test_dim8_and_dim16_algebras_validate():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,45 @@ def test_derivations_report(files, capsys):
     code2, report2 = run_cli(capsys, ["derivations", "--kind", "cent", "--k", "0", "--l", "0", files["e1"]])
     assert code2 == 0
     assert report2["payload"]["dim"] == 1
+
+
+def test_derivations_within_the_output_digit_limit(files, capsys):
+    code, report = run_cli(capsys, ["derivations", "--kind", "qder", "--k", "5000", "--l", "0", files["d2"]])
+    assert code == 0
+    assert report["payload"]["dim"] == 2
+
+
+def test_derivations_beyond_the_output_digit_limit_exit2(files, capsys):
+    # d2 has α = diag(1, 2), so α^15000 gives an entry of 4516 digits, more than the default limit prints
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        report = _run_error(capsys, ["derivations", "--kind", "qder", "--k", "15000", "--l", "0", files["d2"]])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["diagnostics"] == [
+        "a result has an integer of 4516 digits, beyond the limit of 4300 digits for integer-string conversion"
+    ]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("verb, name, code", [("validate", "d2", 0), ("validate", "broken", 1), ("rep semidirect", "d2", 0)])
+def test_a_closed_stdout_keeps_the_exit_code_and_a_silent_stderr(files, unbuffered, verb, name, code):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read the report
+    try:
+        argv = [sys.executable, "-m", "bihomalt.cli", *verb.split(), files[name]]
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")
 
 
 def test_determinism_byte_identical(files, capsys):

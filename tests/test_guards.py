@@ -10,6 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bihomalt.algebra import BiHomAlgebra, validate
+from bihomalt.cohomology import complex_report
+from bihomalt.exactnum import Matrix
+from bihomalt.representation import adjoint, validate_representation
+
+from conftest import make_e1
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "bihomalt"
 
 
@@ -136,6 +143,36 @@ def test_the_cli_starts_without_dataclasses():
     assert out.stdout.strip() == "False"
 
 
+def _callers(source: str, callee: str) -> list[str]:
+    """Each call of callee, named by the top-level definition that holds it ("<module>" outside any)."""
+    found = []
+    for node in ast.parse(source).body:
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found += [name] * len(_named_calls(ast.get_source_segment(source, node), name, (callee,)))
+    return found
+
+
+def test_fileio_reads_and_writes_rationals_in_one_place():
+    # every nested rational array is read through _rationals and _scalars, and written through _literals
+    source = (SRC / "fileio.py").read_text()
+    assert _callers(source, "parse_rational") == ["_scalars"]
+    assert _callers(source, "format_rational") == ["_literals"]
+
+
+def test_reports_serialize_exactly_their_fields():
+    # as_dict is the record itself: its fields as keys, in field order, with witness tuples as lists
+    good = make_e1()
+    bad = BiHomAlgebra(1, [[[1]]], Matrix([[2]]), Matrix([[1]]))  # α = (2) is not multiplicative
+    reports = [validate(alg) for alg in (good, bad)]
+    reports += [validate_representation(alg, adjoint(alg)) for alg in (good, bad)]
+    reports.append(complex_report(good, adjoint(good), 2))
+    assert {r.ok for r in reports[:4]} == {True, False}
+    for report in reports:
+        out = report.as_dict()
+        assert list(out) == list(report._fields)
+        assert all(isinstance(w, list) for w in out.get("witnesses", {}).values())
+
+
 def test_the_import_and_call_scans_see_every_form():
     probe = (
         "import bihomalt.cohomology\n"
@@ -161,3 +198,10 @@ def test_the_import_and_call_scans_see_every_form():
     nested = "def f(x):\n    g = lambda v: x.apply(v)\n    return g\n\n\ndef h(alg):\n    return alg.product(a, b)\n"
     assert _named_calls(_function_source(nested, "f"), "f", POINTWISE) == ["f:2 apply"]
     assert _named_calls(probe, "probe.py", POINTWISE) == ["probe.py:4 evaluate", "probe.py:6 evaluate"]
+    callers = (
+        "x = parse_rational(a)\n"
+        "\n\nclass C:\n    def f(self):\n        return format_rational(b)\n"
+        "\n\ndef g(v):\n    return [parse_rational(e) for e in v] + [exactnum.parse_rational(v)]\n"
+    )
+    assert _callers(callers, "parse_rational") == ["<module>", "g", "g"]
+    assert _callers(callers, "format_rational") == ["C"]

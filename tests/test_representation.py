@@ -25,6 +25,8 @@ from conftest import (
     make_quaternions,
     make_twisted_octonions,
     perturb_representation,
+    random_noncommuting_algebra,
+    random_noncommuting_representation,
     random_signed_permutation,
     random_unimodular,
     random_valid_representation,
@@ -233,3 +235,13 @@ def test_corrupted_representations_fail_as_the_pointwise_oracle_does(name, build
         report = _assert_matches_oracle(alg, perturb_representation(rep, rng, part))
         failed.update(report["witnesses"])
     assert failed
+
+
+def test_noncommuting_twists_match_the_pointwise_oracle():
+    # with αβ ≠ βα and φψ ≠ ψφ, neither composed twist of the action tables can be swapped unseen
+    for seed in range(20):
+        rng = Random(seed)
+        alg = random_noncommuting_algebra(rng)
+        rep = random_noncommuting_representation(alg, rng)
+        assert alg.alpha * alg.beta != alg.beta * alg.alpha and rep.phi * rep.psi != rep.psi * rep.phi
+        _assert_matches_oracle(alg, rep)
