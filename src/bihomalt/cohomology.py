@@ -22,6 +22,7 @@ from .exactnum import (
     Matrix,
     Subspace,
     _eliminate,
+    _transpose,
     nullspace_of_sparse_rows,
     rank_nullspace,  # noqa: F401 - bench/test_bench.py checks that its wrapper here is removed
     support,
@@ -425,12 +426,11 @@ class ComplexReport(NamedTuple):
 
 
 def _primitive_columns(basis: Subspace) -> tuple[list[dict[int, int]], list[Fraction]]:
-    """Each basis vector as a primitive integer vector {coordinate: entry}, and the factor scaling it so."""
+    """Each basis column as a primitive integer vector {coordinate: entry}, and the factor scaling it so."""
     columns, scales = [], []
-    for vec in basis.basis:
-        entries = support(vec)
-        d = lcm(*(v.denominator for _, v in entries))
-        col = {i: v.numerator * (d // v.denominator) for i, v in entries}
+    for entries in basis.columns:
+        d = lcm(*(v.denominator for v in entries.values()))
+        col = {i: v.numerator * (d // v.denominator) for i, v in entries.items()}
         g = gcd(*col.values())
         columns.append({i: v // g for i, v in col.items()} if g != 1 else col)
         scales.append(Fraction(d, g))
@@ -440,16 +440,14 @@ def _primitive_columns(basis: Subspace) -> tuple[list[dict[int, int]], list[Frac
 def _restrict(operator: dict, columns: list[dict]) -> dict[int, dict[int, int]]:
     """operator · columns as rows {output coordinate: {j: entry}}, with the zero rows dropped."""
     # walk each operator row's columns through the column entries there
-    by_coord = {}
-    for j, col in enumerate(columns):
-        for c, v in col.items():
-            by_coord.setdefault(c, []).append((j, v))
+    by_coord = _transpose(enumerate(columns))
     rows = {}
     for r, orow in operator.items():
         acc = {}
         for col, a in orow.items():
-            for j, v in by_coord.get(col, ()):
-                acc[j] = acc.get(j, 0) + a * v
+            if col in by_coord:
+                for j, v in by_coord[col].items():
+                    acc[j] = acc.get(j, 0) + a * v
         acc = {j: v for j, v in acc.items() if v}
         if acc:
             rows[r] = acc
@@ -464,7 +462,7 @@ def delta_rows_on_basis(
     The product operator · basis with its zero rows dropped; column j is the
     image of basis[j].
     """
-    if not basis.basis:
+    if not basis.columns:
         return {}
     columns, scales = _primitive_columns(basis)
     # column j of the integer product is scales[j] times the image of basis[j]
@@ -474,10 +472,7 @@ def delta_rows_on_basis(
 
 def _check_exactness(columns: list[dict], ambient_dim: int, prev_rows: dict, operator: dict):
     """Each image, a column of prev_rows, lies in the span of columns and the operator sends it to zero."""
-    images = {}
-    for r, row in prev_rows.items():
-        for j, v in row.items():
-            images.setdefault(j, {})[r] = v
+    images = _transpose(prev_rows.items())
     elim = _eliminate(columns, ambient_dim)
     if any(elim.reduce(image) for image in images.values()):
         raise InternalError("coboundary escaped the compatible cochain space")

@@ -6,7 +6,10 @@ floating point appears anywhere.  Elimination runs on a sparse row
 representation because the constraint systems assembled by the cohomology
 and derivation modules are large but very sparse, and fraction-free: rows
 are kept as primitive integer vectors and rationals are built only when a
-kernel basis, a solution or an inverse is read out.
+kernel basis, a solution or an inverse is read out.  A `Subspace` keeps its
+basis in the same sparse form, as exact columns {coordinate: Fraction} read
+straight off the eliminator's kernel; its dense `basis` tuples are a view
+built on request, for callers outside the elimination paths.
 """
 
 from __future__ import annotations
@@ -88,10 +91,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
 def vec_is_zero(u) -> bool:
     return all(a == 0 for a in u)
 
@@ -134,12 +133,6 @@ class Matrix:
         entries = [Fraction(e) for e in entries]
         n = len(entries)
         return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence]) -> "Matrix":
-        if not cols:
-            raise InputError("cannot build a matrix from an empty column list")
-        return Matrix(zip(*cols))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
@@ -359,18 +352,15 @@ class _Eliminator:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        ncols = self.ncols
-        free = {j: [ZERO] * ncols for j in range(ncols) if j not in self.pivot_rows}
-        for f, vec in free.items():
-            vec[f] = ONE
+    def kernel_columns(self) -> list[dict[int, Fraction]]:
+        """The kernel basis as sparse columns, one per free column f: 1 at f, −row[f]/row[p] at each pivot p."""
+        free = {j: {j: ONE} for j in range(self.ncols) if j not in self.pivot_rows}
         for p, row in self.pivot_rows.items():
             d = row[p]
             for c, v in row.items():
                 if c in free:
                     free[c][p] = Fraction(-v, d)
-        # each list is dropped as its tuple is made, so a dense basis is held once, not twice
-        return [tuple(free.pop(j)) for j in list(free)]
+        return list(free.values())
 
 
 def _eliminate(rows: Iterable[dict], ncols: int) -> _Eliminator:
@@ -380,28 +370,35 @@ def _eliminate(rows: Iterable[dict], ncols: int) -> _Eliminator:
     return elim
 
 
+def _transpose(indexed: Iterable[tuple[int, dict]]) -> dict[int, dict]:
+    """The sparse vectors {i: {j: v}} of the pairs (j, {i: v}): rows of columns, or columns of rows."""
+    out = {}
+    for j, vec in indexed:
+        for i, v in vec.items():
+            out.setdefault(i, {})[j] = v
+    return out
+
+
+def _independent(columns: Sequence[dict], ncols: int) -> list[int]:
+    """Indices of a greedy maximal linearly independent subset of sparse vectors, in order."""
+    elim = _Eliminator(ncols)
+    return [i for i, col in enumerate(columns) if elim.insert(col)[0] is not None]
+
+
 def rank_nullspace(m: Matrix) -> tuple[int, "Subspace"]:
     """Exact rank and a kernel basis; rank + dim(kernel) = ncols."""
     elim = _eliminate(_sparse_rows(m.rows), m.ncols)
-    return elim.rank, Subspace._of_kernel(elim)
+    return elim.rank, Subspace._of(m.ncols, elim.kernel_columns())
 
 
 def nullspace_of_sparse_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> "Subspace":
     """Kernel of a system given as sparse {column: coefficient} rows."""
-    return Subspace._of_kernel(_eliminate(rows, ncols))
+    return Subspace._of(ncols, _eliminate(rows, ncols).kernel_columns())
 
 
 def independent_subset_indices(vectors: Sequence[Sequence]) -> list[int]:
     """Indices of a greedy maximal linearly independent subset, in order."""
-    if not vectors:
-        return []
-    elim = _Eliminator(len(vectors[0]))
-    kept = []
-    for i, v in enumerate(vectors):
-        pivot, _ = elim.insert(dict(enumerate(v)))
-        if pivot is not None:
-            kept.append(i)
-    return kept
+    return _independent(_sparse_rows(vectors), len(vectors[0]) if vectors else 0)
 
 
 def solve_sparse_rows(rows: dict[int, dict], b: Sequence, ncols: int) -> Optional[tuple[Fraction, ...]]:
@@ -433,46 +430,36 @@ def solve(m: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     return solve_sparse_rows(dict(enumerate(_sparse_rows(m.rows))), [Fraction(e) for e in b], m.ncols)
 
 
-def solve_columns(cols: Sequence[Sequence], b: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """Solve Σ x_j cols[j] = b; convenience for membership in a span."""
-    rows = {}
-    for j, col in enumerate(cols):
-        for i, a in enumerate(col):
-            if a:
-                rows.setdefault(i, {})[j] = a
-    return solve_sparse_rows(rows, b, len(cols))
-
-
 class Subspace:
     """A subspace of Q^n given by a linearly independent list of basis vectors.
 
-    Bases are not canonical; equality of subspaces is decided by mutual
+    Each basis vector is stored as a sparse exact column {coordinate: Fraction}
+    without its zero entries; `basis` is a dense view of them, built on each
+    read.  Bases are not canonical; equality of subspaces is decided by mutual
     containment, never by comparing bases.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "columns")
 
-    def __init__(self, ambient_dim: int, basis: Iterable[Sequence], *, check: bool = True):
-        basis = tuple(vector(v) for v in basis)
-        for v in basis:
-            if len(v) != ambient_dim:
-                raise InputError("basis vector length does not match ambient dimension")
-        if check and basis:
-            elim = _eliminate((dict(enumerate(v)) for v in basis), ambient_dim)
-            if elim.rank != len(basis):
-                raise InputError("basis vectors are linearly dependent")
+    def __init__(self, ambient_dim: int, basis: Iterable[Sequence]):
+        basis = [vector(v) for v in basis]
+        if any(len(v) != ambient_dim for v in basis):
+            raise InputError("basis vector length does not match ambient dimension")
+        columns = _sparse_rows(basis)
+        if _eliminate(columns, ambient_dim).rank != len(columns):
+            raise InputError("basis vectors are linearly dependent")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "columns", tuple(columns))
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
 
     @staticmethod
-    def _of_kernel(elim: _Eliminator) -> "Subspace":
-        """The kernel of an elimination, on its basis tuples as they are: no second pass over every entry."""
+    def _of(ambient_dim: int, columns: Iterable[dict[int, Fraction]]) -> "Subspace":
+        """The span of columns already known to be independent, without a check."""
         space = object.__new__(Subspace)
-        object.__setattr__(space, "ambient_dim", elim.ncols)
-        object.__setattr__(space, "basis", tuple(elim.kernel_basis()))
+        object.__setattr__(space, "ambient_dim", ambient_dim)
+        object.__setattr__(space, "columns", tuple(columns))
         return space
 
     @staticmethod
@@ -481,15 +468,27 @@ class Subspace:
         vecs = [vector(v) for v in vectors]
         if any(len(v) != ambient_dim for v in vecs):
             raise InputError("vector length does not match ambient dimension")
-        return Subspace(ambient_dim, [vecs[i] for i in independent_subset_indices(vecs)], check=False)
+        cols = _sparse_rows(vecs)
+        return Subspace._of(ambient_dim, [cols[i] for i in _independent(cols, ambient_dim)])
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, [unit_vector(ambient_dim, i) for i in range(ambient_dim)], check=False)
+        return Subspace._of(ambient_dim, [{i: ONE} for i in range(ambient_dim)])
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The basis vectors as dense tuples of Fractions."""
+        dense = []
+        for col in self.columns:
+            vec = [ZERO] * self.ambient_dim
+            for i, a in col.items():
+                vec[i] = a
+            dense.append(tuple(vec))
+        return tuple(dense)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.columns)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -499,37 +498,37 @@ class Subspace:
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise InputError("vector length does not match ambient dimension")
-        if not self.basis:
-            return tuple() if vec_is_zero(v) else None
-        return solve_columns(self.basis, v)
+        return solve_sparse_rows(_transpose(enumerate(self.columns)), v, self.dim)
 
     def contains_vector(self, v: Sequence) -> bool:
         return self.coefficients_of(v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        elim = _eliminate(self.columns, self.ambient_dim)
+        return not any(elim.reduce(col) for col in other.columns)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace.from_spanning(self.ambient_dim, list(self.basis) + list(other.basis))
+        cols = self.columns + other.columns
+        return Subspace._of(self.ambient_dim, [cols[i] for i in _independent(cols, self.ambient_dim)])
 
     def intersection(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient_dim, [])
-        # kernel of [A | -B]: A-part coefficients span the intersection
-        cols = [list(v) for v in self.basis] + [[-e for e in v] for v in other.basis]
-        combined = Matrix(zip(*cols))
-        _, ker = rank_nullspace(combined)
-        return Subspace.from_spanning(self.ambient_dim, [self._lift(k[: len(self.basis)]) for k in ker.basis])
+        # each kernel vector (x, y) of [A | -B] gives Ax = By in the intersection; x ↦ Ax is
+        # injective on the kernel, since both bases are independent, so the lifts are a basis
+        cols = self.columns + tuple({i: -v for i, v in col.items()} for col in other.columns)
+        kernel = _eliminate(_transpose(enumerate(cols)).values(), len(cols)).kernel_columns()
+        lifts = (self._lift([k.get(j, ZERO) for j in range(self.dim)]) for k in kernel)
+        return Subspace._of(self.ambient_dim, _sparse_rows(lifts))
 
     def _lift(self, coeffs: Sequence) -> list[Fraction]:
         """Σ c_j·basis[j]: the ambient vector with these coordinates in this basis."""
         acc = [ZERO] * self.ambient_dim
-        for c, vec in zip(coeffs, self.basis):
+        for c, col in zip(coeffs, self.columns):
             if c:
-                acc = [a + c * v for a, v in zip(acc, vec)]
+                for i, v in col.items():
+                    acc[i] += c * v
         return acc
 
     def _same_ambient(self, other: "Subspace"):

@@ -18,17 +18,11 @@ tuple per basis element.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .algebra import BiHomAlgebra, _common_denominator, _integer_columns, transport
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import (
-    Matrix,
-    Subspace,
-    independent_subset_indices,
-    nullspace_of_sparse_rows,
-    solve_columns,
-)
+from .exactnum import ZERO, Matrix, Subspace, independent_subset_indices, nullspace_of_sparse_rows
 
 # Per kind: the number of stacked unknown endomorphisms (blocks; the space is the
 # first) and its product rules (out, left, right, right_sign), each standing for
@@ -70,24 +64,25 @@ class OperatorSpace(NamedTuple):
         return len(self.basis)
 
     def as_subspace(self, n: int) -> Subspace:
-        return Subspace(n * n, [_flatten(m) for m in self.basis], check=False)
+        return Subspace(n * n, [_flatten(m) for m in self.basis])
 
     def contains_matrix(self, m: Matrix) -> bool:
         return self.coefficients_of(m) is not None
 
     def coefficients_of(self, m: Matrix) -> Optional[tuple[Fraction, ...]]:
-        target = _flatten(m)
-        if not self.basis:
-            return tuple() if all(v == 0 for v in target) else None
-        return solve_columns([_flatten(b) for b in self.basis], target)
+        n = self.basis[0].nrows if self.basis else m.nrows
+        if (m.nrows, m.ncols) != (n, n):
+            raise InputError(f"expected a {n}x{n} matrix, got {m.nrows}x{m.ncols}")
+        return self.as_subspace(n).coefficients_of(_flatten(m))
 
 
 def _flatten(m: Matrix) -> tuple[Fraction, ...]:
     return tuple(e for row in m.rows for e in row)
 
 
-def _unflatten(vec: Sequence, n: int) -> Matrix:
-    return Matrix([vec[i * n : (i + 1) * n] for i in range(n)])
+def _unflatten(col: dict, n: int, offset: int) -> Matrix:
+    """The n×n block of a sparse column that starts at coordinate offset."""
+    return Matrix([[col.get(offset + i * n + j, ZERO) for j in range(n)] for i in range(n)])
 
 
 def bracket(u: Matrix, v: Matrix) -> Matrix:
@@ -227,7 +222,7 @@ def space_of_kind(alg: BiHomAlgebra, kind: str, k: int, l: int) -> OperatorSpace
     n = alg.dim
     blocks, rows = _operator_rows(alg, kind, k, l)
     kernel = nullspace_of_sparse_rows(rows, blocks * n * n)
-    sols = [tuple(_unflatten(vec[b * n * n : (b + 1) * n * n], n) for b in range(blocks)) for vec in kernel.basis]
+    sols = [tuple(_unflatten(col, n, b * n * n) for b in range(blocks)) for col in kernel.columns]
     exps = None if kind == "U" else TwistExponents(k, l)
     if blocks == 1:
         return OperatorSpace(kind, exps, tuple(s[0] for s in sols))

@@ -150,13 +150,25 @@ def test_subspace_ambient_mismatch():
 
 
 def test_subspace_bases_hold_fraction_tuples():
-    # the public constructor converts its input; a kernel hands its own tuples through
-    given = Subspace(3, [[1, 0, 2]], check=False)
+    # the public constructor converts its input, and the dense view of a kernel holds Fractions too
+    given = Subspace(3, [[1, 0, 2]])
     kernel = nullspace_of_sparse_rows([{0: 1, 1: -2}], 3)
     for space in (given, kernel):
         assert all(type(v) is tuple and all(type(a) is Fraction for a in v) for v in space.basis)
     assert given.basis == ((Fraction(1), Fraction(0), Fraction(2)),)
     assert kernel.basis == ((Fraction(2), Fraction(1), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1)))
+
+
+def test_the_zero_subspace_holds_the_zero_vector_only():
+    empty = Subspace(3, [])
+    assert empty.dim == 0 and empty.basis == ()
+    assert empty.coefficients_of((0, 0, 0)) == ()
+    assert empty.coefficients_of((0, Fraction(1, 2), 0)) is None
+    line = Subspace(3, [(1, 2, 3)])
+    for a, b in ((empty, line), (line, empty), (empty, empty)):
+        assert a.intersection(b).dim == 0
+        assert a.sum(b).dim == a.dim + b.dim
+    assert line.contains(empty) and not empty.contains(line)
 
 
 def test_subspace_rejects_dependent_basis():
@@ -174,6 +186,30 @@ def test_subspace_dimension_formula(vs, ws):
     assert s.dim + i.dim == a.dim + b.dim
     for v in i.basis:
         assert a.contains_vector(v) and b.contains_vector(v)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(n, vs, ws): two spanning lists in Q^n sharing a drawn list of vectors, so intersections are often non-zero."""
+    n = draw(st.integers(1, 4))
+    vecs = st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=3)
+    shared = draw(vecs)
+    return n, draw(vecs) + shared, shared + draw(vecs)
+
+
+@given(subspace_pairs())
+@settings(max_examples=60, deadline=None)
+def test_intersection_and_sum_equal_the_dense_computation(pair):
+    n, vs, ws = pair
+    a, b = Subspace.from_spanning(n, vs), Subspace.from_spanning(n, ws)
+    A, B = a.basis, b.basis
+    # the kernel of [A | -B] by dense Gauss-Jordan, its A-part lifted, then the greedy independent choice
+    rows = [[v[i] for v in A] + [-w[i] for w in B] for i in range(n)]
+    kernel = dense_kernel_basis(rows, len(A) + len(B))
+    lifts = [tuple(sum((k[j] * A[j][i] for j in range(len(A))), Fraction(0)) for i in range(n)) for k in kernel]
+    assert a.intersection(b).basis == tuple(lifts[i] for i in greedy_independent(lifts))
+    joined = A + B
+    assert a.sum(b).basis == tuple(joined[i] for i in greedy_independent(joined))
 
 
 # -- the eliminator against a dense Fraction RREF ----------------------------------------

@@ -273,6 +273,31 @@ def test_sgder_decompose_rejects_outsiders(d2):
         sgder_decompose(d2, 0, 0, Matrix([[0, 1], [0, 0]]))
 
 
+@pytest.mark.parametrize(
+    "m",
+    [Matrix([[1]]), Matrix.identity(3), Matrix.zero(3, 3), Matrix.zero(2, 3), Matrix.zero(1, 4)],
+    ids=["1x1", "3x3", "zero-3x3", "2x3", "1x4"],
+)
+@pytest.mark.parametrize("call", ["coefficients_of", "contains_matrix", "sgder_decompose"])
+def test_matrices_of_the_wrong_shape_are_input_errors(d2, call, m):
+    qder = quasi_derivation_space(d2, 0, 0)
+    assert qder.dim > 0
+    with pytest.raises(InputError, match="expected a 2x2 matrix"):
+        if call == "sgder_decompose":
+            sgder_decompose(d2, 0, 0, m)
+        else:
+            getattr(qder, call)(m)
+
+
+def test_an_empty_operator_space_contains_the_zero_matrix_only(e1):
+    der = derivation_space(e1, 0, 0)
+    assert der.dim == 0
+    assert der.coefficients_of(Matrix([[0]])) == () and der.contains_matrix(Matrix([[0]]))
+    assert der.coefficients_of(Matrix([[1]])) is None and not der.contains_matrix(Matrix([[1]]))
+    with pytest.raises(InputError):
+        der.contains_matrix(Matrix([[0, 0]]))
+
+
 def test_bracket_properties():
     u = Matrix([[1, 0], [0, 2]])
     v = Matrix([[0, 1], [0, 0]])

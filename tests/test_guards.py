@@ -10,12 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bihomalt.algebra import BiHomAlgebra, validate
 from bihomalt.cohomology import complex_report
-from bihomalt.exactnum import Matrix
+from bihomalt.exactnum import Matrix, Subspace
 from bihomalt.representation import adjoint, validate_representation
 
-from conftest import make_e1
+from conftest import make_d2, make_e1, make_twisted_octonions
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bihomalt"
 
@@ -65,6 +67,23 @@ def _imported_modules(source: str, name: str) -> set[str]:
         elif isinstance(node, ast.Import):
             found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     return found
+
+
+def _import_roots(source: str, name: str) -> set[str]:
+    """The top-level package of every module a source imports; a relative import counts as bihomalt."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.ImportFrom):
+            found.add("bihomalt" if node.level else node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
+def test_the_library_imports_the_standard_library_only():
+    # pyproject.toml declares dependencies = []; this holds the sources to it
+    roots = set().union(*(_import_roots(p.read_text(), p.name) for p in SRC.glob("*.py")))
+    assert roots and sorted(roots - set(sys.stdlib_module_names) - {"bihomalt"}) == []
 
 
 def _pointwise_calls(source: str, name: str) -> list[str]:
@@ -173,6 +192,23 @@ def test_reports_serialize_exactly_their_fields():
         assert all(isinstance(w, list) for w in out.get("witnesses", {}).values())
 
 
+def _no_dense_basis(space):
+    raise AssertionError("a dense Subspace basis was built")
+
+
+@pytest.mark.parametrize(
+    "make, degree, dims",
+    [(make_d2, 3, (4, 3, 2, 1)), (make_twisted_octonions, 2, (128, 14, 14, 0))],
+    ids=["D2-H3", "twisted-O-H2"],
+)
+def test_complex_report_builds_no_dense_basis(monkeypatch, make, degree, dims):
+    # cochain spaces reach the restriction and the exactness guard as the eliminator's sparse columns
+    monkeypatch.setattr(Subspace, "basis", property(_no_dense_basis))
+    alg = make()
+    report = complex_report(alg, adjoint(alg), degree)
+    assert (report.dim_C, report.dim_Z, report.dim_B, report.dim_H) == dims
+
+
 def test_the_import_and_call_scans_see_every_form():
     probe = (
         "import bihomalt.cohomology\n"
@@ -187,6 +223,12 @@ def test_the_import_and_call_scans_see_every_form():
         "r = matrix_rank(m) + rank_nullspace(m)[0]\n"
     )
     assert _imported_modules(probe, "probe.py") == {"cohomology", "deformation", "exactnum"}
+    assert _import_roots(probe, "probe.py") == {"bihomalt"}
+    assert _import_roots("import os.path, numpy as np\nfrom fractions import Fraction\n", "probe.py") == {
+        "os",
+        "numpy",
+        "fractions",
+    }
     assert _pointwise_calls(probe, "probe.py") == ["probe.py:4 evaluate", "probe.py:5 from_function"]
     assert _named_calls(probe, "probe.py", ("Matrix",) + DENSE_SOLVERS) == [
         "probe.py:7 Matrix",
