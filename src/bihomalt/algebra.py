@@ -11,18 +11,21 @@ as(x, y, z) = (x·y)·β(z) − α(x)·(y·z), (mu ⋄ mu)(x, y, z) is
 as(βx, αy, z) + as(βy, αx, z): the left law.  On the opposite algebra
 Aᵒᵖ = (mu(y, x), β, α) it is the right law with its inputs reversed.
 The pairing is contracted on integer tables that `transport` reads off the
-structure constants, so no identity is evaluated point by point.
+structure constants, so no identity is evaluated point by point.  Twist
+compatibility of a given multilinear map, out∘f = f∘(T_1 ⊗ ... ⊗ T_k), has
+one check, `_intertwining_witness`: multiplicativity here, cochains and the
+intertwining relations of a representation elsewhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, MathCheckError
-from .exactnum import Matrix, support, vec_sub, vector, zero_vector
+from .exactnum import Matrix, support, vec_sub, vector
 
 BilinearTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -39,12 +42,6 @@ def bilinear_tensor(entries, dim_in: int, dim_out: Optional[int] = None) -> Bili
             if len(cell) != dim_out:
                 raise InputError("structure tensor output length is inconsistent")
     return tensor
-
-
-def zero_bilinear(dim_in: int, dim_out: Optional[int] = None) -> BilinearTensor:
-    if dim_out is None:
-        dim_out = dim_in
-    return tuple(tuple(zero_vector(dim_out) for _ in range(dim_in)) for _ in range(dim_in))
 
 
 def apply_bilinear(tensor: BilinearTensor, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
@@ -103,9 +100,6 @@ class BiHomAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("vector length does not match algebra dimension")
         return apply_bilinear(self.mu, x, y)
-
-    def basis_product(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.mu[i][j]
 
 
 class AlgebraMap:
@@ -286,6 +280,39 @@ def _first_difference(p, q) -> Optional[tuple[int, int]]:
     return None
 
 
+def _intertwining_witness(flat: Sequence, dims: Sequence[int], twists: Sequence[Matrix], out: Matrix) -> Optional[tuple]:
+    """The first basis tuple t, in lexicographic order, where out(f(e_t)) ≠ f(twists[0] e_t0, twists[1] e_t1, ...), or None.
+
+    The multilinear map f is stored flat: its values f(e_t), t running over the
+    axis lengths dims in lexicographic order, one after another.  Both sides are
+    integer tables read through `transport`: out acts on the values, and each
+    twist on its own axis a, the second axis of f viewed as a bilinear tensor
+    [axes before a][a].
+    """
+
+    def view(data, axis):
+        rows, cols = prod(dims[:axis]), dims[axis]
+        width = len(data) // (rows * cols)
+        return [[data[(r * cols + c) * width : (r * cols + c + 1) * width] for c in range(cols)] for r in range(rows)]
+
+    last = len(dims) - 1
+    d, data = 1, flat
+    for axis, twist in enumerate(twists):
+        step, table = transport(view(data, axis), None, None, twist)
+        d, data = d * step, [v for row in table for vec in row for v in vec]
+    w = _first_difference(transport(view(flat, last), out), (d, view(data, last)))
+    return None if w is None else _index_tuple(w[0] * dims[last] + w[1], dims)
+
+
+def _index_tuple(pos: int, dims: Sequence[int]) -> tuple[int, ...]:
+    """The index tuple at a flat position of the lexicographic order over the axis lengths dims."""
+    idx = []
+    for size in reversed(dims):
+        pos, i = divmod(pos, size)
+        idx.append(i)
+    return tuple(reversed(idx))
+
+
 def _alternative_witness(alg: BiHomAlgebra, order) -> Optional[tuple[int, int, int]]:
     """The least order(x, y, z) over the basis triples where mu ⋄ mu is non-zero, or None."""
     tables = _term_tables(alg, alg.mu)
@@ -304,15 +331,12 @@ def validate(alg: BiHomAlgebra) -> AlgebraReport:
     (k, j, i), so its witness is the first (i, j, k) with j ≤ k where
     (mu_op ⋄ mu_op)(e_j, e_k, e_i) ≠ 0.
     """
+    n, mu = alg.dim, [x for row in alg.mu for cell in row for x in cell]
     found = {
         "commuting": None if alg.alpha.commutes_with(alg.beta) else (),
         # twist(e_i·e_j) against twist(e_i)·twist(e_j)
-        "alpha_multiplicative": _first_difference(
-            transport(alg.mu, alg.alpha), transport(alg.mu, None, alg.alpha, alg.alpha)
-        ),
-        "beta_multiplicative": _first_difference(
-            transport(alg.mu, alg.beta), transport(alg.mu, None, alg.beta, alg.beta)
-        ),
+        "alpha_multiplicative": _intertwining_witness(mu, (n, n), (alg.alpha, alg.alpha), alg.alpha),
+        "beta_multiplicative": _intertwining_witness(mu, (n, n), (alg.beta, alg.beta), alg.beta),
         "left_alternative": _alternative_witness(alg, lambda x, y, z: (x, y, z)),
         "right_alternative": _alternative_witness(opposite(alg), lambda x, y, z: (z, x, y)),
     }

@@ -3,7 +3,10 @@
 An n-cochain is an n-linear map A^n -> V intertwining the twists:
 phi∘f = f∘alpha^(n) and psi∘f = f∘beta^(n).  Coordinates are stored flat,
 ordered lexicographically by (i_1, ..., i_n, output index); that ordering
-is shared with the cochain file format.
+is shared with the cochain file format.  A cochain space is the kernel of
+the rows of `_twist_rows`, the one builder of twist-compatibility rows (the
+commutant rows of `genderiv` are its degree-1 rows); a given cochain is
+checked by the one twist check of `algebra`.
 
 The complex is truncated above degree three: degree-4 cochains exist only
 as the codomain of the degree-3 operator.
@@ -16,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .algebra import BiHomAlgebra, _common_denominator, _first_difference, _integer_columns, transport, validate
+from .algebra import BiHomAlgebra, _common_denominator, _index_tuple, _integer_columns, _intertwining_witness, transport, validate
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
     Matrix,
@@ -122,7 +125,7 @@ class Cochain:
         pos = next((p for p, a in enumerate(self.data) if a != 0), None)
         if pos is None:
             return None
-        return _index_tuple(pos // self.mod_dim, self.alg_dim, self.degree)
+        return _index_tuple(pos // self.mod_dim, (self.alg_dim,) * self.degree)
 
     def nested(self) -> list:
         """Nested-list form, innermost = output coordinates (the file layout)."""
@@ -154,38 +157,15 @@ class Cochain:
         return Cochain(degree, alg_dim, mod_dim, data)
 
 
-def _index_tuple(flat: int, alg_dim: int, degree: int) -> tuple[int, ...]:
-    """The basis index tuple at a flat position of the lexicographic order."""
-    idx = []
-    for _ in range(degree):
-        flat, i = divmod(flat, alg_dim)
-        idx.append(i)
-    return tuple(reversed(idx))
-
-
-def _split(flat: Sequence, rows: int, cols: int) -> list:
-    """A flat cochain layout as a bilinear tensor [rows][cols] of equal slices."""
-    width = len(flat) // (rows * cols)
-    return [[flat[(r * cols + c) * width : (r * cols + c + 1) * width] for c in range(cols)] for r in range(rows)]
-
-
 def twist_witness(cochain: Cochain, twist_in: Matrix, twist_out: Matrix) -> Optional[tuple]:
     """First basis tuple t, in lexicographic order, where twist_out(f(e_t)) ≠ f(twist_in e_t).
 
-    Both sides are integer tables read through `transport`: twist_out acts on
-    the values, and twist_in on one argument axis at a time, axis a being the
-    second axis of the cochain viewed as a tensor [axes before a][a].
+    The twist check of `algebra` on the flat layout, with twist_in on every argument.
     """
     n, m, degree = cochain.alg_dim, cochain.mod_dim, cochain.degree
     if (twist_in.nrows, twist_in.ncols, twist_out.nrows, twist_out.ncols) != (n, n, m, m):
         raise InputError("twist shapes do not match the cochain")
-    d, flat = 1, cochain.data
-    for axis in range(degree):
-        step, table = transport(_split(flat, n**axis, n), None, None, twist_in)
-        d, flat = d * step, [v for row in table for vec in row for v in vec]
-    moved = transport(_split(cochain.data, n ** (degree - 1), n), twist_out)
-    w = _first_difference(moved, (d, _split(flat, n ** (degree - 1), n)))
-    return None if w is None else _index_tuple(w[0] * n + w[1], n, degree)
+    return _intertwining_witness(cochain.data, (n,) * degree, (twist_in,) * degree, twist_out)
 
 
 def compatibility_witness(
@@ -225,30 +205,39 @@ def _expand(alg_dim: int, mod_dim: int, supports) -> dict[int, int]:
     return form
 
 
+def _twist_rows(degree: int, twist_in: Matrix, twist_out: Matrix):
+    """Yield (t, c, row): the integer row of twist_out(f(e_t)) − f(twist_in e_t) = 0 at output coordinate c.
+
+    Rows are sparse over the flat layout of the degree-linear maps f: A^degree → V,
+    A and V being the spaces of twist_in and twist_out, by t in lexicographic
+    order and then by c; zero rows are skipped.  In integers d_out·twist_out and
+    d_in·twist_in, the twist side is scaled by d_in^degree and the transformed
+    side by d_out, so each row is d_out·d_in^degree times its rational form.
+    """
+    n, m = twist_in.nrows, twist_out.nrows
+    d_out, out_rows = _integer_columns(twist_out.transpose())
+    d_in, cols = _integer_columns(twist_in)
+    scale = d_in**degree
+    for pos, t in enumerate(itertools.product(range(n), repeat=degree)):
+        base = pos * m
+        transformed = _expand(n, m, [cols[i] for i in t])
+        for c, out_row in enumerate(out_rows):
+            row = {base + c_in: e * scale for c_in, e in out_row}
+            for off, coeff in transformed.items():
+                key = off + c
+                row[key] = row.get(key, 0) - d_out * coeff
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                yield t, c, row
+
+
 def cochain_space(alg: BiHomAlgebra, rep: Representation, degree: int) -> Subspace:
     """Basis of the twist-compatible n-linear maps inside the full coordinate space."""
     if degree not in (1, 2, 3):
         raise InputError("cochain spaces are built for degrees 1, 2, 3")
-    n, m = alg.dim, rep.mod_dim
-    total = m * n**degree
-    rows = []
-    for twist, tcols in ((rep.phi, alg.alpha), (rep.psi, alg.beta)):
-        # phi(f(e_t)) - f(twisted basis vectors) = 0, one row per output coordinate, in
-        # integers: d_t·twist and d_c·tcols, so the twist side is scaled by d_c^degree
-        # and the transformed side by d_t; a scaled row has the same kernel
-        d_t, trows = _integer_columns(twist.transpose())
-        d_c, cols = _integer_columns(tcols)
-        trows = [[(c_in, e * d_c**degree) for c_in, e in trow] for trow in trows]
-        for pos, t in enumerate(itertools.product(range(n), repeat=degree)):
-            base = pos * m
-            transformed = _expand(n, m, [cols[i] for i in t])
-            for c_out, trow in enumerate(trows):
-                row = {base + c_in: e for c_in, e in trow}
-                for off, coeff in transformed.items():
-                    key = off + c_out
-                    row[key] = row.get(key, 0) - d_t * coeff
-                rows.append({k: v for k, v in row.items() if v})
-    return nullspace_of_sparse_rows(rows, total)
+    pairs = ((alg.alpha, rep.phi), (alg.beta, rep.psi))
+    rows = [row for twist_in, twist_out in pairs for _, _, row in _twist_rows(degree, twist_in, twist_out)]
+    return nullspace_of_sparse_rows(rows, rep.mod_dim * alg.dim**degree)
 
 
 def _twisted(tensor, *twists) -> tuple[int, list]:

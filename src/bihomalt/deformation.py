@@ -28,11 +28,6 @@ from .representation import adjoint
 ZERO = Fraction(0)
 
 
-def term_from_nested(alg_dim: int, nested) -> Cochain:
-    """A bilinear deformation term in the degree-2 cochain layout."""
-    return Cochain.from_nested(2, alg_dim, alg_dim, nested)
-
-
 class TruncatedDeformation:
     """The base algebra plus the ordered bilinear terms d_1 ... d_m."""
 

@@ -83,16 +83,8 @@ def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_is_zero(u) -> bool:
-    return all(a == 0 for a in u)
 
 
 def support(u) -> list[tuple[int, Fraction]]:

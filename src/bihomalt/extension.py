@@ -133,11 +133,6 @@ def t_theta_extension(alg: BiHomAlgebra, rep: Representation, theta) -> BiHomAlg
     return _checked_extension(alg, rep, theta, _T_THETA_CONDITIONS)
 
 
-def assemble_t_theta(alg: BiHomAlgebra, rep: Representation, theta) -> BiHomAlgebra:
-    """The A⊕V algebra with no condition checks; validity is then the caller's question."""
-    return block_sum(alg, rep, _as_cochain2(alg.dim, rep.mod_dim, theta))
-
-
 def t_star_theta_extension(alg: BiHomAlgebra, rep, theta_star) -> BiHomAlgebra:
     """T_theta extension through the dual bimodule: actions r*, l* on V*.
 

@@ -12,7 +12,8 @@ W = alpha^k beta^l the defining rules are, on all pairs (x, y):
 
 Each space is the solution set of a sparse linear system over the stacked
 entries of the unknown endomorphisms; projected spaces keep one witness
-tuple per basis element.
+tuple per basis element.  The rows [X, alpha] = [X, beta] = 0 of each block
+are the degree-1 twist rows of `cohomology`, read through X[c][t] = f(e_t)_c.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .algebra import BiHomAlgebra, _common_denominator, _integer_columns, transport
+from .algebra import BiHomAlgebra, _common_denominator, transport
+from .cohomology import _twist_rows
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import ZERO, Matrix, Subspace, independent_subset_indices, nullspace_of_sparse_rows
 
@@ -48,7 +50,7 @@ class TwistExponents(NamedTuple):
 
 
 class OperatorSpace(NamedTuple):
-    """A basis of endomorphisms, each commuting with both twists.
+    """A basis of endomorphisms of an alg_dim-dimensional algebra, each commuting with both twists.
 
     For projected kinds every basis matrix carries the witness tuple it was
     solved with (D' for QDer; (D', D'') for GDer and SGDer).
@@ -56,6 +58,7 @@ class OperatorSpace(NamedTuple):
 
     kind: str
     exponents: Optional[TwistExponents]
+    alg_dim: int
     basis: tuple[Matrix, ...]
     witnesses: tuple[tuple[Matrix, ...], ...] = ()
 
@@ -63,17 +66,17 @@ class OperatorSpace(NamedTuple):
     def dim(self) -> int:
         return len(self.basis)
 
-    def as_subspace(self, n: int) -> Subspace:
-        return Subspace(n * n, [_flatten(m) for m in self.basis])
+    def as_subspace(self) -> Subspace:
+        return Subspace(self.alg_dim**2, [_flatten(m) for m in self.basis])
 
     def contains_matrix(self, m: Matrix) -> bool:
         return self.coefficients_of(m) is not None
 
     def coefficients_of(self, m: Matrix) -> Optional[tuple[Fraction, ...]]:
-        n = self.basis[0].nrows if self.basis else m.nrows
+        n = self.alg_dim
         if (m.nrows, m.ncols) != (n, n):
             raise InputError(f"expected a {n}x{n} matrix, got {m.nrows}x{m.ncols}")
-        return self.as_subspace(n).coefficients_of(_flatten(m))
+        return self.as_subspace().coefficients_of(_flatten(m))
 
 
 def _flatten(m: Matrix) -> tuple[Fraction, ...]:
@@ -100,24 +103,16 @@ def twist_power(alg: BiHomAlgebra, k: int, l: int) -> Matrix:
         raise PreconditionError(f"negative twist exponent needs an invertible twist: {exc}") from exc
 
 
-def _commutation_rows(mat: Matrix, block: int, n: int) -> list[dict[int, int]]:
-    """Sparse integer rows of X·mat − mat·X = 0 for the unknown block X, scaled by the denominator of mat."""
-    _, cols = _integer_columns(mat)
-    _, rows = _integer_columns(mat.transpose())
-    out = []
+def _commutation_rows(mat: Matrix, block: int) -> list[dict[int, int]]:
+    """Sparse integer rows of X·mat − mat·X = 0 for the unknown block X, by entry (i, j) of X in row-major order.
+
+    Reading X[c][t] as f(e_t)_c, the row at (i, j) is the degree-1 twist row of
+    mat at (e_j, coordinate i), negated.
+    """
+    n = mat.nrows
     base = block * n * n
-    for i in range(n):
-        for j in range(n):
-            row: dict[int, int] = {}
-            for p, c in cols[j]:  # (X·mat)_{ij} term X[i][p] mat[p][j]
-                row[base + i * n + p] = c
-            for p, c in rows[i]:  # (mat·X)_{ij} term mat[i][p] X[p][j]
-                key = base + p * n + j
-                row[key] = row.get(key, 0) - c
-            row = {k_: v for k_, v in row.items() if v}
-            if row:
-                out.append(row)
-    return out
+    rows = {(c, t): {base + k % n * n + k // n: -v for k, v in row.items()} for (t,), c, row in _twist_rows(1, mat, mat)}
+    return [rows[key] for key in sorted(rows)]
 
 
 def _product_rule_rows(alg: BiHomAlgebra, w: Matrix, rules) -> list[dict[int, int]]:
@@ -165,21 +160,17 @@ def _operator_rows(alg: BiHomAlgebra, kind: str, k: int, l: int) -> tuple[int, l
     The rows hold integers; the space is their kernel over the stacked entries
     of the blocks.
     """
-    n = alg.dim
     blocks, rules = _RULES[kind]
     rows = _product_rule_rows(alg, twist_power(alg, k, l), rules) if rules else []
     for block in range(blocks):
-        rows += _commutation_rows(alg.alpha, block, n) + _commutation_rows(alg.beta, block, n)
+        rows += _commutation_rows(alg.alpha, block) + _commutation_rows(alg.beta, block)
     return blocks, rows
 
 
-def _project_first_block(kind: str, exps: Optional[TwistExponents], sols) -> OperatorSpace:
-    """Independent basis of the first-block projection, witnesses kept aligned."""
-    firsts = [_flatten(sol[0]) for sol in sols]
-    kept = independent_subset_indices(firsts)
-    basis = tuple(sols[i][0] for i in kept)
-    witnesses = tuple(tuple(sols[i][1:]) for i in kept)
-    return OperatorSpace(kind, exps, basis, witnesses)
+def _project_first_block(sols) -> tuple[tuple[Matrix, ...], tuple[tuple[Matrix, ...], ...]]:
+    """(basis, witnesses): an independent basis of the first-block projection, witnesses kept aligned."""
+    kept = independent_subset_indices([_flatten(sol[0]) for sol in sols])
+    return tuple(sols[i][0] for i in kept), tuple(tuple(sols[i][1:]) for i in kept)
 
 
 def commutant(alg: BiHomAlgebra) -> OperatorSpace:
@@ -225,8 +216,8 @@ def space_of_kind(alg: BiHomAlgebra, kind: str, k: int, l: int) -> OperatorSpace
     sols = [tuple(_unflatten(col, n, b * n * n) for b in range(blocks)) for col in kernel.columns]
     exps = None if kind == "U" else TwistExponents(k, l)
     if blocks == 1:
-        return OperatorSpace(kind, exps, tuple(s[0] for s in sols))
-    return _project_first_block(kind, exps, sols)
+        return OperatorSpace(kind, exps, n, tuple(s[0] for s in sols))
+    return OperatorSpace(kind, exps, n, *_project_first_block(sols))
 
 
 def sgder_decompose(alg: BiHomAlgebra, k: int, l: int, d: Matrix) -> tuple[Matrix, Matrix]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import _NO_WITNESSES, BiHomAlgebra, _common_denominator, _first_difference, _lincomb, _report_dict, transport
+from .algebra import _NO_WITNESSES, BiHomAlgebra, _common_denominator, _intertwining_witness, _lincomb, _report_dict, transport
 from .errors import InputError, PreconditionError
 from .exactnum import Matrix, support
 
@@ -125,11 +125,11 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
     The actions are the bilinear tensors λ(e_p, v) = l[p]v and ρ(e_p, v) = r[p]v,
     read through `transport` as integer tables; t[x] of a table t is then the
     matrix of an action composed with twists, in column form.  Each
-    intertwining relation compares two transports.  Each module axiom is a
-    sector of the diamond pairing of the product on A⊕V (x·v = l(x)v,
-    v·x = r(x)v): the left alternative law on (x, y, v) is left_square and on
-    (x, v, y) right_exchange, and the right law gives right_square and
-    left_exchange.
+    intertwining relation is the twist check of `algebra` on an action tensor.
+    Each module axiom is a sector of the diamond pairing of the product on A⊕V
+    (x·v = l(x)v, v·x = r(x)v): the left alternative law on (x, y, v) is
+    left_square and on (x, v, y) right_exchange, and the right law gives
+    right_square and left_exchange.
     Every side of every axiom is a sum of products of two tables over one
     common denominator, so the axioms are compared on integers.  Witnesses are
     the first failing index in lexicographic order: (i,) for an intertwining
@@ -144,8 +144,9 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
     lam, rho = ([list(zip(*m.rows)) for m in acts] for acts in (rep.l, rep.r))
 
     def intertwining(action, twist_in, twist_out):
-        # twist_out·action(e_i) against action(twist_in e_i)·twist_out
-        w = _first_difference(transport(action, twist_out), transport(action, None, twist_in, twist_out))
+        # twist_out·action(e_i) against action(twist_in e_i)·twist_out, on each (e_i, e_v)
+        flat = [x for column in action for vec in column for x in vec]
+        w = _intertwining_witness(flat, (n, rep.mod_dim), (twist_in, twist_out), twist_out)
         return None if w is None else w[:1]
 
     _, tables = _common_denominator(

@@ -13,9 +13,14 @@ from random import Random
 
 import pytest
 
-from bihomalt.algebra import BiHomAlgebra, zero_bilinear, yau_twist
+from bihomalt.algebra import BiHomAlgebra, yau_twist
 from bihomalt.exactnum import Matrix
 from bihomalt.representation import Representation, adjoint, semidirect
+
+
+def zero_bilinear(n: int) -> list:
+    """The zero product on an n-dimensional space as an [i][j][k] table."""
+    return [[[0] * n for _ in range(n)] for _ in range(n)]
 
 
 def make_z1():

@@ -341,7 +341,7 @@ def naive_delta_rows(alg, rep, degree):
                 expr = (
                     left(unit(i), model.symbolic_value(unit(j)))
                     + right(unit(j), model.symbolic_value(unit(i)))
-                    - model.symbolic_value(alg.basis_product(i, j))
+                    - model.symbolic_value(alg.mu[i][j])
                 )
                 rows.extend(model.forms_to_rows(expr))
     elif degree == 2:

@@ -394,7 +394,6 @@ def test_criterion_11_generalized_derivations():
         assert derivation_space(d2, 0, 0).dim == 1
         grid = [(k, l) for k in (-1, 0, 1) for l in (-1, 0, 1)]
         for alg in (e1, d2):
-            n = alg.dim
             for k, l in grid:
                 der = derivation_space(alg, k, l)
                 qder = quasi_derivation_space(alg, k, l)
@@ -402,11 +401,11 @@ def test_criterion_11_generalized_derivations():
                 gder = generalized_derivation_space(alg, k, l)
                 cent = centroid_space(alg, k, l)
                 qc = quasi_centroid_space(alg, k, l)
-                s_der, s_qder = der.as_subspace(n), qder.as_subspace(n)
-                s_sg, s_gder = sg.as_subspace(n), gder.as_subspace(n)
+                s_der, s_qder = der.as_subspace(), qder.as_subspace()
+                s_sg, s_gder = sg.as_subspace(), gder.as_subspace()
                 assert s_qder.contains(s_der) and s_sg.contains(s_qder) and s_gder.contains(s_sg)
-                assert qc.as_subspace(n).contains(cent.as_subspace(n))
-                total = s_qder.sum(qc.as_subspace(n))
+                assert qc.as_subspace().contains(cent.as_subspace())
+                total = s_qder.sum(qc.as_subspace())
                 assert total.contains(s_sg) and s_sg.contains(total)
             for (k, l), (s, t) in itertools.product([(0, 0), (1, 0), (0, 1)], repeat=2):
                 der_a = derivation_space(alg, k, l)

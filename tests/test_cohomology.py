@@ -16,7 +16,7 @@ from bihomalt.cohomology import (
     delta3,
     twist_witness,
 )
-from bihomalt.deformation import TruncatedDeformation, term_from_nested, trivialize
+from bihomalt.deformation import TruncatedDeformation, trivialize
 from bihomalt.errors import InputError, InternalError, PreconditionError
 from bihomalt.exactnum import Matrix
 from bihomalt.representation import Representation, adjoint, semidirect, validate_representation
@@ -430,7 +430,7 @@ def test_guard_on_invalid_coefficients_is_a_precondition_error():
 
 def test_trivialize_guard_rejects_a_gauge_that_leaves_the_term(monkeypatch):
     e1 = make_e1()
-    defm = TruncatedDeformation(e1, [term_from_nested(1, [[[1]]]), term_from_nested(1, [[[-2]]])])
+    defm = TruncatedDeformation(e1, [Cochain.from_nested(2, 1, 1, [[[1]]]), Cochain.from_nested(2, 1, 1, [[[-2]]])])
     assert trivialize(defm, 4) is not None
 
     def doubled(alg, rep, op):
@@ -444,7 +444,7 @@ def test_trivialize_guard_rejects_a_gauge_that_leaves_the_term(monkeypatch):
 @pytest.mark.parametrize("max_order", [0, -3])
 def test_trivialize_rejects_order_below_one(max_order):
     e1 = make_e1()
-    defm = TruncatedDeformation(e1, [term_from_nested(1, [[[1]]])])
+    defm = TruncatedDeformation(e1, [Cochain.from_nested(2, 1, 1, [[[1]]])])
     with pytest.raises(PreconditionError):
         trivialize(defm, max_order)
 

@@ -3,13 +3,12 @@ from random import Random
 
 import pytest
 
-from bihomalt.algebra import BiHomAlgebra, validate, zero_bilinear
+from bihomalt.algebra import BiHomAlgebra, validate
 from bihomalt.cohomology import Cochain, cochain_space, delta2
 from bihomalt.errors import InputError, MathCheckError, PreconditionError
 from bihomalt.exactnum import Matrix
 from bihomalt.extension import (
     annihilator,
-    assemble_t_theta,
     central_extension,
     left_cocycle_residual,
     right_cocycle_residual,
@@ -19,6 +18,7 @@ from bihomalt.extension import (
 from bihomalt.representation import (
     Representation,
     adjoint,
+    block_sum,
     coadjoint,
     dual,
     semidirect,
@@ -35,6 +35,7 @@ from conftest import (
     product_corpus,
     random_fraction,
     random_valid_representation,
+    zero_bilinear,
 )
 from oracle_naive import naive_right_cocycle_residual
 
@@ -190,7 +191,7 @@ def test_t_theta_validity_equivalence():
                 t_theta_extension(alg, rep, theta)
             except MathCheckError:
                 accepted = False
-            assembled_ok = validate(assemble_t_theta(alg, rep, theta)).ok
+            assembled_ok = validate(block_sum(alg, rep, theta)).ok
             assert accepted == assembled_ok
 
 
@@ -272,5 +273,5 @@ def test_central_extension_is_t_theta_over_the_trivial_module(v_dim):
                 assert _CENTRAL_TO_T_THETA[err.condition] == t_err.value.condition
                 assert err.witness == t_err.value.witness
             else:
-                assert central == assemble_t_theta(alg, trivial, omega)
+                assert central == block_sum(alg, trivial, omega)
                 assert central == t_theta_extension(alg, trivial, omega)

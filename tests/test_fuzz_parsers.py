@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from bihomalt import fileio
 from bihomalt.cli import run
 from bihomalt.cohomology import Cochain
-from bihomalt.deformation import TruncatedDeformation, term_from_nested
+from bihomalt.deformation import TruncatedDeformation
 from bihomalt.representation import adjoint
 
 from conftest import make_d2, make_e1
@@ -32,7 +32,7 @@ HUGE = "__huge_{}__"
 
 def _base_documents():
     d2, e1 = make_d2(), make_e1()
-    defm = TruncatedDeformation(e1, [term_from_nested(1, [[[3]]]), term_from_nested(1, [[[-2]]])])
+    defm = TruncatedDeformation(e1, [Cochain.from_nested(2, 1, 1, [[[3]]]), Cochain.from_nested(2, 1, 1, [[[-2]]])])
     return {
         "bha": fileio.algebra_to_json(d2),
         "bhr": fileio.representation_to_json(adjoint(d2)),

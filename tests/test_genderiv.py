@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 import bihomalt.genderiv as genderiv
+from bihomalt.cohomology import cochain_space
 from bihomalt.errors import InputError, InternalError, PreconditionError
-from bihomalt.exactnum import Matrix
+from bihomalt.exactnum import Matrix, Subspace
 from bihomalt.genderiv import (
     OperatorSpace,
     bracket,
@@ -20,6 +21,7 @@ from bihomalt.genderiv import (
     space_of_kind,
     twist_power,
 )
+from bihomalt.representation import adjoint
 
 from random import Random
 
@@ -31,7 +33,10 @@ from conftest import (
     make_octonions,
     make_twisted_octonions,
     make_z1,
+    random_noncommuting_algebra,
     random_unimodular,
+    twist_preserving_signed_permutation,
+    zero_bilinear,
 )
 from oracle_naive import dense_nullity, naive_operator_rows
 
@@ -155,14 +160,13 @@ def test_centroid_d2_scalars(d2):
 
 def test_inclusion_chain_on_corpus():
     for name, alg in base_corpus():
-        n = alg.dim
         for k, l in EXPONENT_GRID:
-            der = derivation_space(alg, k, l).as_subspace(n)
-            qder = quasi_derivation_space(alg, k, l).as_subspace(n)
-            sg = sgder_space(alg, k, l).as_subspace(n)
-            gder = generalized_derivation_space(alg, k, l).as_subspace(n)
-            cent = centroid_space(alg, k, l).as_subspace(n)
-            qcent = quasi_centroid_space(alg, k, l).as_subspace(n)
+            der = derivation_space(alg, k, l).as_subspace()
+            qder = quasi_derivation_space(alg, k, l).as_subspace()
+            sg = sgder_space(alg, k, l).as_subspace()
+            gder = generalized_derivation_space(alg, k, l).as_subspace()
+            cent = centroid_space(alg, k, l).as_subspace()
+            qcent = quasi_centroid_space(alg, k, l).as_subspace()
             assert qder.contains(der), (name, k, l)
             assert sg.contains(qder), (name, k, l)
             assert gder.contains(sg), (name, k, l)
@@ -243,11 +247,10 @@ def test_commutant_closed_under_twist_composition():
 
 def test_sgder_equals_qder_plus_qc():
     for _, alg in base_corpus():
-        n = alg.dim
         for k, l in ((0, 0), (1, 1), (-1, 0)):
-            sg = sgder_space(alg, k, l).as_subspace(n)
-            qder = quasi_derivation_space(alg, k, l).as_subspace(n)
-            qc = quasi_centroid_space(alg, k, l).as_subspace(n)
+            sg = sgder_space(alg, k, l).as_subspace()
+            qder = quasi_derivation_space(alg, k, l).as_subspace()
+            qc = quasi_centroid_space(alg, k, l).as_subspace()
             total = qder.sum(qc)
             assert total.contains(sg) and sg.contains(total)
 
@@ -298,6 +301,19 @@ def test_an_empty_operator_space_contains_the_zero_matrix_only(e1):
         der.contains_matrix(Matrix([[0, 0]]))
 
 
+@pytest.mark.parametrize("m", [Matrix.zero(3, 3), Matrix.identity(3)], ids=["zero-3x3", "3x3"])
+@pytest.mark.parametrize("make", [make_e1, make_d2], ids=["E1", "D2"])
+def test_the_shape_check_reads_the_algebra_dimension(make, m):
+    # E1's Der is empty, so only the recorded dimension can tell a 3x3 matrix is the wrong size
+    alg = make()
+    der = derivation_space(alg, 0, 0)
+    assert der.alg_dim == alg.dim and (der.dim == 0) == (alg.dim == 1)
+    assert der.as_subspace().ambient_dim == alg.dim**2
+    for call in (der.coefficients_of, der.contains_matrix):
+        with pytest.raises(InputError, match=f"expected a {alg.dim}x{alg.dim} matrix, got 3x3"):
+            call(m)
+
+
 def test_bracket_properties():
     u = Matrix([[1, 0], [0, 2]])
     v = Matrix([[0, 1], [0, 0]])
@@ -311,7 +327,7 @@ def test_bracket_properties():
 def test_negative_exponents_require_invertible_twists():
     alg = make_z1()
     singular = Matrix([[1, 0], [0, 0]])
-    from bihomalt.algebra import BiHomAlgebra, zero_bilinear
+    from bihomalt.algebra import BiHomAlgebra
 
     degen = BiHomAlgebra(2, zero_bilinear(2), singular, Matrix.identity(2))
     with pytest.raises(PreconditionError):
@@ -363,7 +379,7 @@ def _is_derivation(alg, d):
     cols = [d.column(i) for i in range(n)]
     units = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
     return all(
-        d.apply(alg.basis_product(i, j))
+        d.apply(alg.mu[i][j])
         == tuple(x + y for x, y in zip(alg.product(cols[i], units[j]), alg.product(units[i], cols[j])))
         for i in range(n)
         for j in range(n)
@@ -414,3 +430,23 @@ def test_operator_rows_are_positive_multiples_of_the_rational_rows(kind):
                 assert all(type(v) is int for v in row.values())
                 scales = {v / ref[c] for c, v in row.items()}
                 assert len(scales) == 1 and scales.pop() > 0, (k, l)
+
+
+# -- the commutant against the degree-1 cochains of the adjoint ------------------------------
+
+
+def _commutant_cases():
+    """The base corpus, twisted O moved by a twist-preserving signed permutation, and non-commuting twists."""
+    to = make_twisted_octonions()
+    moved = change_basis(to, twist_preserving_signed_permutation(Random(59), to))
+    noncommuting = [(f"noncommuting-{seed}", random_noncommuting_algebra(Random(seed))) for seed in range(4)]
+    return base_corpus() + [("twisted-O-moved", moved)] + noncommuting
+
+
+@pytest.mark.parametrize("alg", [a for _, a in _commutant_cases()], ids=[name for name, _ in _commutant_cases()])
+def test_the_commutant_is_the_space_of_degree1_adjoint_cochains(alg):
+    # both are kernels of the one twist-row builder: X[c][i] is the coordinate f(e_i)_c
+    n = alg.dim
+    u = Subspace(n * n, [tuple(e for row in x.transpose().rows for e in row) for x in commutant(alg).basis])
+    c1 = cochain_space(alg, adjoint(alg), 1)
+    assert u.dim == c1.dim and u.contains(c1) and c1.contains(u)

@@ -5,6 +5,7 @@ stops guarding.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+import bihomalt.cohomology as cohomology
+import bihomalt.exactnum as exactnum
 from bihomalt.algebra import BiHomAlgebra, validate
 from bihomalt.cohomology import complex_report
 from bihomalt.exactnum import Matrix, Subspace
@@ -20,6 +23,7 @@ from bihomalt.representation import adjoint, validate_representation
 from conftest import make_d2, make_e1, make_twisted_octonions
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bihomalt"
+BENCH = SRC.parents[1] / "bench"
 
 
 def _assert_guards(source: str, name: str) -> list[str]:
@@ -150,6 +154,7 @@ def test_operator_rows_and_twist_checks_read_integer_tables():
         ("genderiv.py", (SRC / "genderiv.py").read_text()),
         ("validate_representation", _function_source((SRC / "representation.py").read_text(), "validate_representation")),
         ("twist_witness", _function_source((SRC / "cohomology.py").read_text(), "twist_witness")),
+        ("_intertwining_witness", _function_source((SRC / "algebra.py").read_text(), "_intertwining_witness")),
     ]
     assert [hit for name, source in scanned for hit in _named_calls(source, name, POINTWISE)] == []
 
@@ -169,6 +174,48 @@ def _callers(source: str, callee: str) -> list[str]:
         name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         found += [name] * len(_named_calls(ast.get_source_segment(source, node), name, (callee,)))
     return found
+
+
+def test_one_twist_check_and_one_twist_row_builder():
+    # given tensors: twisted transports are compared only inside the one witness helper; is_morphism and
+    # check_equivalence compare transports of two different tensors
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    compared = sorted(name for source in sources.values() for name in _callers(source, "_first_difference"))
+    assert compared == ["_intertwining_witness", "check_equivalence", "is_morphism"]
+    # spaces: cochain_space and the commutant rows share one row builder, and genderiv has no twist loop of its own
+    built = sorted(name for source in sources.values() for name in _callers(source, "_twist_rows"))
+    assert built == ["_commutation_rows", "cochain_space"]
+    genderiv = sources["genderiv.py"]
+    assert _named_calls(genderiv, "genderiv.py", ("_integer_columns",)) == []
+    commutation = ast.parse(_function_source(genderiv, "_commutation_rows"))
+    assert not any(isinstance(node, ast.For) for node in ast.walk(commutation))
+
+
+def _assigned_literal(source: str, name: str):
+    """The literal value of a module-level assignment to name."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_the_names_bench_reaches_resolve():
+    # bench/ wraps and imports library names by string or by import; a deletion there breaks the traced run only
+    methods = _assigned_literal((BENCH / "spans.py").read_text(), "METHODS")
+    assert methods
+    for layer, cls_name, meth in methods:
+        assert meth in vars(getattr(importlib.import_module(f"bihomalt.{layer}"), cls_name)), (layer, cls_name, meth)
+    assert cohomology.rank_nullspace is exactnum.rank_nullspace
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse((BENCH / "test_bench.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bihomalt"
+        for alias in node.names
+    ]
+    assert len(imported) == 6
+    for module, name in imported:
+        # like the import statement, fall back to a submodule of that name
+        assert hasattr(importlib.import_module(module), name) or importlib.import_module(f"{module}.{name}")
 
 
 def test_fileio_reads_and_writes_rationals_in_one_place():
