@@ -313,23 +313,27 @@ def _index_tuple(pos: int, dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(idx))
 
 
-def _alternative_witness(alg: BiHomAlgebra, order) -> Optional[tuple[int, int, int]]:
-    """The least order(x, y, z) over the basis triples where mu ⋄ mu is non-zero, or None."""
-    tables = _term_tables(alg, alg.mu)
+def _alternative_witness(alg: BiHomAlgebra, right: bool, hit=lambda x, y, z, val: any(val)) -> Optional[tuple[int, int, int]]:
+    """The first basis triple, in lexicographic order, where the left or right law fails at a hit, or None.
+
+    The left law at (x, y, z) is (mu ⋄ mu)(e_x, e_y, e_z), symmetric in (x, y); the right
+    law at (z, x, y), symmetric in its last two inputs, is minus the left law of Aᵒᵖ at
+    (x, y, z).  hit(x, y, z, val) is asked of each pairing value with x ≤ y, an integer
+    vector over the squared table denominator; by default every non-zero value is a hit.
+    """
+    law = opposite(alg) if right else alg
+    tables = _term_tables(law, law.mu)
     if tables is None:
         return None
-    hits = (order(x, y, z) for x, y, z, val in _pairing(alg.dim, tables[2], tables[1]) if any(val))
+    hits = ((z, x, y) if right else (x, y, z) for x, y, z, val in _pairing(law.dim, tables[2], tables[1]) if hit(x, y, z, val))
     return min(hits, default=None)
 
 
 def validate(alg: BiHomAlgebra) -> AlgebraReport:
     """Check commuting twists, multiplicativity, and both alternative identities.
 
-    The left witness is the first (i, j, k) in lexicographic order where
-    (mu ⋄ mu)(e_i, e_j, e_k) ≠ 0; by the (i, j) symmetry it has i ≤ j.  The right
-    law at (i, j, k), symmetric in (j, k), is minus the left law of Aᵒᵖ at
-    (k, j, i), so its witness is the first (i, j, k) with j ≤ k where
-    (mu_op ⋄ mu_op)(e_j, e_k, e_i) ≠ 0.
+    Each witness is the first failing basis tuple in lexicographic order: (i, j, k)
+    with i ≤ j for the left law and with j ≤ k for the right law.
     """
     n, mu = alg.dim, [x for row in alg.mu for cell in row for x in cell]
     found = {
@@ -337,8 +341,8 @@ def validate(alg: BiHomAlgebra) -> AlgebraReport:
         # twist(e_i·e_j) against twist(e_i)·twist(e_j)
         "alpha_multiplicative": _intertwining_witness(mu, (n, n), (alg.alpha, alg.alpha), alg.alpha),
         "beta_multiplicative": _intertwining_witness(mu, (n, n), (alg.beta, alg.beta), alg.beta),
-        "left_alternative": _alternative_witness(alg, lambda x, y, z: (x, y, z)),
-        "right_alternative": _alternative_witness(opposite(alg), lambda x, y, z: (z, x, y)),
+        "left_alternative": _alternative_witness(alg, False),
+        "right_alternative": _alternative_witness(alg, True),
     }
     witnesses = {name: w for name, w in found.items() if w is not None}
     return AlgebraReport(*(w is None for w in found.values()), witnesses)

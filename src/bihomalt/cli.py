@@ -176,16 +176,16 @@ def _cmd_extend(args):
     cochain, target = fileio.load_cochain(args.cocycle)
     if cochain.degree != 2:
         raise InputError(f"{args.cocycle}: extension cocycles must have degree 2")
+    rep = None if args.subverb == "central" else _rep_or_adjoint(alg, args.representation)
+    name, expected = {"central": ("central", "module"), "ttheta": ("T", "module"), "tstar": ("T*", "dual")}[args.subverb]
+    if target != expected:
+        raise InputError(f"{args.cocycle}: {name} extension expects a cocycle with target '{expected}'")
     # a failed extension condition raises MathCheckError, reported by run()
     if args.subverb == "central":
         product = central_extension(alg, cochain.mod_dim, cochain)
     elif args.subverb == "ttheta":
-        rep = _rep_or_adjoint(alg, args.representation)
         product = t_theta_extension(alg, rep, cochain)
     else:
-        rep = _rep_or_adjoint(alg, args.representation)
-        if target != "dual":
-            raise InputError(f"{args.cocycle}: T* extension expects a cocycle with target 'dual'")
         product = t_star_theta_extension(alg, rep, cochain)
     report = validate(product)
     payload = {

@@ -152,11 +152,6 @@ def _residual(defm: TruncatedDeformation, tables: dict, k: int, lowest: int) -> 
     return _pairing_sum(defm.alg.dim, pairs)
 
 
-def order_residual(defm: TruncatedDeformation, k: int) -> Cochain:
-    """sum_{i+j=k} d_i ⋄ d_j; zero iff the order-k deformation equation holds."""
-    return _residual(defm, {}, k, 0)
-
-
 def check_deformation(defm: TruncatedDeformation) -> DeformationReport:
     """Check the deformation equations at every order k = 0 ... m."""
     return _check_orders(defm, {})

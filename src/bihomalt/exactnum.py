@@ -75,10 +75,6 @@ def vector(entries) -> tuple[Fraction, ...]:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def zero_vector(n: int) -> tuple[Fraction, ...]:
-    return (ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(ONE if j == i else ZERO for j in range(n))
 

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from bihomalt.algebra import BiHomAlgebra, yau_twist
+from bihomalt.algebra import BiHomAlgebra, _alternative_witness, _term_tables, opposite, yau_twist
 from bihomalt.exactnum import Matrix
 from bihomalt.representation import Representation, adjoint, semidirect
 
@@ -167,6 +167,27 @@ def product_corpus():
     theta = Cochain(2, 1, 1, (Fraction(1),))
     items.append(("TT(E1)", t_theta_extension(e1, adjoint(e1), theta)))
     return items
+
+
+def cocycle_sector(ext: BiHomAlgebra, n: int, right: bool) -> dict:
+    """The V-output at inputs in A of the left-law pairing of ext = A⊕V, or of opposite(ext) when right.
+
+    A dict {(x, y, z): rational vector} over every triple with x ≤ y, the keys the
+    pairing yields, read through the law helper that the extensions call: its hit
+    filter records each value and accepts none.
+    """
+    law = opposite(ext) if right else ext
+    tables = _term_tables(law, law.mu)
+    m = ext.dim - n
+    values = {(x, y, z): (Fraction(0),) * m for x in range(n) for y in range(x, n) for z in range(n)}
+
+    def record(x, y, z, val):
+        if (x, y, z) in values:
+            values[x, y, z] = tuple(Fraction(v, tables[0] ** 2) for v in val[n:])
+        return False
+
+    assert _alternative_witness(ext, right, record) is None
+    return values
 
 
 # ---------------------------------------------------------------------------

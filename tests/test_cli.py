@@ -198,6 +198,19 @@ def test_extend_tstar_requires_dual_target(files, capsys, tmp_path):
     p.write_text(json.dumps(theta))
     code, report = run_cli(capsys, ["extend", "tstar", files["e1"], str(p)])
     assert code == 2
+    assert report["diagnostics"] == [f"{p}: T* extension expects a cocycle with target 'dual'"]
+
+
+@pytest.mark.parametrize("subverb, name", [("central", "central"), ("ttheta", "T")])
+def test_extend_central_and_ttheta_reject_a_dual_target(files, capsys, tmp_path, subverb, name):
+    # a V*-valued cocycle is not read as a V-valued one
+    theta = {"degree": 2, "alg_dim": 1, "mod_dim": 1, "target": "dual", "tensor": [[["1"]]]}
+    p = tmp_path / "theta.bhc"
+    p.write_text(json.dumps(theta))
+    code, report = run_cli(capsys, ["extend", subverb, files["e1"], str(p)])
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["diagnostics"] == [f"{p}: {name} extension expects a cocycle with target 'module'"]
 
 
 def test_derivations_report(files, capsys):

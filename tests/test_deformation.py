@@ -15,7 +15,6 @@ from bihomalt.deformation import (
     gauge,
     null_deformation,
     obstruction,
-    order_residual,
     trivialize,
 )
 from bihomalt.errors import InputError, PreconditionError
@@ -162,11 +161,13 @@ def test_residuals_share_term_tables_and_equal_the_pointwise_sums():
         terms = [random_compatible_term(alg, rng), Cochain.zero(2, alg.dim, alg.dim), random_compatible_term(alg, rng)]
         defm = TruncatedDeformation(alg, terms)
         expected = []
+        tables = {}  # as check_deformation does, every order reads one table per term
         for k in range(defm.order + 1):
             pieces = [naive_diamond(alg, defm.term(i), defm.term(k - i)) for i in range(k + 1)]
             total = Cochain(3, alg.dim, alg.dim, [sum(vals, Fraction(0)) for vals in zip(*(p.data for p in pieces))])
-            assert order_residual(defm, k) == total
+            assert deformation._residual(defm, tables, k, 0) == total
             expected.append(total.first_nonzero())
+        assert sorted(tables) == list(range(defm.order + 1))
         report = check_deformation(defm)
         assert report.order_ok == tuple(w is None for w in expected)
         assert report.witnesses == {k: w for k, w in enumerate(expected) if w is not None}

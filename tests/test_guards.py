@@ -191,6 +191,18 @@ def test_one_twist_check_and_one_twist_row_builder():
     assert not any(isinstance(node, ast.For) for node in ast.walk(commutation))
 
 
+def test_one_law_pairing_for_validation_and_extensions():
+    # the alternative laws are read off one pairing helper; the extensions read their cocycle conditions
+    # off the laws of the algebra they return, with no coboundary operator and no opposite algebra of their own
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    paired = sorted(name for source in sources.values() for name in _callers(source, "_pairing"))
+    assert paired == ["_alternative_witness", "_pairing_sum"]
+    laws = sorted(name for source in sources.values() for name in _callers(source, "_alternative_witness"))
+    assert laws == ["_witnesses", "_witnesses", "validate", "validate"]
+    forbidden = ("apply_coboundary", "coboundary_operator", "opposite")
+    assert _named_calls(sources["extension.py"], "extension.py", forbidden) == []
+
+
 def _assigned_literal(source: str, name: str):
     """The literal value of a module-level assignment to name."""
     for node in ast.parse(source).body:
