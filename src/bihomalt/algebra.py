@@ -240,12 +240,12 @@ def _term_tables(alg: BiHomAlgebra, tensor):
 
 
 def _pairing(n: int, outer, inner):
-    """Yield (x, y, z, (a ⋄ b)(e_x, e_y, e_z)) for x ≤ y, by z, then x, then y.
+    """Yield (x, y, z, (a ⋄ b)(e_x, e_y, e_z)) for inputs x ≤ y and z below n, by z, then x, then y.
 
     a ⋄ b is symmetric in (x, y).  outer holds the tables of a, inner those of b,
     and each value is an integer vector over d_a·d_b.  a(b(βx,αy), βz) =
     Σ_p b(βx,αy)_p a(e_p, βz) and a(αβx, b(αy,z)) = Σ_q b(αy,z)_q a(αβx, e_q);
-    the tables built for one z are dropped before the next.
+    p and q run over the whole space, and the tables built for one z are dropped before the next.
     """
     a1, a2 = outer
     b1, b2 = inner
@@ -256,7 +256,7 @@ def _pairing(n: int, outer, inner):
 
     sym = {(x, y): [s + t for s, t in zip(b1[x][y], b1[y][x])] for x in ids for y in range(x, n)}
     for z in ids:
-        a1_z = [a1[p][z] for p in ids]
+        a1_z = [row[z] for row in a1]
         second = [[combine(b2[y][z], a2[x]) for y in ids] for x in ids]
         for x in ids:
             for y in range(x, n):
@@ -313,19 +313,23 @@ def _index_tuple(pos: int, dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(idx))
 
 
-def _alternative_witness(alg: BiHomAlgebra, right: bool, hit=lambda x, y, z, val: any(val)) -> Optional[tuple[int, int, int]]:
+def _alternative_witness(
+    alg: BiHomAlgebra, right: bool, hit=lambda x, y, z, val: any(val), inputs: Optional[int] = None
+) -> Optional[tuple[int, int, int]]:
     """The first basis triple, in lexicographic order, where the left or right law fails at a hit, or None.
 
     The left law at (x, y, z) is (mu ⋄ mu)(e_x, e_y, e_z), symmetric in (x, y); the right
     law at (z, x, y), symmetric in its last two inputs, is minus the left law of Aᵒᵖ at
-    (x, y, z).  hit(x, y, z, val) is asked of each pairing value with x ≤ y, an integer
-    vector over the squared table denominator; by default every non-zero value is a hit.
+    (x, y, z).  The inputs run over the first `inputs` basis vectors (by default all), and
+    hit(x, y, z, val) is asked of each pairing value with x ≤ y, an integer vector over the
+    squared table denominator; by default every non-zero value is a hit.
     """
     law = opposite(alg) if right else alg
     tables = _term_tables(law, law.mu)
     if tables is None:
         return None
-    hits = ((z, x, y) if right else (x, y, z) for x, y, z, val in _pairing(law.dim, tables[2], tables[1]) if hit(x, y, z, val))
+    pairs = _pairing(inputs or law.dim, tables[2], tables[1])
+    hits = ((z, x, y) if right else (x, y, z) for x, y, z, val in pairs if hit(x, y, z, val))
     return min(hits, default=None)
 
 

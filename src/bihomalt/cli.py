@@ -5,9 +5,9 @@ One command per invocation; the result is a single JSON report on stdout:
     {"status": "pass" | "fail" | "error", "command": ..., "payload": ..., "diagnostics": [...]}
 
 Exit codes: 0 pass, 1 a mathematical check failed (with witnesses in the
-payload), 2 unreadable input, schema violation or unmet precondition, 3 an
-internal error (a defect in the library, reported as "internal error:
-<Type>: <message>" with no traceback).
+payload), 2 unreadable input, schema violation, unmet precondition or an
+argument the command does not read, 3 an internal error (a defect in the
+library, reported as "internal error: <Type>: <message>" with no traceback).
 Reports carry exact rational strings and no timestamps, so identical inputs
 produce byte-identical output.  A result with an integer longer than the
 interpreter's digit limit for integer-string conversion is reported as an
@@ -209,6 +209,14 @@ def _cmd_derivations(args):
     return "pass", payload, []
 
 
+# the argument each of these commands accepts from its parser but never reads
+_UNREAD = {
+    "rep coadjoint": "representation",
+    "extend central": "representation",
+    "deform check": "--max-order",
+    "deform extend": "--max-order",
+}
+
 _COMMANDS = {
     "validate": _cmd_validate,
     "rep": _cmd_rep,
@@ -224,6 +232,10 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     command = args.verb if not hasattr(args, "subverb") else f"{args.verb} {args.subverb}"
     try:
+        unread = _UNREAD.get(command)
+        value = unread and getattr(args, unread.lstrip("-").replace("-", "_"))
+        if value is not None:
+            raise InputError(f"{command} takes no {unread} argument (got {value})")
         status, payload, diagnostics = _COMMANDS[args.verb](args)
         code = PASS if status == "pass" else FAIL
     except (InputError, PreconditionError) as exc:

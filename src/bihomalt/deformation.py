@@ -11,6 +11,11 @@ where ⋄ is the four-term diamond pairing.  The k = 0 condition is the
 alternativity of mu itself, and since mu ⋄ f + f ⋄ mu is exactly the
 degree-2 coboundary operator with adjoint coefficients, the order-k
 condition reads  delta2(d_k) + sum_{i+j=k, i,j>=1} d_i ⋄ d_j = 0.
+
+Equivalence, gauges and trivialization rest on one series identity,
+phi_t ∘ d_t = d'_t ∘ (phi_t ⊗ phi_t).  Both sides come order by order from
+`_coefficient`, the coefficients of out_t ∘ d_t ∘ (left_t ⊗ right_t) as sums
+of transports; a gauge by id − t^level f takes its inverse from `_inverse`.
 """
 
 from __future__ import annotations
@@ -202,6 +207,32 @@ def extend_one_order(defm: TruncatedDeformation) -> Optional[Cochain]:
     return Cochain(2, alg.dim, alg.dim, space._lift(coeffs))
 
 
+def _coefficient(terms: dict, out: dict, left: dict, right: dict, k: int) -> tuple[int, list]:
+    """The order-k coefficient of out_t ∘ d_t ∘ (left_t ⊗ right_t), as integer numerators over one denominator.
+
+    terms maps an order i to the nested tensor of d_i; out, left and right map an
+    order to a matrix, None standing for the identity.  A missing order is zero.
+    The coefficient is Σ out_o ∘ d_i ∘ (left_p ⊗ right_q) over i + o + p + q = k.
+    """
+    return _table_sum(
+        [
+            transport(t, out[o], left[p], right[k - i - o - p])
+            for i, t in terms.items()
+            for o in out
+            for p in left
+            if k - i - o - p in right
+        ]
+    )
+
+
+def _inverse(f: Matrix, level: int, order: int) -> dict:
+    """(id − t^level f)⁻¹ = Σ_i f^i t^{i·level} through the given order, None standing for f^0."""
+    series, power = {0: None}, f
+    for k in range(level, order + 1, level):
+        series[k], power = power, power * f
+    return series
+
+
 def check_equivalence(
     d: TruncatedDeformation,
     d_prime: TruncatedDeformation,
@@ -210,8 +241,8 @@ def check_equivalence(
 ) -> bool:
     """Whether phi_t carries d_t to d'_t through the given order.
 
-    Order-k condition on basis pairs:
-        sum_{i+j=k} phi_i(d_j(x,y)) = sum_{i+p+q=k} d'_i(phi_p x, phi_q y).
+    Order-k condition, on basis pairs, for k = 0 ... order:
+        the order-k coefficient of phi_t ∘ d_t equals that of d'_t ∘ (phi_t ⊗ phi_t).
     The terms of phi must commute with both twists.
     """
     alg = d.alg
@@ -219,28 +250,16 @@ def check_equivalence(
         raise InputError("deformations live over algebras of different dimensions")
     if phi.order < order:
         raise InputError("isomorphism truncation order is too small")
-    n = alg.dim
-    for t in phi.terms:
-        if t.nrows != n or t.ncols != n:
-            raise InputError("isomorphism term shape does not match the algebra")
-    for t in phi.terms:
-        if not (t.commutes_with(alg.alpha) and t.commutes_with(alg.beta)):
-            return False
-    phis = [None] + [phi.term(i, n) for i in range(1, order + 1)]  # None: the identity
-    lhs_terms = [d.term(j).nested() for j in range(min(d.order, order) + 1)]
-    rhs_terms = [d_prime.term(i).nested() for i in range(min(d_prime.order, order) + 1)]
-    for k in range(order + 1):
-        lhs = _table_sum([transport(t, phis[k - j]) for j, t in enumerate(lhs_terms[: k + 1])])
-        rhs = _table_sum(
-            [
-                transport(t, None, phis[p], phis[k - i - p])
-                for i, t in enumerate(rhs_terms[: k + 1])
-                for p in range(k - i + 1)
-            ]
-        )
-        if _first_difference(lhs, rhs) is not None:
-            return False
-    return True
+    if any((t.nrows, t.ncols) != (alg.dim, alg.dim) for t in phi.terms):
+        raise InputError("isomorphism term shape does not match the algebra")
+    if not all(t.commutes_with(alg.alpha) and t.commutes_with(alg.beta) for t in phi.terms):
+        return False
+    ident, phis = {0: None}, {0: None, **dict(enumerate(phi.terms, start=1))}
+    lhs, rhs = ({i: x.term(i).nested() for i in range(min(x.order, order) + 1)} for x in (d, d_prime))
+    return all(
+        _first_difference(_coefficient(lhs, phis, ident, ident, k), _coefficient(rhs, ident, phis, phis, k)) is None
+        for k in range(order + 1)
+    )
 
 
 def gauge(defm: TruncatedDeformation, f: Matrix, level: int, order: int) -> TruncatedDeformation:
@@ -256,33 +275,12 @@ def gauge(defm: TruncatedDeformation, f: Matrix, level: int, order: int) -> Trun
     if not (f.commutes_with(alg.alpha) and f.commutes_with(alg.beta)):
         raise PreconditionError("gauge generator must commute with both twists")
     padded = defm.padded(max(defm.order, order))
-    tensors = [padded.term(k).nested() for k in range(order + 1)]
-    # composed[m]: the order-m coefficient of d_t ∘ (chi_t ⊗ chi_t), chi_t = id − t^level f
-    chi = ((0, None), (level, f.scale(-1)))
-    composed = [
-        _table_sum(
-            [
-                transport(tensors[m - lo - ro], None, left, right)
-                for lo, left in chi
-                for ro, right in chi
-                if lo + ro <= m
-            ]
-        )
-        for m in range(order + 1)
-    ]
-    powers = [None, f]  # f^i, None standing for the identity
-    while len(powers) * level <= order:
-        powers.append(powers[-1] * f)
+    terms = {k: padded.term(k).nested() for k in range(order + 1)}
+    chi, chi_inv = {0: None, level: f.scale(-1)}, _inverse(f, level, order)
     new_terms = []
     for k in range(1, order + 1):
-        parts = []
-        for i, power in enumerate(powers[: k // level + 1]):
-            den, table = composed[k - i * level]
-            d, moved = transport(table, power)
-            parts.append((den * d, moved))
-        den, total = _table_sum(parts)
-        data = [Fraction(v, den) for row in total for vec in row for v in vec]
-        new_terms.append(Cochain(2, n, n, data))
+        den, total = _coefficient(terms, chi_inv, chi, chi, k)
+        new_terms.append(Cochain(2, n, n, [Fraction(v, den) for row in total for vec in row for v in vec]))
     return TruncatedDeformation(alg, new_terms)
 
 
@@ -297,51 +295,34 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
     if max_order < 1:
         raise PreconditionError("trivialization order must be at least 1")
     alg = defm.alg
-    n_dim = alg.dim
-    report = check_deformation(defm.padded(max(defm.order, max_order)))
+    n = alg.dim
+    current = defm.padded(max(defm.order, max_order))
+    report = check_deformation(current)
     if not report.ok_through(max_order):
         bad = next(k for k, ok in enumerate(report.order_ok) if not ok)
         raise PreconditionError(f"deformation equations fail at order {bad}")
-    current = defm.padded(max(defm.order, max_order))
     rep = adjoint(alg)
     c1 = cochain_space(alg, rep, 1)
     d1_rows = delta_rows_on_basis(alg, rep, 1, c1)
-    total = {0: Matrix.identity(n_dim)}  # composed map original -> current, by order
-    while True:
-        level = next((k for k in range(1, max_order + 1) if not current.term(k).is_zero()), None)
-        if level is None:
-            break
-        target = current.term(level).data
-        coeffs = solve_sparse_rows(d1_rows, target, c1.dim)
+    total = {0: Matrix.identity(n)}  # composed map original -> current, by order
+    for level in range(1, max_order + 1):
+        if current.term(level).is_zero():
+            continue
+        coeffs = solve_sparse_rows(d1_rows, current.term(level).data, c1.dim)
         if coeffs is None:
             return None
-        f_cochain = Cochain(1, n_dim, n_dim, c1._lift(coeffs))
-        f_mat = Matrix([[f_cochain.value(j)[i] for j in range(n_dim)] for i in range(n_dim)])
-        current = gauge(current, f_mat, level, max_order)
+        lifted = c1._lift(coeffs)  # f(e_j)_i sits at j·n + i
+        f = Matrix([[lifted[j * n + i] for j in range(n)] for i in range(n)])
+        current = gauge(current, f, level, max_order)
         if not current.term(level).is_zero():
             raise InternalError(f"gauging did not clear the order-{level} term")
-        # step map old -> new is chi^{-1} = sum_i f^i t^{i·level}
-        step = {}
-        power = Matrix.identity(n_dim)
-        i = 0
-        while i * level <= max_order:
-            step[i * level] = power
-            power = power * f_mat
-            i += 1
+        # the step map old -> new is chi^{-1}
+        step = {**_inverse(f, level, max_order), 0: Matrix.identity(n)}
         total = {
-            k: _sum_matrices(
-                [step[a] * total[b] for a in step for b in total if a + b == k], n_dim
-            )
+            k: sum((step[a] * total[k - a] for a in step if k - a in total), Matrix.zero(n, n))
             for k in range(max_order + 1)
         }
-    return FormalIsomorphism(tuple(total.get(k, Matrix.zero(n_dim, n_dim)) for k in range(1, max_order + 1)))
-
-
-def _sum_matrices(mats, dim):
-    acc = Matrix.zero(dim, dim)
-    for m in mats:
-        acc = acc + m
-    return acc
+    return FormalIsomorphism(tuple(total.get(k, Matrix.zero(n, n)) for k in range(1, max_order + 1)))
 
 
 def null_deformation(alg: BiHomAlgebra) -> TruncatedDeformation:

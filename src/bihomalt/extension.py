@@ -91,11 +91,11 @@ def _witnesses(alg: BiHomAlgebra, rep: Representation, theta: Cochain, ext: BiHo
     yield "psi", w_psi
     n = alg.dim
 
-    def cocycle(x, y, z, val):  # the V-output at inputs in A
-        return max(x, y, z) < n and any(val[n:])
+    def cocycle(x, y, z, val):  # the V-output; the pairing reads inputs in A only
+        return any(val[n:])
 
-    yield "left", _alternative_witness(ext, False, cocycle)
-    yield "right", _alternative_witness(ext, True, cocycle)
+    yield "left", _alternative_witness(ext, False, cocycle, n)
+    yield "right", _alternative_witness(ext, True, cocycle, n)
 
 
 def _checked_extension(alg: BiHomAlgebra, rep: Representation, theta, conditions) -> BiHomAlgebra:

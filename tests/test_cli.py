@@ -213,6 +213,25 @@ def test_extend_central_and_ttheta_reject_a_dual_target(files, capsys, tmp_path,
     assert report["diagnostics"] == [f"{p}: {name} extension expects a cocycle with target 'module'"]
 
 
+@pytest.mark.parametrize(
+    "argv, diagnostic",
+    [
+        (["extend", "central", "data/e1.bha", "data/e1_theta.bhc", "/nonexistent.bhr"], "representation"),
+        (["rep", "coadjoint", "data/d2.bha", "/nonexistent.bhr"], "representation"),
+        (["deform", "check", "data/e1_deformation.bhd", "--max-order", "3"], "--max-order"),
+        (["deform", "extend", "data/e1_deformation.bhd", "--max-order", "3"], "--max-order"),
+    ],
+    ids=["extend-central", "rep-coadjoint", "deform-check", "deform-extend"],
+)
+def test_an_argument_the_command_does_not_read_exit2(capsys, monkeypatch, argv, diagnostic):
+    # each of these used to pass and ignore the argument, even a file that does not exist
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    code, report = run_cli(capsys, argv)
+    assert code == 2 and report["status"] == "error" and report["payload"] == {}
+    command = " ".join(argv[:2])
+    assert report["diagnostics"] == [f"{command} takes no {diagnostic} argument (got {argv[-1]})"]
+
+
 def test_derivations_report(files, capsys):
     code, report = run_cli(capsys, ["derivations", "--kind", "der", "--k", "0", "--l", "0", files["d2"]])
     assert code == 0

@@ -353,6 +353,17 @@ def test_gauge_preserves_validity_and_equivalence():
     assert check_equivalence(d, gauged, phi, 2)
 
 
+def test_check_equivalence_reads_phi_through_the_order_only():
+    # terms of phi beyond the order take no part in the order-k conditions
+    e1 = make_e1()
+    d = TruncatedDeformation(e1, [scalar_term(3), scalar_term(-2)])
+    f = Matrix([[Fraction(2)]])
+    gauged = gauge(d, f, 1, 2)
+    assert check_equivalence(d, gauged, FormalIsomorphism((f, f * f, f * f * f, Matrix([[Fraction(-7, 3)]]))), 2)
+    assert check_equivalence(d, gauged, FormalIsomorphism((f, f * f, Matrix([[5]]))), 2)
+    assert not check_equivalence(d, gauged, FormalIsomorphism((f, f, f * f)), 2)
+
+
 def test_trivialize_null_is_identity(d2):
     iso = trivialize(null_deformation(d2), 3)
     assert iso is not None
@@ -436,12 +447,19 @@ def _random_integer_matrix(rng, n):
 
 
 def _gauge_cases():
-    """(deformation, generator, level, order): H at levels 1–3 and order 8, twisted O at order 4."""
+    """(deformation, generator, level, order): H at levels 1–3 and order 8, twisted O at order 4.
+
+    Between them, the series edge cases on H: level above the order, level equal to
+    the order, an order below that of the deformation, and a rational generator at level 3.
+    """
     rng = Random(97)
     h = make_quaternions()
     h_defm = gauge(null_deformation(h), _random_integer_matrix(rng, 4), 1, 8)
     cases = [(h_defm, _random_integer_matrix(rng, 4), level, 8) for level in (1, 2, 3)]
     cases.append((h_defm, Matrix([[Fraction(1, 2) * (i + j) for j in range(4)] for i in range(4)]), 2, 8))
+    edge = Random(98)  # its own stream, so the twisted-O case draws as before
+    cases += [(h_defm, _random_integer_matrix(edge, 4), level, order) for level, order in ((9, 8), (8, 8), (1, 5), (2, 3))]
+    cases.append((h_defm, Matrix([[Fraction(i - 2 * j, 3) for j in range(4)] for i in range(4)]), 3, 8))
     to = make_twisted_octonions()
     to_defm = gauge(null_deformation(to), _twist_commuting_generator(rng), 1, 4)
     cases.append((to_defm, _twist_commuting_generator(rng), 1, 4))

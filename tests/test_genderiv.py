@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 import bihomalt.genderiv as genderiv
-from bihomalt.cohomology import cochain_space
+from bihomalt.algebra import BiHomAlgebra
+from bihomalt.cohomology import cochain_space, delta_rows_on_basis
 from bihomalt.errors import InputError, InternalError, PreconditionError
-from bihomalt.exactnum import Matrix, Subspace
+from bihomalt.exactnum import Matrix, Subspace, nullspace_of_sparse_rows
 from bihomalt.genderiv import (
     OperatorSpace,
     bracket,
@@ -26,6 +27,7 @@ from bihomalt.representation import adjoint
 from random import Random
 
 from conftest import (
+    argument_twisted_adjoint,
     base_corpus,
     change_basis,
     make_d2,
@@ -450,3 +452,58 @@ def test_the_commutant_is_the_space_of_degree1_adjoint_cochains(alg):
     u = Subspace(n * n, [tuple(e for row in x.transpose().rows for e in row) for x in commutant(alg).basis])
     c1 = cochain_space(alg, adjoint(alg), 1)
     assert u.dim == c1.dim and u.contains(c1) and c1.contains(u)
+
+
+# -- Der_(k,l) against the degree-1 cocycles of the W-twisted adjoint ------------------------
+
+
+CYCLE_EXPONENTS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, -1), (-1, 0)]
+
+
+def _flattened(space: OperatorSpace) -> Subspace:
+    """The operator space in cochain coordinates: X[c][i] is the coordinate f(e_i)_c."""
+    n = space.alg_dim
+    return Subspace(n * n, [tuple(e for row in x.transpose().rows for e in row) for x in space.basis])
+
+
+def _cocycles1(alg, rep) -> Subspace:
+    """Z¹(A, rep): the kernel of δ1 on the twist-compatible degree-1 cochains, in cochain coordinates."""
+    c1 = cochain_space(alg, rep, 1)
+    kernel = nullspace_of_sparse_rows(delta_rows_on_basis(alg, rep, 1, c1).values(), c1.dim)
+    return Subspace(c1.ambient_dim, [c1._lift(v) for v in kernel.basis])
+
+
+def _same(a: Subspace, b: Subspace) -> bool:
+    return a.dim == b.dim and a.contains(b) and b.contains(a)
+
+
+def _random_diagonal_twist_algebra(rng: Random) -> BiHomAlgebra:
+    """A 2- or 3-dimensional product of sparse small integers with invertible diagonal twists."""
+    n = rng.choice([2, 3])
+    alpha = Matrix.diagonal([rng.choice([1, -1, 2]) for _ in range(n)])
+    beta = Matrix.diagonal([rng.choice([1, -1, 3]) for _ in range(n)])
+    mu = [[[rng.choice([-1, 1, 2]) if rng.random() < 0.35 else 0 for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return BiHomAlgebra(n, mu, alpha, beta)
+
+
+def _cycle_cases():
+    random = [(f"random-{seed}", _random_diagonal_twist_algebra(Random(seed))) for seed in range(18)]
+    return base_corpus() + [("twisted-O", make_twisted_octonions())] + random
+
+
+@pytest.mark.parametrize("alg", [a for _, a in _cycle_cases()], ids=[name for name, _ in _cycle_cases()])
+def test_derivations_are_the_degree1_cocycles_of_the_w_twisted_adjoint(alg):
+    # with l(x) = L_{Wx} and r(y) = R_{Wy}, δ1 f = 0 reads f(xy) = f(x)W(y) + W(x)f(y), W = α^k β^l
+    for k, l in CYCLE_EXPONENTS:
+        assert _same(_cocycles1(alg, argument_twisted_adjoint(alg, k, l)), _flattened(derivation_space(alg, k, l))), (k, l)
+
+
+def test_the_plain_adjoint_gives_the_untwisted_derivations_only():
+    # ad = ad_W at W = id; at other exponents Z¹(A, ad) misses Der_(k,l) on some random products
+    missed = set()
+    for seed in range(18):
+        alg = _random_diagonal_twist_algebra(Random(seed))
+        z1 = _cocycles1(alg, adjoint(alg))
+        assert _same(z1, _flattened(derivation_space(alg, 0, 0)))
+        missed |= {(seed, k, l) for k, l in CYCLE_EXPONENTS if not _same(z1, _flattened(derivation_space(alg, k, l)))}
+    assert missed == {(3, -1, 0), (6, 1, 0), (6, 1, 1), (6, -1, 0), (8, 1, 0), (8, 1, 1), (8, -1, 0), (14, -1, 0)}

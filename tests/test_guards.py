@@ -203,6 +203,17 @@ def test_one_law_pairing_for_validation_and_extensions():
     assert _named_calls(sources["extension.py"], "extension.py", forbidden) == []
 
 
+def test_one_series_coefficient_for_gauge_equivalence_and_trivialization():
+    # phi_t ∘ d_t = d'_t ∘ (phi_t ⊗ phi_t) is read off one coefficient helper, and (id − t^level f)⁻¹ off one
+    # inverse series; neither the gauge nor the trivialization runs a series loop of its own
+    source = (SRC / "deformation.py").read_text()
+    assert _callers(source, "transport") == ["_coefficient"]
+    assert _callers(source, "_table_sum") == ["_coefficient"]
+    assert sorted(_callers(source, "_inverse")) == ["gauge", "trivialize"]
+    for name in ("gauge", "trivialize"):
+        assert not any(isinstance(node, ast.While) for node in ast.walk(ast.parse(_function_source(source, name))))
+
+
 def _assigned_literal(source: str, name: str):
     """The literal value of a module-level assignment to name."""
     for node in ast.parse(source).body:
