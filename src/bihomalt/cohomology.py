@@ -32,7 +32,7 @@ from .exactnum import (
     unit_vector,
     vector,
 )
-from .representation import Representation, validate_representation
+from .representation import Representation, _require_module_over, validate_representation
 
 ZERO = Fraction(0)
 
@@ -72,17 +72,6 @@ class Cochain:
     def zero(degree: int, alg_dim: int, mod_dim: int) -> "Cochain":
         return Cochain(degree, alg_dim, mod_dim, (ZERO,) * (mod_dim * alg_dim**degree))
 
-    @staticmethod
-    def from_function(degree: int, alg_dim: int, mod_dim: int, fn: Callable) -> "Cochain":
-        """Tabulate fn(basis index tuple) -> V-vector into the flat layout."""
-        data = []
-        for idx in itertools.product(range(alg_dim), repeat=degree):
-            val = fn(*idx)
-            if len(val) != mod_dim:
-                raise InputError("cochain function returned a vector of the wrong length")
-            data.extend(val)
-        return Cochain(degree, alg_dim, mod_dim, data)
-
     def _offset(self, idx: Sequence[int]) -> int:
         flat = 0
         for i in idx:
@@ -95,27 +84,6 @@ class Cochain:
             raise InputError("index tuple length must equal the degree")
         off = self._offset(idx)
         return self.data[off : off + self.mod_dim]
-
-    def evaluate(self, *args: Sequence) -> tuple[Fraction, ...]:
-        """Multilinear extension to arbitrary coordinate vectors."""
-        if len(args) != self.degree:
-            raise InputError("argument count must equal the degree")
-        supports = []
-        for a in args:
-            if len(a) != self.alg_dim:
-                raise InputError("argument length does not match the algebra dimension")
-            supports.append(support(a))
-        acc = [ZERO] * self.mod_dim
-        for combo in itertools.product(*supports):
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
-            off = self._offset([i for i, _ in combo])
-            for k in range(self.mod_dim):
-                v = self.data[off + k]
-                if v != 0:
-                    acc[k] += coeff * v
-        return tuple(acc)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.data)
@@ -235,6 +203,7 @@ def cochain_space(alg: BiHomAlgebra, rep: Representation, degree: int) -> Subspa
     """Basis of the twist-compatible n-linear maps inside the full coordinate space."""
     if degree not in (1, 2, 3):
         raise InputError("cochain spaces are built for degrees 1, 2, 3")
+    _require_module_over(alg, rep)
     pairs = ((alg.alpha, rep.phi), (alg.beta, rep.psi))
     rows = [row for twist_in, twist_out in pairs for _, _, row in _twist_rows(degree, twist_in, twist_out)]
     return nullspace_of_sparse_rows(rows, rep.mod_dim * alg.dim**degree)
@@ -353,6 +322,7 @@ def coboundary_operator(
     """
     if degree not in (1, 2, 3):
         raise InputError("coboundary operators exist for degrees 1, 2, 3")
+    _require_module_over(alg, rep)
     n, m = alg.dim, rep.mod_dim
     d, terms = _delta_terms(alg, rep, degree)
     den = d ** (degree + 1)

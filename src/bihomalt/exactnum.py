@@ -459,10 +459,6 @@ class Subspace:
         cols = _sparse_rows(vecs)
         return Subspace._of(ambient_dim, [cols[i] for i in _independent(cols, ambient_dim)])
 
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace._of(ambient_dim, [{i: ONE} for i in range(ambient_dim)])
-
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """The basis vectors as dense tuples of Fractions."""
@@ -487,9 +483,6 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise InputError("vector length does not match ambient dimension")
         return solve_sparse_rows(_transpose(enumerate(self.columns)), v, self.dim)
-
-    def contains_vector(self, v: Sequence) -> bool:
-        return self.coefficients_of(v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)

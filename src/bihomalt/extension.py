@@ -111,8 +111,6 @@ def _checked_extension(alg: BiHomAlgebra, rep: Representation, theta, conditions
 
 def t_theta_extension(alg: BiHomAlgebra, rep: Representation, theta) -> BiHomAlgebra:
     """(x+u)∘(y+v) = x·y + l(x)v + r(y)u + theta(x,y) on A⊕V, twists alpha+phi, beta+psi."""
-    if rep.alg_dim != alg.dim:
-        raise InputError("representation does not match the algebra")
     if not validate_representation(alg, rep).ok:
         raise PreconditionError("coefficients are not a valid representation")
     return _checked_extension(alg, rep, theta, _T_THETA_CONDITIONS)

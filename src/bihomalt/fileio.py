@@ -154,16 +154,6 @@ def parse_cochain(obj: Any, path: str = "cochain") -> tuple[Cochain, str]:
     return Cochain.from_nested(degree, n, m, tensor), target
 
 
-def cochain_to_json(cochain: Cochain, target: str = "module") -> dict:
-    return {
-        "degree": cochain.degree,
-        "alg_dim": cochain.alg_dim,
-        "mod_dim": cochain.mod_dim,
-        "target": target,
-        "tensor": _literals(cochain.nested()),
-    }
-
-
 def parse_deformation(obj: Any, path: str = "deformation") -> TruncatedDeformation:
     obj = _expect_dict(obj, path)
     for key in ("algebra", "terms"):

@@ -16,11 +16,11 @@ is what makes V* a representation with no extra hypotheses.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .algebra import _NO_WITNESSES, BiHomAlgebra, _common_denominator, _intertwining_witness, _lincomb, _report_dict, transport
 from .errors import InputError, PreconditionError
-from .exactnum import Matrix, support
+from .exactnum import Matrix
 
 ZERO = Fraction(0)
 
@@ -61,25 +61,11 @@ class Representation:
     def __repr__(self):
         return f"Representation(alg_dim={self.alg_dim}, mod_dim={self.mod_dim})"
 
-    def left_at(self, x: Sequence) -> Matrix:
-        """Matrix of the left action at an algebra vector x."""
-        return _combine(self.l, x, self.mod_dim)
 
-    def right_at(self, x: Sequence) -> Matrix:
-        return _combine(self.r, x, self.mod_dim)
-
-
-def _combine(mats, x, mod_dim) -> Matrix:
-    rows = [[ZERO] * mod_dim for _ in range(mod_dim)]
-    for p, c in support(x):
-        m = mats[p]
-        for i in range(mod_dim):
-            mrow = m.rows[i]
-            row = rows[i]
-            for j in range(mod_dim):
-                if mrow[j] != 0:
-                    row[j] += c * mrow[j]
-    return Matrix(rows)
+def _require_module_over(alg: BiHomAlgebra, rep: Representation):
+    """InputError unless rep acts by one matrix per basis vector of alg."""
+    if rep.alg_dim != alg.dim:
+        raise InputError(f"representation is over an algebra of dimension {rep.alg_dim}, not {alg.dim}")
 
 
 class RepresentationReport(NamedTuple):
@@ -115,6 +101,11 @@ def _at(coeffs, table) -> list:
     return [_lincomb(nonzero, col) for col in zip(*table)]
 
 
+def _action_tensors(rep: Representation) -> tuple[list, list]:
+    """λ(e_p, v) = l[p]v and ρ(e_p, v) = r[p]v as bilinear tensors, [p][v] holding the vector."""
+    return tuple([list(zip(*m.rows)) for m in acts] for acts in (rep.l, rep.r))
+
+
 def _add(a, b) -> list:
     return [[s + t for s, t in zip(u, v)] for u, v in zip(a, b)]
 
@@ -136,12 +127,11 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
     relation, (i, j) with i ≤ j for the square axioms and any (i, j) for the
     exchange axioms.
     """
-    if rep.alg_dim != alg.dim:
-        raise InputError("representation algebra dimension does not match the algebra")
+    _require_module_over(alg, rep)
     n = alg.dim
     a, b, phi, psi = alg.alpha, alg.beta, rep.phi, rep.psi
     ab, phipsi = a * b, phi * psi
-    lam, rho = ([list(zip(*m.rows)) for m in acts] for acts in (rep.l, rep.r))
+    lam, rho = _action_tensors(rep)
 
     def intertwining(action, twist_in, twist_out):
         # twist_out·action(e_i) against action(twist_in e_i)·twist_out, on each (e_i, e_v)
@@ -219,8 +209,7 @@ def block_sum(alg: BiHomAlgebra, rep: Representation, theta=None) -> BiHomAlgebr
     zero.  Semidirect products, central and T_theta extensions are all this
     algebra; no condition is checked here.
     """
-    if rep.alg_dim != alg.dim:
-        raise InputError("representation does not match the algebra")
+    _require_module_over(alg, rep)
     n, m = alg.dim, rep.mod_dim
     total = n + m
     mu = [[[ZERO] * total for _ in range(total)] for _ in range(total)]
@@ -266,37 +255,35 @@ class RegularRepresentation(NamedTuple):
             raise PreconditionError(f"dual construction needs invertible twists: {exc}") from exc
 
 
-def _as_regular(alg: BiHomAlgebra, rep) -> RegularRepresentation:
-    if isinstance(rep, RegularRepresentation):
-        return rep
-    return RegularRepresentation.wrap(alg, rep)
-
-
 def dual(alg: BiHomAlgebra, rep) -> Representation:
     """The dual representation on V* in dual-basis coordinates.
 
     Left action at x: transpose of r(alpha^2 beta^{-1} x) followed by the
     transposed twist correction (phi psi)^{-1}; right action likewise from
     l(alpha^{-1} beta^2 x).  Twists are the transposed inverses of phi, psi.
+    Row v of the new left action at e_i is (phi psi)^{-1} ρ(alpha^2 beta^{-1} e_i, e_v),
+    so each new action is read off one `transport` of the other action tensor.
 
     dual(alg, dual(alg, rep)) returns the original actions and twists: the two
     argument corrections multiply to alpha beta, so the double dual acts by
     (phi psi)^{-1} l(alpha beta x) (phi psi), which the intertwining relations
     reduce to l(x) (and likewise for r).
     """
-    reg = _as_regular(alg, rep)
+    reg = rep if isinstance(rep, RegularRepresentation) else RegularRepresentation.wrap(alg, rep)
     inner = reg.inner
-    n = inner.alg_dim
-    w_left = alg.alpha.power(2) * reg.beta_inv   # argument correction for the new left action
-    w_right = reg.alpha_inv * alg.beta.power(2)  # and for the new right action
-    corr = (reg.phi_inv * reg.psi_inv).transpose()
-    new_l = [inner.right_at(w_left.column(i)).transpose() * corr for i in range(n)]
-    new_r = [inner.left_at(w_right.column(i)).transpose() * corr for i in range(n)]
+    _require_module_over(alg, inner)
+    corr = reg.phi_inv * reg.psi_inv
+    lam, rho = _action_tensors(inner)
+
+    def transposed(action, w):
+        d, table = transport(action, corr, w)
+        return [Matrix([[Fraction(x, d) for x in vec] for vec in row]) for row in table]
+
     return Representation(
-        n,
+        alg.dim,
         inner.mod_dim,
-        new_l,
-        new_r,
+        transposed(rho, alg.alpha.power(2) * reg.beta_inv),
+        transposed(lam, reg.alpha_inv * alg.beta.power(2)),
         reg.phi_inv.transpose(),
         reg.psi_inv.transpose(),
     )

@@ -17,6 +17,8 @@ from bihomalt.algebra import BiHomAlgebra, _alternative_witness, _term_tables, o
 from bihomalt.exactnum import Matrix
 from bihomalt.representation import Representation, adjoint, semidirect
 
+from oracle_naive import action_at
+
 
 def zero_bilinear(n: int) -> list:
     """The zero product on an n-dimensional space as an [i][j][k] table."""
@@ -275,17 +277,9 @@ def argument_twisted_adjoint(alg: BiHomAlgebra, a_pow: int, b_pow: int) -> Repre
     """Adjoint with both actions precomposed with alpha^a beta^b; stays a representation."""
     base = adjoint(alg)
     sigma = alg.alpha.power(a_pow) * alg.beta.power(b_pow)
-    lmats = [_action_at(base.l, sigma.column(i)) for i in range(alg.dim)]
-    rmats = [_action_at(base.r, sigma.column(i)) for i in range(alg.dim)]
+    lmats = [action_at(base.l, sigma.column(i)) for i in range(alg.dim)]
+    rmats = [action_at(base.r, sigma.column(i)) for i in range(alg.dim)]
     return Representation(alg.dim, alg.dim, lmats, rmats, base.phi, base.psi)
-
-
-def _action_at(mats, vec):
-    acc = Matrix.zero(mats[0].nrows, mats[0].ncols)
-    for p, c in enumerate(vec):
-        if c != 0:
-            acc = acc + mats[p].scale(c)
-    return acc
 
 
 def trivial_representation(rng: Random, alg_dim: int, mod_dim: int) -> Representation:

@@ -8,6 +8,39 @@ bases and operator evaluation are never reused on the oracle side.
 
 import itertools
 from fractions import Fraction
+from math import prod
+
+
+def action_at(mats, x):
+    """Σ_p x_p mats[p]: an action, one matrix per algebra basis vector, at the algebra vector x."""
+    from bihomalt.exactnum import Matrix
+
+    acc = [[Fraction(0)] * mats[0].ncols for _ in range(mats[0].nrows)]
+    for p, c in enumerate(x):
+        if c != 0:
+            for row, mrow in zip(acc, mats[p].rows):
+                for j, v in enumerate(mrow):
+                    if v != 0:
+                        row[j] += c * v
+    return Matrix(acc)
+
+
+def evaluate(cochain, *args):
+    """The multilinear extension of a cochain to coordinate vectors, one basis tuple at a time."""
+    supports = [[(i, c) for i, c in enumerate(a) if c != 0] for a in args]
+    acc = [Fraction(0)] * cochain.mod_dim
+    for combo in itertools.product(*supports):
+        coeff = prod(c for _, c in combo)
+        acc = [s + coeff * v for s, v in zip(acc, cochain.value(*(i for i, _ in combo)))]
+    return tuple(acc)
+
+
+def from_function(degree, alg_dim, mod_dim, fn):
+    """The cochain whose value at each basis index tuple is fn(*index), tabulated in the flat layout."""
+    from bihomalt.cohomology import Cochain
+
+    data = [x for idx in itertools.product(range(alg_dim), repeat=degree) for x in fn(*idx)]
+    return Cochain(degree, alg_dim, mod_dim, data)
 
 
 def dense_rref(rows, ncols):
@@ -97,8 +130,6 @@ def naive_diamond(alg, a, b):
     a ⋄ b (x,y,z) = a(b(βx,αy), βz) − a(αβx, b(αy,z))
                   + a(b(βy,αx), βz) − a(αβy, b(αx,z))
     """
-    from bihomalt.cohomology import Cochain
-
     n = alg.dim
     acols = [alg.alpha.column(i) for i in range(n)]
     bcols = [alg.beta.column(i) for i in range(n)]
@@ -109,14 +140,14 @@ def naive_diamond(alg, a, b):
         total = [Fraction(0)] * n
         for x, y in ((i, j), (j, i)):
             for sign, val in (
-                (1, a.evaluate(b.evaluate(bcols[x], acols[y]), bcols[k])),
-                (-1, a.evaluate(abcols[x], b.evaluate(acols[y], units[k]))),
+                (1, evaluate(a, evaluate(b, bcols[x], acols[y]), bcols[k])),
+                (-1, evaluate(a, abcols[x], evaluate(b, acols[y], units[k]))),
             ):
                 for c in range(n):
                     total[c] += sign * val[c]
         return tuple(total)
 
-    return Cochain.from_function(3, n, n, at)
+    return from_function(3, n, n, at)
 
 
 def naive_alternative_witnesses(alg):
@@ -178,12 +209,12 @@ def naive_gauge(defm, f, level, order):
                     chi_right = chi.get(k - inv_ord - term_ord - left_ord)
                     if chi_right is None:
                         continue
-                    piece = Cochain.from_function(
+                    piece = from_function(
                         2,
                         n,
                         n,
                         lambda i_, j_: inv_mat.apply(
-                            term.evaluate(chi_left.column(i_), chi_right.column(j_))
+                            evaluate(term, chi_left.column(i_), chi_right.column(j_))
                         ),
                     )
                     acc = [x + y for x, y in zip(acc, piece.data)]
@@ -193,8 +224,6 @@ def naive_gauge(defm, f, level, order):
 
 def naive_right_cocycle_residual(alg, rep, theta):
     """The eight-term right condition on theta, point by point, symmetrized in (y, z)."""
-    from bihomalt.cohomology import Cochain
-
     n = alg.dim
     acols = [alg.alpha.column(i) for i in range(n)]
     bcols = [alg.beta.column(i) for i in range(n)]
@@ -205,17 +234,17 @@ def naive_right_cocycle_residual(alg, rep, theta):
         acc = [Fraction(0)] * rep.mod_dim
         for y, z in ((j, k), (k, j)):
             pieces = (
-                (1, theta.evaluate(alg.product(units[i], bcols[y]), abcols[z])),
-                (1, rep.right_at(abcols[z]).apply(theta.evaluate(units[i], bcols[y]))),
-                (-1, theta.evaluate(acols[i], alg.product(bcols[y], acols[z]))),
-                (-1, rep.left_at(acols[i]).apply(theta.evaluate(bcols[y], acols[z]))),
+                (1, evaluate(theta, alg.product(units[i], bcols[y]), abcols[z])),
+                (1, action_at(rep.r, abcols[z]).apply(evaluate(theta, units[i], bcols[y]))),
+                (-1, evaluate(theta, acols[i], alg.product(bcols[y], acols[z]))),
+                (-1, action_at(rep.l, acols[i]).apply(evaluate(theta, bcols[y], acols[z]))),
             )
             for sign, val in pieces:
                 for c in range(rep.mod_dim):
                     acc[c] += sign * val[c]
         return tuple(acc)
 
-    return Cochain.from_function(3, n, rep.mod_dim, at)
+    return from_function(3, n, rep.mod_dim, at)
 
 
 def dense_nullity(rows, ncols):
@@ -330,10 +359,10 @@ def naive_delta_rows(alg, rep, degree):
     rows = []
 
     def left(vec, sv):
-        return matrix_apply_symbolic(rep.left_at(vec).rows, sv)
+        return matrix_apply_symbolic(action_at(rep.l, vec).rows, sv)
 
     def right(vec, sv):
-        return matrix_apply_symbolic(rep.right_at(vec).rows, sv)
+        return matrix_apply_symbolic(action_at(rep.r, vec).rows, sv)
 
     if degree == 1:
         for i in range(n):
@@ -402,7 +431,7 @@ def naive_complex_dims(alg, rep, degree):
 def naive_representation_report(alg, rep):
     """The representation axioms checked point by point with rational matrices, in the as_dict layout.
 
-    Each action is formed at a vector through left_at/right_at and the axioms
+    Each action is formed at a vector through action_at and the axioms
     are compared as matrix products; witnesses are the first failing index in
     lexicographic order ((i,) for an intertwining relation, (i, j) with i ≤ j
     for the square axioms, any (i, j) for the exchange axioms).
@@ -414,6 +443,12 @@ def naive_representation_report(alg, rep):
     basis = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
     phipsi = rep.phi * rep.psi
 
+    def left(x):
+        return action_at(rep.l, x)
+
+    def right(x):
+        return action_at(rep.r, x)
+
     def first(pairs, fails):
         return next((list(p) for p in pairs if fails(*p)), None)
 
@@ -422,17 +457,17 @@ def naive_representation_report(alg, rep):
     every = [(i, j) for i in range(n) for j in range(n)]
 
     def left_square(i, j):
-        return rep.left_at(alg.product(bcols[i], acols[j])) * rep.psi - rep.left_at(abcols[i]) * rep.left_at(acols[j])
+        return left(alg.product(bcols[i], acols[j])) * rep.psi - left(abcols[i]) * left(acols[j])
 
     def right_square(i, j):
-        return rep.right_at(alg.product(bcols[i], acols[j])) * rep.phi - rep.right_at(abcols[i]) * rep.right_at(bcols[j])
+        return right(alg.product(bcols[i], acols[j])) * rep.phi - right(abcols[i]) * right(bcols[j])
 
     found = {
         "commuting": None if rep.phi * rep.psi == rep.psi * rep.phi else [],
-        "phi_left": first(units, lambda i: rep.phi * rep.l[i] != rep.left_at(acols[i]) * rep.phi),
-        "phi_right": first(units, lambda i: rep.phi * rep.r[i] != rep.right_at(acols[i]) * rep.phi),
-        "psi_left": first(units, lambda i: rep.psi * rep.l[i] != rep.left_at(bcols[i]) * rep.psi),
-        "psi_right": first(units, lambda i: rep.psi * rep.r[i] != rep.right_at(bcols[i]) * rep.psi),
+        "phi_left": first(units, lambda i: rep.phi * rep.l[i] != left(acols[i]) * rep.phi),
+        "phi_right": first(units, lambda i: rep.phi * rep.r[i] != right(acols[i]) * rep.phi),
+        "psi_left": first(units, lambda i: rep.psi * rep.l[i] != left(bcols[i]) * rep.psi),
+        "psi_right": first(units, lambda i: rep.psi * rep.r[i] != right(bcols[i]) * rep.psi),
         # l(beta(x)·alpha(x))psi = l(alpha beta(x)) l(alpha(x)), polarized over pairs
         "left_square": first(upper, lambda i, j: not (left_square(i, j) + left_square(j, i)).is_zero()),
         # r(beta(x)·alpha(x))phi = r(alpha beta(x)) r(beta(x)), polarized over pairs
@@ -440,18 +475,18 @@ def naive_representation_report(alg, rep):
         # r(beta(y)) l(beta(x)) phi − l(alpha beta(x)) r(y) phi = r(alpha(x)·y) phi psi − r(beta(y)) r(alpha(x)) psi
         "right_exchange": first(
             every,
-            lambda i, j: rep.right_at(bcols[j]) * rep.left_at(bcols[i]) * rep.phi
-            - rep.left_at(abcols[i]) * rep.right_at(basis[j]) * rep.phi
-            != rep.right_at(alg.product(acols[i], basis[j])) * phipsi
-            - rep.right_at(bcols[j]) * rep.right_at(acols[i]) * rep.psi,
+            lambda i, j: right(bcols[j]) * left(bcols[i]) * rep.phi
+            - left(abcols[i]) * right(basis[j]) * rep.phi
+            != right(alg.product(acols[i], basis[j])) * phipsi
+            - right(bcols[j]) * right(acols[i]) * rep.psi,
         ),
         # l(alpha(y)) r(alpha(x)) psi − r(alpha beta(x)) l(y) psi = l(y·beta(x)) phi psi − l(alpha(y)) l(beta(x)) phi
         "left_exchange": first(
             every,
-            lambda i, j: rep.left_at(acols[j]) * rep.right_at(acols[i]) * rep.psi
-            - rep.right_at(abcols[i]) * rep.left_at(basis[j]) * rep.psi
-            != rep.left_at(alg.product(basis[j], bcols[i])) * phipsi
-            - rep.left_at(acols[j]) * rep.left_at(bcols[i]) * rep.phi,
+            lambda i, j: left(acols[j]) * right(acols[i]) * rep.psi
+            - right(abcols[i]) * left(basis[j]) * rep.psi
+            != left(alg.product(basis[j], bcols[i])) * phipsi
+            - left(acols[j]) * left(bcols[i]) * rep.phi,
         ),
     }
     report = {name: w is None for name, w in found.items()}
@@ -546,6 +581,6 @@ def naive_twist_witness(cochain, twist_in, twist_out):
     n = cochain.alg_dim
     cols = [twist_in.column(i) for i in range(n)]
     for idx in itertools.product(range(n), repeat=cochain.degree):
-        if twist_out.apply(cochain.value(*idx)) != cochain.evaluate(*[cols[i] for i in idx]):
+        if twist_out.apply(cochain.value(*idx)) != evaluate(cochain, *[cols[i] for i in idx]):
             return idx
     return None

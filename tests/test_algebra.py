@@ -30,7 +30,7 @@ from conftest import (
     random_noncommuting_algebra,
     random_signed_permutation,
 )
-from oracle_naive import naive_alternative_witnesses
+from oracle_naive import evaluate, naive_alternative_witnesses
 
 
 def test_associator_vanishes_on_zero_algebra(z1):
@@ -257,7 +257,7 @@ def test_dim8_and_dim16_algebras_validate():
 def _pointwise_transport(cochain, out, left, right):
     n = cochain.alg_dim
     return [
-        [tuple(out.apply(cochain.evaluate(left.column(i), right.column(j)))) for j in range(n)]
+        [tuple(out.apply(evaluate(cochain, left.column(i), right.column(j)))) for j in range(n)]
         for i in range(n)
     ]
 

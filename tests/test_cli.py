@@ -9,6 +9,7 @@ import pytest
 from bihomalt import cli, fileio
 from bihomalt.cli import run
 from bihomalt.errors import InternalError
+from bihomalt.representation import adjoint
 
 from conftest import make_d2, make_e1, make_z1
 
@@ -230,6 +231,32 @@ def test_an_argument_the_command_does_not_read_exit2(capsys, monkeypatch, argv, 
     assert code == 2 and report["status"] == "error" and report["payload"] == {}
     command = " ".join(argv[:2])
     assert report["diagnostics"] == [f"{command} takes no {diagnostic} argument (got {argv[-1]})"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--degree", "2", "e1", "d2_ad"],
+        ["cohomology", "--degree", "2", "d2", "e1_ad"],
+        ["rep", "dual", "d2", "e1_ad"],
+        ["rep", "dual", "e1", "d2_ad"],
+        ["extend", "tstar", "e1", "theta", "d2_ad"],
+    ],
+    ids=["cohomology-e1-ad_d2", "cohomology-d2-ad_e1", "dual-d2-ad_e1", "dual-e1-ad_d2", "tstar-e1-ad_d2"],
+)
+def test_a_representation_over_another_dimension_exit2(files, capsys, tmp_path, argv):
+    # these used to pass with dim_C 1 or a 1-dimensional dual, or exit 3 with an internal IndexError
+    for name, alg in (("e1", make_e1()), ("d2", make_d2())):
+        p = tmp_path / f"{name}_ad.bhr"
+        p.write_text(json.dumps(fileio.representation_to_json(adjoint(alg))))
+        files[f"{name}_ad"] = str(p)
+    theta = tmp_path / "theta.bhc"
+    theta.write_text(json.dumps({"degree": 2, "alg_dim": 1, "mod_dim": 2, "target": "dual", "tensor": [[["0", "0"]]]}))
+    files["theta"] = str(theta)
+    code, report = run_cli(capsys, [files.get(a, a) for a in argv])
+    assert code == 2 and report["status"] == "error" and report["payload"] == {}
+    alg_dim, module_dim = (2, 1) if "e1_ad" in argv else (1, 2)
+    assert report["diagnostics"] == [f"representation is over an algebra of dimension {module_dim}, not {alg_dim}"]
 
 
 def test_derivations_report(files, capsys):

@@ -32,7 +32,7 @@ from conftest import (
     random_fraction,
     random_signed_permutation,
 )
-from oracle_naive import naive_diamond, naive_gauge
+from oracle_naive import evaluate, from_function, naive_diamond, naive_gauge
 
 
 def scalar_term(c):
@@ -75,7 +75,7 @@ def test_e1_order2_with_zero_d2_passes(e1):
 
 
 def test_check_deformation_rejects_incompatible_term(d2):
-    bad = Cochain.from_function(2, 2, 2, lambda i, j: (Fraction(1), Fraction(0)))
+    bad = from_function(2, 2, 2, lambda i, j: (Fraction(1), Fraction(0)))
     defm = TruncatedDeformation(d2, [bad])
     with pytest.raises(PreconditionError):
         check_deformation(defm)
@@ -409,12 +409,12 @@ def gauge_like_apply(defm, iso, order):
                 term = padded.term(b)
                 for c in range(k - a - b + 1):
                     d_ord = k - a - b - c
-                    piece = Cochain.from_function(
+                    piece = from_function(
                         2,
                         n,
                         n,
                         lambda i_, j_: phis[a].apply(
-                            term.evaluate(inv[c].column(i_), inv[d_ord].column(j_))
+                            evaluate(term, inv[c].column(i_), inv[d_ord].column(j_))
                         ),
                     )
                     acc = [x + y for x, y in zip(acc, piece.data)]

@@ -36,7 +36,7 @@ from conftest import (
     random_valid_representation,
     zero_bilinear,
 )
-from oracle_naive import naive_right_cocycle_residual
+from oracle_naive import evaluate, naive_right_cocycle_residual
 
 
 def test_annihilator_of_zero_algebra(z1):
@@ -51,7 +51,7 @@ def test_annihilator_of_central_extension(e1):
     ext = central_extension(e1, 1, [[[0]]])
     ann = annihilator(ext)
     assert ann.dim == 1
-    assert ann.contains_vector((0, 1))
+    assert ann.coefficients_of((0, 1)) is not None
 
 
 def test_central_extension_zero_omega(e1):
@@ -65,7 +65,7 @@ def test_central_extension_e1_nontrivial(e1):
     assert validate(ext).ok
     # (e+u)(e+v) = e + 1: the A-part is idempotent, the V-part carries omega
     assert ext.product((1, 0), (1, 0)) == (1, 1)
-    assert annihilator(ext).contains_vector((0, 1))
+    assert annihilator(ext).coefficients_of((0, 1)) is not None
 
 
 def test_central_extension_d2_rejects_bad_omega(d2):
@@ -80,7 +80,7 @@ def test_central_extension_d2_accepts_unit_supported_omega(d2):
     omega = [[[1], [0]], [[0], [0]]]
     ext = central_extension(d2, 1, omega)
     assert validate(ext).ok
-    assert annihilator(ext).contains_vector((0, 0, 1))
+    assert annihilator(ext).coefficients_of((0, 0, 1)) is not None
 
 
 def test_central_conditions_match_trivial_coefficient_cocycles():
@@ -96,8 +96,8 @@ def test_central_conditions_match_trivial_coefficient_cocycles():
             data = [random_fraction(rng) for _ in range(n * n)]
             omega = Cochain(2, n, 1, data)
             compatible = all(
-                omega.evaluate(alg.alpha.column(i), alg.alpha.column(j)) == omega.value(i, j)
-                and omega.evaluate(alg.beta.column(i), alg.beta.column(j)) == omega.value(i, j)
+                evaluate(omega, alg.alpha.column(i), alg.alpha.column(j)) == omega.value(i, j)
+                and evaluate(omega, alg.beta.column(i), alg.beta.column(j)) == omega.value(i, j)
                 for i in range(n)
                 for j in range(n)
             )

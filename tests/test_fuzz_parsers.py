@@ -37,7 +37,7 @@ def _base_documents():
         "bha": fileio.algebra_to_json(d2),
         "bhr": fileio.representation_to_json(adjoint(d2)),
         "bhd": fileio.deformation_to_json(defm),
-        "bhc": fileio.cochain_to_json(Cochain(2, 1, 1, [1])),
+        "bhc": {"degree": 2, "alg_dim": 1, "mod_dim": 1, "target": "module", "tensor": [[["1"]]]},
     }
 
 

@@ -133,7 +133,7 @@ def test_algebra_sits_below_cohomology_and_deformation():
 
 
 def test_no_pointwise_evaluation_in_the_kernel_paths():
-    # Cochain.evaluate and Cochain.from_function stay public API (the oracles use them)
+    # the pointwise evaluate and from_function live in tests/oracle_naive.py; the kernel paths call neither
     names = ("algebra.py", "cohomology.py", "deformation.py", "extension.py")
     assert [hit for n in names for hit in _pointwise_calls((SRC / n).read_text(), n)] == []
 
@@ -149,12 +149,13 @@ def _function_source(source: str, name: str) -> str:
 
 
 def test_operator_rows_and_twist_checks_read_integer_tables():
-    # the rows and checks contract `transport` tables; nothing forms a product or an action point by point
+    # the rows, the twist checks and dual contract `transport` tables; nothing forms a product or an action point by point
     scanned = [
         ("genderiv.py", (SRC / "genderiv.py").read_text()),
         ("validate_representation", _function_source((SRC / "representation.py").read_text(), "validate_representation")),
         ("twist_witness", _function_source((SRC / "cohomology.py").read_text(), "twist_witness")),
         ("_intertwining_witness", _function_source((SRC / "algebra.py").read_text(), "_intertwining_witness")),
+        ("dual", _function_source((SRC / "representation.py").read_text(), "dual")),
     ]
     assert [hit for name, source in scanned for hit in _named_calls(source, name, POINTWISE)] == []
 
@@ -229,16 +230,63 @@ def test_the_names_bench_reaches_resolve():
     for layer, cls_name, meth in methods:
         assert meth in vars(getattr(importlib.import_module(f"bihomalt.{layer}"), cls_name)), (layer, cls_name, meth)
     assert cohomology.rank_nullspace is exactnum.rank_nullspace
-    imported = [
+    imported = _bench_imports()
+    assert len(imported) == 6
+    for module, name in imported:
+        # like the import statement, fall back to a submodule of that name
+        assert hasattr(importlib.import_module(module), name) or importlib.import_module(f"{module}.{name}")
+
+
+def _bench_imports() -> list[tuple[str, str]]:
+    """(module, name) of each import from bihomalt in bench/test_bench.py."""
+    return [
         (node.module, alias.name)
         for node in ast.walk(ast.parse((BENCH / "test_bench.py").read_text()))
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bihomalt"
         for alias in node.names
     ]
-    assert len(imported) == 6
-    for module, name in imported:
-        # like the import statement, fall back to a submodule of that name
-        assert hasattr(importlib.import_module(module), name) or importlib.import_module(f"{module}.{name}")
+
+
+def _unnamed_definitions(sources: dict[str, str], reached=()) -> list[str]:
+    """Top-level functions and methods that no source names outside their own definition.
+
+    A name counts wherever it is read, as an attribute or imported, so a function
+    exported from __init__ is named there.  Dunder methods and the names in reached
+    are skipped.
+    """
+    trees = {file: ast.parse(source) for file, source in sources.items()}
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    mentions = [
+        (file, node.lineno, getattr(node, field[type(node)]))
+        for file, tree in trees.items()
+        for node in ast.walk(tree)
+        if type(node) in field
+    ]
+    found = []
+    for file, tree in trees.items():
+        defined = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defined += [(c.name, node) for c in tree.body if isinstance(c, ast.ClassDef) for node in c.body if isinstance(node, ast.FunctionDef)]
+        for owner, node in defined:
+            if node.name.startswith("__") or node.name in reached:
+                continue
+            outside = (m for f, line, m in mentions if not (f == file and node.lineno <= line <= node.end_lineno))
+            if node.name not in outside:
+                found.append(f"{owner}.{node.name}" if owner else node.name)
+    return sorted(found)
+
+
+# functions that nothing in src/ names and that stay, each with the reason
+KEPT_WITHOUT_A_CALLER = {
+    "Matrix.diagonal": "the README example builds its twists with it",
+    "Subspace.from_spanning": "bench/spans.py wraps it by name in METHODS",
+}
+
+
+def test_every_library_function_has_a_caller():
+    # a function that nothing in src/ names, nothing exports and bench/ does not reach is dead code
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    reached = {name for _, name in _bench_imports()}
+    assert _unnamed_definitions(sources, reached) == sorted(KEPT_WITHOUT_A_CALLER)
 
 
 def test_fileio_reads_and_writes_rationals_in_one_place():
@@ -317,3 +365,14 @@ def test_the_import_and_call_scans_see_every_form():
     )
     assert _callers(callers, "parse_rational") == ["<module>", "g", "g"]
     assert _callers(callers, "format_rational") == ["C"]
+    dead = (
+        "from .b import kept\n"
+        "\n\ndef kept():\n    return 1\n"
+        "\n\ndef loop(n):\n    return loop(n - 1)\n"
+        "\n\nclass C:\n    def __eq__(self, other):\n        return self.read() is other.field\n"
+        "\n    def read(self):\n        return 1\n"
+        "\n    def field(self):\n        return 2\n"
+        "\n    def reached(self):\n        return 3\n"
+    )
+    assert _unnamed_definitions({"probe.py": dead}, {"reached"}) == ["loop"]
+    assert _unnamed_definitions({"probe.py": dead, "other.py": "x = loop"}) == ["C.reached"]

@@ -4,8 +4,10 @@ from random import Random
 import pytest
 
 from bihomalt.algebra import validate
+from bihomalt.cohomology import Cochain, coboundary_operator, cochain_space, complex_report
 from bihomalt.errors import InputError, PreconditionError
 from bihomalt.exactnum import Matrix
+from bihomalt.extension import t_star_theta_extension, t_theta_extension
 from bihomalt.representation import (
     RegularRepresentation,
     Representation,
@@ -21,19 +23,21 @@ from conftest import (
     change_basis,
     conjugate_representation,
     make_d2,
+    make_e1,
     make_octonions,
     make_quaternions,
     make_twisted_octonions,
     perturb_representation,
     random_noncommuting_algebra,
     random_noncommuting_representation,
+    random_matrix,
     random_signed_permutation,
     random_unimodular,
     random_valid_representation,
     trivial_representation,
     twist_preserving_signed_permutation,
 )
-from oracle_naive import naive_representation_report
+from oracle_naive import action_at, naive_representation_report
 
 
 def test_trivial_rep_over_z1_is_valid(z1):
@@ -135,6 +139,15 @@ def test_dual_theorem_on_random_regular_reps():
             assert validate_representation(alg, d).ok
 
 
+def _pointwise_dual(alg, reg):
+    """dual's formula with each action formed at a vector: (φ⁻¹ψ⁻¹ r(α²β⁻¹eᵢ))ᵀ and (φ⁻¹ψ⁻¹ l(α⁻¹β²eᵢ))ᵀ."""
+    rep, corr = reg.inner, reg.phi_inv * reg.psi_inv
+    w_l, w_r = alg.alpha.power(2) * reg.beta_inv, reg.alpha_inv * alg.beta.power(2)
+    l = [(corr * action_at(rep.r, w_l.column(i))).transpose() for i in range(alg.dim)]
+    r = [(corr * action_at(rep.l, w_r.column(i))).transpose() for i in range(alg.dim)]
+    return Representation(alg.dim, rep.mod_dim, l, r, reg.phi_inv.transpose(), reg.psi_inv.transpose())
+
+
 def test_dual_pairing_consistency():
     """The composed-transpose construction agrees with the pairing-form matrices.
 
@@ -150,10 +163,28 @@ def test_dual_pairing_consistency():
         w_l = alg.alpha * reg.beta_inv.power(2)
         w_r = reg.alpha_inv.power(2) * alg.beta
         for i in range(alg.dim):
-            left_pairing = (rep.right_at(w_l.column(i)) * corr).transpose()
-            right_pairing = (rep.left_at(w_r.column(i)) * corr).transpose()
+            left_pairing = (action_at(rep.r, w_l.column(i)) * corr).transpose()
+            right_pairing = (action_at(rep.l, w_r.column(i)) * corr).transpose()
             assert d.l[i] == left_pairing
             assert d.r[i] == right_pairing
+    # dual reads its actions off transports; rebuild them at vectors and compare, on inputs
+    # whose twists are not diagonal or do not commute
+    rng = Random(17)
+    to = make_twisted_octonions()
+    rational = Matrix([[2, Fraction(1, 3), 0, 0], [0, 1, 0, 0], [0, 0, Fraction(1, 2), 1], [0, 0, -1, 3]])
+    moved = [
+        ("twisted-O", change_basis(to, twist_preserving_signed_permutation(rng, to))),
+        ("D2", change_basis(make_d2(), Matrix([[1, Fraction(1, 2)], [0, 2]]))),
+        ("H", change_basis(make_quaternions(), rational)),
+    ]
+    for name, alg in moved:
+        reps = [adjoint(alg), conjugate_representation(adjoint(alg), random_unimodular(rng, alg.dim).scale(3))]
+        # rational actions under invertible twists with φψ ≠ ψφ: not a representation, but dual is a formula
+        actions = [[random_matrix(rng, 2) for _ in range(alg.dim)] for _ in range(2)]
+        reps.append(Representation(alg.dim, 2, *actions, Matrix([[1, 1], [0, 1]]), Matrix([[2, 0], [1, 1]])))
+        for rep in reps:
+            reg = RegularRepresentation.wrap(alg, rep)
+            assert dual(alg, rep) == dual(alg, reg) == _pointwise_dual(alg, reg), name
 
 
 def test_double_dual_returns_original_actions():
@@ -192,6 +223,31 @@ def test_representation_shape_errors():
     with pytest.raises(InputError):
         Representation(1, 2, [Matrix.identity(3)], [Matrix.identity(3)],
                        Matrix.identity(3), Matrix.identity(3))
+
+
+# library entry points that take an algebra and a representation over it
+ALGEBRA_AND_MODULE = {
+    "validate_representation": validate_representation,
+    "semidirect": semidirect,
+    "dual": dual,
+    "dual-regular": lambda alg, rep: dual(alg, RegularRepresentation.wrap(alg, rep)),
+    "cochain_space": lambda alg, rep: cochain_space(alg, rep, 2),
+    "coboundary_operator": lambda alg, rep: coboundary_operator(alg, rep, 2),
+    "complex_report": lambda alg, rep: complex_report(alg, rep, 2),
+    "t_theta_extension": lambda alg, rep: t_theta_extension(alg, rep, Cochain.zero(2, alg.dim, rep.mod_dim)),
+    "t_star_theta_extension": lambda alg, rep: t_star_theta_extension(alg, rep, Cochain.zero(2, alg.dim, rep.mod_dim)),
+}
+
+
+@pytest.mark.parametrize("call", ALGEBRA_AND_MODULE.values(), ids=ALGEBRA_AND_MODULE.keys())
+@pytest.mark.parametrize("alg_name, module_name", [("E1", "D2"), ("D2", "E1")])
+def test_a_representation_over_another_dimension_is_refused(call, alg_name, module_name):
+    # the cochain space of E1 in ad(D2) used to come out 1-dimensional, and dual(D2, ad(E1)) a 1-dimensional dual
+    algebras = {"E1": make_e1(), "D2": make_d2()}
+    alg, rep = algebras[alg_name], adjoint(algebras[module_name])
+    message = f"^representation is over an algebra of dimension {rep.alg_dim}, not {alg.dim}$"
+    with pytest.raises(InputError, match=message):
+        call(alg, rep)
 
 
 # -- the integer tables against the pointwise oracle ---------------------------------------
