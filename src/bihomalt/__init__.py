@@ -45,7 +45,6 @@ from .genderiv import (
     sgder_space,
 )
 from .representation import (
-    RegularRepresentation,
     Representation,
     RepresentationReport,
     adjoint,

@@ -30,17 +30,13 @@ from .exactnum import Matrix, support, vec_sub, vector
 BilinearTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
-def bilinear_tensor(entries, dim_in: int, dim_out: Optional[int] = None) -> BilinearTensor:
+def bilinear_tensor(entries, dim: int) -> BilinearTensor:
     """Normalize a nested [i][j][k] table; entry [i][j][k] is the e_k-coefficient of e_i·e_j."""
-    if dim_out is None:
-        dim_out = dim_in
     tensor = tuple(tuple(vector(cell) for cell in row) for row in entries)
-    if len(tensor) != dim_in or any(len(row) != dim_in for row in tensor):
+    if len(tensor) != dim or any(len(row) != dim for row in tensor):
         raise InputError("structure tensor does not match the declared dimension")
-    for row in tensor:
-        for cell in row:
-            if len(cell) != dim_out:
-                raise InputError("structure tensor output length is inconsistent")
+    if any(len(cell) != dim for row in tensor for cell in row):
+        raise InputError("structure tensor output length is inconsistent")
     return tensor
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import BiHomAlgebra, _common_denominator, _index_tuple, _integer_columns, _intertwining_witness, transport, validate
 from .errors import InputError, InternalError, PreconditionError
@@ -309,16 +309,15 @@ def _delta_terms(alg: BiHomAlgebra, rep: Representation, degree: int) -> tuple[i
     )
 
 
-def coboundary_operator(
-    alg: BiHomAlgebra, rep: Representation, degree: int
-) -> dict[int, dict[int, Fraction]]:
-    """δ_degree on the full coordinate space as sparse rows {row: {column: coefficient}}.
+def _coboundary_rows(alg: BiHomAlgebra, rep: Representation, degree: int):
+    """Yield δ_degree on the full coordinate space as sparse rows (row, {column: coefficient}), keeping none.
 
-    Rows and columns use the flat cochain layout; only non-zero rows are kept.
+    Rows and columns use the flat cochain layout; only non-zero rows are yielded.
     Each row is read off the structure constants, twists and actions, with no
     cochain evaluated.  The terms are summed as integers over one common
     denominator D^(degree + 1), and each non-zero entry is divided by it once;
-    with D = 1 the entries stay ints.
+    with D = 1 the entries stay ints.  The degree and module checks run when
+    the rows are first drawn.
     """
     if degree not in (1, 2, 3):
         raise InputError("coboundary operators exist for degrees 1, 2, 3")
@@ -326,7 +325,6 @@ def coboundary_operator(
     n, m = alg.dim, rep.mod_dim
     d, terms = _delta_terms(alg, rep, degree)
     den = d ** (degree + 1)
-    op = {}
     for pos, t in enumerate(itertools.product(range(n), repeat=degree + 1)):
         rows = [{} for _ in range(m)]
         for sign, action, args in terms(*t):
@@ -341,36 +339,31 @@ def coboundary_operator(
         for c, row in enumerate(rows):
             row = {k: v if den == 1 else Fraction(v, den) for k, v in row.items() if v}
             if row:
-                op[pos * m + c] = row
-    return op
+                yield pos * m + c, row
 
 
-def apply_coboundary(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    """δf through the assembled operator, without the twist-compatibility check."""
-    if f.alg_dim != alg.dim or f.mod_dim != rep.mod_dim:
-        raise InputError("cochain shape does not match algebra and coefficients")
-    out = [ZERO] * (f.mod_dim * f.alg_dim ** (f.degree + 1))
-    for r, row in coboundary_operator(alg, rep, f.degree).items():
-        out[r] = sum((a * f.data[col] for col, a in row.items()), ZERO)
-    return Cochain(f.degree + 1, f.alg_dim, f.mod_dim, out)
+def _delta(alg: BiHomAlgebra, rep: Representation, f: Cochain, degree: int) -> Cochain:
+    """δf for a twist-compatible degree-`degree` cochain f: δ restricted to the one column f."""
+    _require_cochain(alg, rep, f, degree)
+    data = [ZERO] * (f.mod_dim * f.alg_dim ** (degree + 1))
+    for r, row in _restrict(_coboundary_rows(alg, rep, degree), [dict(support(f.data))]).items():
+        data[r] = row[0]
+    return Cochain(degree + 1, f.alg_dim, f.mod_dim, data)
 
 
 def delta1(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
     """(d f)(x,y) = l(x)f(y) + r(y)f(x) − f(x·y)."""
-    _require_cochain(alg, rep, f, 1)
-    return apply_coboundary(alg, rep, f)
+    return _delta(alg, rep, f, 1)
 
 
 def delta2(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
     """The eight-term degree-2 operator, symmetric under swapping its first two inputs."""
-    _require_cochain(alg, rep, f, 2)
-    return apply_coboundary(alg, rep, f)
+    return _delta(alg, rep, f, 2)
 
 
 def delta3(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
     """The ten-term degree-3 operator; composed with delta2 it vanishes."""
-    _require_cochain(alg, rep, f, 3)
-    return apply_coboundary(alg, rep, f)
+    return _delta(alg, rep, f, 3)
 
 
 class ComplexReport(NamedTuple):
@@ -396,12 +389,12 @@ def _primitive_columns(basis: Subspace) -> tuple[list[dict[int, int]], list[Frac
     return columns, scales
 
 
-def _restrict(operator: dict, columns: list[dict]) -> dict[int, dict[int, int]]:
-    """operator · columns as rows {output coordinate: {j: entry}}, with the zero rows dropped."""
-    # walk each operator row's columns through the column entries there
+def _restrict(rows: Iterable[tuple[int, dict]], columns: list[dict]) -> dict[int, dict[int, int]]:
+    """δ · columns as {row: {j: entry}}, zero rows dropped, each δ row (row, {column: entry}) used as it is drawn."""
+    # walk each δ row's columns through the column entries there
     by_coord = _transpose(enumerate(columns))
-    rows = {}
-    for r, orow in operator.items():
+    out = {}
+    for r, orow in rows:
         acc = {}
         for col, a in orow.items():
             if col in by_coord:
@@ -409,8 +402,8 @@ def _restrict(operator: dict, columns: list[dict]) -> dict[int, dict[int, int]]:
                     acc[j] = acc.get(j, 0) + a * v
         acc = {j: v for j, v in acc.items() if v}
         if acc:
-            rows[r] = acc
-    return rows
+            out[r] = acc
+    return out
 
 
 def delta_rows_on_basis(
@@ -418,26 +411,15 @@ def delta_rows_on_basis(
 ) -> dict[int, dict[int, Fraction]]:
     """delta_degree on the cochains Σ x_j basis[j], as rows {output coordinate: {j: coefficient}}.
 
-    The product operator · basis with its zero rows dropped; column j is the
-    image of basis[j].
+    The product δ · basis with its zero rows dropped; column j is the image
+    of basis[j].
     """
     if not basis.columns:
         return {}
     columns, scales = _primitive_columns(basis)
     # column j of the integer product is scales[j] times the image of basis[j]
-    rows = _restrict(coboundary_operator(alg, rep, degree), columns)
+    rows = _restrict(_coboundary_rows(alg, rep, degree), columns)
     return {r: {j: v / scales[j] for j, v in row.items()} for r, row in rows.items()}
-
-
-def _check_exactness(columns: list[dict], ambient_dim: int, prev_rows: dict, operator: dict):
-    """Each image, a column of prev_rows, lies in the span of columns and the operator sends it to zero."""
-    images = _transpose(prev_rows.items())
-    elim = _eliminate(columns, ambient_dim)
-    if any(elim.reduce(image) for image in images.values()):
-        raise InternalError("coboundary escaped the compatible cochain space")
-    # operator · images: the composite restricted to the lower basis
-    if _restrict(operator, list(images.values())):
-        raise InternalError("coboundary is not a cocycle")
 
 
 def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> ComplexReport:
@@ -454,18 +436,19 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
     # so both are read off primitive integer columns
     columns = _primitive_columns(space)[0]
     prev_columns = _primitive_columns(prev_space)[0]
-    operator = coboundary_operator(alg, rep, degree)
-    rows = _restrict(operator, columns)
-    dim_z = space.dim - _eliminate(rows.values(), space.dim).rank
-    prev_rows = _restrict(coboundary_operator(alg, rep, degree - 1), prev_columns) if prev_columns else {}
+    prev_rows = _restrict(_coboundary_rows(alg, rep, degree - 1), prev_columns) if prev_columns else {}
     dim_b = _eliminate(prev_rows.values(), prev_space.dim).rank
-    if prev_rows:
-        # coboundaries must be cocycles: exactness guard, not a user-facing check
-        try:
-            _check_exactness(columns, space.ambient_dim, prev_rows, operator)
-        except InternalError:
-            # δ∘δ = 0 needs the representation axioms, so on coefficients that break them this is bad input
-            if not validate_representation(alg, rep).ok:
-                raise PreconditionError("cohomology needs a valid representation") from None
-            raise
+    images = list(_transpose(prev_rows.items()).values())
+    # one walk of δ_n over the basis and the images: an entry at column len(columns) or above is δ∘δ ≠ 0
+    rows = _restrict(_coboundary_rows(alg, rep, degree), columns + images)
+    # coboundaries must be cocycles: exactness guard, not a user-facing check
+    escaped = bool(images) and any(map(_eliminate(columns, space.ambient_dim).reduce, images))
+    if escaped or any(j >= len(columns) for row in rows.values() for j in row):
+        # δ∘δ = 0 needs the representation axioms, so on coefficients that break them this is bad input
+        if not validate_representation(alg, rep).ok:
+            raise PreconditionError("cohomology needs a valid representation")
+        raise InternalError(
+            "coboundary escaped the compatible cochain space" if escaped else "coboundary is not a cocycle"
+        )
+    dim_z = space.dim - _eliminate(rows.values(), space.dim).rank
     return ComplexReport(degree, space.dim, dim_z, dim_b, dim_z - dim_b)

@@ -116,11 +116,11 @@ def t_theta_extension(alg: BiHomAlgebra, rep: Representation, theta) -> BiHomAlg
     return _checked_extension(alg, rep, theta, _T_THETA_CONDITIONS)
 
 
-def t_star_theta_extension(alg: BiHomAlgebra, rep, theta_star) -> BiHomAlgebra:
+def t_star_theta_extension(alg: BiHomAlgebra, rep: Representation, theta_star) -> BiHomAlgebra:
     """T_theta extension through the dual bimodule: actions r*, l* on V*.
 
-    Accepts the underlying representation (twists must be invertible) or an
-    already-wrapped regular representation; theta_star maps into V*.
+    The twists of the algebra and of rep must be invertible; theta_star maps
+    into V*.
     """
     dual_rep = dual(alg, rep)
     return t_theta_extension(alg, dual_rep, theta_star)

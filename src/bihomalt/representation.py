@@ -232,30 +232,7 @@ def block_sum(alg: BiHomAlgebra, rep: Representation, theta=None) -> BiHomAlgebr
     return BiHomAlgebra(total, mu, diag(alg.alpha, rep.phi), diag(alg.beta, rep.psi))
 
 
-class RegularRepresentation(NamedTuple):
-    """A representation over invertible twists, with their inverses cached."""
-
-    inner: Representation
-    alpha_inv: Matrix
-    beta_inv: Matrix
-    phi_inv: Matrix
-    psi_inv: Matrix
-
-    @staticmethod
-    def wrap(alg: BiHomAlgebra, rep: Representation) -> "RegularRepresentation":
-        try:
-            return RegularRepresentation(
-                rep,
-                alg.alpha.inverse(),
-                alg.beta.inverse(),
-                rep.phi.inverse(),
-                rep.psi.inverse(),
-            )
-        except PreconditionError as exc:
-            raise PreconditionError(f"dual construction needs invertible twists: {exc}") from exc
-
-
-def dual(alg: BiHomAlgebra, rep) -> Representation:
+def dual(alg: BiHomAlgebra, rep: Representation) -> Representation:
     """The dual representation on V* in dual-basis coordinates.
 
     Left action at x: transpose of r(alpha^2 beta^{-1} x) followed by the
@@ -269,11 +246,13 @@ def dual(alg: BiHomAlgebra, rep) -> Representation:
     (phi psi)^{-1} l(alpha beta x) (phi psi), which the intertwining relations
     reduce to l(x) (and likewise for r).
     """
-    reg = rep if isinstance(rep, RegularRepresentation) else RegularRepresentation.wrap(alg, rep)
-    inner = reg.inner
-    _require_module_over(alg, inner)
-    corr = reg.phi_inv * reg.psi_inv
-    lam, rho = _action_tensors(inner)
+    try:
+        alpha_inv, beta_inv, phi_inv, psi_inv = [m.inverse() for m in (alg.alpha, alg.beta, rep.phi, rep.psi)]
+    except PreconditionError as exc:
+        raise PreconditionError(f"dual construction needs invertible twists: {exc}") from exc
+    _require_module_over(alg, rep)
+    corr = phi_inv * psi_inv
+    lam, rho = _action_tensors(rep)
 
     def transposed(action, w):
         d, table = transport(action, corr, w)
@@ -281,11 +260,11 @@ def dual(alg: BiHomAlgebra, rep) -> Representation:
 
     return Representation(
         alg.dim,
-        inner.mod_dim,
-        transposed(rho, alg.alpha.power(2) * reg.beta_inv),
-        transposed(lam, reg.alpha_inv * alg.beta.power(2)),
-        reg.phi_inv.transpose(),
-        reg.psi_inv.transpose(),
+        rep.mod_dim,
+        transposed(rho, alg.alpha.power(2) * beta_inv),
+        transposed(lam, alpha_inv * alg.beta.power(2)),
+        phi_inv.transpose(),
+        psi_inv.transpose(),
     )
 
 

@@ -50,7 +50,6 @@ from bihomalt.genderiv import (
     sgder_space,
 )
 from bihomalt.representation import (
-    RegularRepresentation,
     Representation,
     adjoint,
     block_sum,

@@ -7,7 +7,7 @@ import pytest
 import bihomalt.cohomology as cohomology
 from bihomalt.cohomology import (
     Cochain,
-    coboundary_operator,
+    _coboundary_rows,
     cochain_space,
     compatibility_witness,
     complex_report,
@@ -293,7 +293,7 @@ def test_operator_rows_match_naive_assembly():
         for rep in reps:
             for degree in (1, 2, 3):
                 model, naive = naive_delta_rows(alg, rep, degree)
-                ours = _dense_rows(coboundary_operator(alg, rep, degree), model.count)
+                ours = _dense_rows(dict(_coboundary_rows(alg, rep, degree)), model.count)
                 assert ours == naive, (name, rep.mod_dim, degree)
 
 
@@ -359,7 +359,7 @@ def test_operator_rows_match_naive_assembly_in_a_rational_basis(make, s):
     rep = adjoint(moved)
     for degree in (1, 2, 3):
         model, naive = naive_delta_rows(moved, rep, degree)
-        assert _dense_rows(coboundary_operator(moved, rep, degree), model.count) == naive, degree
+        assert _dense_rows(dict(_coboundary_rows(moved, rep, degree)), model.count) == naive, degree
 
 
 @pytest.mark.parametrize("make, s", RATIONAL_BASES, ids=["D2", "H"])
@@ -375,25 +375,25 @@ def test_coboundary_operator_sums_integers(monkeypatch):
     # on integral structure constants every coefficient is summed as an int: no Fraction arithmetic at all
     to = make_twisted_octonions()
     rep = adjoint(to)
-    expected = coboundary_operator(to, rep, 2)
+    expected = dict(_coboundary_rows(to, rep, 2))
 
     def refuse(*_):
         raise AssertionError("Fraction arithmetic while assembling the coboundary operator")
 
     for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    op = coboundary_operator(to, rep, 2)
+    op = dict(_coboundary_rows(to, rep, 2))
     monkeypatch.undo()
     assert op == expected
 
 
 def _corrupt(degree, change):
-    """A coboundary_operator whose degree-`degree` operator is passed through `change`."""
-    real = coboundary_operator
+    """A _coboundary_rows whose degree-`degree` rows are passed through `change` as one {row: {column: entry}}."""
+    real = _coboundary_rows
 
     def corrupted(alg, rep, d):
-        op = real(alg, rep, d)
-        return change(alg, rep, op) if d == degree else op
+        rows = real(alg, rep, d)
+        return iter(change(alg, rep, dict(rows)).items()) if d == degree else rows
 
     return corrupted
 
@@ -405,16 +405,31 @@ def test_guard_rejects_coboundary_outside_compatible_space(monkeypatch):
         width = rep.mod_dim * alg.dim
         return {r: {c: Fraction(1) for c in range(width)} for r in range(width * alg.dim)}
 
-    monkeypatch.setattr(cohomology, "coboundary_operator", _corrupt(1, all_ones))
+    monkeypatch.setattr(cohomology, "_coboundary_rows", _corrupt(1, all_ones))
     with pytest.raises(InternalError, match="escaped the compatible cochain space"):
         complex_report(d2, adjoint(d2), 2)
 
 
 def test_guard_rejects_coboundary_that_is_not_a_cocycle(monkeypatch):
     e1 = make_e1()
-    monkeypatch.setattr(cohomology, "coboundary_operator", _corrupt(2, lambda alg, rep, op: {0: {0: Fraction(1)}}))
+    monkeypatch.setattr(cohomology, "_coboundary_rows", _corrupt(2, lambda alg, rep, op: {0: {0: Fraction(1)}}))
     with pytest.raises(InternalError, match="not a cocycle"):
         complex_report(e1, adjoint(e1), 2)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_complex_report_draws_each_coboundary_once(monkeypatch, degree):
+    # δ_n is walked once for dim Z and the exactness guard together, δ_(n−1) once for dim B and the images
+    drawn = []
+
+    def counted(alg, rep, d):
+        drawn.append(d)
+        return _coboundary_rows(alg, rep, d)
+
+    monkeypatch.setattr(cohomology, "_coboundary_rows", counted)
+    h = make_quaternions()
+    assert complex_report(h, adjoint(h), degree).dim_B > 0
+    assert sorted(drawn) == [degree - 1, degree]
 
 
 def test_guard_on_invalid_coefficients_is_a_precondition_error():
@@ -436,7 +451,7 @@ def test_trivialize_guard_rejects_a_gauge_that_leaves_the_term(monkeypatch):
     def doubled(alg, rep, op):
         return {r: {c: 2 * a for c, a in row.items()} for r, row in op.items()}
 
-    monkeypatch.setattr(cohomology, "coboundary_operator", _corrupt(1, doubled))
+    monkeypatch.setattr(cohomology, "_coboundary_rows", _corrupt(1, doubled))
     with pytest.raises(InternalError, match="did not clear the order-1 term"):
         trivialize(defm, 4)
 

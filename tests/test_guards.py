@@ -200,8 +200,28 @@ def test_one_law_pairing_for_validation_and_extensions():
     assert paired == ["_alternative_witness", "_pairing_sum"]
     laws = sorted(name for source in sources.values() for name in _callers(source, "_alternative_witness"))
     assert laws == ["_witnesses", "_witnesses", "validate", "validate"]
-    forbidden = ("apply_coboundary", "coboundary_operator", "opposite")
+    forbidden = ("_coboundary_rows", "opposite")
     assert _named_calls(sources["extension.py"], "extension.py", forbidden) == []
+
+
+def test_every_coboundary_row_stream_is_restricted_as_it_is_drawn():
+    # δ is kept nowhere: each use of the row stream is a call that is the first argument of a `_restrict` call
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        restricted = {
+            id(node.args[0].func)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_restrict"
+            and node.args and isinstance(node.args[0], ast.Call)
+        }
+        uses += [
+            (path.name, node.lineno, id(node) in restricted)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_coboundary_rows"
+        ]
+    assert [(name, line) for name, line, ok in uses if not ok] == []
+    assert sorted(name for name, _, _ in uses) == ["cohomology.py"] * 4
 
 
 def test_one_series_coefficient_for_gauge_equivalence_and_trivialization():

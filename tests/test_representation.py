@@ -4,12 +4,12 @@ from random import Random
 import pytest
 
 from bihomalt.algebra import validate
-from bihomalt.cohomology import Cochain, coboundary_operator, cochain_space, complex_report
+from bihomalt import cohomology
+from bihomalt.cohomology import Cochain, cochain_space, complex_report
 from bihomalt.errors import InputError, PreconditionError
 from bihomalt.exactnum import Matrix
 from bihomalt.extension import t_star_theta_extension, t_theta_extension
 from bihomalt.representation import (
-    RegularRepresentation,
     Representation,
     adjoint,
     coadjoint,
@@ -132,20 +132,20 @@ def test_dual_theorem_on_random_regular_reps():
         for _ in range(6):
             rep = random_valid_representation(alg, rng)
             try:
-                reg = RegularRepresentation.wrap(alg, rep)
+                d = dual(alg, rep)
             except PreconditionError:
                 continue
-            d = dual(alg, reg)
             assert validate_representation(alg, d).ok
 
 
-def _pointwise_dual(alg, reg):
+def _pointwise_dual(alg, rep):
     """dual's formula with each action formed at a vector: (φ⁻¹ψ⁻¹ r(α²β⁻¹eᵢ))ᵀ and (φ⁻¹ψ⁻¹ l(α⁻¹β²eᵢ))ᵀ."""
-    rep, corr = reg.inner, reg.phi_inv * reg.psi_inv
-    w_l, w_r = alg.alpha.power(2) * reg.beta_inv, reg.alpha_inv * alg.beta.power(2)
+    phi_inv, psi_inv = rep.phi.inverse(), rep.psi.inverse()
+    corr = phi_inv * psi_inv
+    w_l, w_r = alg.alpha.power(2) * alg.beta.inverse(), alg.alpha.inverse() * alg.beta.power(2)
     l = [(corr * action_at(rep.r, w_l.column(i))).transpose() for i in range(alg.dim)]
     r = [(corr * action_at(rep.l, w_r.column(i))).transpose() for i in range(alg.dim)]
-    return Representation(alg.dim, rep.mod_dim, l, r, reg.phi_inv.transpose(), reg.psi_inv.transpose())
+    return Representation(alg.dim, rep.mod_dim, l, r, phi_inv.transpose(), psi_inv.transpose())
 
 
 def test_dual_pairing_consistency():
@@ -157,11 +157,10 @@ def test_dual_pairing_consistency():
     """
     for _, alg in base_corpus():
         rep = adjoint(alg)
-        reg = RegularRepresentation.wrap(alg, rep)
-        d = dual(alg, reg)
-        corr = reg.phi_inv * reg.psi_inv
-        w_l = alg.alpha * reg.beta_inv.power(2)
-        w_r = reg.alpha_inv.power(2) * alg.beta
+        d = dual(alg, rep)
+        corr = rep.phi.inverse() * rep.psi.inverse()
+        w_l = alg.alpha * alg.beta.inverse().power(2)
+        w_r = alg.alpha.inverse().power(2) * alg.beta
         for i in range(alg.dim):
             left_pairing = (action_at(rep.r, w_l.column(i)) * corr).transpose()
             right_pairing = (action_at(rep.l, w_r.column(i)) * corr).transpose()
@@ -183,8 +182,9 @@ def test_dual_pairing_consistency():
         actions = [[random_matrix(rng, 2) for _ in range(alg.dim)] for _ in range(2)]
         reps.append(Representation(alg.dim, 2, *actions, Matrix([[1, 1], [0, 1]]), Matrix([[2, 0], [1, 1]])))
         for rep in reps:
-            reg = RegularRepresentation.wrap(alg, rep)
-            assert dual(alg, rep) == dual(alg, reg) == _pointwise_dual(alg, reg), name
+            assert dual(alg, rep) == _pointwise_dual(alg, rep), name
+        # the dual of a valid representation is valid, with the inverses taken for this basis
+        assert validate_representation(alg, dual(alg, reps[0])).ok, name
 
 
 def test_double_dual_returns_original_actions():
@@ -230,9 +230,9 @@ ALGEBRA_AND_MODULE = {
     "validate_representation": validate_representation,
     "semidirect": semidirect,
     "dual": dual,
-    "dual-regular": lambda alg, rep: dual(alg, RegularRepresentation.wrap(alg, rep)),
     "cochain_space": lambda alg, rep: cochain_space(alg, rep, 2),
-    "coboundary_operator": lambda alg, rep: coboundary_operator(alg, rep, 2),
+    # the row stream checks its module when it is drawn, so the entry draws it
+    "_coboundary_rows": lambda alg, rep: dict(cohomology._coboundary_rows(alg, rep, 2)),
     "complex_report": lambda alg, rep: complex_report(alg, rep, 2),
     "t_theta_extension": lambda alg, rep: t_theta_extension(alg, rep, Cochain.zero(2, alg.dim, rep.mod_dim)),
     "t_star_theta_extension": lambda alg, rep: t_star_theta_extension(alg, rep, Cochain.zero(2, alg.dim, rep.mod_dim)),
