@@ -25,6 +25,8 @@ from .exactnum import (
     Matrix,
     Subspace,
     _eliminate,
+    _factor,
+    _lift,
     _transpose,
     nullspace_of_sparse_rows,
     rank_nullspace,  # noqa: F401 - bench/test_bench.py checks that its wrapper here is removed
@@ -377,16 +379,15 @@ class ComplexReport(NamedTuple):
         return self._asdict()
 
 
-def _primitive_columns(basis: Subspace) -> tuple[list[dict[int, int]], list[Fraction]]:
-    """Each basis column as a primitive integer vector {coordinate: entry}, and the factor scaling it so."""
-    columns, scales = [], []
+def _primitive_columns(basis: Subspace) -> list[dict[int, int]]:
+    """Each basis column as a primitive integer vector {coordinate: entry}: a positive multiple of it."""
+    columns = []
     for entries in basis.columns:
         d = lcm(*(v.denominator for v in entries.values()))
         col = {i: v.numerator * (d // v.denominator) for i, v in entries.items()}
         g = gcd(*col.values())
         columns.append({i: v // g for i, v in col.items()} if g != 1 else col)
-        scales.append(Fraction(d, g))
-    return columns, scales
+    return columns
 
 
 def _restrict(rows: Iterable[tuple[int, dict]], columns: list[dict]) -> dict[int, dict[int, int]]:
@@ -406,20 +407,25 @@ def _restrict(rows: Iterable[tuple[int, dict]], columns: list[dict]) -> dict[int
     return out
 
 
-def delta_rows_on_basis(
-    alg: BiHomAlgebra, rep: Representation, degree: int, basis: Subspace
-) -> dict[int, dict[int, Fraction]]:
-    """delta_degree on the cochains Σ x_j basis[j], as rows {output coordinate: {j: coefficient}}.
+def _preimage(alg: BiHomAlgebra, rep: Representation, degree: int) -> Callable[[Sequence], Optional[Cochain]]:
+    """The map g ↦ a twist-compatible degree-`degree` cochain f with δf = g, or None when there is none.
 
-    The product δ · basis with its zero rows dropped; column j is the image
-    of basis[j].
+    δ is restricted to the primitive compatible columns and their images are
+    factored once, here; g is given as flat coordinates.  f is the combination
+    of the columns with every free coordinate zero.
     """
-    if not basis.columns:
-        return {}
-    columns, scales = _primitive_columns(basis)
-    # column j of the integer product is scales[j] times the image of basis[j]
-    rows = _restrict(_coboundary_rows(alg, rep, degree), columns)
-    return {r: {j: v / scales[j] for j, v in row.items()} for r, row in rows.items()}
+    space = cochain_space(alg, rep, degree)
+    columns = _primitive_columns(space)
+    images = _transpose(_restrict(_coboundary_rows(alg, rep, degree), columns).items())
+    read = _factor([images.get(j, {}) for j in range(len(columns))], rep.mod_dim * alg.dim ** (degree + 1))
+
+    def preimage(g: Sequence) -> Optional[Cochain]:
+        coeffs = read(dict(support(g)))
+        if coeffs is None:
+            return None
+        return Cochain(degree, alg.dim, rep.mod_dim, _lift(columns, coeffs, space.ambient_dim))
+
+    return preimage
 
 
 def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> ComplexReport:
@@ -434,8 +440,8 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
     prev_space = cochain_space(alg, rep, degree - 1)
     # a rank or a zero test is the same on non-zero multiples of the basis vectors,
     # so both are read off primitive integer columns
-    columns = _primitive_columns(space)[0]
-    prev_columns = _primitive_columns(prev_space)[0]
+    columns = _primitive_columns(space)
+    prev_columns = _primitive_columns(prev_space)
     prev_rows = _restrict(_coboundary_rows(alg, rep, degree - 1), prev_columns) if prev_columns else {}
     dim_b = _eliminate(prev_rows.values(), prev_space.dim).rank
     images = list(_transpose(prev_rows.items()).values())

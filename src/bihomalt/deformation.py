@@ -25,9 +25,9 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import _NO_WITNESSES, BiHomAlgebra, _first_difference, _pairing, _table_sum, _term_tables, transport
-from .cohomology import Cochain, cochain_space, delta_rows_on_basis, twist_witness
+from .cohomology import Cochain, _preimage, twist_witness
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import Matrix, solve_sparse_rows, vector
+from .exactnum import Matrix
 from .representation import adjoint
 
 ZERO = Fraction(0)
@@ -195,16 +195,8 @@ def extend_one_order(defm: TruncatedDeformation) -> Optional[Cochain]:
     Solves delta2(d_m) = −obstruction over the twist-compatible bilinear maps;
     None means the obstruction class in degree-3 cohomology is nonzero.
     """
-    alg = defm.alg
-    m = defm.order + 1
-    obs = obstruction(defm, m)
-    rep = adjoint(alg)
-    space = cochain_space(alg, rep, 2)
-    target = vector(-x for x in obs.data)
-    coeffs = solve_sparse_rows(delta_rows_on_basis(alg, rep, 2, space), target, space.dim)
-    if coeffs is None:
-        return None
-    return Cochain(2, alg.dim, alg.dim, space._lift(coeffs))
+    obs = obstruction(defm, defm.order + 1)
+    return _preimage(defm.alg, adjoint(defm.alg), 2)([-x for x in obs.data])
 
 
 def _coefficient(terms: dict, out: dict, left: dict, right: dict, k: int) -> tuple[int, list]:
@@ -301,18 +293,15 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
     if not report.ok_through(max_order):
         bad = next(k for k, ok in enumerate(report.order_ok) if not ok)
         raise PreconditionError(f"deformation equations fail at order {bad}")
-    rep = adjoint(alg)
-    c1 = cochain_space(alg, rep, 1)
-    d1_rows = delta_rows_on_basis(alg, rep, 1, c1)
+    preimage = _preimage(alg, adjoint(alg), 1)  # δ1 is factored once for every level
     total = {0: Matrix.identity(n)}  # composed map original -> current, by order
     for level in range(1, max_order + 1):
         if current.term(level).is_zero():
             continue
-        coeffs = solve_sparse_rows(d1_rows, current.term(level).data, c1.dim)
-        if coeffs is None:
+        f_cochain = preimage(current.term(level).data)
+        if f_cochain is None:
             return None
-        lifted = c1._lift(coeffs)  # f(e_j)_i sits at j·n + i
-        f = Matrix([[lifted[j * n + i] for j in range(n)] for i in range(n)])
+        f = Matrix([[f_cochain.value(j)[i] for j in range(n)] for i in range(n)])
         current = gauge(current, f, level, max_order)
         if not current.term(level).is_zero():
             raise InternalError(f"gauging did not clear the order-{level} term")

@@ -6,10 +6,13 @@ floating point appears anywhere.  Elimination runs on a sparse row
 representation because the constraint systems assembled by the cohomology
 and derivation modules are large but very sparse, and fraction-free: rows
 are kept as primitive integer vectors and rationals are built only when a
-kernel basis, a solution or an inverse is read out.  A `Subspace` keeps its
-basis in the same sparse form, as exact columns {coordinate: Fraction} read
-straight off the eliminator's kernel; its dense `basis` tuples are a view
-built on request, for callers outside the elimination paths.
+kernel basis, a solution or an inverse is read out.  Every solution and
+inverse is read off one factor, `_factor`: the columns are eliminated once,
+and each target is then reduced against the stored rows.  A `Subspace`
+keeps its basis in the same sparse form, as exact columns {coordinate:
+Fraction} read straight off the eliminator's kernel; its dense `basis`
+tuples are a view built on request, for callers outside the elimination
+paths.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 
@@ -198,21 +201,13 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise PreconditionError("only square matrices can be inverted")
-        n = self.nrows
-        # one elimination of [M | I]: M is invertible iff every pivot lies in M,
-        # and then the reduced row p reads [e_p | row p of the inverse]
-        rows = _sparse_rows(self.rows)
-        for i, row in enumerate(rows):
-            row[n + i] = ONE
-        elim = _eliminate(rows, 2 * n)
-        if any(p >= n for p in elim.pivot_rows):
+        # column i of the inverse holds the coordinates of e_i in the columns of M,
+        # and M is invertible iff every e_i lies in their span
+        read = _factor(_sparse_rows(zip(*self.rows)), self.nrows)
+        cols = [read({i: ONE}) for i in range(self.nrows)]
+        if None in cols:
             raise PreconditionError("matrix is singular")
-        out = []
-        for i in range(n):
-            row = elim.pivot_rows[i]
-            d = row[i]
-            out.append([Fraction(row[n + j], d) if n + j in row else ZERO for j in range(n)])
-        return Matrix(out)
+        return Matrix(zip(*cols))
 
     def power(self, k: int) -> "Matrix":
         """Integer power; negative exponents require invertibility."""
@@ -233,14 +228,12 @@ def _sparse_rows(matrix_rows) -> list[dict[int, Fraction]]:
     return [{j: a for j, a in enumerate(row) if a} for row in matrix_rows]
 
 
-def _integer_row(row: dict, aug, ncols: int) -> tuple[dict[int, int], int]:
-    """(d·row with the augment at column ncols, d) for d the lcm of the denominators.
+def _integer_row(row: dict) -> tuple[dict[int, int], int]:
+    """(d·row, d) for d the lcm of the denominators.
 
     Entries may be ints or Fractions; zero entries are dropped.
     """
     items = [(c, v) for c, v in row.items() if v]
-    if aug:
-        items.append((ncols, aug))
     d = 1
     for _, v in items:
         if v.denominator != 1:
@@ -252,11 +245,10 @@ class _Eliminator:
     """Incremental sparse row reduction on primitive integer rows (fraction-free).
 
     Each stored row has its pivot at its minimal column, a positive pivot entry,
-    integer entries whose gcd is 1, the augment as column ncols, and zeros at
-    every other pivot column.  Divided by its pivot entry it is a row of the
-    reduced row echelon form of the rows inserted so far, which is unique, so
-    every read-out equals that of exact rational elimination.  Rationals are
-    built only at read-out.
+    integer entries whose gcd is 1, and zeros at every other pivot column.
+    Divided by its pivot entry it is a row of the reduced row echelon form of
+    the rows stored so far, which is unique, so every read-out equals that of
+    exact rational elimination.  Rationals are built only at read-out.
     """
 
     def __init__(self, ncols: int):
@@ -289,23 +281,16 @@ class _Eliminator:
 
     def reduce(self, row: dict) -> dict[int, int]:
         """A positive integer multiple of the residual of row."""
-        return self._reduce(_integer_row(row, 0, self.ncols)[0])[0]
+        return self._reduce(_integer_row(row)[0])[0]
 
-    def insert(self, row: dict, aug=0) -> tuple[Optional[int], Fraction]:
-        """Reduce and, if nonzero, store the row with its pivot at its minimal column.
+    def insert(self, row: dict) -> Optional[int]:
+        """Reduce and, if nonzero, store the row; returns its pivot column, or None for a dependent row."""
+        row = self.reduce(row)
+        return self._store(row) if row else None
 
-        Returns (pivot column or None, augment): the stored row's augment
-        divided by its pivot entry, or with a None pivot the residual augment.
-        A None pivot with a nonzero augment means the augmented system is
-        inconsistent.
-        """
-        ncols = self.ncols
-        row, d = _integer_row(row, aug, ncols)
-        row, scale = self._reduce(row)
-        pivot = min(row, default=ncols)
-        if pivot == ncols:
-            rest = row.get(ncols, 0)
-            return None, Fraction(rest, d * scale) if rest else ZERO
+    def _store(self, row: dict[int, int]) -> int:
+        """Store a non-zero reduced integer row with its pivot at its minimal column; returns the pivot."""
+        pivot = min(row)
         g = gcd(*row.values())
         if row[pivot] < 0:
             g = -g
@@ -333,8 +318,7 @@ class _Eliminator:
                 for c in prow:
                     prow[c] //= g
         self.pivot_rows[pivot] = row
-        rest = row.get(ncols, 0)
-        return pivot, Fraction(rest, p) if rest else ZERO
+        return pivot
 
     @property
     def rank(self) -> int:
@@ -367,10 +351,47 @@ def _transpose(indexed: Iterable[tuple[int, dict]]) -> dict[int, dict]:
     return out
 
 
+def _lift(columns: Sequence[dict], coeffs: Sequence, ambient: int) -> list[Fraction]:
+    """Σ c_j·columns[j] as a dense vector over the ambient coordinates."""
+    acc = [ZERO] * ambient
+    for c, col in zip(coeffs, columns):
+        if c:
+            for i, v in col.items():
+                acc[i] += c * v
+    return acc
+
+
 def _independent(columns: Sequence[dict], ncols: int) -> list[int]:
     """Indices of a greedy maximal linearly independent subset of sparse vectors, in order."""
     elim = _Eliminator(ncols)
-    return [i for i, col in enumerate(columns) if elim.insert(col)[0] is not None]
+    return [i for i, col in enumerate(columns) if elim.insert(col) is not None]
+
+
+def _factor(columns: Sequence[dict], ambient: int) -> Callable[[dict], Optional[tuple[Fraction, ...]]]:
+    """Eliminate sparse columns over coordinates below ambient once; returns the read-out of coordinates in them.
+
+    The read-out maps a sparse vector v to x with Σ x_j·columns[j] = v, or to
+    None when v lies outside their span.  Column j is eliminated with a tag 1
+    at coordinate ambient + j and stored only when it is independent of the
+    columns before it, so every stored row's tags write it as a combination of
+    the columns.  A dependent column gets coordinate zero: x is the solution
+    with every free variable zero.
+    """
+    elim = _Eliminator(ambient + len(columns))
+    for j, col in enumerate(columns):
+        row = elim.reduce({**col, ambient + j: ONE})
+        if min(row) < ambient:
+            elim._store(row)
+
+    def read(v: dict) -> Optional[tuple[Fraction, ...]]:
+        row, d = _integer_row(v)
+        row, s = elim._reduce(row)
+        if any(c < ambient for c in row):
+            return None
+        # s·d·v less the residual is a sum of stored rows, whose tags carry x with the opposite sign
+        return tuple(Fraction(-row[ambient + j], s * d) if ambient + j in row else ZERO for j in range(len(columns)))
+
+    return read
 
 
 def rank_nullspace(m: Matrix) -> tuple[int, "Subspace"]:
@@ -384,38 +405,11 @@ def nullspace_of_sparse_rows(rows: Iterable[dict[int, Fraction]], ncols: int) ->
     return Subspace._of(ncols, _eliminate(rows, ncols).kernel_columns())
 
 
-def independent_subset_indices(vectors: Sequence[Sequence]) -> list[int]:
-    """Indices of a greedy maximal linearly independent subset, in order."""
-    return _independent(_sparse_rows(vectors), len(vectors[0]) if vectors else 0)
-
-
-def solve_sparse_rows(rows: dict[int, dict], b: Sequence, ncols: int) -> Optional[tuple[Fraction, ...]]:
-    """One particular solution of the system {row index: {column: coefficient}} = b, or None.
-
-    A row index absent from rows is a zero row, so b must vanish there.
-    """
-    if any(a for i, a in enumerate(b) if i not in rows):
-        return None
-    elim = _Eliminator(ncols)
-    for i, row in rows.items():
-        pivot, aug = elim.insert(row, b[i])
-        if pivot is None and aug:
-            return None
-    # rows are kept in fully reduced form, so with free variables set to zero
-    # each pivot coordinate reads off its augment over its pivot entry
-    sol = [ZERO] * ncols
-    for p, row in elim.pivot_rows.items():
-        rest = row.get(ncols, 0)
-        if rest:
-            sol[p] = Fraction(rest, row[p])
-    return tuple(sol)
-
-
 def solve(m: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     """One particular solution of m·x = b, or None when b is outside the column space."""
     if len(b) != m.nrows:
         raise InputError(f"right-hand side length {len(b)} does not match {m.nrows} rows")
-    return solve_sparse_rows(dict(enumerate(_sparse_rows(m.rows))), [Fraction(e) for e in b], m.ncols)
+    return _factor(_sparse_rows(zip(*m.rows)), m.nrows)(dict(support(vector(b))))
 
 
 class Subspace:
@@ -482,7 +476,7 @@ class Subspace:
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise InputError("vector length does not match ambient dimension")
-        return solve_sparse_rows(_transpose(enumerate(self.columns)), v, self.dim)
+        return _factor(self.columns, self.ambient_dim)(dict(support(v)))
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
@@ -500,17 +494,8 @@ class Subspace:
         # injective on the kernel, since both bases are independent, so the lifts are a basis
         cols = self.columns + tuple({i: -v for i, v in col.items()} for col in other.columns)
         kernel = _eliminate(_transpose(enumerate(cols)).values(), len(cols)).kernel_columns()
-        lifts = (self._lift([k.get(j, ZERO) for j in range(self.dim)]) for k in kernel)
+        lifts = (_lift(self.columns, [k.get(j, ZERO) for j in range(self.dim)], self.ambient_dim) for k in kernel)
         return Subspace._of(self.ambient_dim, _sparse_rows(lifts))
-
-    def _lift(self, coeffs: Sequence) -> list[Fraction]:
-        """Σ c_j·basis[j]: the ambient vector with these coordinates in this basis."""
-        acc = [ZERO] * self.ambient_dim
-        for c, col in zip(coeffs, self.columns):
-            if c:
-                for i, v in col.items():
-                    acc[i] += c * v
-        return acc
 
     def _same_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

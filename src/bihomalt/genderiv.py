@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 from .algebra import BiHomAlgebra, _common_denominator, transport
 from .cohomology import _twist_rows
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import ZERO, Matrix, Subspace, independent_subset_indices, nullspace_of_sparse_rows
+from .exactnum import ZERO, Matrix, Subspace, _independent, nullspace_of_sparse_rows
 
 # Per kind: the number of stacked unknown endomorphisms (blocks; the space is the
 # first) and its product rules (out, left, right, right_sign), each standing for
@@ -167,9 +167,9 @@ def _operator_rows(alg: BiHomAlgebra, kind: str, k: int, l: int) -> tuple[int, l
     return blocks, rows
 
 
-def _project_first_block(sols) -> tuple[tuple[Matrix, ...], tuple[tuple[Matrix, ...], ...]]:
-    """(basis, witnesses): an independent basis of the first-block projection, witnesses kept aligned."""
-    kept = independent_subset_indices([_flatten(sol[0]) for sol in sols])
+def _project_first_block(columns, sols, n: int) -> tuple[tuple[Matrix, ...], tuple[tuple[Matrix, ...], ...]]:
+    """(basis, witnesses): an independent basis of the first blocks, the kernel columns below n², witnesses aligned."""
+    kept = _independent([{i: v for i, v in col.items() if i < n * n} for col in columns], n * n)
     return tuple(sols[i][0] for i in kept), tuple(tuple(sols[i][1:]) for i in kept)
 
 
@@ -217,7 +217,7 @@ def space_of_kind(alg: BiHomAlgebra, kind: str, k: int, l: int) -> OperatorSpace
     exps = None if kind == "U" else TwistExponents(k, l)
     if blocks == 1:
         return OperatorSpace(kind, exps, n, tuple(s[0] for s in sols))
-    return OperatorSpace(kind, exps, n, *_project_first_block(sols))
+    return OperatorSpace(kind, exps, n, *_project_first_block(kernel.columns, sols, n))
 
 
 def sgder_decompose(alg: BiHomAlgebra, k: int, l: int, d: Matrix) -> tuple[Matrix, Matrix]:

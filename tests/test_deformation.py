@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
-from bihomalt import deformation
-from bihomalt.cohomology import Cochain, cochain_space, delta2, delta3, delta_rows_on_basis
+from bihomalt import deformation, exactnum
+from bihomalt.cohomology import Cochain, _coboundary_rows, _restrict, cochain_space, delta2, delta3
 from bihomalt.deformation import (
     FormalIsomorphism,
     TruncatedDeformation,
@@ -45,7 +45,7 @@ def random_cocycle(alg, rng):
     space = cochain_space(alg, rep, 2)
     if not space.dim:
         return Cochain.zero(2, alg.dim, alg.dim)
-    kernel = nullspace_of_sparse_rows(delta_rows_on_basis(alg, rep, 2, space).values(), space.dim)
+    kernel = nullspace_of_sparse_rows(_restrict(_coboundary_rows(alg, rep, 2), list(space.columns)).values(), space.dim)
     data = [Fraction(0)] * space.ambient_dim
     for coeffs in kernel.basis:
         c = random_fraction(rng)
@@ -480,3 +480,28 @@ def test_trivialize_is_unchanged_under_the_pointwise_gauge(monkeypatch):
     pointwise = [trivialize(defm, order) for defm, _, _, order in (cases[0], cases[-1])]
     assert all(iso is not None for iso in isos)
     assert isos == pointwise
+
+
+def test_trivialize_factors_delta1_once(monkeypatch):
+    # the δ1 preimage is factored before the level loop, so clearing more levels builds no more eliminators
+    h_defm = _gauge_cases()[0][0]
+    built, gauged = [], []
+
+    class Counted(exactnum._Eliminator):
+        def __init__(self, ncols):
+            built.append(ncols)
+            super().__init__(ncols)
+
+    def counted_gauge(defm, f, level, order):
+        gauged.append(level)
+        return gauge(defm, f, level, order)
+
+    monkeypatch.setattr(exactnum, "_Eliminator", Counted)
+    monkeypatch.setattr(deformation, "gauge", counted_gauge)
+    counts = []
+    for max_order in (1, 8):
+        built.clear()
+        assert trivialize(h_defm, max_order) is not None
+        counts.append(len(built))
+    assert gauged[:1] == [1] and len(gauged) >= 4  # one level at max order 1, at least three at max order 8
+    assert counts[1] == counts[0]

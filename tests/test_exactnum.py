@@ -9,13 +9,14 @@ from bihomalt.exactnum import (
     Matrix,
     Subspace,
     _eliminate,
+    _factor,
+    _independent,
+    _transpose,
     format_rational,
-    independent_subset_indices,
     nullspace_of_sparse_rows,
     parse_rational,
     rank_nullspace,
     solve,
-    solve_sparse_rows,
     subspace_ops,
     unit_vector,
     vector,
@@ -259,6 +260,12 @@ def test_kernel_bases_equal_the_dense_rref_kernel(system):
         assert kernel.basis == tuple(expected) and _all_fractions(kernel.basis)
 
 
+def _solve_rows(rows: dict, b, ncols: int):
+    """The system {row index: {column: coefficient}} = b through the factor of its columns; a row left out is zero."""
+    columns = _transpose(rows.items())
+    return _factor([columns.get(j, {}) for j in range(ncols)], len(b))({i: Fraction(e) for i, e in enumerate(b) if e})
+
+
 @given(systems(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_solve_equals_the_dense_rref_solution(system, data):
@@ -266,10 +273,13 @@ def test_solve_equals_the_dense_rref_solution(system, data):
     if not rows:
         return
     m = Matrix(rows)
-    if data.draw(st.booleans()):
-        b = m.apply(data.draw(st.lists(entries, min_size=ncols, max_size=ncols)))
-    else:
-        b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    targets = []
+    for _ in range(3):
+        if data.draw(st.booleans()):
+            targets.append(m.apply(data.draw(st.lists(entries, min_size=ncols, max_size=ncols))))
+        else:
+            targets.append(data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows))))
+    b = targets[0]
     expected = dense_solve(rows, b, ncols)
     got = solve(m, b)
     assert got == expected
@@ -277,7 +287,10 @@ def test_solve_equals_the_dense_rref_solution(system, data):
         assert _all_fractions([got])
     # the same system with its all-zero rows left out, as the cochain restrictions give it
     sparse_rows = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(rows) if any(r)}
-    assert solve_sparse_rows(sparse_rows, [Fraction(e) for e in b], ncols) == got
+    assert _solve_rows(sparse_rows, b, ncols) == got
+    # factor once, solve many: every target is read off one factor of the columns
+    read = _factor([{i: v for i, v in enumerate(col) if v} for col in zip(*rows)], len(rows))
+    assert [read({i: Fraction(e) for i, e in enumerate(t) if e}) for t in targets] == [dense_solve(rows, t, ncols) for t in targets]
 
 
 def test_solve_reports_inconsistent_augmented_systems():
@@ -289,10 +302,10 @@ def test_solve_reports_inconsistent_augmented_systems():
     assert solve(Matrix([[3]]), [Fraction(1, 7)]) == (Fraction(1, 21),)
     # row 1 of [[1, 2], [0, 0], [0, 1]] is all zero and left out: a non-zero target there has no solution
     sparse_rows = {0: {0: Fraction(1), 1: Fraction(2)}, 2: {1: Fraction(1)}}
-    assert solve_sparse_rows(sparse_rows, [Fraction(3), Fraction(1), Fraction(1)], 2) is None
+    assert _solve_rows(sparse_rows, [Fraction(3), Fraction(1), Fraction(1)], 2) is None
     assert solve(Matrix([[1, 2], [0, 0], [0, 1]]), [3, 1, 1]) is None
-    assert solve_sparse_rows(sparse_rows, [Fraction(3), Fraction(0), Fraction(1)], 2) == (1, 1)
-    assert solve_sparse_rows({}, [Fraction(0), Fraction(5)], 2) is None
+    assert _solve_rows(sparse_rows, [Fraction(3), Fraction(0), Fraction(1)], 2) == (1, 1)
+    assert _solve_rows({}, [Fraction(0), Fraction(5)], 2) is None
 
 
 @given(systems())
@@ -300,7 +313,7 @@ def test_solve_reports_inconsistent_augmented_systems():
 def test_independent_subsets_equal_the_greedy_dense_choice(system):
     ncols, rows = system
     kept = greedy_independent(rows)
-    assert independent_subset_indices(rows) == kept
+    assert _independent([{j: v for j, v in enumerate(r) if v} for r in rows], ncols) == kept
     assert Subspace.from_spanning(ncols, rows).basis == tuple(vector(rows[i]) for i in kept)
 
 

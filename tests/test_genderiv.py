@@ -5,9 +5,9 @@ import pytest
 
 import bihomalt.genderiv as genderiv
 from bihomalt.algebra import BiHomAlgebra
-from bihomalt.cohomology import cochain_space, delta_rows_on_basis
+from bihomalt.cohomology import _coboundary_rows, _restrict, cochain_space
 from bihomalt.errors import InputError, InternalError, PreconditionError
-from bihomalt.exactnum import Matrix, Subspace, nullspace_of_sparse_rows
+from bihomalt.exactnum import Matrix, Subspace, _lift, nullspace_of_sparse_rows
 from bihomalt.genderiv import (
     OperatorSpace,
     bracket,
@@ -469,8 +469,8 @@ def _flattened(space: OperatorSpace) -> Subspace:
 def _cocycles1(alg, rep) -> Subspace:
     """Z¹(A, rep): the kernel of δ1 on the twist-compatible degree-1 cochains, in cochain coordinates."""
     c1 = cochain_space(alg, rep, 1)
-    kernel = nullspace_of_sparse_rows(delta_rows_on_basis(alg, rep, 1, c1).values(), c1.dim)
-    return Subspace(c1.ambient_dim, [c1._lift(v) for v in kernel.basis])
+    kernel = nullspace_of_sparse_rows(_restrict(_coboundary_rows(alg, rep, 1), list(c1.columns)).values(), c1.dim)
+    return Subspace(c1.ambient_dim, [_lift(c1.columns, v, c1.ambient_dim) for v in kernel.basis])
 
 
 def _same(a: Subspace, b: Subspace) -> bool:

@@ -235,6 +235,24 @@ def test_one_series_coefficient_for_gauge_equivalence_and_trivialization():
         assert not any(isinstance(node, ast.While) for node in ast.walk(ast.parse(_function_source(source, name))))
 
 
+def test_one_factored_solve_reads_the_stored_rows():
+    # every coordinate read-out goes through exactnum._factor: outside the eliminator's own methods and the
+    # factor nothing reads the stored rows, and a row is inserted without an augment column
+    readers = sorted(
+        node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == "pivot_rows"
+    )
+    assert readers and set(readers) <= {"_Eliminator", "_factor"}
+    tree = ast.parse((SRC / "exactnum.py").read_text())
+    eliminator = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Eliminator")
+    args = next(n for n in eliminator.body if isinstance(n, ast.FunctionDef) and n.name == "insert").args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["self", "row"]
+    assert args.vararg is None and args.kwarg is None
+
+
 def _assigned_literal(source: str, name: str):
     """The literal value of a module-level assignment to name."""
     for node in ast.parse(source).body:
