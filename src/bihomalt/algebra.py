@@ -12,20 +12,22 @@ as(βx, αy, z) + as(βy, αx, z): the left law.  On the opposite algebra
 Aᵒᵖ = (mu(y, x), β, α) it is the right law with its inputs reversed.
 The pairing is contracted on integer tables that `transport` reads off the
 structure constants, so no identity is evaluated point by point.  Twist
-compatibility of a given multilinear map, out∘f = f∘(T_1 ⊗ ... ⊗ T_k), has
-one check, `_intertwining_witness`: multiplicativity here, cochains and the
-intertwining relations of a representation elsewhere.
+compatibility, out∘f = f∘(T_1 ⊗ ... ⊗ T_k), is the kernel of the integer
+rows of `_twist_rows`: cochain spaces and the commutant are spanned by them,
+and `_intertwining_witness` decides a given map on them (multiplicativity
+here, cochains and the intertwining relations of a representation elsewhere).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, MathCheckError
-from .exactnum import Matrix, support, vec_sub, vector
+from .exactnum import Matrix, _Immutable, support, vec_sub, vector
 
 BilinearTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -55,7 +57,7 @@ def apply_bilinear(tensor: BilinearTensor, x: Sequence, y: Sequence) -> tuple[Fr
     return tuple(acc)
 
 
-class BiHomAlgebra:
+class BiHomAlgebra(_Immutable):
     """Structure constants plus the two twist matrices.
 
     Construction only checks shapes: an object may hold an algebra that
@@ -72,13 +74,7 @@ class BiHomAlgebra:
         for m, name in ((alpha, "alpha"), (beta, "beta")):
             if not isinstance(m, Matrix) or m.nrows != dim or m.ncols != dim:
                 raise InputError(f"{name} must be a {dim}x{dim} matrix")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BiHomAlgebra is immutable")
+        self._set(dim=dim, mu=mu, alpha=alpha, beta=beta)
 
     def __eq__(self, other):
         return (
@@ -98,7 +94,7 @@ class BiHomAlgebra:
         return apply_bilinear(self.mu, x, y)
 
 
-class AlgebraMap:
+class AlgebraMap(_Immutable):
     """A linear map between algebras, candidate for being a morphism."""
 
     __slots__ = ("source_dim", "target_dim", "matrix")
@@ -106,12 +102,7 @@ class AlgebraMap:
     def __init__(self, source_dim: int, target_dim: int, matrix: Matrix):
         if matrix.nrows != target_dim or matrix.ncols != source_dim:
             raise InputError("morphism matrix shape does not match declared dimensions")
-        object.__setattr__(self, "source_dim", source_dim)
-        object.__setattr__(self, "target_dim", target_dim)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *_):
-        raise AttributeError("AlgebraMap is immutable")
+        self._set(source_dim=source_dim, target_dim=target_dim, matrix=matrix)
 
     def _key(self):
         return self.source_dim, self.target_dim, self.matrix
@@ -276,37 +267,69 @@ def _first_difference(p, q) -> Optional[tuple[int, int]]:
     return None
 
 
-def _intertwining_witness(flat: Sequence, dims: Sequence[int], twists: Sequence[Matrix], out: Matrix) -> Optional[tuple]:
+def _expand(dims: Sequence[int], mod_dim: int, supports) -> dict[int, int]:
+    """f(u_1, ..., u_k) as linear forms in the flat coordinates of f, axis a of length dims[a].
+
+    Takes the supports of the arguments, with integer entries, and returns
+    {offset: coefficient}: coordinate c of the value is the sum of
+    coefficient * f[offset + c].
+    """
+    strides, step = [], mod_dim
+    for size in reversed(dims):
+        strides.append(step)
+        step *= size
+    scaled = [[(i * stride, a) for i, a in sup] for sup, stride in zip(supports, reversed(strides))]
+    form = {}
+    for combo in itertools.product(*scaled):
+        off, coeff = 0, 1
+        for o, a in combo:
+            off += o
+            coeff *= a
+        form[off] = form.get(off, 0) + coeff
+    return form
+
+
+def _twist_rows(twists: Sequence[Matrix], out: Matrix):
+    """Yield (t, c, row): the integer row of out(f(e_t)) − f(twists[0] e_t0, twists[1] e_t1, ...) = 0 at coordinate c.
+
+    Rows are sparse over the flat layout of the multilinear maps f whose axis a
+    has length twists[a].nrows and whose values lie in the space of out, by t in
+    lexicographic order and then by c; zero rows are skipped.  In integers
+    d_out·out and d_a·twists[a], the out side is scaled by the product of the
+    d_a and the twisted side by d_out, so each row is a positive multiple of
+    its rational form.
+    """
+    dims, m = [twist.nrows for twist in twists], out.nrows
+    d_out, out_rows = _integer_columns(out.transpose())
+    ints = [_integer_columns(twist) for twist in twists]
+    scale = prod(d for d, _ in ints)
+    for pos, t in enumerate(itertools.product(*map(range, dims))):
+        base = pos * m
+        args = [cols[i] for i, (_, cols) in zip(t, ints)]
+        transformed = [(off, d_out * coeff) for off, coeff in _expand(dims, m, args).items()]
+        for c, out_row in enumerate(out_rows):
+            row = {base + c_in: e * scale for c_in, e in out_row}
+            for off, coeff in transformed:
+                key = off + c
+                row[key] = row.get(key, 0) - coeff
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                yield t, c, row
+
+
+def _intertwining_witness(flat: Sequence, twists: Sequence[Matrix], out: Matrix) -> Optional[tuple]:
     """The first basis tuple t, in lexicographic order, where out(f(e_t)) ≠ f(twists[0] e_t0, twists[1] e_t1, ...), or None.
 
-    The multilinear map f is stored flat: its values f(e_t), t running over the
-    axis lengths dims in lexicographic order, one after another.  Both sides are
-    integer tables read through `transport`: out acts on the values, and each
-    twist on its own axis a, the second axis of f viewed as a bilinear tensor
-    [axes before a][a].
+    The multilinear map f is stored flat, in the layout of `_twist_rows`, and
+    is scaled to integers; t is the first tuple with a row that does not
+    vanish on it.
     """
-
-    def view(data, axis):
-        rows, cols = prod(dims[:axis]), dims[axis]
-        width = len(data) // (rows * cols)
-        return [[data[(r * cols + c) * width : (r * cols + c + 1) * width] for c in range(cols)] for r in range(rows)]
-
-    last = len(dims) - 1
-    d, data = 1, flat
-    for axis, twist in enumerate(twists):
-        step, table = transport(view(data, axis), None, None, twist)
-        d, data = d * step, [v for row in table for vec in row for v in vec]
-    w = _first_difference(transport(view(flat, last), out), (d, view(data, last)))
-    return None if w is None else _index_tuple(w[0] * dims[last] + w[1], dims)
-
-
-def _index_tuple(pos: int, dims: Sequence[int]) -> tuple[int, ...]:
-    """The index tuple at a flat position of the lexicographic order over the axis lengths dims."""
-    idx = []
-    for size in reversed(dims):
-        pos, i = divmod(pos, size)
-        idx.append(i)
-    return tuple(reversed(idx))
+    d = lcm(*(x.denominator for x in flat))
+    data = [x.numerator * (d // x.denominator) for x in flat]
+    for t, _, row in _twist_rows(twists, out):
+        if sum(v * data[k] for k, v in row.items()):
+            return t
+    return None
 
 
 def _alternative_witness(
@@ -335,12 +358,12 @@ def validate(alg: BiHomAlgebra) -> AlgebraReport:
     Each witness is the first failing basis tuple in lexicographic order: (i, j, k)
     with i ≤ j for the left law and with j ≤ k for the right law.
     """
-    n, mu = alg.dim, [x for row in alg.mu for cell in row for x in cell]
+    mu = [x for row in alg.mu for cell in row for x in cell]
     found = {
         "commuting": None if alg.alpha.commutes_with(alg.beta) else (),
         # twist(e_i·e_j) against twist(e_i)·twist(e_j)
-        "alpha_multiplicative": _intertwining_witness(mu, (n, n), (alg.alpha, alg.alpha), alg.alpha),
-        "beta_multiplicative": _intertwining_witness(mu, (n, n), (alg.beta, alg.beta), alg.beta),
+        "alpha_multiplicative": _intertwining_witness(mu, (alg.alpha, alg.alpha), alg.alpha),
+        "beta_multiplicative": _intertwining_witness(mu, (alg.beta, alg.beta), alg.beta),
         "left_alternative": _alternative_witness(alg, False),
         "right_alternative": _alternative_witness(alg, True),
     }

@@ -4,9 +4,8 @@ An n-cochain is an n-linear map A^n -> V intertwining the twists:
 phi∘f = f∘alpha^(n) and psi∘f = f∘beta^(n).  Coordinates are stored flat,
 ordered lexicographically by (i_1, ..., i_n, output index); that ordering
 is shared with the cochain file format.  A cochain space is the kernel of
-the rows of `_twist_rows`, the one builder of twist-compatibility rows (the
-commutant rows of `genderiv` are its degree-1 rows); a given cochain is
-checked by the one twist check of `algebra`.
+the rows of `algebra._twist_rows`, the one builder of twist-compatibility
+rows, and a given cochain is decided on the same rows.
 
 The complex is truncated above degree three: degree-4 cochains exist only
 as the codomain of the degree-3 operator.
@@ -19,11 +18,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .algebra import BiHomAlgebra, _common_denominator, _index_tuple, _integer_columns, _intertwining_witness, transport, validate
+from .algebra import BiHomAlgebra, _common_denominator, _expand, _intertwining_witness, _twist_rows, transport, validate
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
     Matrix,
     Subspace,
+    _Immutable,
     _eliminate,
     _factor,
     _lift,
@@ -34,12 +34,12 @@ from .exactnum import (
     unit_vector,
     vector,
 )
-from .representation import Representation, _require_module_over, validate_representation
+from .representation import Representation, _action_tensors, _require_module_over, validate_representation
 
 ZERO = Fraction(0)
 
 
-class Cochain:
+class Cochain(_Immutable):
     """An n-linear map A^n -> V as a flat tuple of rationals."""
 
     __slots__ = ("degree", "alg_dim", "mod_dim", "data")
@@ -52,13 +52,7 @@ class Cochain:
             raise InputError(
                 f"cochain needs {mod_dim * alg_dim ** degree} coordinates, got {len(data)}"
             )
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "alg_dim", alg_dim)
-        object.__setattr__(self, "mod_dim", mod_dim)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Cochain is immutable")
+        self._set(degree=degree, alg_dim=alg_dim, mod_dim=mod_dim, data=data)
 
     def __eq__(self, other):
         return (
@@ -95,7 +89,11 @@ class Cochain:
         pos = next((p for p, a in enumerate(self.data) if a != 0), None)
         if pos is None:
             return None
-        return _index_tuple(pos // self.mod_dim, (self.alg_dim,) * self.degree)
+        idx, pos = [], pos // self.mod_dim
+        for _ in range(self.degree):
+            pos, i = divmod(pos, self.alg_dim)
+            idx.append(i)
+        return tuple(reversed(idx))
 
     def nested(self) -> list:
         """Nested-list form, innermost = output coordinates (the file layout)."""
@@ -135,7 +133,7 @@ def twist_witness(cochain: Cochain, twist_in: Matrix, twist_out: Matrix) -> Opti
     n, m, degree = cochain.alg_dim, cochain.mod_dim, cochain.degree
     if (twist_in.nrows, twist_in.ncols, twist_out.nrows, twist_out.ncols) != (n, n, m, m):
         raise InputError("twist shapes do not match the cochain")
-    return _intertwining_witness(cochain.data, (n,) * degree, (twist_in,) * degree, twist_out)
+    return _intertwining_witness(cochain.data, (twist_in,) * degree, twist_out)
 
 
 def compatibility_witness(
@@ -157,57 +155,13 @@ def _require_cochain(alg: BiHomAlgebra, rep: Representation, f: Cochain, degree:
         raise PreconditionError(f"not a twist-compatible cochain (fails at {w})")
 
 
-def _expand(alg_dim: int, mod_dim: int, supports) -> dict[int, int]:
-    """f(u_1, ..., u_k) as linear forms in f's flat coordinates.
-
-    Takes the supports of the arguments, with integer entries, and returns
-    {offset: coefficient}: coordinate c of the value is the sum of
-    coefficient * f[offset + c].
-    """
-    form = {}
-    for combo in itertools.product(*supports):
-        pos, coeff = 0, 1
-        for i, a in combo:
-            pos = pos * alg_dim + i
-            coeff *= a
-        off = pos * mod_dim
-        form[off] = form.get(off, 0) + coeff
-    return form
-
-
-def _twist_rows(degree: int, twist_in: Matrix, twist_out: Matrix):
-    """Yield (t, c, row): the integer row of twist_out(f(e_t)) − f(twist_in e_t) = 0 at output coordinate c.
-
-    Rows are sparse over the flat layout of the degree-linear maps f: A^degree → V,
-    A and V being the spaces of twist_in and twist_out, by t in lexicographic
-    order and then by c; zero rows are skipped.  In integers d_out·twist_out and
-    d_in·twist_in, the twist side is scaled by d_in^degree and the transformed
-    side by d_out, so each row is d_out·d_in^degree times its rational form.
-    """
-    n, m = twist_in.nrows, twist_out.nrows
-    d_out, out_rows = _integer_columns(twist_out.transpose())
-    d_in, cols = _integer_columns(twist_in)
-    scale = d_in**degree
-    for pos, t in enumerate(itertools.product(range(n), repeat=degree)):
-        base = pos * m
-        transformed = _expand(n, m, [cols[i] for i in t])
-        for c, out_row in enumerate(out_rows):
-            row = {base + c_in: e * scale for c_in, e in out_row}
-            for off, coeff in transformed.items():
-                key = off + c
-                row[key] = row.get(key, 0) - d_out * coeff
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                yield t, c, row
-
-
 def cochain_space(alg: BiHomAlgebra, rep: Representation, degree: int) -> Subspace:
     """Basis of the twist-compatible n-linear maps inside the full coordinate space."""
     if degree not in (1, 2, 3):
         raise InputError("cochain spaces are built for degrees 1, 2, 3")
     _require_module_over(alg, rep)
     pairs = ((alg.alpha, rep.phi), (alg.beta, rep.psi))
-    rows = [row for twist_in, twist_out in pairs for _, _, row in _twist_rows(degree, twist_in, twist_out)]
+    rows = [row for twist_in, twist_out in pairs for _, _, row in _twist_rows((twist_in,) * degree, twist_out)]
     return nullspace_of_sparse_rows(rows, rep.mod_dim * alg.dim**degree)
 
 
@@ -232,7 +186,7 @@ def _delta_terms(alg: BiHomAlgebra, rep: Representation, degree: int) -> tuple[i
     alpha, beta = alg.alpha, alg.beta
     # twists, actions and the product as bilinear tensors: A × Q → A, A × V → V, A × A → A
     basis = [[unit_vector(n, p)] for p in range(n)]
-    left, right = ([[a.column(c) for c in range(m)] for a in acts] for acts in (rep.l, rep.r))
+    left, right = _action_tensors(rep)
 
     def actions(table):
         """By x, the action at x as one support over the input coordinates per output coordinate."""
@@ -326,11 +280,11 @@ def _coboundary_rows(alg: BiHomAlgebra, rep: Representation, degree: int):
     _require_module_over(alg, rep)
     n, m = alg.dim, rep.mod_dim
     d, terms = _delta_terms(alg, rep, degree)
-    den = d ** (degree + 1)
+    den, dims = d ** (degree + 1), (n,) * degree
     for pos, t in enumerate(itertools.product(range(n), repeat=degree + 1)):
         rows = [{} for _ in range(m)]
         for sign, action, args in terms(*t):
-            form = _expand(n, m, args).items()
+            form = _expand(dims, m, args).items()
             # an action mixes the output coordinates: row c takes coordinate c_in of f(args)
             for row, mix in zip(rows, action):
                 for c_in, s in mix:

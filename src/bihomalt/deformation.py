@@ -27,13 +27,13 @@ from typing import NamedTuple, Optional, Sequence
 from .algebra import _NO_WITNESSES, BiHomAlgebra, _first_difference, _pairing, _table_sum, _term_tables, transport
 from .cohomology import Cochain, _preimage, twist_witness
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import Matrix
+from .exactnum import Matrix, _Immutable
 from .representation import adjoint
 
 ZERO = Fraction(0)
 
 
-class TruncatedDeformation:
+class TruncatedDeformation(_Immutable):
     """The base algebra plus the ordered bilinear terms d_1 ... d_m."""
 
     __slots__ = ("alg", "terms")
@@ -43,11 +43,7 @@ class TruncatedDeformation:
         for t in terms:
             if t.degree != 2 or t.alg_dim != alg.dim or t.mod_dim != alg.dim:
                 raise InputError("deformation terms must be bilinear maps A x A -> A")
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TruncatedDeformation is immutable")
+        self._set(alg=alg, terms=terms)
 
     @property
     def order(self) -> int:

@@ -92,7 +92,20 @@ def support(u) -> list[tuple[int, Fraction]]:
     return [(i, a) for i, a in enumerate(u) if a is not ZERO and a]
 
 
-class Matrix:
+class _Immutable:
+    """A value class: its slots are set once, through `_set`, and never assigned again."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Matrix(_Immutable):
     """Immutable dense matrix of Fractions acting on column vectors."""
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -104,12 +117,7 @@ class Matrix:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise InputError("ragged matrix rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Matrix is immutable")
+        self._set(rows=rows, nrows=len(rows), ncols=width)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -412,7 +420,7 @@ def solve(m: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     return _factor(_sparse_rows(zip(*m.rows)), m.nrows)(dict(support(vector(b))))
 
 
-class Subspace:
+class Subspace(_Immutable):
     """A subspace of Q^n given by a linearly independent list of basis vectors.
 
     Each basis vector is stored as a sparse exact column {coordinate: Fraction}
@@ -430,18 +438,13 @@ class Subspace:
         columns = _sparse_rows(basis)
         if _eliminate(columns, ambient_dim).rank != len(columns):
             raise InputError("basis vectors are linearly dependent")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "columns", tuple(columns))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Subspace is immutable")
+        self._set(ambient_dim=ambient_dim, columns=tuple(columns))
 
     @staticmethod
     def _of(ambient_dim: int, columns: Iterable[dict[int, Fraction]]) -> "Subspace":
         """The span of columns already known to be independent, without a check."""
         space = object.__new__(Subspace)
-        object.__setattr__(space, "ambient_dim", ambient_dim)
-        object.__setattr__(space, "columns", tuple(columns))
+        space._set(ambient_dim=ambient_dim, columns=tuple(columns))
         return space
 
     @staticmethod

@@ -29,9 +29,13 @@ def _fail(path: str, message: str):
     raise InputError(f"{path}: {message}")
 
 
-def _expect_dict(obj, path: str) -> dict:
+def _expect_dict(obj, path: str, keys) -> dict:
+    """obj as a JSON object holding every one of keys; the first one missing is named."""
     if not isinstance(obj, dict):
         _fail(path, "expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            _fail(path, f"missing key {key!r}")
     return obj
 
 
@@ -84,10 +88,7 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def parse_algebra(obj: Any, path: str = "algebra") -> BiHomAlgebra:
-    obj = _expect_dict(obj, path)
-    for key in ("dim", "mu", "alpha", "beta"):
-        if key not in obj:
-            _fail(path, f"missing key {key!r}")
+    obj = _expect_dict(obj, path, ("dim", "mu", "alpha", "beta"))
     dim = _expect_int(obj["dim"], f"{path}.dim")
     if dim < 1:
         _fail(f"{path}.dim", "must be positive")
@@ -107,10 +108,7 @@ def algebra_to_json(alg: BiHomAlgebra) -> dict:
 
 
 def parse_representation(obj: Any, path: str = "representation") -> Representation:
-    obj = _expect_dict(obj, path)
-    for key in ("alg_dim", "mod_dim", "l", "r", "phi", "psi"):
-        if key not in obj:
-            _fail(path, f"missing key {key!r}")
+    obj = _expect_dict(obj, path, ("alg_dim", "mod_dim", "l", "r", "phi", "psi"))
     n = _expect_int(obj["alg_dim"], f"{path}.alg_dim")
     m = _expect_int(obj["mod_dim"], f"{path}.mod_dim")
     if n < 1 or m < 1:
@@ -136,10 +134,7 @@ def representation_to_json(rep: Representation) -> dict:
 
 def parse_cochain(obj: Any, path: str = "cochain") -> tuple[Cochain, str]:
     """Returns the cochain and its target tag ("module" or "dual")."""
-    obj = _expect_dict(obj, path)
-    for key in ("degree", "alg_dim", "mod_dim", "tensor"):
-        if key not in obj:
-            _fail(path, f"missing key {key!r}")
+    obj = _expect_dict(obj, path, ("degree", "alg_dim", "mod_dim", "tensor"))
     degree = _expect_int(obj["degree"], f"{path}.degree")
     n = _expect_int(obj["alg_dim"], f"{path}.alg_dim")
     m = _expect_int(obj["mod_dim"], f"{path}.mod_dim")
@@ -155,10 +150,7 @@ def parse_cochain(obj: Any, path: str = "cochain") -> tuple[Cochain, str]:
 
 
 def parse_deformation(obj: Any, path: str = "deformation") -> TruncatedDeformation:
-    obj = _expect_dict(obj, path)
-    for key in ("algebra", "terms"):
-        if key not in obj:
-            _fail(path, f"missing key {key!r}")
+    obj = _expect_dict(obj, path, ("algebra", "terms"))
     alg = parse_algebra(obj["algebra"], f"{path}.algebra")
     n = alg.dim
     terms = _rationals(obj["terms"], f"{path}.terms", (None, n, n, n))

@@ -13,7 +13,7 @@ W = alpha^k beta^l the defining rules are, on all pairs (x, y):
 Each space is the solution set of a sparse linear system over the stacked
 entries of the unknown endomorphisms; projected spaces keep one witness
 tuple per basis element.  The rows [X, alpha] = [X, beta] = 0 of each block
-are the degree-1 twist rows of `cohomology`, read through X[c][t] = f(e_t)_c.
+are the degree-1 rows of `algebra._twist_rows`, read through X[c][t] = f(e_t)_c.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .algebra import BiHomAlgebra, _common_denominator, transport
-from .cohomology import _twist_rows
+from .algebra import BiHomAlgebra, _common_denominator, _twist_rows, transport
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import ZERO, Matrix, Subspace, _independent, nullspace_of_sparse_rows
 
@@ -111,7 +110,7 @@ def _commutation_rows(mat: Matrix, block: int) -> list[dict[int, int]]:
     """
     n = mat.nrows
     base = block * n * n
-    rows = {(c, t): {base + k % n * n + k // n: -v for k, v in row.items()} for (t,), c, row in _twist_rows(1, mat, mat)}
+    rows = {(c, t): {base + k % n * n + k // n: -v for k, v in row.items()} for (t,), c, row in _twist_rows((mat,), mat)}
     return [rows[key] for key in sorted(rows)]
 
 

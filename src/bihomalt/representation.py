@@ -20,12 +20,12 @@ from typing import NamedTuple
 
 from .algebra import _NO_WITNESSES, BiHomAlgebra, _common_denominator, _intertwining_witness, _lincomb, _report_dict, transport
 from .errors import InputError, PreconditionError
-from .exactnum import Matrix
+from .exactnum import Matrix, _Immutable
 
 ZERO = Fraction(0)
 
 
-class Representation:
+class Representation(_Immutable):
     """Shape-checked container; validate_representation decides the axioms."""
 
     __slots__ = ("alg_dim", "mod_dim", "l", "r", "phi", "psi")
@@ -38,15 +38,7 @@ class Representation:
         for m in (*l, *r, phi, psi):
             if not isinstance(m, Matrix) or m.nrows != mod_dim or m.ncols != mod_dim:
                 raise InputError(f"action and twist matrices must be {mod_dim}x{mod_dim}")
-        object.__setattr__(self, "alg_dim", alg_dim)
-        object.__setattr__(self, "mod_dim", mod_dim)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Representation is immutable")
+        self._set(alg_dim=alg_dim, mod_dim=mod_dim, l=l, r=r, phi=phi, psi=psi)
 
     def __eq__(self, other):
         return (
@@ -136,7 +128,7 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
     def intertwining(action, twist_in, twist_out):
         # twist_out·action(e_i) against action(twist_in e_i)·twist_out, on each (e_i, e_v)
         flat = [x for column in action for vec in column for x in vec]
-        w = _intertwining_witness(flat, (n, rep.mod_dim), (twist_in, twist_out), twist_out)
+        w = _intertwining_witness(flat, (twist_in, twist_out), twist_out)
         return None if w is None else w[:1]
 
     _, tables = _common_denominator(

@@ -21,6 +21,7 @@ from bihomalt.representation import adjoint, semidirect
 
 from conftest import (
     change_basis,
+    make_d2,
     make_octonions,
     make_p2,
     make_twisted_octonions,
@@ -30,7 +31,7 @@ from conftest import (
     random_noncommuting_algebra,
     random_signed_permutation,
 )
-from oracle_naive import evaluate, naive_alternative_witnesses
+from oracle_naive import evaluate, naive_alternative_witnesses, naive_twist_witness
 
 
 def test_associator_vanishes_on_zero_algebra(z1):
@@ -81,6 +82,33 @@ def test_validate_detects_nonmultiplicative_alpha(e1):
     assert not report.alpha_multiplicative
     assert report.witnesses["alpha_multiplicative"] == (0, 0)
     assert report.commuting and report.beta_multiplicative
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: change_basis(make_d2(), Matrix([[1, Fraction(1, 2)], [0, 2]])), make_twisted_octonions],
+    ids=["D2-rational-basis", "twisted-O"],
+)
+def test_multiplicativity_witnesses_match_the_pointwise_oracle(make):
+    # μ read as a degree-2 cochain with twists (α, α) or (β, β); one twist entry perturbed per seed
+    alg = make()
+    n = alg.dim
+    mu = Cochain(2, n, n, [x for row in alg.mu for cell in row for x in cell])
+    seen = set()
+    for seed in range(6):
+        rng = Random(seed)
+        twists = [alg.alpha, alg.beta]
+        which, i, j = rng.randrange(2), rng.randrange(n), rng.randrange(n)
+        rows = [list(row) for row in twists[which].rows]
+        rows[i][j] += rng.choice([Fraction(1), Fraction(-1), Fraction(1, 3)])
+        twists[which] = Matrix(rows)
+        for broken in (alg, BiHomAlgebra(n, alg.mu, *twists)):
+            witnesses = validate(broken).witnesses
+            for name, twist in (("alpha_multiplicative", broken.alpha), ("beta_multiplicative", broken.beta)):
+                w = witnesses.get(name)
+                assert w == naive_twist_witness(mu, twist, twist)
+                seen.add(w is None)
+    assert seen == {True, False}
 
 
 def test_validate_passes_under_basis_permutation(d2):

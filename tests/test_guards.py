@@ -178,14 +178,16 @@ def _callers(source: str, callee: str) -> list[str]:
 
 
 def test_one_twist_check_and_one_twist_row_builder():
-    # given tensors: twisted transports are compared only inside the one witness helper; is_morphism and
-    # check_equivalence compare transports of two different tensors
+    # transports are compared only where two different tensors meet: is_morphism and check_equivalence
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     compared = sorted(name for source in sources.values() for name in _callers(source, "_first_difference"))
-    assert compared == ["_intertwining_witness", "check_equivalence", "is_morphism"]
-    # spaces: cochain_space and the commutant rows share one row builder, and genderiv has no twist loop of its own
+    assert compared == ["check_equivalence", "is_morphism"]
+    # one row builder: cochain_space and the commutant rows span their spaces with it, and the witness
+    # of a given tensor reads the same rows, with no transport table of its own
     built = sorted(name for source in sources.values() for name in _callers(source, "_twist_rows"))
-    assert built == ["_commutation_rows", "cochain_space"]
+    assert built == ["_commutation_rows", "_intertwining_witness", "cochain_space"]
+    witness = _function_source(sources["algebra.py"], "_intertwining_witness")
+    assert _named_calls(witness, "_intertwining_witness", ("transport",)) == []
     genderiv = sources["genderiv.py"]
     assert _named_calls(genderiv, "genderiv.py", ("_integer_columns",)) == []
     commutation = ast.parse(_function_source(genderiv, "_commutation_rows"))
