@@ -96,15 +96,11 @@ class Cochain(_Immutable):
         return tuple(reversed(idx))
 
     def nested(self) -> list:
-        """Nested-list form, innermost = output coordinates (the file layout)."""
-
-        def build(prefix):
-            if len(prefix) == self.degree:
-                off = self._offset(prefix)
-                return list(self.data[off : off + self.mod_dim])
-            return [build(prefix + (i,)) for i in range(self.alg_dim)]
-
-        return build(())
+        """Nested-list form, innermost = output coordinates (the file layout): the flat data reshaped."""
+        out = [list(self.data[p : p + self.mod_dim]) for p in range(0, len(self.data), self.mod_dim)]
+        for _ in range(self.degree - 1):
+            out = [out[p : p + self.alg_dim] for p in range(0, len(out), self.alg_dim)]
+        return out
 
     @staticmethod
     def from_nested(degree: int, alg_dim: int, mod_dim: int, nested) -> "Cochain":
@@ -177,91 +173,63 @@ def _twisted(tensor, *twists) -> tuple[int, list]:
 def _delta_terms(alg: BiHomAlgebra, rep: Representation, degree: int) -> tuple[int, Callable]:
     """(d, terms): terms(*t) gives (δf)(e_t) as (sign, action rows, argument supports) triples.
 
-    Every factor table holds integers, d times the rationals they stand for, and
-    every term has degree + 1 factors: its action and its arguments.  A term
-    without an action has the identity times d in its place, so each term sums
-    to d^(degree + 1) times its value.
+    One factor table serves δ1–δ3: every twisted action, product and basis
+    vector is built once, as integers over one common denominator d, and each
+    degree is only its term formula.  Every term has degree + 1 factors: its
+    action and its arguments.  A term without an action has the identity times
+    d in its place, so each term sums to d^(degree + 1) times its value.
     """
     n, m = alg.dim, rep.mod_dim
     alpha, beta = alg.alpha, alg.beta
-    # twists, actions and the product as bilinear tensors: A × Q → A, A × V → V, A × A → A
-    basis = [[unit_vector(n, p)] for p in range(n)]
+    # actions and the product as bilinear tensors A × V → V and A × A → A, the basis as A × Q → A
     left, right = _action_tensors(rep)
-
-    def actions(table):
-        """By x, the action at x as one support over the input coordinates per output coordinate."""
-        return [
-            [[(c_in, cell[c]) for c_in, cell in enumerate(row) if cell[c]] for c in range(m)] for row in table
-        ]
-
-    def products(table):
-        return [[support(v) for v in row] for row in table]
-
-    def vectors(table):
-        return [support(row[0]) for row in table]
-
-    def units(d):
-        return [[(i, d)] for i in range(n)], [[(c, d)] for c in range(m)]
+    basis = [[unit_vector(n, p)] for p in range(n)]
+    d, tables = _common_denominator(
+        [_twisted(left), _twisted(left, alpha), _twisted(left, alpha, beta), _twisted(right), _twisted(right, beta)]
+        + [transport(alg.mu, None, *twists) for twists in ((), (beta, alpha), (alpha,), (alpha, beta))]
+        + [_twisted(basis, *twists) for twists in ((alpha,), (beta,), (alpha, beta))]
+    )
+    # by x: an action as one support over the input coordinates per output coordinate,
+    # a product by y as a support, a twisted basis vector as a support
+    tables[:5] = [
+        [[[(c_in, cell[c]) for c_in, cell in enumerate(row) if cell[c]] for c in range(m)] for row in t] for t in tables[:5]
+    ]
+    tables[5:9] = [[[support(v) for v in row] for row in t] for t in tables[5:9]]
+    tables[9:] = [[support(row[0]) for row in t] for t in tables[9:]]
+    l, l_a, l_ab, r, r_b, mu, mu_ba, mu_a, mu_ab, a, b, ab = tables
+    e, ident = [[(i, d)] for i in range(n)], [[(c, d)] for c in range(m)]
 
     if degree == 1:
-        d, (l_e, r_e, mu) = _common_denominator([_twisted(left), _twisted(right), transport(alg.mu)])
-        l_e, r_e, mu = actions(l_e), actions(r_e), products(mu)
-        e, ident = units(d)
         # (δf)(x,y) = l(x)f(y) + r(y)f(x) − f(x·y)
         return d, lambda i, j: (
-            (1, l_e[i], (e[j],)),
-            (1, r_e[j], (e[i],)),
+            (1, l[i], (e[j],)),
+            (1, r[j], (e[i],)),
             (-1, ident, (mu[i][j],)),
         )
 
     if degree == 2:
-        d, (r_b, l_ab, ba, ae, a, b, ab) = _common_denominator(
-            [
-                _twisted(right, beta),
-                _twisted(left, alpha, beta),
-                transport(alg.mu, None, beta, alpha),
-                transport(alg.mu, None, alpha),
-                _twisted(basis, alpha),
-                _twisted(basis, beta),
-                _twisted(basis, alpha, beta),
-            ]
-        )
-        r_b, l_ab, ba, ae = actions(r_b), actions(l_ab), products(ba), products(ae)
-        a, b, ab = vectors(a), vectors(b), vectors(ab)
-        e, ident = units(d)
         return d, lambda i, j, k: [
             term
             for x, y in ((i, j), (j, i))
             for term in (
                 (1, r_b[k], (b[x], a[y])),
                 (-1, l_ab[x], (a[y], e[k])),
-                (1, ident, (ba[x][y], b[k])),
-                (-1, ident, (ab[x], ae[y][k])),
+                (1, ident, (mu_ba[x][y], b[k])),
+                (-1, ident, (ab[x], mu_a[y][k])),
             )
         ]
 
-    d, (l_a, r_b, p, a, b) = _common_denominator(
-        [
-            _twisted(left, alpha),
-            _twisted(right, beta),
-            transport(alg.mu, None, alpha, beta),
-            _twisted(basis, alpha),
-            _twisted(basis, beta),
-        ]
-    )
-    l_a, r_b, p, a, b = actions(l_a), actions(r_b), products(p), vectors(a), vectors(b)
-    e, ident = units(d)
     return d, lambda x1, x2, x3, x4: (
         (1, l_a[x1], (b[x2], b[x3], b[x4])),
         (-1, l_a[x1], (b[x3], b[x2], b[x4])),
         (1, r_b[x4], (a[x1], a[x2], a[x3])),
         (-1, r_b[x4], (a[x2], a[x1], a[x3])),
-        (-1, ident, (p[x1][x2], e[x3], e[x4])),
-        (-1, ident, (p[x2][x3], e[x1], e[x4])),
-        (1, ident, (e[x1], p[x2][x3], e[x4])),
-        (1, ident, (e[x3], p[x1][x2], e[x4])),
-        (-1, ident, (e[x1], e[x2], p[x3][x4])),
-        (1, ident, (e[x2], e[x1], p[x3][x4])),
+        (-1, ident, (mu_ab[x1][x2], e[x3], e[x4])),
+        (-1, ident, (mu_ab[x2][x3], e[x1], e[x4])),
+        (1, ident, (e[x1], mu_ab[x2][x3], e[x4])),
+        (1, ident, (e[x3], mu_ab[x1][x2], e[x4])),
+        (-1, ident, (e[x1], e[x2], mu_ab[x3][x4])),
+        (1, ident, (e[x2], e[x1], mu_ab[x3][x4])),
     )
 
 

@@ -221,10 +221,15 @@ class Matrix(_Immutable):
         """Integer power; negative exponents require invertibility."""
         if not self.is_square():
             raise PreconditionError("only square matrices have powers")
-        base = self if k >= 0 else self.inverse()
+        base, k = (self, k) if k >= 0 else (self.inverse(), -k)
         result = Matrix.identity(self.nrows)
-        for _ in range(abs(k)):
-            result = result * base
+        # by repeated squaring: one square per bit of k, one product per set bit
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def _same_shape(self, other: "Matrix"):

@@ -371,18 +371,19 @@ def test_cohomology_is_the_same_in_a_rational_basis(make, s):
         assert complex_report(moved, adjoint(moved), degree) == complex_report(alg, adjoint(alg), degree)
 
 
-def test_coboundary_operator_sums_integers(monkeypatch):
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_coboundary_operator_sums_integers(monkeypatch, degree):
     # on integral structure constants every coefficient is summed as an int: no Fraction arithmetic at all
     to = make_twisted_octonions()
     rep = adjoint(to)
-    expected = dict(_coboundary_rows(to, rep, 2))
+    expected = dict(_coboundary_rows(to, rep, degree))
 
     def refuse(*_):
         raise AssertionError("Fraction arithmetic while assembling the coboundary operator")
 
     for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    op = dict(_coboundary_rows(to, rep, 2))
+    op = dict(_coboundary_rows(to, rep, degree))
     monkeypatch.undo()
     assert op == expected
 

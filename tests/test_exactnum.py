@@ -125,6 +125,21 @@ def test_matrix_power_negative():
     assert m.power(0) == Matrix.identity(2)
 
 
+def test_matrix_power_squares_repeatedly(monkeypatch):
+    # a power costs one square per bit of k and one product per set bit, not one product per unit of k
+    m = Matrix.diagonal([1, -1, -1, 1])
+    products = []
+    real = Matrix.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert m.power(1000) == Matrix.identity(4)
+    assert len(products) <= 2 * (1000).bit_length()
+
+
 def test_subspace_ops_full_space():
     a = Subspace(2, [unit_vector(2, 0), unit_vector(2, 1)])
     s, i, c = subspace_ops(a, a)

@@ -226,6 +226,17 @@ def test_every_coboundary_row_stream_is_restricted_as_it_is_drawn():
     assert sorted(name for name, _, _ in uses) == ["cohomology.py"] * 4
 
 
+def test_one_factor_table_for_every_coboundary_degree():
+    # δ1–δ3 read one table of twisted actions, products and basis vectors, built by one rescaling call with
+    # no converter of its own, and only that table composes twists as chained transports
+    source = (SRC / "cohomology.py").read_text()
+    terms = _function_source(source, "_delta_terms")
+    assert len(_named_calls(terms, "_delta_terms", ("_common_denominator",))) == 1
+    assert [node.name for node in ast.walk(ast.parse(terms)) if isinstance(node, ast.FunctionDef)] == ["_delta_terms"]
+    sources = [p.read_text() for p in SRC.glob("*.py")]
+    assert {name for source in sources for name in _callers(source, "_twisted")} == {"_delta_terms"}
+
+
 def test_one_series_coefficient_for_gauge_equivalence_and_trivialization():
     # phi_t ∘ d_t = d'_t ∘ (phi_t ⊗ phi_t) is read off one coefficient helper, and (id − t^level f)⁻¹ off one
     # inverse series; neither the gauge nor the trivialization runs a series loop of its own
