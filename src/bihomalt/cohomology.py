@@ -7,6 +7,11 @@ is shared with the cochain file format.  A cochain space is the kernel of
 the rows of `algebra._twist_rows`, the one builder of twist-compatibility
 rows, and a given cochain is decided on the same rows.
 
+The coboundaries δ1–δ3 are only ever applied to columns: compatible basis
+vectors, images, or one cochain.  `_coboundary(alg, rep)` builds their one
+factor table and returns δ·columns, multiplying each row of δ into the
+columns as the row is built, so no operator is stored.
+
 The complex is truncated above degree three: degree-4 cochains exist only
 as the codomain of the degree-3 operator.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import BiHomAlgebra, _common_denominator, _expand, _intertwining_witness, _twist_rows, transport, validate
 from .errors import InputError, InternalError, PreconditionError
@@ -170,15 +175,20 @@ def _twisted(tensor, *twists) -> tuple[int, list]:
     return d, table
 
 
-def _delta_terms(alg: BiHomAlgebra, rep: Representation, degree: int) -> tuple[int, Callable]:
-    """(d, terms): terms(*t) gives (δf)(e_t) as (sign, action rows, argument supports) triples.
+def _coboundary(alg: BiHomAlgebra, rep: Representation) -> Callable[[int, list], dict[int, dict]]:
+    """The map (degree, columns) ↦ δ_degree · columns as {row: {j: entry}}, zero rows dropped.
 
-    One factor table serves δ1–δ3: every twisted action, product and basis
-    vector is built once, as integers over one common denominator d, and each
-    degree is only its term formula.  Every term has degree + 1 factors: its
-    action and its arguments.  A term without an action has the identity times
-    d in its place, so each term sums to d^(degree + 1) times its value.
+    Rows and columns use the flat cochain layout, and a column is a sparse
+    vector {coordinate: entry}.  One factor table serves δ1–δ3, built here
+    once: every twisted action, product and basis vector, as integers over one
+    common denominator d, and each degree is only its term formula.  Every term
+    has degree + 1 factors: its action and its arguments.  A term without an
+    action has the identity times d in its place, so each row of δ is read off
+    the table as integers over d^(degree + 1), multiplied into the columns as it
+    is built, and each product entry is divided by d^(degree + 1) once; with
+    d = 1 and integer columns the entries stay ints.
     """
+    _require_module_over(alg, rep)
     n, m = alg.dim, rep.mod_dim
     alpha, beta = alg.alpha, alg.beta
     # actions and the product as bilinear tensors A × V → V and A × A → A, the basis as A × Q → A
@@ -199,16 +209,15 @@ def _delta_terms(alg: BiHomAlgebra, rep: Representation, degree: int) -> tuple[i
     l, l_a, l_ab, r, r_b, mu, mu_ba, mu_a, mu_ab, a, b, ab = tables
     e, ident = [[(i, d)] for i in range(n)], [[(c, d)] for c in range(m)]
 
-    if degree == 1:
+    # (δf)(e_t) as (sign, action rows, argument supports) triples
+    formulas = {
         # (δf)(x,y) = l(x)f(y) + r(y)f(x) − f(x·y)
-        return d, lambda i, j: (
+        1: lambda i, j: (
             (1, l[i], (e[j],)),
             (1, r[j], (e[i],)),
             (-1, ident, (mu[i][j],)),
-        )
-
-    if degree == 2:
-        return d, lambda i, j, k: [
+        ),
+        2: lambda i, j, k: [
             term
             for x, y in ((i, j), (j, i))
             for term in (
@@ -217,60 +226,60 @@ def _delta_terms(alg: BiHomAlgebra, rep: Representation, degree: int) -> tuple[i
                 (1, ident, (mu_ba[x][y], b[k])),
                 (-1, ident, (ab[x], mu_a[y][k])),
             )
-        ]
+        ],
+        3: lambda x1, x2, x3, x4: (
+            (1, l_a[x1], (b[x2], b[x3], b[x4])),
+            (-1, l_a[x1], (b[x3], b[x2], b[x4])),
+            (1, r_b[x4], (a[x1], a[x2], a[x3])),
+            (-1, r_b[x4], (a[x2], a[x1], a[x3])),
+            (-1, ident, (mu_ab[x1][x2], e[x3], e[x4])),
+            (-1, ident, (mu_ab[x2][x3], e[x1], e[x4])),
+            (1, ident, (e[x1], mu_ab[x2][x3], e[x4])),
+            (1, ident, (e[x3], mu_ab[x1][x2], e[x4])),
+            (-1, ident, (e[x1], e[x2], mu_ab[x3][x4])),
+            (1, ident, (e[x2], e[x1], mu_ab[x3][x4])),
+        ),
+    }
 
-    return d, lambda x1, x2, x3, x4: (
-        (1, l_a[x1], (b[x2], b[x3], b[x4])),
-        (-1, l_a[x1], (b[x3], b[x2], b[x4])),
-        (1, r_b[x4], (a[x1], a[x2], a[x3])),
-        (-1, r_b[x4], (a[x2], a[x1], a[x3])),
-        (-1, ident, (mu_ab[x1][x2], e[x3], e[x4])),
-        (-1, ident, (mu_ab[x2][x3], e[x1], e[x4])),
-        (1, ident, (e[x1], mu_ab[x2][x3], e[x4])),
-        (1, ident, (e[x3], mu_ab[x1][x2], e[x4])),
-        (-1, ident, (e[x1], e[x2], mu_ab[x3][x4])),
-        (1, ident, (e[x2], e[x1], mu_ab[x3][x4])),
-    )
+    def delta(degree: int, columns: list) -> dict[int, dict]:
+        if degree not in formulas:
+            raise InputError("coboundary operators exist for degrees 1, 2, 3")
+        # walk each δ row's columns through the column entries there; no entry, no row to walk
+        by_coord = _transpose(enumerate(columns))
+        if not by_coord:
+            return {}
+        terms, den, dims = formulas[degree], d ** (degree + 1), (n,) * degree
+        out = {}
+        for pos, t in enumerate(itertools.product(range(n), repeat=degree + 1)):
+            rows = [{} for _ in range(m)]
+            for sign, action, args in terms(*t):
+                form = _expand(dims, m, args).items()
+                # an action mixes the output coordinates: row c takes coordinate c_in of f(args)
+                for row, mix in zip(rows, action):
+                    for c_in, s in mix:
+                        s *= sign
+                        for off, coeff in form:
+                            key = off + c_in
+                            row[key] = row.get(key, 0) + s * coeff
+            for c, row in enumerate(rows):
+                acc = {}
+                for col, x in row.items():
+                    if col in by_coord:
+                        for j, v in by_coord[col].items():
+                            acc[j] = acc.get(j, 0) + x * v
+                acc = {j: v if den == 1 else Fraction(v, den) for j, v in acc.items() if v}
+                if acc:
+                    out[pos * m + c] = acc
+        return out
 
-
-def _coboundary_rows(alg: BiHomAlgebra, rep: Representation, degree: int):
-    """Yield δ_degree on the full coordinate space as sparse rows (row, {column: coefficient}), keeping none.
-
-    Rows and columns use the flat cochain layout; only non-zero rows are yielded.
-    Each row is read off the structure constants, twists and actions, with no
-    cochain evaluated.  The terms are summed as integers over one common
-    denominator D^(degree + 1), and each non-zero entry is divided by it once;
-    with D = 1 the entries stay ints.  The degree and module checks run when
-    the rows are first drawn.
-    """
-    if degree not in (1, 2, 3):
-        raise InputError("coboundary operators exist for degrees 1, 2, 3")
-    _require_module_over(alg, rep)
-    n, m = alg.dim, rep.mod_dim
-    d, terms = _delta_terms(alg, rep, degree)
-    den, dims = d ** (degree + 1), (n,) * degree
-    for pos, t in enumerate(itertools.product(range(n), repeat=degree + 1)):
-        rows = [{} for _ in range(m)]
-        for sign, action, args in terms(*t):
-            form = _expand(dims, m, args).items()
-            # an action mixes the output coordinates: row c takes coordinate c_in of f(args)
-            for row, mix in zip(rows, action):
-                for c_in, s in mix:
-                    s *= sign
-                    for off, coeff in form:
-                        key = off + c_in
-                        row[key] = row.get(key, 0) + s * coeff
-        for c, row in enumerate(rows):
-            row = {k: v if den == 1 else Fraction(v, den) for k, v in row.items() if v}
-            if row:
-                yield pos * m + c, row
+    return delta
 
 
 def _delta(alg: BiHomAlgebra, rep: Representation, f: Cochain, degree: int) -> Cochain:
-    """δf for a twist-compatible degree-`degree` cochain f: δ restricted to the one column f."""
+    """δf for a twist-compatible degree-`degree` cochain f: δ applied to the one column f."""
     _require_cochain(alg, rep, f, degree)
     data = [ZERO] * (f.mod_dim * f.alg_dim ** (degree + 1))
-    for r, row in _restrict(_coboundary_rows(alg, rep, degree), [dict(support(f.data))]).items():
+    for r, row in _coboundary(alg, rep)(degree, [dict(support(f.data))]).items():
         data[r] = row[0]
     return Cochain(degree + 1, f.alg_dim, f.mod_dim, data)
 
@@ -312,33 +321,16 @@ def _primitive_columns(basis: Subspace) -> list[dict[int, int]]:
     return columns
 
 
-def _restrict(rows: Iterable[tuple[int, dict]], columns: list[dict]) -> dict[int, dict[int, int]]:
-    """δ · columns as {row: {j: entry}}, zero rows dropped, each δ row (row, {column: entry}) used as it is drawn."""
-    # walk each δ row's columns through the column entries there
-    by_coord = _transpose(enumerate(columns))
-    out = {}
-    for r, orow in rows:
-        acc = {}
-        for col, a in orow.items():
-            if col in by_coord:
-                for j, v in by_coord[col].items():
-                    acc[j] = acc.get(j, 0) + a * v
-        acc = {j: v for j, v in acc.items() if v}
-        if acc:
-            out[r] = acc
-    return out
-
-
 def _preimage(alg: BiHomAlgebra, rep: Representation, degree: int) -> Callable[[Sequence], Optional[Cochain]]:
     """The map g ↦ a twist-compatible degree-`degree` cochain f with δf = g, or None when there is none.
 
-    δ is restricted to the primitive compatible columns and their images are
+    δ is applied to the primitive compatible columns and their images are
     factored once, here; g is given as flat coordinates.  f is the combination
     of the columns with every free coordinate zero.
     """
     space = cochain_space(alg, rep, degree)
     columns = _primitive_columns(space)
-    images = _transpose(_restrict(_coboundary_rows(alg, rep, degree), columns).items())
+    images = _transpose(_coboundary(alg, rep)(degree, columns).items())
     read = _factor([images.get(j, {}) for j in range(len(columns))], rep.mod_dim * alg.dim ** (degree + 1))
 
     def preimage(g: Sequence) -> Optional[Cochain]:
@@ -364,11 +356,12 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
     # so both are read off primitive integer columns
     columns = _primitive_columns(space)
     prev_columns = _primitive_columns(prev_space)
-    prev_rows = _restrict(_coboundary_rows(alg, rep, degree - 1), prev_columns) if prev_columns else {}
+    delta = _coboundary(alg, rep)
+    prev_rows = delta(degree - 1, prev_columns)
     dim_b = _eliminate(prev_rows.values(), prev_space.dim).rank
     images = list(_transpose(prev_rows.items()).values())
     # one walk of δ_n over the basis and the images: an entry at column len(columns) or above is δ∘δ ≠ 0
-    rows = _restrict(_coboundary_rows(alg, rep, degree), columns + images)
+    rows = delta(degree, columns + images)
     # coboundaries must be cocycles: exactness guard, not a user-facing check
     escaped = bool(images) and any(map(_eliminate(columns, space.ambient_dim).reduce, images))
     if escaped or any(j >= len(columns) for row in rows.values() for j in row):

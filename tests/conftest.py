@@ -14,7 +14,8 @@ from random import Random
 import pytest
 
 from bihomalt.algebra import BiHomAlgebra, _alternative_witness, _term_tables, opposite, yau_twist
-from bihomalt.exactnum import Matrix
+from bihomalt.cohomology import Cochain, _coboundary, cochain_space
+from bihomalt.exactnum import Matrix, Subspace, _lift, nullspace_of_sparse_rows
 from bihomalt.representation import Representation, adjoint, semidirect
 
 from oracle_naive import action_at
@@ -158,7 +159,6 @@ def base_corpus():
 def product_corpus():
     """Base corpus plus semidirect and extension products of it."""
     from bihomalt.extension import central_extension, t_theta_extension
-    from bihomalt.cohomology import Cochain
 
     e1 = make_e1()
     d2 = make_d2()
@@ -198,6 +198,24 @@ def cocycle_sector(ext: BiHomAlgebra, n: int, right: bool) -> dict:
 
 def random_fraction(rng: Random, span: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.choice([1, 1, 2]))
+
+
+def cocycle_space(alg: BiHomAlgebra, rep: Representation, degree: int) -> Subspace:
+    """Z^degree(A, rep): the kernel of δ on the twist-compatible cochains, in cochain coordinates."""
+    space = cochain_space(alg, rep, degree)
+    kernel = nullspace_of_sparse_rows(_coboundary(alg, rep)(degree, list(space.columns)).values(), space.dim)
+    return Subspace(space.ambient_dim, [_lift(space.columns, v, space.ambient_dim) for v in kernel.basis])
+
+
+def random_cocycle(alg: BiHomAlgebra, rng: Random) -> Cochain:
+    """A random element of the degree-2 cocycle space with adjoint coefficients."""
+    cocycles = cocycle_space(alg, adjoint(alg), 2)
+    data = [Fraction(0)] * cocycles.ambient_dim
+    for vec in cocycles.basis:
+        c = random_fraction(rng)
+        if c != 0:
+            data = [d + c * v for d, v in zip(data, vec)]
+    return Cochain(2, alg.dim, alg.dim, data)
 
 
 def random_matrix(rng: Random, n: int, m=None, span: int = 3) -> Matrix:

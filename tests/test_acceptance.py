@@ -16,9 +16,8 @@ import pytest
 from bihomalt.algebra import validate
 from bihomalt.cohomology import (
     Cochain,
-    _coboundary_rows,
+    _coboundary,
     _preimage,
-    _restrict,
     cochain_space,
     complex_report,
     delta2,
@@ -36,7 +35,7 @@ from bihomalt.deformation import (
     trivialize,
 )
 from bihomalt.errors import MathCheckError
-from bihomalt.exactnum import Matrix, nullspace_of_sparse_rows
+from bihomalt.exactnum import Matrix
 from bihomalt.extension import (
     annihilator,
     central_extension,
@@ -70,6 +69,7 @@ from conftest import (
     make_zero1,
     perturb_representation,
     product_corpus,
+    random_cocycle,
     random_fraction,
     random_valid_representation,
     trivial_representation,
@@ -100,23 +100,6 @@ def random_compatible_cochain(alg, rep, degree, rng):
     return Cochain(degree, alg.dim, rep.mod_dim, data)
 
 
-def random_cocycle(alg, rng):
-    rep = adjoint(alg)
-    space = cochain_space(alg, rep, 2)
-    if not space.dim:
-        return Cochain.zero(2, alg.dim, alg.dim)
-    kernel = nullspace_of_sparse_rows(_restrict(_coboundary_rows(alg, rep, 2), list(space.columns)).values(), space.dim)
-    data = [Fraction(0)] * space.ambient_dim
-    for coeffs in kernel.basis:
-        c = random_fraction(rng)
-        if c == 0:
-            continue
-        for coeff, vec in zip(coeffs, space.basis):
-            if coeff != 0:
-                data = [d + c * coeff * v for d, v in zip(data, vec)]
-    return Cochain(2, alg.dim, alg.dim, data)
-
-
 def small_random_rep(alg, rng):
     """Random valid representation, kept at mod_dim <= 2 for larger algebras."""
     if alg.dim <= 2:
@@ -133,8 +116,9 @@ def composed_is_zero(alg, rep, lower_degree):
     upper = cochain_space(alg, rep, lower_degree + 1)
     if not lower.dim:
         return True
+    delta = _coboundary(alg, rep)
     images = [[Fraction(0)] * upper.ambient_dim for _ in range(lower.dim)]
-    for r, row in _restrict(_coboundary_rows(alg, rep, lower_degree), list(lower.columns)).items():
+    for r, row in delta(lower_degree, list(lower.columns)).items():
         for j, a in row.items():
             images[j][r] = a
     if not upper.dim:
@@ -145,7 +129,7 @@ def composed_is_zero(alg, rep, lower_degree):
         assert coeffs is not None, "image escaped the compatible cochain space"
         cols.append(coeffs)
     # every row of (upper restriction) · (image coordinates) must vanish
-    upper_rows = _restrict(_coboundary_rows(alg, rep, lower_degree + 1), list(upper.columns))
+    upper_rows = delta(lower_degree + 1, list(upper.columns))
     return all(
         sum((a * coeffs[j] for j, a in row.items()), Fraction(0)) == 0
         for row in upper_rows.values()

@@ -7,7 +7,7 @@ import pytest
 import bihomalt.cohomology as cohomology
 from bihomalt.cohomology import (
     Cochain,
-    _coboundary_rows,
+    _coboundary,
     cochain_space,
     compatibility_witness,
     complex_report,
@@ -276,6 +276,22 @@ def test_cochain_nested_roundtrip():
     assert again == f
 
 
+def _full(alg, rep, degree):
+    """δ_degree on the full coordinate space: δ applied to every unit column, as {row: {column: entry}}."""
+    return _coboundary(alg, rep)(degree, [{k: 1} for k in range(rep.mod_dim * alg.dim**degree)])
+
+
+def _times(operator, columns):
+    """operator · columns as {row: {j: entry}}, zero rows dropped, for an operator {row: {column: entry}}."""
+    out = {}
+    for r, row in operator.items():
+        acc = {j: sum(a * col.get(c, 0) for c, a in row.items()) for j, col in enumerate(columns)}
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
+
+
 def _dense_rows(operator, ncols):
     rows = []
     for r in sorted(operator):
@@ -293,7 +309,7 @@ def test_operator_rows_match_naive_assembly():
         for rep in reps:
             for degree in (1, 2, 3):
                 model, naive = naive_delta_rows(alg, rep, degree)
-                ours = _dense_rows(dict(_coboundary_rows(alg, rep, degree)), model.count)
+                ours = _dense_rows(_full(alg, rep, degree), model.count)
                 assert ours == naive, (name, rep.mod_dim, degree)
 
 
@@ -359,7 +375,34 @@ def test_operator_rows_match_naive_assembly_in_a_rational_basis(make, s):
     rep = adjoint(moved)
     for degree in (1, 2, 3):
         model, naive = naive_delta_rows(moved, rep, degree)
-        assert _dense_rows(dict(_coboundary_rows(moved, rep, degree)), model.count) == naive, degree
+        assert _dense_rows(_full(moved, rep, degree), model.count) == naive, degree
+
+
+# the product divides each entry by d^(degree + 1) after summing it, which unit columns cannot tell from dividing
+# each row entry first; these bases give d = 4 (D2) and d = 6 (H)
+COLUMN_BASES = [
+    (make_d2, Matrix([[1, Fraction(1, 2)], [0, 2]])),
+    RATIONAL_BASES[1],
+]
+
+
+@pytest.mark.parametrize("make, s", COLUMN_BASES, ids=["D2", "H"])
+def test_coboundary_times_rational_columns_matches_naive_assembly(make, s):
+    rng = Random(59)
+    moved = change_basis(make(), s)
+    rep = adjoint(moved)
+    delta = _coboundary(moved, rep)
+    for degree in (1, 2, 3):
+        model, naive = naive_delta_rows(moved, rep, degree)
+        sparse = [
+            {k: random_fraction(rng) or Fraction(1, 7) for k in rng.sample(range(model.count), 3)} for _ in range(4)
+        ]
+        for cols in ([], [{}], sparse + [{}] + sparse[:1]):
+            product = [[sum(row[k] * v for k, v in col.items()) for col in cols] for row in naive]
+            ours = delta(degree, cols)
+            assert [[ours[r].get(j, 0) for j in range(len(cols))] for r in sorted(ours)] == [
+                row for row in product if any(row)
+            ], (degree, len(cols))
 
 
 @pytest.mark.parametrize("make, s", RATIONAL_BASES, ids=["D2", "H"])
@@ -376,25 +419,46 @@ def test_coboundary_operator_sums_integers(monkeypatch, degree):
     # on integral structure constants every coefficient is summed as an int: no Fraction arithmetic at all
     to = make_twisted_octonions()
     rep = adjoint(to)
-    expected = dict(_coboundary_rows(to, rep, degree))
+    expected = _full(to, rep, degree)
 
     def refuse(*_):
         raise AssertionError("Fraction arithmetic while assembling the coboundary operator")
 
     for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    op = dict(_coboundary_rows(to, rep, degree))
+    op = _full(to, rep, degree)
     monkeypatch.undo()
     assert op == expected
 
 
-def _corrupt(degree, change):
-    """A _coboundary_rows whose degree-`degree` rows are passed through `change` as one {row: {column: entry}}."""
-    real = _coboundary_rows
+def test_coboundary_of_the_zero_cochain_walks_no_row(monkeypatch):
+    to = make_twisted_octonions()
+    rep = adjoint(to)
+    expanded = []
+    real = cohomology._expand
 
-    def corrupted(alg, rep, d):
-        rows = real(alg, rep, d)
-        return iter(change(alg, rep, dict(rows)).items()) if d == degree else rows
+    def counted(*args):
+        expanded.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cohomology, "_expand", counted)
+    assert delta2(to, rep, Cochain.zero(2, to.dim, rep.mod_dim)).is_zero()
+    assert expanded == []
+
+
+def _corrupt(degree, change):
+    """A _coboundary whose degree-`degree` product is taken with the full operator passed through `change`."""
+    real = _coboundary
+
+    def corrupted(alg, rep):
+        delta = real(alg, rep)
+
+        def corrupted_delta(d, columns):
+            if d != degree:
+                return delta(d, columns)
+            return _times(change(alg, rep, _full(alg, rep, d)), columns)
+
+        return corrupted_delta
 
     return corrupted
 
@@ -406,31 +470,43 @@ def test_guard_rejects_coboundary_outside_compatible_space(monkeypatch):
         width = rep.mod_dim * alg.dim
         return {r: {c: Fraction(1) for c in range(width)} for r in range(width * alg.dim)}
 
-    monkeypatch.setattr(cohomology, "_coboundary_rows", _corrupt(1, all_ones))
+    monkeypatch.setattr(cohomology, "_coboundary", _corrupt(1, all_ones))
     with pytest.raises(InternalError, match="escaped the compatible cochain space"):
         complex_report(d2, adjoint(d2), 2)
 
 
 def test_guard_rejects_coboundary_that_is_not_a_cocycle(monkeypatch):
     e1 = make_e1()
-    monkeypatch.setattr(cohomology, "_coboundary_rows", _corrupt(2, lambda alg, rep, op: {0: {0: Fraction(1)}}))
+    monkeypatch.setattr(cohomology, "_coboundary", _corrupt(2, lambda alg, rep, op: {0: {0: Fraction(1)}}))
     with pytest.raises(InternalError, match="not a cocycle"):
         complex_report(e1, adjoint(e1), 2)
 
 
 @pytest.mark.parametrize("degree", [2, 3])
-def test_complex_report_draws_each_coboundary_once(monkeypatch, degree):
-    # δ_n is walked once for dim Z and the exactness guard together, δ_(n−1) once for dim B and the images
-    drawn = []
+def test_complex_report_builds_one_factor_table_and_applies_each_coboundary_once(monkeypatch, degree):
+    # one factor table serves δ_(n−1), for dim B and the images, and δ_n, for dim Z and the exactness guard
+    tables, applied = [], []
+    real_denominator = cohomology._common_denominator
 
-    def counted(alg, rep, d):
-        drawn.append(d)
-        return _coboundary_rows(alg, rep, d)
+    def counted_denominator(*args):
+        tables.append(args)
+        return real_denominator(*args)
 
-    monkeypatch.setattr(cohomology, "_coboundary_rows", counted)
+    def counted(alg, rep):
+        delta = _coboundary(alg, rep)
+
+        def applied_delta(d, columns):
+            applied.append(d)
+            return delta(d, columns)
+
+        return applied_delta
+
+    monkeypatch.setattr(cohomology, "_common_denominator", counted_denominator)
+    monkeypatch.setattr(cohomology, "_coboundary", counted)
     h = make_quaternions()
     assert complex_report(h, adjoint(h), degree).dim_B > 0
-    assert sorted(drawn) == [degree - 1, degree]
+    assert len(tables) == 1
+    assert sorted(applied) == [degree - 1, degree]
 
 
 def test_guard_on_invalid_coefficients_is_a_precondition_error():
@@ -452,7 +528,7 @@ def test_trivialize_guard_rejects_a_gauge_that_leaves_the_term(monkeypatch):
     def doubled(alg, rep, op):
         return {r: {c: 2 * a for c, a in row.items()} for r, row in op.items()}
 
-    monkeypatch.setattr(cohomology, "_coboundary_rows", _corrupt(1, doubled))
+    monkeypatch.setattr(cohomology, "_coboundary", _corrupt(1, doubled))
     with pytest.raises(InternalError, match="did not clear the order-1 term"):
         trivialize(defm, 4)
 

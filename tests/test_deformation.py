@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from bihomalt import deformation, exactnum
-from bihomalt.cohomology import Cochain, _coboundary_rows, _restrict, cochain_space, delta2, delta3
+from bihomalt.cohomology import Cochain, cochain_space, delta2, delta3
 from bihomalt.deformation import (
     FormalIsomorphism,
     TruncatedDeformation,
@@ -18,7 +18,7 @@ from bihomalt.deformation import (
     trivialize,
 )
 from bihomalt.errors import InputError, PreconditionError
-from bihomalt.exactnum import Matrix, nullspace_of_sparse_rows
+from bihomalt.exactnum import Matrix
 from bihomalt.representation import adjoint
 
 from conftest import (
@@ -29,6 +29,7 @@ from conftest import (
     make_quaternions,
     make_twisted_octonions,
     make_zero1,
+    random_cocycle,
     random_fraction,
     random_signed_permutation,
 )
@@ -37,24 +38,6 @@ from oracle_naive import evaluate, from_function, naive_diamond, naive_gauge
 
 def scalar_term(c):
     return Cochain(2, 1, 1, (Fraction(c),))
-
-
-def random_cocycle(alg, rng):
-    """A random element of the degree-2 cocycle space with adjoint coefficients."""
-    rep = adjoint(alg)
-    space = cochain_space(alg, rep, 2)
-    if not space.dim:
-        return Cochain.zero(2, alg.dim, alg.dim)
-    kernel = nullspace_of_sparse_rows(_restrict(_coboundary_rows(alg, rep, 2), list(space.columns)).values(), space.dim)
-    data = [Fraction(0)] * space.ambient_dim
-    for coeffs in kernel.basis:
-        c = random_fraction(rng)
-        if c == 0:
-            continue
-        for coeff, vec in zip(coeffs, space.basis):
-            if coeff != 0:
-                data = [d + c * coeff * v for d, v in zip(data, vec)]
-    return Cochain(2, alg.dim, alg.dim, data)
 
 
 def test_null_deformation_passes_everywhere():

@@ -202,39 +202,35 @@ def test_one_law_pairing_for_validation_and_extensions():
     assert paired == ["_alternative_witness", "_pairing_sum"]
     laws = sorted(name for source in sources.values() for name in _callers(source, "_alternative_witness"))
     assert laws == ["_witnesses", "_witnesses", "validate", "validate"]
-    forbidden = ("_coboundary_rows", "opposite")
+    forbidden = ("_coboundary", "opposite")
     assert _named_calls(sources["extension.py"], "extension.py", forbidden) == []
 
 
-def test_every_coboundary_row_stream_is_restricted_as_it_is_drawn():
-    # δ is kept nowhere: each use of the row stream is a call that is the first argument of a `_restrict` call
-    uses = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=path.name)
-        restricted = {
-            id(node.args[0].func)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_restrict"
-            and node.args and isinstance(node.args[0], ast.Call)
-        }
-        uses += [
-            (path.name, node.lineno, id(node) in restricted)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "_coboundary_rows"
-        ]
-    assert [(name, line) for name, line, ok in uses if not ok] == []
-    assert sorted(name for name, _, _ in uses) == ["cohomology.py"] * 4
+def test_coboundary_is_one_function_of_columns():
+    # δ is kept nowhere and composed nowhere: no row stream, no separate restriction, and each caller builds
+    # the one δ·columns map once
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    defined = [
+        node.name
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_coboundary_rows", "_restrict", "_delta_terms")
+    ]
+    assert defined == []
+    callers = sorted(name for source in sources.values() for name in _callers(source, "_coboundary"))
+    assert callers == ["_delta", "_preimage", "complex_report"]
 
 
 def test_one_factor_table_for_every_coboundary_degree():
     # δ1–δ3 read one table of twisted actions, products and basis vectors, built by one rescaling call with
     # no converter of its own, and only that table composes twists as chained transports
     source = (SRC / "cohomology.py").read_text()
-    terms = _function_source(source, "_delta_terms")
-    assert len(_named_calls(terms, "_delta_terms", ("_common_denominator",))) == 1
-    assert [node.name for node in ast.walk(ast.parse(terms)) if isinstance(node, ast.FunctionDef)] == ["_delta_terms"]
+    factory = _function_source(source, "_coboundary")
+    assert len(_named_calls(factory, "_coboundary", ("_common_denominator",))) == 1
+    nested = [node.name for node in ast.walk(ast.parse(factory)) if isinstance(node, ast.FunctionDef)]
+    assert nested == ["_coboundary", "delta"]
     sources = [p.read_text() for p in SRC.glob("*.py")]
-    assert {name for source in sources for name in _callers(source, "_twisted")} == {"_delta_terms"}
+    assert {name for source in sources for name in _callers(source, "_twisted")} == {"_coboundary"}
 
 
 def test_one_series_coefficient_for_gauge_equivalence_and_trivialization():

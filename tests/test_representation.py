@@ -231,8 +231,8 @@ ALGEBRA_AND_MODULE = {
     "semidirect": semidirect,
     "dual": dual,
     "cochain_space": lambda alg, rep: cochain_space(alg, rep, 2),
-    # the row stream checks its module when it is drawn, so the entry draws it
-    "_coboundary_rows": lambda alg, rep: dict(cohomology._coboundary_rows(alg, rep, 2)),
+    # the δ·columns factory checks its module when it is built
+    "_coboundary": lambda alg, rep: cohomology._coboundary(alg, rep),
     "complex_report": lambda alg, rep: complex_report(alg, rep, 2),
     "t_theta_extension": lambda alg, rep: t_theta_extension(alg, rep, Cochain.zero(2, alg.dim, rep.mod_dim)),
     "t_star_theta_extension": lambda alg, rep: t_star_theta_extension(alg, rep, Cochain.zero(2, alg.dim, rep.mod_dim)),
