@@ -11,7 +11,11 @@ as(x, y, z) = (x·y)·β(z) − α(x)·(y·z), (mu ⋄ mu)(x, y, z) is
 as(βx, αy, z) + as(βy, αx, z): the left law.  On the opposite algebra
 Aᵒᵖ = (mu(y, x), β, α) it is the right law with its inputs reversed.
 The pairing is contracted on integer tables that `transport` reads off the
-structure constants, so no identity is evaluated point by point.  Twist
+structure constants, so no identity is evaluated point by point.  It has
+three readers, each sorting the values of one law in one pass through a
+classifier: `validate` (every value), `validate_representation` (the
+sectors of A⊕V with one input in V, which are the module axioms) and the
+extensions (the V-output at inputs in A, the cocycle conditions).  Twist
 compatibility, out∘f = f∘(T_1 ⊗ ... ⊗ T_k), is the kernel of the integer
 rows of `_twist_rows`: cochain spaces and the commutant are spanned by them,
 and `_intertwining_witness` decides a given map on them (multiplicativity
@@ -238,16 +242,18 @@ def _pairing(n: int, outer, inner):
     b1, b2 = inner
     ids = range(n)
 
-    def combine(coeffs, vecs):
-        return _lincomb([(p, s) for p, s in enumerate(coeffs) if s], vecs)
+    def sparse(coeffs):
+        return [(p, s) for p, s in enumerate(coeffs) if s]
 
-    sym = {(x, y): [s + t for s, t in zip(b1[x][y], b1[y][x])] for x in ids for y in range(x, n)}
+    # the coefficient vectors are made sparse once, not once per z or per x
+    sym = {(x, y): sparse([s + t for s, t in zip(b1[x][y], b1[y][x])]) for x in ids for y in range(x, n)}
+    b2 = [[sparse(b2[y][z]) for z in ids] for y in ids]
     for z in ids:
         a1_z = [row[z] for row in a1]
-        second = [[combine(b2[y][z], a2[x]) for y in ids] for x in ids]
+        second = [[_lincomb(b2[y][z], a2[x]) for y in ids] for x in ids]
         for x in ids:
             for y in range(x, n):
-                first = combine(sym[x, y], a1_z)
+                first = _lincomb(sym[x, y], a1_z)
                 yield x, y, z, [f - s - t for f, s, t in zip(first, second[x][y], second[y][x])]
 
 
@@ -332,24 +338,41 @@ def _intertwining_witness(flat: Sequence, twists: Sequence[Matrix], out: Matrix)
     return None
 
 
-def _alternative_witness(
-    alg: BiHomAlgebra, right: bool, hit=lambda x, y, z, val: any(val), inputs: Optional[int] = None
-) -> Optional[tuple[int, int, int]]:
-    """The first basis triple, in lexicographic order, where the left or right law fails at a hit, or None.
+def _alternative_witness(alg: BiHomAlgebra, right: bool, classify, inputs: Optional[int] = None) -> dict:
+    """The first witness per name, in lexicographic order, that classify reads off the left or right law.
 
     The left law at (x, y, z) is (mu ⋄ mu)(e_x, e_y, e_z), symmetric in (x, y); the right
     law at (z, x, y), symmetric in its last two inputs, is minus the left law of Aᵒᵖ at
     (x, y, z).  The inputs run over the first `inputs` basis vectors (by default all), and
-    hit(x, y, z, val) is asked of each pairing value with x ≤ y, an integer vector over the
-    squared table denominator; by default every non-zero value is a hit.
+    classify(x, y, z, val) is asked of each pairing value with x ≤ y, an integer vector over
+    the squared table denominator; it returns a (name, witness) pair, or None for no failure.
+    One pass serves every name, so each reader sorts the sectors of one law at once.
     """
     law = opposite(alg) if right else alg
     tables = _term_tables(law, law.mu)
-    if tables is None:
-        return None
-    pairs = _pairing(inputs or law.dim, tables[2], tables[1])
-    hits = ((z, x, y) if right else (x, y, z) for x, y, z, val in pairs if hit(x, y, z, val))
-    return min(hits, default=None)
+    found = {}
+    if tables is not None:
+        for x, y, z, val in _pairing(inputs or law.dim, tables[2], tables[1]):
+            hit = classify(x, y, z, val)
+            if hit is not None and (hit[0] not in found or hit[1] < found[hit[0]]):
+                found[hit[0]] = hit[1]
+    return found
+
+
+def _reported(report_type, found: dict):
+    """The report with a flag per field and the witnesses that found holds, None meaning no failure."""
+    names = report_type._fields[:-1]
+    witnesses = {name: found[name] for name in names if found.get(name) is not None}
+    return report_type(*(name not in witnesses for name in names), witnesses)
+
+
+def _law_failures(name: str, right: bool, start: int = 0):
+    """The classifier naming each pairing value non-zero from coordinate start on, with its triple in the law's order."""
+
+    def classify(x, y, z, val):
+        return (name, (z, x, y) if right else (x, y, z)) if any(val[start:]) else None
+
+    return classify
 
 
 def validate(alg: BiHomAlgebra) -> AlgebraReport:
@@ -364,11 +387,10 @@ def validate(alg: BiHomAlgebra) -> AlgebraReport:
         # twist(e_i·e_j) against twist(e_i)·twist(e_j)
         "alpha_multiplicative": _intertwining_witness(mu, (alg.alpha, alg.alpha), alg.alpha),
         "beta_multiplicative": _intertwining_witness(mu, (alg.beta, alg.beta), alg.beta),
-        "left_alternative": _alternative_witness(alg, False),
-        "right_alternative": _alternative_witness(alg, True),
+        **_alternative_witness(alg, False, _law_failures("left_alternative", False)),
+        **_alternative_witness(alg, True, _law_failures("right_alternative", True)),
     }
-    witnesses = {name: w for name, w in found.items() if w is not None}
-    return AlgebraReport(*(w is None for w in found.values()), witnesses)
+    return _reported(AlgebraReport, found)
 
 
 def is_morphism(f: AlgebraMap, a: BiHomAlgebra, b: BiHomAlgebra) -> bool:

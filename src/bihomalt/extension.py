@@ -6,16 +6,17 @@ module (V acted on trivially and fixed pointwise by the extended twists),
 and the T*_theta variant is the same construction through the dual
 bimodule.  All three check theta against the twists, then read the left and
 right cocycle conditions off the algebra they return: they are the V-output
-of its two alternative laws at inputs in A.  A failure names the violated
-condition with a witness.  The other sectors of those laws are the laws of A
-and the module axioms, which `validate` and `validate_representation` decide,
-so the assembled algebra passes the full two-sided validation whenever the
-base algebra does.
+of its two alternative laws at inputs in A, classified on the one law
+pairing of `algebra`.  A failure names the violated condition with a
+witness.  The other sectors of those laws are the laws of A and the module
+axioms, which `validate` and `validate_representation` read off the same
+pairing, so the assembled algebra passes the full two-sided validation
+whenever the base algebra does.
 """
 
 from __future__ import annotations
 
-from .algebra import BiHomAlgebra, _alternative_witness
+from .algebra import BiHomAlgebra, _alternative_witness, _law_failures
 from .cohomology import Cochain, twist_witness
 from .errors import InputError, MathCheckError, PreconditionError
 from .exactnum import Matrix, Subspace, nullspace_of_sparse_rows
@@ -90,12 +91,9 @@ def _witnesses(alg: BiHomAlgebra, rep: Representation, theta: Cochain, ext: BiHo
     yield "phi", w_phi
     yield "psi", w_psi
     n = alg.dim
-
-    def cocycle(x, y, z, val):  # the V-output; the pairing reads inputs in A only
-        return any(val[n:])
-
-    yield "left", _alternative_witness(ext, False, cocycle, n)
-    yield "right", _alternative_witness(ext, True, cocycle, n)
+    # the V-output, at inputs in A only
+    yield "left", _alternative_witness(ext, False, _law_failures("left", False, n), n).get("left")
+    yield "right", _alternative_witness(ext, True, _law_failures("right", True, n), n).get("right")
 
 
 def _checked_extension(alg: BiHomAlgebra, rep: Representation, theta, conditions) -> BiHomAlgebra:

@@ -5,6 +5,10 @@ per algebra basis vector) and two commuting twists phi, psi on V.  Besides
 the four intertwining relations it must transfer both alternative laws into
 V: two "square" axioms, quadratic in the algebra variable and therefore
 checked in polarized form, and two "exchange" axioms bilinear in (x, y).
+These four are the sectors with one input in V of the two laws of the
+semidirect product A⊕V, so V is a bimodule exactly when A⊕V is
+BiHom-alternative, and they are read off the one law pairing of `algebra`,
+the same that `validate` and the extensions read.
 
 The dual representation lives on V* in dual-basis coordinates, where the
 matrix of a transposed map is the matrix transpose and the pairing is the
@@ -18,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import _NO_WITNESSES, BiHomAlgebra, _common_denominator, _intertwining_witness, _lincomb, _report_dict, transport
+from .algebra import _NO_WITNESSES, BiHomAlgebra, _alternative_witness, _intertwining_witness, _report_dict, _reported, transport
 from .errors import InputError, PreconditionError
 from .exactnum import Matrix, _Immutable
 
@@ -82,47 +86,49 @@ class RepresentationReport(NamedTuple):
         return _report_dict(self)
 
 
-def _then(inner, outer) -> list:
-    """outer ∘ inner on integer matrices in column form: column v is Σ_q inner[v]_q outer[q]."""
-    return [_lincomb([(q, c) for q, c in enumerate(col) if c], outer) for col in inner]
-
-
-def _at(coeffs, table) -> list:
-    """Σ_p coeffs_p table[p] in column form: an action table read at an algebra vector."""
-    nonzero = [(p, c) for p, c in enumerate(coeffs) if c]
-    return [_lincomb(nonzero, col) for col in zip(*table)]
-
-
 def _action_tensors(rep: Representation) -> tuple[list, list]:
     """λ(e_p, v) = l[p]v and ρ(e_p, v) = r[p]v as bilinear tensors, [p][v] holding the vector."""
     return tuple([list(zip(*m.rows)) for m in acts] for acts in (rep.l, rep.r))
 
 
-def _add(a, b) -> list:
-    return [[s + t for s, t in zip(u, v)] for u, v in zip(a, b)]
+def _module_sectors(n: int, square: str, exchange: str):
+    """The classifier of the sectors of one law of A⊕V with one input in V, A spanned by the first n basis vectors.
+
+    x ≤ y < n ≤ z is the square axiom at (x, y); x < n ≤ y, z < n the exchange axiom at (x, z).
+    """
+
+    def classify(x, y, z, val):
+        if x < n and any(val):
+            if y < n <= z:
+                return square, (x, y)
+            if z < n <= y:
+                return exchange, (x, z)
+        return None
+
+    return classify
 
 
 def validate_representation(alg: BiHomAlgebra, rep: Representation) -> RepresentationReport:
     """Check the twists, the four intertwining relations and the four module axioms.
 
-    The actions are the bilinear tensors λ(e_p, v) = l[p]v and ρ(e_p, v) = r[p]v,
-    read through `transport` as integer tables; t[x] of a table t is then the
-    matrix of an action composed with twists, in column form.  Each
-    intertwining relation is the twist check of `algebra` on an action tensor.
-    Each module axiom is a sector of the diamond pairing of the product on A⊕V
-    (x·v = l(x)v, v·x = r(x)v): the left alternative law on (x, y, v) is
-    left_square and on (x, v, y) right_exchange, and the right law gives
-    right_square and left_exchange.
-    Every side of every axiom is a sum of products of two tables over one
-    common denominator, so the axioms are compared on integers.  Witnesses are
-    the first failing index in lexicographic order: (i,) for an intertwining
-    relation, (i, j) with i ≤ j for the square axioms and any (i, j) for the
-    exchange axioms.
+    Each intertwining relation is the twist check of `algebra` on an action
+    tensor λ(e_p, v) = l[p]v or ρ(e_p, v) = r[p]v.  The module axioms are the
+    sectors with one input in V of the two alternative laws of E = A⊕V
+    (x·v = l(x)v, v·x = r(x)v), read off the same pairing as `validate`, one
+    pass per law.  The left law of E at (x, y, v) is left_square,
+        l(μ(βx, αy))ψ = l(αβx) l(αy),
+    and at (x, v, y) right_exchange,
+        r(βy)(l(βx)φ + r(αx)ψ) = l(αβx) r(y)φ + r(μ(αx, y))φψ;
+    the left law of Eᵒᵖ, the right law of E, gives in the same sectors
+    right_square and left_exchange,
+        r(μ(βx, αy))φ = r(βαx) r(βy),
+        l(αy)(r(αx)ψ + l(βx)φ) = r(βαx) l(y)ψ + l(μ(y, βx))ψφ,
+    the square axioms polarized over x ≤ y.  Witnesses are the first failing
+    index in lexicographic order: (i,) for an intertwining relation, (i, j)
+    with i ≤ j for the square axioms and any (i, j) for the exchange axioms.
     """
     _require_module_over(alg, rep)
     n = alg.dim
-    a, b, phi, psi = alg.alpha, alg.beta, rep.phi, rep.psi
-    ab, phipsi = a * b, phi * psi
     lam, rho = _action_tensors(rep)
 
     def intertwining(action, twist_in, twist_out):
@@ -131,50 +137,17 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
         w = _intertwining_witness(flat, (twist_in, twist_out), twist_out)
         return None if w is None else w[:1]
 
-    _, tables = _common_denominator(
-        [
-            transport(alg.mu, None, b, a),
-            transport(alg.mu, None, a),
-            transport(alg.mu, None, None, b),
-            *(transport(lam, None, left, right) for left, right in ((None, psi), (a, None), (ab, None), (b, phi), (None, phipsi))),
-            *(transport(rho, None, left, right) for left, right in ((None, phi), (b, None), (ab, None), (a, psi), (None, phipsi))),
-        ]
-    )
-    mu_ba, mu_a, mu_b, l_psi, l_a, l_ab, l_b_phi, l_phipsi, r_phi, r_b, r_ab, r_a_psi, r_phipsi = tables
-    # μ(βx, αy) + μ(βy, αx), and l(βx)φ + r(αx)ψ, which opens both exchange axioms
-    sym = [[[s + t for s, t in zip(mu_ba[x][y], mu_ba[y][x])] for y in range(n)] for x in range(n)]
-    opening = [_add(l_b_phi[x], r_a_psi[x]) for x in range(n)]
-    upper = [(x, y) for x in range(n) for y in range(x, n)]
-    every = [(x, y) for x in range(n) for y in range(n)]
-
-    def first_failure(pairs, holds):
-        return next((pair for pair in pairs if not holds(*pair)), None)
-
+    module = block_sum(alg, rep)
     found = {
-        "commuting": None if phi.commutes_with(psi) else (),
-        "phi_left": intertwining(lam, a, phi),
-        "phi_right": intertwining(rho, a, phi),
-        "psi_left": intertwining(lam, b, psi),
-        "psi_right": intertwining(rho, b, psi),
-        # l(μ(βx, αy))ψ = l(αβx) l(αy), polarized over x ≤ y
-        "left_square": first_failure(
-            upper, lambda x, y: _at(sym[x][y], l_psi) == _add(_then(l_a[y], l_ab[x]), _then(l_a[x], l_ab[y]))
-        ),
-        # r(μ(βx, αy))φ = r(αβx) r(βy), polarized over x ≤ y
-        "right_square": first_failure(
-            upper, lambda x, y: _at(sym[x][y], r_phi) == _add(_then(r_b[y], r_ab[x]), _then(r_b[x], r_ab[y]))
-        ),
-        # r(βy)(l(βx)φ + r(αx)ψ) = l(αβx) r(y)φ + r(μ(αx, y))φψ
-        "right_exchange": first_failure(
-            every, lambda x, y: _then(opening[x], r_b[y]) == _add(_then(r_phi[y], l_ab[x]), _at(mu_a[x][y], r_phipsi))
-        ),
-        # l(αy)(r(αx)ψ + l(βx)φ) = r(αβx) l(y)ψ + l(μ(y, βx))φψ
-        "left_exchange": first_failure(
-            every, lambda x, y: _then(opening[x], l_a[y]) == _add(_then(l_psi[y], r_ab[x]), _at(mu_b[y][x], l_phipsi))
-        ),
+        "commuting": None if rep.phi.commutes_with(rep.psi) else (),
+        "phi_left": intertwining(lam, alg.alpha, rep.phi),
+        "phi_right": intertwining(rho, alg.alpha, rep.phi),
+        "psi_left": intertwining(lam, alg.beta, rep.psi),
+        "psi_right": intertwining(rho, alg.beta, rep.psi),
+        **_alternative_witness(module, False, _module_sectors(n, "left_square", "right_exchange")),
+        **_alternative_witness(module, True, _module_sectors(n, "right_square", "left_exchange")),
     }
-    witnesses = {name: w for name, w in found.items() if w is not None}
-    return RepresentationReport(*(w is None for w in found.values()), witnesses)
+    return _reported(RepresentationReport, found)
 
 
 def adjoint(alg: BiHomAlgebra) -> Representation:

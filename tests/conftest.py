@@ -175,8 +175,8 @@ def cocycle_sector(ext: BiHomAlgebra, n: int, right: bool) -> dict:
     """The V-output at inputs in A of the left-law pairing of ext = A⊕V, or of opposite(ext) when right.
 
     A dict {(x, y, z): rational vector} over every triple with x ≤ y, the keys the
-    pairing yields, read through the law helper that the extensions call: its hit
-    filter records each value and accepts none.
+    pairing yields, read through the law helper that the extensions call: its
+    classifier records each value and names no failure.
     """
     law = opposite(ext) if right else ext
     tables = _term_tables(law, law.mu)
@@ -186,9 +186,9 @@ def cocycle_sector(ext: BiHomAlgebra, n: int, right: bool) -> dict:
     def record(x, y, z, val):
         if (x, y, z) in values:
             values[x, y, z] = tuple(Fraction(v, tables[0] ** 2) for v in val[n:])
-        return False
+        return None
 
-    assert _alternative_witness(ext, right, record) is None
+    assert _alternative_witness(ext, right, record) == {}
     return values
 
 

@@ -440,8 +440,9 @@ def naive_representation_report(alg, rep):
     acols = [alg.alpha.column(i) for i in range(n)]
     bcols = [alg.beta.column(i) for i in range(n)]
     abcols = [(alg.alpha * alg.beta).column(i) for i in range(n)]
+    bacols = [(alg.beta * alg.alpha).column(i) for i in range(n)]
     basis = [tuple(Fraction(int(p == i)) for p in range(n)) for i in range(n)]
-    phipsi = rep.phi * rep.psi
+    phipsi, psiphi = rep.phi * rep.psi, rep.psi * rep.phi
 
     def left(x):
         return action_at(rep.l, x)
@@ -460,7 +461,7 @@ def naive_representation_report(alg, rep):
         return left(alg.product(bcols[i], acols[j])) * rep.psi - left(abcols[i]) * left(acols[j])
 
     def right_square(i, j):
-        return right(alg.product(bcols[i], acols[j])) * rep.phi - right(abcols[i]) * right(bcols[j])
+        return right(alg.product(bcols[i], acols[j])) * rep.phi - right(bacols[i]) * right(bcols[j])
 
     found = {
         "commuting": None if rep.phi * rep.psi == rep.psi * rep.phi else [],
@@ -470,7 +471,7 @@ def naive_representation_report(alg, rep):
         "psi_right": first(units, lambda i: rep.psi * rep.r[i] != right(bcols[i]) * rep.psi),
         # l(beta(x)·alpha(x))psi = l(alpha beta(x)) l(alpha(x)), polarized over pairs
         "left_square": first(upper, lambda i, j: not (left_square(i, j) + left_square(j, i)).is_zero()),
-        # r(beta(x)·alpha(x))phi = r(alpha beta(x)) r(beta(x)), polarized over pairs
+        # r(beta(x)·alpha(x))phi = r(beta alpha(x)) r(beta(x)), polarized over pairs
         "right_square": first(upper, lambda i, j: not (right_square(i, j) + right_square(j, i)).is_zero()),
         # r(beta(y)) l(beta(x)) phi − l(alpha beta(x)) r(y) phi = r(alpha(x)·y) phi psi − r(beta(y)) r(alpha(x)) psi
         "right_exchange": first(
@@ -480,18 +481,50 @@ def naive_representation_report(alg, rep):
             != right(alg.product(acols[i], basis[j])) * phipsi
             - right(bcols[j]) * right(acols[i]) * rep.psi,
         ),
-        # l(alpha(y)) r(alpha(x)) psi − r(alpha beta(x)) l(y) psi = l(y·beta(x)) phi psi − l(alpha(y)) l(beta(x)) phi
+        # l(alpha(y)) r(alpha(x)) psi − r(beta alpha(x)) l(y) psi = l(y·beta(x)) psi phi − l(alpha(y)) l(beta(x)) phi
         "left_exchange": first(
             every,
             lambda i, j: left(acols[j]) * right(acols[i]) * rep.psi
-            - right(abcols[i]) * left(basis[j]) * rep.psi
-            != left(alg.product(basis[j], bcols[i])) * phipsi
+            - right(bacols[i]) * left(basis[j]) * rep.psi
+            != left(alg.product(basis[j], bcols[i])) * psiphi
             - left(acols[j]) * left(bcols[i]) * rep.phi,
         ),
     }
     report = {name: w is None for name, w in found.items()}
     report["witnesses"] = {name: w for name, w in found.items() if w is not None}
     return report
+
+
+def naive_module_sectors(alg, rep):
+    """The four module axioms as the sectors of the two laws of A⊕V with exactly one input in V.
+
+    Point by point through the associator of semidirect(alg, rep), with the laws
+    of naive_alternative_witnesses over every basis triple of A⊕V: the left law
+    is left_square when its last input is in V and right_exchange otherwise; the
+    right law is right_square when its first input is in V and left_exchange
+    otherwise.  Each flag is True when no triple of its sector fails.
+    """
+    from bihomalt.algebra import associator
+    from bihomalt.representation import semidirect
+
+    ext = semidirect(alg, rep)
+    n, size = alg.dim, ext.dim
+    bcols = [ext.beta.column(i) for i in range(size)]
+    acols = [ext.alpha.column(i) for i in range(size)]
+    units = [tuple(Fraction(int(p == i)) for p in range(size)) for i in range(size)]
+
+    def fails(u, v):
+        return any(a + b for a, b in zip(associator(ext, *u), associator(ext, *v)))
+
+    flags = dict.fromkeys(("left_square", "right_square", "right_exchange", "left_exchange"), True)
+    for i, j, k in itertools.product(range(size), repeat=3):
+        if sum(t >= n for t in (i, j, k)) != 1:
+            continue
+        if fails((bcols[i], acols[j], units[k]), (bcols[j], acols[i], units[k])):
+            flags["left_square" if k >= n else "right_exchange"] = False
+        if fails((units[i], bcols[j], acols[k]), (units[i], bcols[k], acols[j])):
+            flags["right_square" if i >= n else "left_exchange"] = False
+    return flags
 
 
 def _naive_commutation_rows(mat, block, n):

@@ -9,9 +9,10 @@ import pytest
 from bihomalt import cli, fileio
 from bihomalt.cli import run
 from bihomalt.errors import InternalError
-from bihomalt.representation import adjoint
+from bihomalt.exactnum import Matrix
+from bihomalt.representation import Representation, adjoint
 
-from conftest import make_d2, make_e1, make_z1
+from conftest import make_d2, make_e1, make_z1, make_zero1
 
 
 @pytest.fixture
@@ -80,6 +81,24 @@ def test_cohomology_of_a_non_alternative_algebra_exit2(files, capsys, degree):
     assert report["diagnostics"] == [
         "cohomology needs a BiHom-alternative algebra (fails alpha_multiplicative at (0, 0))"
     ]
+
+
+@pytest.mark.parametrize("degree", ["2", "3"])
+@pytest.mark.parametrize(
+    "mod_dim, phi, psi",
+    [(1, [[1]], [[1]]), (2, [[1, 1], [0, 1]], [[1, 0], [1, 1]])],
+    ids=["unit", "noncommuting"],
+)
+def test_cohomology_with_an_invalid_representation_exit2(capsys, tmp_path, mod_dim, phi, psi, degree):
+    # over the 1-dim zero algebra: l = r = (1) fails every module axiom, and the other twists do not commute
+    act = [[1]] if mod_dim == 1 else [[0, 0], [0, 0]]
+    rep = Representation(1, mod_dim, [Matrix(act)], [Matrix(act)], Matrix(phi), Matrix(psi))
+    paths = {"alg": tmp_path / "zero1.bha", "rep": tmp_path / "bad.bhr"}
+    paths["alg"].write_text(json.dumps(fileio.algebra_to_json(make_zero1())))
+    paths["rep"].write_text(json.dumps(fileio.representation_to_json(rep)))
+    code, report = run_cli(capsys, ["cohomology", "--degree", degree, str(paths["alg"]), str(paths["rep"])])
+    assert code == 2 and report["status"] == "error" and report["payload"] == {}
+    assert report["diagnostics"] == ["cohomology needs a valid representation"]
 
 
 def test_rep_validate_with_explicit_file(files, capsys, tmp_path):

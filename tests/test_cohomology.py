@@ -520,6 +520,37 @@ def test_guard_on_invalid_coefficients_is_a_precondition_error():
         complex_report(d2, bad, 2)
 
 
+def _unit_module():
+    """The 1-dim module over the zero algebra with l = r = (1) and φ = ψ = 1: every module axiom fails."""
+    one = Matrix([[1]])
+    return Representation(1, 1, [one], [one], one, one)
+
+
+def _noncommuting_module():
+    """A 2-dim module over the zero algebra with zero actions and twists that do not commute."""
+    zero = Matrix.zero(2, 2)
+    return Representation(1, 2, [zero], [zero], Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [1, 1]]))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("module", [_unit_module, _noncommuting_module], ids=["unit", "noncommuting"])
+def test_cohomology_with_an_invalid_representation_is_a_precondition_error(module, degree):
+    # these used to pass with 1/1/1/0 and 1/1/0/1 (unit) or 0/0/0/0 (noncommuting): δ∘δ = 0 held by accident
+    zero1, rep = make_zero1(), module()
+    assert not validate_representation(zero1, rep).ok
+    with pytest.raises(PreconditionError, match="^cohomology needs a valid representation$"):
+        complex_report(zero1, rep, degree)
+
+
+def test_cohomology_with_the_adjoint_skips_the_representation_check(monkeypatch):
+    def refused(alg, rep):
+        raise AssertionError("the adjoint of a valid algebra was validated as a representation")
+
+    monkeypatch.setattr(cohomology, "validate_representation", refused)
+    h = make_quaternions()
+    assert complex_report(h, adjoint(h), 2).dim_C > 0
+
+
 def test_trivialize_guard_rejects_a_gauge_that_leaves_the_term(monkeypatch):
     e1 = make_e1()
     defm = TruncatedDeformation(e1, [Cochain.from_nested(2, 1, 1, [[[1]]]), Cochain.from_nested(2, 1, 1, [[[-2]]])])

@@ -137,8 +137,11 @@ def test_the_cocycle_conditions_leave_the_base_algebras_failures_to_validate():
     report = validate(ext)
     assert not (report.alpha_multiplicative or report.left_alternative or report.right_alternative)
     # the A-output of the same law pairings: unfiltered, the left law would have raised left_condition
-    assert _alternative_witness(ext, False) == (0, 0, 0)
-    assert _alternative_witness(ext, True) == (0, 0, 0)
+    def every_failure(x, y, z, val):
+        return ("law", (x, y, z)) if any(val) else None
+
+    assert _alternative_witness(ext, False, every_failure) == {"law": (0, 0, 0)}
+    assert _alternative_witness(ext, True, every_failure) == {"law": (0, 0, 0)}
 
 
 def test_t_theta_e1_hand_case(e1):

@@ -196,14 +196,29 @@ def test_one_twist_check_and_one_twist_row_builder():
 
 def test_one_law_pairing_for_validation_and_extensions():
     # the alternative laws are read off one pairing helper; the extensions read their cocycle conditions
-    # off the laws of the algebra they return, with no coboundary operator and no opposite algebra of their own
+    # off the laws of the algebra they return, with no coboundary operator and no opposite algebra of their own,
+    # and the module axioms are the sectors of the laws of A⊕V, one pass per law
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     paired = sorted(name for source in sources.values() for name in _callers(source, "_pairing"))
     assert paired == ["_alternative_witness", "_pairing_sum"]
     laws = sorted(name for source in sources.values() for name in _callers(source, "_alternative_witness"))
-    assert laws == ["_witnesses", "_witnesses", "validate", "validate"]
+    assert laws == ["_witnesses", "_witnesses", "validate", "validate", "validate_representation", "validate_representation"]
     forbidden = ("_coboundary", "opposite")
     assert _named_calls(sources["extension.py"], "extension.py", forbidden) == []
+
+
+def test_the_module_axioms_have_no_table_algebra_of_their_own():
+    # no composition helpers for action tables, and validate_representation builds no transport table
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    defined = [
+        node.name
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_then", "_at", "_add")
+    ]
+    assert defined == []
+    checker = _function_source(sources["representation.py"], "validate_representation")
+    assert _named_calls(checker, "validate_representation", ("transport", "_common_denominator")) == []
 
 
 def test_coboundary_is_one_function_of_columns():

@@ -37,7 +37,7 @@ from conftest import (
     trivial_representation,
     twist_preserving_signed_permutation,
 )
-from oracle_naive import action_at, naive_representation_report
+from oracle_naive import action_at, naive_module_sectors, naive_representation_report
 
 
 def test_trivial_rep_over_z1_is_valid(z1):
@@ -301,3 +301,34 @@ def test_noncommuting_twists_match_the_pointwise_oracle():
         rep = random_noncommuting_representation(alg, rng)
         assert alg.alpha * alg.beta != alg.beta * alg.alpha and rep.phi * rep.psi != rep.psi * rep.phi
         _assert_matches_oracle(alg, rep)
+
+
+MODULE_AXIOMS = ("left_square", "right_square", "right_exchange", "left_exchange")
+
+
+def _module_flags(alg, rep):
+    """(validate_representation's module-axiom flags, those of the pointwise sectors of A⊕V)."""
+    report = validate_representation(alg, rep).as_dict()
+    return {name: report[name] for name in MODULE_AXIOMS}, naive_module_sectors(alg, rep)
+
+
+def test_noncommuting_module_axioms_are_the_sectors_of_the_semidirect_laws():
+    # the twist order of each axiom is the one the laws of A⊕V compose, pinned apart from the pointwise formulas
+    failed = set()
+    for seed in range(20):
+        rng = Random(seed)
+        alg = random_noncommuting_algebra(rng)
+        flags, sectors = _module_flags(alg, random_noncommuting_representation(alg, rng))
+        assert flags == sectors, seed
+        failed.update(name for name, ok in flags.items() if not ok)
+    assert failed == set(MODULE_AXIOMS)
+
+
+@pytest.mark.parametrize("part", ["l", "r", "phi", "psi"])
+@pytest.mark.parametrize("name, build", ORACLE_ALGEBRAS[:2])
+def test_perturbed_module_axioms_are_the_sectors_of_the_semidirect_laws(name, build, part):
+    rng = Random(f"sectors:{name}:{part}")
+    alg = build()
+    for rep in _oracle_representations(alg, rng):
+        flags, sectors = _module_flags(alg, perturb_representation(rep, rng, part))
+        assert flags == sectors
