@@ -11,15 +11,16 @@ as(x, y, z) = (x·y)·β(z) − α(x)·(y·z), (mu ⋄ mu)(x, y, z) is
 as(βx, αy, z) + as(βy, αx, z): the left law.  On the opposite algebra
 Aᵒᵖ = (mu(y, x), β, α) it is the right law with its inputs reversed.
 The pairing is contracted on integer tables that `transport` reads off the
-structure constants, so no identity is evaluated point by point.  It has
-three readers, each sorting the values of one law in one pass through a
-classifier: `validate` (every value), `validate_representation` (the
-sectors of A⊕V with one input in V, which are the module axioms) and the
-extensions (the V-output at inputs in A, the cocycle conditions).  Twist
+structure constants, so no identity is evaluated point by point.  Twist
 compatibility, out∘f = f∘(T_1 ⊗ ... ⊗ T_k), is the kernel of the integer
-rows of `_twist_rows`: cochain spaces and the commutant are spanned by them,
-and `_intertwining_witness` decides a given map on them (multiplicativity
-here, cochains and the intertwining relations of a representation elsewhere).
+rows of `_twist_rows`, which span cochain spaces and the commutant.  A
+given algebra is checked in one pass per twist over these rows
+(`_intertwining_witness`) and one per law over the pairing
+(`_alternative_witness`), each sorting its failures through a classifier.
+There are three classifiers: `validate` names every failure,
+`validate_representation` the sectors of A⊕V with one input in V (the
+intertwining relations and the module axioms) and the extensions the
+V-output of A⊕_θV (θ's twist compatibility and the cocycle conditions).
 """
 
 from __future__ import annotations
@@ -323,40 +324,44 @@ def _twist_rows(twists: Sequence[Matrix], out: Matrix):
                 yield t, c, row
 
 
-def _intertwining_witness(flat: Sequence, twists: Sequence[Matrix], out: Matrix) -> Optional[tuple]:
-    """The first basis tuple t, in lexicographic order, where out(f(e_t)) ≠ f(twists[0] e_t0, twists[1] e_t1, ...), or None.
+def _first_witnesses(hits) -> dict:
+    """The first witness per name, in lexicographic order, of the (name, witness) pairs in hits; None is no failure."""
+    found = {}
+    for name, witness in filter(None, hits):
+        found[name] = min(found.get(name, witness), witness)
+    return found
+
+
+def _intertwining_witness(flat: Sequence, twists: Sequence[Matrix], out: Matrix, classify) -> dict:
+    """The first witness per name that classify reads off the rows of out(f(e_t)) = f(twists[0] e_t0, twists[1] e_t1, ...).
 
     The multilinear map f is stored flat, in the layout of `_twist_rows`, and
-    is scaled to integers; t is the first tuple with a row that does not
-    vanish on it.
+    is scaled to integers; classify(t, c) is asked of each basis tuple t and
+    output coordinate c whose row does not vanish on f, and returns a
+    (name, witness) pair, or None for no failure.
     """
     d = lcm(*(x.denominator for x in flat))
     data = [x.numerator * (d // x.denominator) for x in flat]
-    for t, _, row in _twist_rows(twists, out):
-        if sum(v * data[k] for k, v in row.items()):
-            return t
-    return None
+    return _first_witnesses(
+        classify(t, c) for t, c, row in _twist_rows(twists, out) if sum(v * data[k] for k, v in row.items())
+    )
 
 
-def _alternative_witness(alg: BiHomAlgebra, right: bool, classify, inputs: Optional[int] = None) -> dict:
+def _alternative_witness(alg: BiHomAlgebra, right: bool, classify) -> dict:
     """The first witness per name, in lexicographic order, that classify reads off the left or right law.
 
     The left law at (x, y, z) is (mu ⋄ mu)(e_x, e_y, e_z), symmetric in (x, y); the right
     law at (z, x, y), symmetric in its last two inputs, is minus the left law of Aᵒᵖ at
-    (x, y, z).  The inputs run over the first `inputs` basis vectors (by default all), and
-    classify(x, y, z, val) is asked of each pairing value with x ≤ y, an integer vector over
-    the squared table denominator; it returns a (name, witness) pair, or None for no failure.
-    One pass serves every name, so each reader sorts the sectors of one law at once.
+    (x, y, z).  classify(x, y, z, val) is asked of each pairing value with x ≤ y, an
+    integer vector over the squared table denominator; it returns a (name, witness) pair,
+    or None for no failure.  One pass serves every name, so each reader sorts the sectors
+    of one law at once.
     """
     law = opposite(alg) if right else alg
     tables = _term_tables(law, law.mu)
-    found = {}
-    if tables is not None:
-        for x, y, z, val in _pairing(inputs or law.dim, tables[2], tables[1]):
-            hit = classify(x, y, z, val)
-            if hit is not None and (hit[0] not in found or hit[1] < found[hit[0]]):
-                found[hit[0]] = hit[1]
-    return found
+    if tables is None:
+        return {}
+    return _first_witnesses(classify(*value) for value in _pairing(law.dim, tables[2], tables[1]))
 
 
 def _reported(report_type, found: dict):
@@ -364,15 +369,6 @@ def _reported(report_type, found: dict):
     names = report_type._fields[:-1]
     witnesses = {name: found[name] for name in names if found.get(name) is not None}
     return report_type(*(name not in witnesses for name in names), witnesses)
-
-
-def _law_failures(name: str, right: bool, start: int = 0):
-    """The classifier naming each pairing value non-zero from coordinate start on, with its triple in the law's order."""
-
-    def classify(x, y, z, val):
-        return (name, (z, x, y) if right else (x, y, z)) if any(val[start:]) else None
-
-    return classify
 
 
 def validate(alg: BiHomAlgebra) -> AlgebraReport:
@@ -385,10 +381,11 @@ def validate(alg: BiHomAlgebra) -> AlgebraReport:
     found = {
         "commuting": None if alg.alpha.commutes_with(alg.beta) else (),
         # twist(e_i·e_j) against twist(e_i)·twist(e_j)
-        "alpha_multiplicative": _intertwining_witness(mu, (alg.alpha, alg.alpha), alg.alpha),
-        "beta_multiplicative": _intertwining_witness(mu, (alg.beta, alg.beta), alg.beta),
-        **_alternative_witness(alg, False, _law_failures("left_alternative", False)),
-        **_alternative_witness(alg, True, _law_failures("right_alternative", True)),
+        **_intertwining_witness(mu, (alg.alpha, alg.alpha), alg.alpha, lambda t, c: ("alpha_multiplicative", t)),
+        **_intertwining_witness(mu, (alg.beta, alg.beta), alg.beta, lambda t, c: ("beta_multiplicative", t)),
+        # every non-zero law value, with its triple in the law's order
+        **_alternative_witness(alg, False, lambda x, y, z, val: ("left_alternative", (x, y, z)) if any(val) else None),
+        **_alternative_witness(alg, True, lambda x, y, z, val: ("right_alternative", (z, x, y)) if any(val) else None),
     }
     return _reported(AlgebraReport, found)
 

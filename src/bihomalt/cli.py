@@ -35,13 +35,7 @@ from .deformation import (
 from .errors import InputError, MathCheckError, PreconditionError
 from .extension import central_extension, t_star_theta_extension, t_theta_extension
 from .genderiv import space_of_kind
-from .representation import (
-    adjoint,
-    coadjoint,
-    dual,
-    semidirect,
-    validate_representation,
-)
+from .representation import _require_valid, adjoint, dual, semidirect, validate_representation
 
 PASS, FAIL, ERROR, INTERNAL = 0, 1, 2, 3
 
@@ -118,13 +112,11 @@ def _cmd_rep(args):
         report = validate_representation(alg, rep)
         diagnostics = [f"{name} at {tuple(w)}" for name, w in sorted(report.witnesses.items())]
         return ("pass" if report.ok else "fail"), {"report": report.as_dict()}, diagnostics
-    if args.subverb == "dual":
+    if args.subverb in ("dual", "coadjoint"):
+        # the coadjoint is the dual of the adjoint; the dual of an invalid input would be a vacuous pass
         rep = _rep_or_adjoint(alg, args.representation)
-        out = dual(alg, rep)
-        return "pass", {"representation": fileio.representation_to_json(out)}, []
-    if args.subverb == "coadjoint":
-        out = coadjoint(alg)
-        return "pass", {"representation": fileio.representation_to_json(out)}, []
+        _require_valid(alg, rep, "the dual")
+        return "pass", {"representation": fileio.representation_to_json(dual(alg, rep))}, []
     rep = _rep_or_adjoint(alg, args.representation)
     product = semidirect(alg, rep)
     report = validate(product)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .algebra import BiHomAlgebra, _common_denominator, _expand, _intertwining_witness, _twist_rows, transport, validate
+from .algebra import BiHomAlgebra, _common_denominator, _expand, _intertwining_witness, _twist_rows, transport
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
     Matrix,
@@ -39,7 +39,7 @@ from .exactnum import (
     unit_vector,
     vector,
 )
-from .representation import Representation, _action_tensors, _require_module_over, adjoint, validate_representation
+from .representation import Representation, _action_tensors, _require_module_over, _require_valid
 
 ZERO = Fraction(0)
 
@@ -134,7 +134,7 @@ def twist_witness(cochain: Cochain, twist_in: Matrix, twist_out: Matrix) -> Opti
     n, m, degree = cochain.alg_dim, cochain.mod_dim, cochain.degree
     if (twist_in.nrows, twist_in.ncols, twist_out.nrows, twist_out.ncols) != (n, n, m, m):
         raise InputError("twist shapes do not match the cochain")
-    return _intertwining_witness(cochain.data, (twist_in,) * degree, twist_out)
+    return _intertwining_witness(cochain.data, (twist_in,) * degree, twist_out, lambda t, c: ("twist", t)).get("twist")
 
 
 def compatibility_witness(
@@ -166,15 +166,6 @@ def cochain_space(alg: BiHomAlgebra, rep: Representation, degree: int) -> Subspa
     return nullspace_of_sparse_rows(rows, rep.mod_dim * alg.dim**degree)
 
 
-def _twisted(tensor, *twists) -> tuple[int, list]:
-    """t(T e_x, e_y) for T the product of the twists, as (d, table) with integer numerators over d."""
-    d, table = transport(tensor)
-    for twist in twists:
-        d_twist, table = transport(table, None, twist)
-        d *= d_twist
-    return d, table
-
-
 def _coboundary(alg: BiHomAlgebra, rep: Representation) -> Callable[[int, list], dict[int, dict]]:
     """The map (degree, columns) ↦ δ_degree · columns as {row: {j: entry}}, zero rows dropped.
 
@@ -190,14 +181,15 @@ def _coboundary(alg: BiHomAlgebra, rep: Representation) -> Callable[[int, list],
     """
     _require_module_over(alg, rep)
     n, m = alg.dim, rep.mod_dim
-    alpha, beta = alg.alpha, alg.beta
+    alpha, beta, alpha_beta = alg.alpha, alg.beta, alg.alpha * alg.beta
     # actions and the product as bilinear tensors A × V → V and A × A → A, the basis as A × Q → A
     left, right = _action_tensors(rep)
     basis = [[unit_vector(n, p)] for p in range(n)]
     d, tables = _common_denominator(
-        [_twisted(left), _twisted(left, alpha), _twisted(left, alpha, beta), _twisted(right), _twisted(right, beta)]
+        [transport(left, None, twist) for twist in (None, alpha, alpha_beta)]
+        + [transport(right, None, twist) for twist in (None, beta)]
         + [transport(alg.mu, None, *twists) for twists in ((), (beta, alpha), (alpha,), (alpha, beta))]
-        + [_twisted(basis, *twists) for twists in ((alpha,), (beta,), (alpha, beta))]
+        + [transport(basis, None, twist) for twist in (alpha, beta, alpha_beta)]
     )
     # by x: an action as one support over the input coordinates per output coordinate,
     # a product by y as a support, a twisted basis vector as a support
@@ -346,13 +338,8 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
     """Dimensions of cochains, cocycles, coboundaries and cohomology at degree 2 or 3."""
     if degree not in (2, 3):
         raise InputError("cohomology reports exist for degrees 2 and 3 only")
-    report = validate(alg)
-    if not report.ok:
-        name, w = min(report.witnesses.items())
-        raise PreconditionError(f"cohomology needs a BiHom-alternative algebra (fails {name} at {tuple(w)})")
-    # δ∘δ = 0 needs the module axioms; the adjoint of a valid algebra has them (A⊕A is A ⊗ Q[ε]/(ε²))
-    if rep != adjoint(alg) and not validate_representation(alg, rep).ok:
-        raise PreconditionError("cohomology needs a valid representation")
+    # δ∘δ = 0 needs the module axioms
+    _require_valid(alg, rep, "cohomology")
     space = cochain_space(alg, rep, degree)
     prev_space = cochain_space(alg, rep, degree - 1)
     # a rank or a zero test is the same on non-zero multiples of the basis vectors,

@@ -166,19 +166,19 @@ class Matrix(_Immutable):
             return NotImplemented
         if self.ncols != other.nrows:
             raise InputError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        ocols = other.ncols
+        # in integers over one denominator per factor, so each entry is one Fraction, built once
+        ds, do = (lcm(*(x.denominator for row in m.rows for x in row)) for m in (self, other))
+        orows = [[x.numerator * (do // x.denominator) for x in row] for row in other.rows]
         out = []
         for row in self.rows:
-            acc = [ZERO] * ocols
+            acc = [0] * other.ncols
             for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                orow = other.rows[k]
-                for j in range(ocols):
-                    b = orow[j]
-                    if b != 0:
-                        acc[j] += a * b
-            out.append(acc)
+                if a:
+                    a = a.numerator * (ds // a.denominator)
+                    for j, b in enumerate(orows[k]):
+                        if b:
+                            acc[j] += a * b
+            out.append([Fraction(v, ds * do) if v else ZERO for v in acc])
         return Matrix(out)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:

@@ -4,28 +4,22 @@ A T_theta extension lets a bimodule V act on A⊕V, with theta a 2-cocycle
 correction; a central extension is the T_theta extension over the trivial
 module (V acted on trivially and fixed pointwise by the extended twists),
 and the T*_theta variant is the same construction through the dual
-bimodule.  All three check theta against the twists, then read the left and
-right cocycle conditions off the algebra they return: they are the V-output
-of its two alternative laws at inputs in A, classified on the one law
-pairing of `algebra`.  A failure names the violated condition with a
-witness.  The other sectors of those laws are the laws of A and the module
-axioms, which `validate` and `validate_representation` read off the same
-pairing, so the assembled algebra passes the full two-sided validation
-whenever the base algebra does.
+bimodule.  All three build E_θ = A⊕V once and read every condition off its
+V-output, one pass per twist over its multiplicativity rows and one per law
+over its pairing: at inputs in A, θ's twist compatibility and the cocycle
+conditions; with an input in V, where θ does not enter, the representation.
+A failure names the violated condition with a witness.  `validate` reads
+the other sectors off the same rows and laws, so E_θ passes the full
+two-sided validation whenever the base algebra does.
 """
 
 from __future__ import annotations
 
-from .algebra import BiHomAlgebra, _alternative_witness, _law_failures
-from .cohomology import Cochain, twist_witness
+from .algebra import BiHomAlgebra, _alternative_witness, _intertwining_witness
+from .cohomology import Cochain
 from .errors import InputError, MathCheckError, PreconditionError
 from .exactnum import Matrix, Subspace, nullspace_of_sparse_rows
-from .representation import (
-    Representation,
-    block_sum,
-    dual,
-    validate_representation,
-)
+from .representation import Representation, block_sum, dual
 
 
 def annihilator(alg: BiHomAlgebra) -> Subspace:
@@ -82,35 +76,42 @@ _T_THETA_CONDITIONS = {
 }
 
 
-def _witnesses(alg: BiHomAlgebra, rep: Representation, theta: Cochain, ext: BiHomAlgebra):
-    """Each T_theta condition in checking order, with its first failing basis tuple or None."""
-    w_phi = twist_witness(theta, alg.alpha, rep.phi)
-    w_psi = twist_witness(theta, alg.beta, rep.psi)
-    if w_phi is not None and w_psi is not None and w_psi < w_phi:
-        w_phi = None  # the psi failure comes first in basis-pair order
-    yield "phi", w_phi
-    yield "psi", w_psi
-    n = alg.dim
-    # the V-output, at inputs in A only
-    yield "left", _alternative_witness(ext, False, _law_failures("left", False, n), n).get("left")
-    yield "right", _alternative_witness(ext, True, _law_failures("right", True, n), n).get("right")
-
-
 def _checked_extension(alg: BiHomAlgebra, rep: Representation, theta, conditions) -> BiHomAlgebra:
-    """block_sum(alg, rep, theta), or MathCheckError naming the first failed condition."""
+    """E_θ = block_sum(alg, rep, theta), or an error naming the first failure.
+
+    The representation comes first (φψ = ψφ and every sector with an input in
+    V), then the smaller twist witness, φ first on a tie, then the left and
+    the right condition.
+    """
     theta = _as_cochain2(alg.dim, rep.mod_dim, theta)
     ext = block_sum(alg, rep, theta)
-    for key, witness in _witnesses(alg, rep, theta, ext):
-        if witness is not None:
+    n = alg.dim
+    mu = [x for row in ext.mu for cell in row for x in cell]
+
+    def sector(key, inputs, witness):
+        # a V-output at inputs in A is a condition on θ; with an input in V it belongs to the representation
+        return (key, witness) if max(inputs) < n else ("module", ())
+
+    found = {
+        **_intertwining_witness(mu, (ext.alpha,) * 2, ext.alpha, lambda t, c: sector("phi", t, t) if c >= n else None),
+        **_intertwining_witness(mu, (ext.beta,) * 2, ext.beta, lambda t, c: sector("psi", t, t) if c >= n else None),
+        # x ≤ y, so (y, z) holds every input's largest index
+        **_alternative_witness(ext, False, lambda x, y, z, v: sector("left", (y, z), (x, y, z)) if any(v[n:]) else None),
+        **_alternative_witness(ext, True, lambda x, y, z, v: sector("right", (y, z), (z, x, y)) if any(v[n:]) else None),
+    }
+    if "module" in found or not rep.phi.commutes_with(rep.psi):
+        raise PreconditionError("coefficients are not a valid representation")
+    for keys in (("phi", "psi"), ("left",), ("right",)):
+        failed = [(found[key], key) for key in keys if key in found]
+        if failed:
+            witness, key = min(failed)  # "phi" < "psi" breaks a tie
             condition, message = conditions[key]
             raise MathCheckError(message, condition=condition, witness=witness)
     return ext
 
 
 def t_theta_extension(alg: BiHomAlgebra, rep: Representation, theta) -> BiHomAlgebra:
-    """(x+u)∘(y+v) = x·y + l(x)v + r(y)u + theta(x,y) on A⊕V, twists alpha+phi, beta+psi."""
-    if not validate_representation(alg, rep).ok:
-        raise PreconditionError("coefficients are not a valid representation")
+    """(x+u)∘(y+v) = x·y + l(x)v + r(y)u + theta(x,y) on A⊕V, twists alpha+phi, beta+psi; rep must be valid."""
     return _checked_extension(alg, rep, theta, _T_THETA_CONDITIONS)
 
 

@@ -1,14 +1,15 @@
 """Bimodules over a BiHom-alternative algebra.
 
 A representation is a space V with left/right action maps l, r (one matrix
-per algebra basis vector) and two commuting twists phi, psi on V.  Besides
-the four intertwining relations it must transfer both alternative laws into
+per algebra basis vector) and two commuting twists phi, psi on V.  It must
+satisfy four intertwining relations and transfer both alternative laws into
 V: two "square" axioms, quadratic in the algebra variable and therefore
 checked in polarized form, and two "exchange" axioms bilinear in (x, y).
-These four are the sectors with one input in V of the two laws of the
-semidirect product A⊕V, so V is a bimodule exactly when A⊕V is
-BiHom-alternative, and they are read off the one law pairing of `algebra`,
-the same that `validate` and the extensions read.
+All eight are sectors with one input in V of the semidirect product A⊕V,
+of the multiplicativity of its twists and of its two laws, so V is a
+bimodule exactly when A⊕V is BiHom-alternative.  They are read off the
+rows and the law pairing of `algebra`, as `validate` and the extensions
+read theirs.
 
 The dual representation lives on V* in dual-basis coordinates, where the
 matrix of a transposed map is the matrix transpose and the pairing is the
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import _NO_WITNESSES, BiHomAlgebra, _alternative_witness, _intertwining_witness, _report_dict, _reported, transport
+from .algebra import _NO_WITNESSES, BiHomAlgebra, _alternative_witness, _intertwining_witness, _report_dict, _reported, transport, validate
 from .errors import InputError, PreconditionError
 from .exactnum import Matrix, _Immutable
 
@@ -91,6 +92,21 @@ def _action_tensors(rep: Representation) -> tuple[list, list]:
     return tuple([list(zip(*m.rows)) for m in acts] for acts in (rep.l, rep.r))
 
 
+def _action_sectors(n: int, left: str, right: str):
+    """The classifier of one twist's multiplicativity rows of A⊕V, A spanned by the first n basis vectors.
+
+    At an output in V, (e_p, v) is the left action's intertwining relation at (p,) and (v, e_q) the right's at (q,).
+    """
+
+    def classify(t, c):
+        p, q = t
+        if c >= n and min(t) < n <= max(t):
+            return (left, (p,)) if p < n else (right, (q,))
+        return None
+
+    return classify
+
+
 def _module_sectors(n: int, square: str, exchange: str):
     """The classifier of the sectors of one law of A⊕V with one input in V, A spanned by the first n basis vectors.
 
@@ -111,11 +127,11 @@ def _module_sectors(n: int, square: str, exchange: str):
 def validate_representation(alg: BiHomAlgebra, rep: Representation) -> RepresentationReport:
     """Check the twists, the four intertwining relations and the four module axioms.
 
-    Each intertwining relation is the twist check of `algebra` on an action
-    tensor λ(e_p, v) = l[p]v or ρ(e_p, v) = r[p]v.  The module axioms are the
-    sectors with one input in V of the two alternative laws of E = A⊕V
-    (x·v = l(x)v, v·x = r(x)v), read off the same pairing as `validate`, one
-    pass per law.  The left law of E at (x, y, v) is left_square,
+    Each is a sector of E = A⊕V (x·v = l(x)v, v·x = r(x)v) with one input in
+    V, one pass per twist and one per law.  α⊕φ is multiplicative at (e_p, v)
+    iff φ l(p) = l(αp) φ (phi_left), at (v, e_q) iff φ r(q) = r(αq) φ
+    (phi_right); β⊕ψ gives psi_left and psi_right.  The left law of E at
+    (x, y, v) is left_square,
         l(μ(βx, αy))ψ = l(αβx) l(αy),
     and at (x, v, y) right_exchange,
         r(βy)(l(βx)φ + r(αx)ψ) = l(αβx) r(y)φ + r(μ(αx, y))φψ;
@@ -127,27 +143,28 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
     index in lexicographic order: (i,) for an intertwining relation, (i, j)
     with i ≤ j for the square axioms and any (i, j) for the exchange axioms.
     """
-    _require_module_over(alg, rep)
     n = alg.dim
-    lam, rho = _action_tensors(rep)
-
-    def intertwining(action, twist_in, twist_out):
-        # twist_out·action(e_i) against action(twist_in e_i)·twist_out, on each (e_i, e_v)
-        flat = [x for column in action for vec in column for x in vec]
-        w = _intertwining_witness(flat, (twist_in, twist_out), twist_out)
-        return None if w is None else w[:1]
-
     module = block_sum(alg, rep)
+    mu = [x for row in module.mu for cell in row for x in cell]
     found = {
         "commuting": None if rep.phi.commutes_with(rep.psi) else (),
-        "phi_left": intertwining(lam, alg.alpha, rep.phi),
-        "phi_right": intertwining(rho, alg.alpha, rep.phi),
-        "psi_left": intertwining(lam, alg.beta, rep.psi),
-        "psi_right": intertwining(rho, alg.beta, rep.psi),
+        **_intertwining_witness(mu, (module.alpha, module.alpha), module.alpha, _action_sectors(n, "phi_left", "phi_right")),
+        **_intertwining_witness(mu, (module.beta, module.beta), module.beta, _action_sectors(n, "psi_left", "psi_right")),
         **_alternative_witness(module, False, _module_sectors(n, "left_square", "right_exchange")),
         **_alternative_witness(module, True, _module_sectors(n, "right_square", "left_exchange")),
     }
     return _reported(RepresentationReport, found)
+
+
+def _require_valid(alg: BiHomAlgebra, rep: Representation, purpose: str):
+    """PreconditionError unless alg is BiHom-alternative and rep is a valid representation over it."""
+    report = validate(alg)
+    if not report.ok:
+        name, w = min(report.witnesses.items())
+        raise PreconditionError(f"{purpose} needs a BiHom-alternative algebra (fails {name} at {tuple(w)})")
+    # the adjoint of a valid algebra needs no check: A⊕A is A ⊗ Q[ε]/(ε²)
+    if rep != adjoint(alg) and not validate_representation(alg, rep).ok:
+        raise PreconditionError(f"{purpose} needs a valid representation")
 
 
 def adjoint(alg: BiHomAlgebra) -> Representation:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from bihomalt import cli, fileio
+from bihomalt.algebra import BiHomAlgebra
 from bihomalt.cli import run
 from bihomalt.errors import InternalError
 from bihomalt.exactnum import Matrix
@@ -250,6 +251,27 @@ def test_an_argument_the_command_does_not_read_exit2(capsys, monkeypatch, argv, 
     assert code == 2 and report["status"] == "error" and report["payload"] == {}
     command = " ".join(argv[:2])
     assert report["diagnostics"] == [f"{command} takes no {diagnostic} argument (got {argv[-1]})"]
+
+
+def test_rep_dual_of_an_invalid_representation_exit2(files, capsys, tmp_path):
+    # l = (2) fails left_square and left_exchange at (0, 0) on E1; the dual used to be printed as a pass
+    bad = Representation(1, 1, [Matrix([[2]])], [Matrix([[1]])], Matrix([[1]]), Matrix([[1]]))
+    p = tmp_path / "bad.bhr"
+    p.write_text(json.dumps(fileio.representation_to_json(bad)))
+    code, report = run_cli(capsys, ["rep", "dual", files["e1"], str(p)])
+    assert code == 2 and report["status"] == "error" and report["payload"] == {}
+    assert report["diagnostics"] == ["the dual needs a valid representation"]
+
+
+@pytest.mark.parametrize("subverb", ["dual", "coadjoint"])
+def test_rep_dual_and_coadjoint_of_a_non_alternative_algebra_exit2(capsys, tmp_path, subverb):
+    # e0·e0 = e0 + e1, e0·e1 = e1, e1·e0 = e0 with identity twists fails both laws at (0, 0, 0); both used to pass
+    alg = BiHomAlgebra(2, [[[1, 1], [0, 1]], [[1, 0], [0, 0]]], Matrix.identity(2), Matrix.identity(2))
+    p = tmp_path / "two.bha"
+    p.write_text(json.dumps(fileio.algebra_to_json(alg)))
+    code, report = run_cli(capsys, ["rep", subverb, str(p)])
+    assert code == 2 and report["status"] == "error" and report["payload"] == {}
+    assert report["diagnostics"] == ["the dual needs a BiHom-alternative algebra (fails left_alternative at (0, 0, 0))"]
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 import bihomalt.cohomology as cohomology
+import bihomalt.representation as representation
 from bihomalt.cohomology import (
     Cochain,
     _coboundary,
@@ -546,7 +547,8 @@ def test_cohomology_with_the_adjoint_skips_the_representation_check(monkeypatch)
     def refused(alg, rep):
         raise AssertionError("the adjoint of a valid algebra was validated as a representation")
 
-    monkeypatch.setattr(cohomology, "validate_representation", refused)
+    # the precondition is shared with the CLI's dual, in representation._require_valid
+    monkeypatch.setattr(representation, "validate_representation", refused)
     h = make_quaternions()
     assert complex_report(h, adjoint(h), 2).dim_C > 0
 

@@ -3,8 +3,11 @@ from random import Random
 
 import pytest
 
+import bihomalt.algebra as algebra
+import bihomalt.extension as extension
+import bihomalt.representation as representation
 from bihomalt.algebra import BiHomAlgebra, _alternative_witness, validate
-from bihomalt.cohomology import Cochain, cochain_space, delta2
+from bihomalt.cohomology import Cochain, cochain_space, delta2, twist_witness
 from bihomalt.errors import InputError, MathCheckError, PreconditionError
 from bihomalt.exactnum import Matrix
 from bihomalt.extension import (
@@ -299,3 +302,112 @@ def test_central_extension_is_t_theta_over_the_trivial_module(v_dim):
             else:
                 assert central == block_sum(alg, trivial, omega)
                 assert central == t_theta_extension(alg, trivial, omega)
+
+
+# -- the sectors of E_theta: theta's twist check, the precondition and the order of the failures -----------------
+
+# a zero algebra whose twists flip e2 and e1: every product-free condition holds, so only the twists can fail
+SIGNS = BiHomAlgebra(3, zero_bilinear(3), Matrix.diagonal([1, 1, -1]), Matrix.diagonal([1, -1, 1]))
+
+
+def _trivial(alg, v_dim=1):
+    zero, one = Matrix.zero(v_dim, v_dim), Matrix.identity(v_dim)
+    return Representation(alg.dim, v_dim, [zero] * alg.dim, [zero] * alg.dim, one, one)
+
+
+def _first_twist_failure(alg, rep, theta):
+    """theta's first twist failure as the cochain check reads it: the smaller witness, φ first on a tie."""
+    hits = [(twist_witness(theta, a, v), key) for key, a, v in (("phi", alg.alpha, rep.phi), ("psi", alg.beta, rep.psi))]
+    return min((hit for hit in hits if hit[0] is not None), default=None)
+
+
+def _failure(build, *args):
+    try:
+        build(*args)
+    except MathCheckError as err:
+        return err.condition, err.witness
+    return None
+
+
+@pytest.mark.parametrize(
+    "entries, expected",
+    [
+        ({(1, 2): 1}, ("phi", (1, 2))),  # both fail at (1, 2): the tie goes to φ
+        ({(0, 1): 1, (0, 2): 1}, ("psi", (0, 1))),  # φ fails at (0, 2), ψ at (0, 1)
+        ({(0, 2): 1, (1, 2): 1}, ("phi", (0, 2))),  # φ fails at (0, 2), ψ at (1, 2)
+    ],
+)
+def test_a_theta_failing_both_twists_reports_the_smaller_witness(entries, expected):
+    rep = _trivial(SIGNS)
+    theta = Cochain(2, 3, 1, [entries.get((i, j), 0) for i in range(3) for j in range(3)])
+    assert _first_twist_failure(SIGNS, rep, theta)[::-1] == expected
+    key, witness = expected
+    central = {"phi": "alpha_invariance", "psi": "beta_invariance"}[key]
+    assert _failure(central_extension, SIGNS, 1, theta) == (central, witness)
+    assert _failure(t_theta_extension, SIGNS, rep, theta) == ("twist_compatibility", witness)
+
+
+def test_random_thetas_fail_as_the_cochain_twist_check_and_the_cocycle_sectors_say():
+    # the first failure of T_theta is theta's cochain twist check when it fails, else the V-output sectors of the laws
+    rng = Random(97)
+    seen = set()
+    for alg in (SIGNS, make_d2(), make_quaternions()):
+        rep = adjoint(alg) if alg is not SIGNS else _trivial(SIGNS, 2)
+        for trial in range(8):
+            data = [rng.choice([0, 0, 1, -1, Fraction(1, 2)]) if trial else 0 for _ in range(rep.mod_dim * alg.dim**2)]
+            theta = Cochain(2, alg.dim, rep.mod_dim, data)
+            failure = _failure(t_theta_extension, alg, rep, theta)
+            twist = _first_twist_failure(alg, rep, theta)
+            if twist is not None:
+                assert failure == ("twist_compatibility", twist[0])
+            else:
+                ext = block_sum(alg, rep, theta)
+                # a right-law witness is in the law's order (z, x, y)
+                left = min((k for k, v in cocycle_sector(ext, alg.dim, False).items() if any(v)), default=None)
+                right = min((k[2:] + k[:2] for k, v in cocycle_sector(ext, alg.dim, True).items() if any(v)), default=None)
+                expected = ("left_cocycle", left) if left else ("right_cocycle", right) if right else None
+                assert failure == expected
+            seen.add(failure and failure[0])
+    assert seen >= {"twist_compatibility", "left_cocycle", None}
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        # φψ ≠ ψφ with zero actions: only the commuting check fails
+        Representation(3, 2, [Matrix.zero(2, 2)] * 3, [Matrix.zero(2, 2)] * 3, Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [1, 1]])),
+        # l = r = I fails the intertwining relations at e1, e2 and every module axiom
+        Representation(3, 1, [Matrix.identity(1)] * 3, [Matrix.identity(1)] * 3, Matrix.identity(1), Matrix.identity(1)),
+    ],
+    ids=["noncommuting", "identity-actions"],
+)
+def test_an_invalid_module_raises_the_precondition_before_any_theta_check(rep):
+    assert not validate_representation(SIGNS, rep).ok
+    theta = Cochain(2, 3, rep.mod_dim, [1] * (9 * rep.mod_dim))
+    assert _failure(t_theta_extension, SIGNS, _trivial(SIGNS, rep.mod_dim), theta)[0] == "twist_compatibility"
+    with pytest.raises(PreconditionError, match="^coefficients are not a valid representation$"):
+        t_theta_extension(SIGNS, rep, theta)
+    # E_theta needs theta, so a theta of the wrong shape is reported first
+    with pytest.raises(InputError, match="^tensor axis length does not match the algebra dimension$"):
+        t_theta_extension(SIGNS, rep, [[[0]]])
+
+
+def test_t_theta_walks_one_algebra(monkeypatch):
+    # one block_sum, one pass over its rows per twist and one over its pairing per law: the precondition is
+    # read off the same passes, with no second algebra and no per-action or per-cochain twist check
+    counts = {"block_sum": 0, "_twist_rows": 0, "_pairing": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((extension, "block_sum"), (representation, "block_sum"), (algebra, "_twist_rows"), (algebra, "_pairing")):
+        counted(module, name)
+    h = make_quaternions()
+    t_theta_extension(h, adjoint(h), Cochain.zero(2, 4, 4))
+    assert counts == {"block_sum": 1, "_twist_rows": 2, "_pairing": 2}

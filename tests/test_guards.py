@@ -201,10 +201,44 @@ def test_one_law_pairing_for_validation_and_extensions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     paired = sorted(name for source in sources.values() for name in _callers(source, "_pairing"))
     assert paired == ["_alternative_witness", "_pairing_sum"]
+    # validate, validate_representation and the extensions are three classifiers over the twist rows and the law
+    # values of one algebra: one pass per twist and one per law each, and twist_witness a reader with one name
+    readers = ["_checked_extension", "_checked_extension", "validate", "validate", "validate_representation", "validate_representation"]
     laws = sorted(name for source in sources.values() for name in _callers(source, "_alternative_witness"))
-    assert laws == ["_witnesses", "_witnesses", "validate", "validate", "validate_representation", "validate_representation"]
+    assert laws == readers
+    rows = sorted(name for source in sources.values() for name in _callers(source, "_intertwining_witness"))
+    assert rows == sorted(readers + ["twist_witness"])
     forbidden = ("_coboundary", "opposite")
     assert _named_calls(sources["extension.py"], "extension.py", forbidden) == []
+
+
+def test_every_check_on_a_sum_algebra_reads_the_one_block_sum():
+    # no second implementation of the intertwining relations or of theta's twist check, and no sector bounds:
+    # each reader's classifier picks its sectors out of full passes
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    defined = [
+        node.name
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_witnesses", "intertwining", "_twisted", "_law_failures")
+    ]
+    assert defined == []
+    # no input bound on the pairing (the old `inputs`) and no output bound on a law classifier (the old `start`)
+    algebra = sources["algebra.py"]
+    params = {
+        name: [arg.arg for arg in ast.parse(_function_source(algebra, name)).body[0].args.args]
+        for name in ("_alternative_witness", "_intertwining_witness")
+    }
+    assert params == {"_alternative_witness": ["alg", "right", "classify"], "_intertwining_witness": ["flat", "twists", "out", "classify"]}
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(sources["extension.py"]))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"twist_witness", "validate_representation"}
+    # every extension builds its algebra in one place, and the T_theta precondition is read off the same passes
+    assert _callers(sources["extension.py"], "block_sum") == ["_checked_extension"]
 
 
 def test_the_module_axioms_have_no_table_algebra_of_their_own():
@@ -238,14 +272,15 @@ def test_coboundary_is_one_function_of_columns():
 
 def test_one_factor_table_for_every_coboundary_degree():
     # δ1–δ3 read one table of twisted actions, products and basis vectors, built by one rescaling call with
-    # no converter of its own, and only that table composes twists as chained transports
+    # no converter of its own
     source = (SRC / "cohomology.py").read_text()
     factory = _function_source(source, "_coboundary")
     assert len(_named_calls(factory, "_coboundary", ("_common_denominator",))) == 1
     nested = [node.name for node in ast.walk(ast.parse(factory)) if isinstance(node, ast.FunctionDef)]
     assert nested == ["_coboundary", "delta"]
-    sources = [p.read_text() for p in SRC.glob("*.py")]
-    assert {name for source in sources for name in _callers(source, "_twisted")} == {"_coboundary"}
+    # one way to twist a tensor: one transport by the composed twist, so no module defines a chaining helper
+    defined = [node.name for p in SRC.glob("*.py") for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.FunctionDef)]
+    assert "_twisted" not in defined
 
 
 def test_one_series_coefficient_for_gauge_equivalence_and_trivialization():

@@ -324,11 +324,21 @@ def test_noncommuting_module_axioms_are_the_sectors_of_the_semidirect_laws():
     assert failed == set(MODULE_AXIOMS)
 
 
+INTERTWINING = ("phi_left", "phi_right", "psi_left", "psi_right")
+
+
 @pytest.mark.parametrize("part", ["l", "r", "phi", "psi"])
 @pytest.mark.parametrize("name, build", ORACLE_ALGEBRAS[:2])
 def test_perturbed_module_axioms_are_the_sectors_of_the_semidirect_laws(name, build, part):
+    # the module axioms against the pointwise laws of A⊕V, and the intertwining relations, read off the
+    # multiplicativity rows of A⊕V, against the pointwise matrix products (the corrupted-representation
+    # test above compares whole reports on O and twisted O too)
     rng = Random(f"sectors:{name}:{part}")
     alg = build()
     for rep in _oracle_representations(alg, rng):
-        flags, sectors = _module_flags(alg, perturb_representation(rep, rng, part))
+        bad = perturb_representation(rep, rng, part)
+        flags, sectors = _module_flags(alg, bad)
         assert flags == sectors
+        report, expected = validate_representation(alg, bad).as_dict(), naive_representation_report(alg, bad)
+        for key in INTERTWINING:
+            assert (report[key], report["witnesses"].get(key)) == (expected[key], expected["witnesses"].get(key))
