@@ -9,15 +9,15 @@ quadratic identity, mu ⋄ mu = 0, where ⋄ is the four-term diamond pairing
 of the deformation equations.  With the twisted associator
 as(x, y, z) = (x·y)·β(z) − α(x)·(y·z), (mu ⋄ mu)(x, y, z) is
 as(βx, αy, z) + as(βy, αx, z): the left law.  On the opposite algebra
-Aᵒᵖ = (mu(y, x), β, α) it is the right law with its inputs reversed.
-The pairing is contracted on integer tables that `transport` reads off the
-structure constants, so no identity is evaluated point by point.  Twist
-compatibility, out∘f = f∘(T_1 ⊗ ... ⊗ T_k), is the kernel of the integer
-rows of `_twist_rows`, which span cochain spaces and the commutant.  A
-given algebra is checked in one pass per twist over these rows
-(`_intertwining_witness`) and one per law over the pairing
-(`_alternative_witness`), each sorting its failures through a classifier.
-There are three classifiers: `validate` names every failure,
+Aᵒᵖ = (mu(y, x), β, α), whose tables are those of A transposed, it is the
+right law with its inputs reversed.  The pairing is contracted on integer
+tables that `transport` reads off the structure constants, so no identity
+is evaluated point by point.  Twist compatibility, out∘f = f∘(T_1 ⊗ ... ⊗ T_k),
+is the kernel of the integer rows of `_twist_rows`, which span cochain spaces
+and the commutant.  A given algebra is checked in one walk (`_walk`): a pass
+per twist over these rows and both laws over one build of tables, each
+failure sorted through a classifier of the reader.  There are three
+readers: `validate` names every failure,
 `validate_representation` the sectors of A⊕V with one input in V (the
 intertwining relations and the module axioms) and the extensions the
 V-output of A⊕_θV (θ's twist compatibility and the cocycle conditions).
@@ -216,6 +216,11 @@ def _table_sum(parts) -> tuple[int, list]:
     return den, [[[sum(vs) for vs in zip(*vecs)] for vecs in zip(*rows)] for rows in zip(*tables)]
 
 
+def _diamond_pairs(a: Matrix, b: Matrix) -> tuple:
+    """The (left, right) twists of the tables b1, b2, a1, a2 of `_term_tables` for α = a, β = b; None is the identity."""
+    return (b, a), (a, None), (None, b), (a * b, None)
+
+
 def _term_tables(alg: BiHomAlgebra, tensor):
     """The tables one bilinear term t brings to the diamond pairing, or None when t = 0.
 
@@ -225,9 +230,7 @@ def _term_tables(alg: BiHomAlgebra, tensor):
     """
     if not any(x for row in tensor for cell in row for x in cell):
         return None
-    a, b = alg.alpha, alg.beta
-    pairs = ((b, a), (a, None), (None, b), (a * b, None))
-    den, (b1, b2, a1, a2) = _common_denominator([transport(tensor, None, l, r) for l, r in pairs])
+    den, (b1, b2, a1, a2) = _common_denominator([transport(tensor, None, l, r) for l, r in _diamond_pairs(alg.alpha, alg.beta)])
     return den, (b1, b2), (a1, a2)
 
 
@@ -256,12 +259,6 @@ def _pairing(n: int, outer, inner):
             for y in range(x, n):
                 first = _lincomb(sym[x, y], a1_z)
                 yield x, y, z, [f - s - t for f, s, t in zip(first, second[x][y], second[y][x])]
-
-
-def opposite(alg: BiHomAlgebra) -> BiHomAlgebra:
-    """Aᵒᵖ = (mu(y, x), β, α): its left law is the right law of A."""
-    n = alg.dim
-    return BiHomAlgebra(n, [[alg.mu[j][i] for j in range(n)] for i in range(n)], alg.beta, alg.alpha)
 
 
 def _first_difference(p, q) -> Optional[tuple[int, int]]:
@@ -347,21 +344,29 @@ def _intertwining_witness(flat: Sequence, twists: Sequence[Matrix], out: Matrix,
     )
 
 
-def _alternative_witness(alg: BiHomAlgebra, right: bool, classify) -> dict:
-    """The first witness per name, in lexicographic order, that classify reads off the left or right law.
+def _walk(alg: BiHomAlgebra, rows, laws) -> dict:
+    """The first witness per name, in lexicographic order, that rows and laws read off the checks of alg.
 
-    The left law at (x, y, z) is (mu ⋄ mu)(e_x, e_y, e_z), symmetric in (x, y); the right
-    law at (z, x, y), symmetric in its last two inputs, is minus the left law of Aᵒᵖ at
-    (x, y, z).  classify(x, y, z, val) is asked of each pairing value with x ≤ y, an
-    integer vector over the squared table denominator; it returns a (name, witness) pair,
-    or None for no failure.  One pass serves every name, so each reader sorts the sectors
-    of one law at once.
+    rows(twist, t, c) is asked, twist "alpha" then "beta", of each basis pair t and output
+    coordinate c where the twist is not multiplicative; laws(right, x, y, z, val) of each
+    left-law value (mu ⋄ mu)(e_x, e_y, e_z) with x ≤ y, then of each value of the left law
+    of Aᵒᵖ, minus the right law at (z, x, y), as integer vectors over the squared table
+    denominator.  Each returns a (name, witness) pair, or None for no failure.  Both laws
+    read one build of five tables: b1[x][y] = mu(βe_x, αe_y), b2[y][z] = mu(αe_y, e_z),
+    a1[p][z] = mu(e_p, βe_z), a2[x][q] = mu(αβe_x, e_q) and c[q][x] = mu(e_q, βαe_x).  Those
+    of Aᵒᵖ are b2ᵀ, cᵀ (outer) and b1ᵀ, a1ᵀ (inner), ᵀ swapping the two basis indices.
     """
-    law = opposite(alg) if right else alg
-    tables = _term_tables(law, law.mu)
-    if tables is None:
-        return {}
-    return _first_witnesses(classify(*value) for value in _pairing(law.dim, tables[2], tables[1]))
+    flat = [x for row in alg.mu for cell in row for x in cell]
+    twisted = [
+        _intertwining_witness(flat, (twist, twist), twist, lambda t, c, name=name: rows(name, t, c)).items()
+        for name, twist in (("alpha", alg.alpha), ("beta", alg.beta))
+    ]
+    pairs = (*_diamond_pairs(alg.alpha, alg.beta), (None, alg.beta * alg.alpha))
+    _, (b1, b2, a1, a2, c) = _common_denominator([transport(alg.mu, None, l, r) for l, r in pairs])
+    b1t, b2t, a1t, ct = (list(zip(*table)) for table in (b1, b2, a1, c))
+    sides = ((False, (a1, a2), (b1, b2)), (True, (b2t, ct), (b1t, a1t)))
+    values = (laws(right, *value) for right, outer, inner in sides for value in _pairing(alg.dim, outer, inner))
+    return _first_witnesses(itertools.chain(*twisted, values))
 
 
 def _reported(report_type, found: dict):
@@ -377,15 +382,15 @@ def validate(alg: BiHomAlgebra) -> AlgebraReport:
     Each witness is the first failing basis tuple in lexicographic order: (i, j, k)
     with i ≤ j for the left law and with j ≤ k for the right law.
     """
-    mu = [x for row in alg.mu for cell in row for x in cell]
     found = {
         "commuting": None if alg.alpha.commutes_with(alg.beta) else (),
-        # twist(e_i·e_j) against twist(e_i)·twist(e_j)
-        **_intertwining_witness(mu, (alg.alpha, alg.alpha), alg.alpha, lambda t, c: ("alpha_multiplicative", t)),
-        **_intertwining_witness(mu, (alg.beta, alg.beta), alg.beta, lambda t, c: ("beta_multiplicative", t)),
-        # every non-zero law value, with its triple in the law's order
-        **_alternative_witness(alg, False, lambda x, y, z, val: ("left_alternative", (x, y, z)) if any(val) else None),
-        **_alternative_witness(alg, True, lambda x, y, z, val: ("right_alternative", (z, x, y)) if any(val) else None),
+        **_walk(
+            alg,
+            # twist(e_i·e_j) against twist(e_i)·twist(e_j)
+            lambda twist, t, c: (f"{twist}_multiplicative", t),
+            # every non-zero law value, with its triple in the law's order
+            lambda right, x, y, z, val: (("right_alternative", (z, x, y)) if right else ("left_alternative", (x, y, z))) if any(val) else None,
+        ),
     }
     return _reported(AlgebraReport, found)
 

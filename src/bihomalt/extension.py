@@ -4,18 +4,18 @@ A T_theta extension lets a bimodule V act on A⊕V, with theta a 2-cocycle
 correction; a central extension is the T_theta extension over the trivial
 module (V acted on trivially and fixed pointwise by the extended twists),
 and the T*_theta variant is the same construction through the dual
-bimodule.  All three build E_θ = A⊕V once and read every condition off its
-V-output, one pass per twist over its multiplicativity rows and one per law
-over its pairing: at inputs in A, θ's twist compatibility and the cocycle
+bimodule.  All three build E_θ = A⊕V once and read every condition off the
+V-output of one walk of it (`algebra._walk`: its multiplicativity rows and
+both laws): at inputs in A, θ's twist compatibility and the cocycle
 conditions; with an input in V, where θ does not enter, the representation.
-A failure names the violated condition with a witness.  `validate` reads
-the other sectors off the same rows and laws, so E_θ passes the full
-two-sided validation whenever the base algebra does.
+A failure names the violated condition with a witness.  No product with an
+input in V has an A-component, so the A-output of the same walk is that of
+the base algebra: an accepted E_θ has the validation report of A.
 """
 
 from __future__ import annotations
 
-from .algebra import BiHomAlgebra, _alternative_witness, _intertwining_witness
+from .algebra import BiHomAlgebra, _walk
 from .cohomology import Cochain
 from .errors import InputError, MathCheckError, PreconditionError
 from .exactnum import Matrix, Subspace, nullspace_of_sparse_rows
@@ -62,15 +62,15 @@ def central_extension(alg: BiHomAlgebra, v_dim: int, omega) -> BiHomAlgebra:
 
 
 _CENTRAL_CONDITIONS = {
-    "phi": ("alpha_invariance", "alpha-invariance of omega fails"),
-    "psi": ("beta_invariance", "beta-invariance of omega fails"),
+    "alpha": ("alpha_invariance", "alpha-invariance of omega fails"),
+    "beta": ("beta_invariance", "beta-invariance of omega fails"),
     "left": ("left_condition", "left mixed condition on omega fails"),
     "right": ("right_condition", "right mixed condition on omega fails"),
 }
 
 _T_THETA_CONDITIONS = {
-    "phi": ("twist_compatibility", "theta is not twist-compatible"),
-    "psi": ("twist_compatibility", "theta is not twist-compatible"),
+    "alpha": ("twist_compatibility", "theta is not twist-compatible"),
+    "beta": ("twist_compatibility", "theta is not twist-compatible"),
     "left": ("left_cocycle", "left cocycle condition on theta fails"),
     "right": ("right_cocycle", "right cocycle condition on theta fails"),
 }
@@ -80,31 +80,29 @@ def _checked_extension(alg: BiHomAlgebra, rep: Representation, theta, conditions
     """E_θ = block_sum(alg, rep, theta), or an error naming the first failure.
 
     The representation comes first (φψ = ψφ and every sector with an input in
-    V), then the smaller twist witness, φ first on a tie, then the left and
+    V), then the smaller twist witness, α⊕φ first on a tie, then the left and
     the right condition.
     """
     theta = _as_cochain2(alg.dim, rep.mod_dim, theta)
     ext = block_sum(alg, rep, theta)
     n = alg.dim
-    mu = [x for row in ext.mu for cell in row for x in cell]
 
     def sector(key, inputs, witness):
         # a V-output at inputs in A is a condition on θ; with an input in V it belongs to the representation
         return (key, witness) if max(inputs) < n else ("module", ())
 
-    found = {
-        **_intertwining_witness(mu, (ext.alpha,) * 2, ext.alpha, lambda t, c: sector("phi", t, t) if c >= n else None),
-        **_intertwining_witness(mu, (ext.beta,) * 2, ext.beta, lambda t, c: sector("psi", t, t) if c >= n else None),
+    found = _walk(
+        ext,
+        lambda twist, t, c: sector(twist, t, t) if c >= n else None,
         # x ≤ y, so (y, z) holds every input's largest index
-        **_alternative_witness(ext, False, lambda x, y, z, v: sector("left", (y, z), (x, y, z)) if any(v[n:]) else None),
-        **_alternative_witness(ext, True, lambda x, y, z, v: sector("right", (y, z), (z, x, y)) if any(v[n:]) else None),
-    }
+        lambda right, x, y, z, v: (sector("right", (y, z), (z, x, y)) if right else sector("left", (y, z), (x, y, z))) if any(v[n:]) else None,
+    )
     if "module" in found or not rep.phi.commutes_with(rep.psi):
         raise PreconditionError("coefficients are not a valid representation")
-    for keys in (("phi", "psi"), ("left",), ("right",)):
+    for keys in (("alpha", "beta"), ("left",), ("right",)):
         failed = [(found[key], key) for key in keys if key in found]
         if failed:
-            witness, key = min(failed)  # "phi" < "psi" breaks a tie
+            witness, key = min(failed)  # "alpha" < "beta" breaks a tie
             condition, message = conditions[key]
             raise MathCheckError(message, condition=condition, witness=witness)
     return ext

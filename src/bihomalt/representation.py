@@ -7,9 +7,9 @@ V: two "square" axioms, quadratic in the algebra variable and therefore
 checked in polarized form, and two "exchange" axioms bilinear in (x, y).
 All eight are sectors with one input in V of the semidirect product A⊕V,
 of the multiplicativity of its twists and of its two laws, so V is a
-bimodule exactly when A⊕V is BiHom-alternative.  They are read off the
-rows and the law pairing of `algebra`, as `validate` and the extensions
-read theirs.
+bimodule exactly when A⊕V is BiHom-alternative.  They are read off one
+walk of A⊕V (`algebra._walk`: its multiplicativity rows and both laws), as
+`validate` and the extensions read theirs.
 
 The dual representation lives on V* in dual-basis coordinates, where the
 matrix of a transposed map is the matrix transpose and the pairing is the
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import _NO_WITNESSES, BiHomAlgebra, _alternative_witness, _intertwining_witness, _report_dict, _reported, transport, validate
+from .algebra import _NO_WITNESSES, BiHomAlgebra, _report_dict, _reported, _walk, transport, validate
 from .errors import InputError, PreconditionError
 from .exactnum import Matrix, _Immutable
 
@@ -92,33 +92,32 @@ def _action_tensors(rep: Representation) -> tuple[list, list]:
     return tuple([list(zip(*m.rows)) for m in acts] for acts in (rep.l, rep.r))
 
 
-def _action_sectors(n: int, left: str, right: str):
-    """The classifier of one twist's multiplicativity rows of A⊕V, A spanned by the first n basis vectors.
+def _action_sectors(n: int):
+    """The classifier of the multiplicativity rows of A⊕V, A spanned by the first n basis vectors.
 
     At an output in V, (e_p, v) is the left action's intertwining relation at (p,) and (v, e_q) the right's at (q,).
     """
 
-    def classify(t, c):
-        p, q = t
+    def classify(twist, t, c):
         if c >= n and min(t) < n <= max(t):
-            return (left, (p,)) if p < n else (right, (q,))
+            return f"{'psi' if twist == 'beta' else 'phi'}_{'left' if t[0] < n else 'right'}", (min(t),)
         return None
 
     return classify
 
 
-def _module_sectors(n: int, square: str, exchange: str):
-    """The classifier of the sectors of one law of A⊕V with one input in V, A spanned by the first n basis vectors.
+def _module_sectors(n: int):
+    """The classifier of the sectors of the two laws of A⊕V with one input in V, A spanned by the first n basis vectors.
 
     x ≤ y < n ≤ z is the square axiom at (x, y); x < n ≤ y, z < n the exchange axiom at (x, z).
     """
 
-    def classify(x, y, z, val):
+    def classify(right, x, y, z, val):
         if x < n and any(val):
             if y < n <= z:
-                return square, (x, y)
+                return ("right_square" if right else "left_square"), (x, y)
             if z < n <= y:
-                return exchange, (x, z)
+                return ("left_exchange" if right else "right_exchange"), (x, z)
         return None
 
     return classify
@@ -128,7 +127,7 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
     """Check the twists, the four intertwining relations and the four module axioms.
 
     Each is a sector of E = A⊕V (x·v = l(x)v, v·x = r(x)v) with one input in
-    V, one pass per twist and one per law.  α⊕φ is multiplicative at (e_p, v)
+    V, read off one walk of E.  α⊕φ is multiplicative at (e_p, v)
     iff φ l(p) = l(αp) φ (phi_left), at (v, e_q) iff φ r(q) = r(αq) φ
     (phi_right); β⊕ψ gives psi_left and psi_right.  The left law of E at
     (x, y, v) is left_square,
@@ -143,15 +142,9 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
     index in lexicographic order: (i,) for an intertwining relation, (i, j)
     with i ≤ j for the square axioms and any (i, j) for the exchange axioms.
     """
-    n = alg.dim
-    module = block_sum(alg, rep)
-    mu = [x for row in module.mu for cell in row for x in cell]
     found = {
         "commuting": None if rep.phi.commutes_with(rep.psi) else (),
-        **_intertwining_witness(mu, (module.alpha, module.alpha), module.alpha, _action_sectors(n, "phi_left", "phi_right")),
-        **_intertwining_witness(mu, (module.beta, module.beta), module.beta, _action_sectors(n, "psi_left", "psi_right")),
-        **_alternative_witness(module, False, _module_sectors(n, "left_square", "right_exchange")),
-        **_alternative_witness(module, True, _module_sectors(n, "right_square", "left_exchange")),
+        **_walk(block_sum(alg, rep), _action_sectors(alg.dim), _module_sectors(alg.dim)),
     }
     return _reported(RepresentationReport, found)
 

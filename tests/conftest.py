@@ -9,11 +9,12 @@ Corpus algebras:
 """
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
 
-from bihomalt.algebra import BiHomAlgebra, _alternative_witness, _term_tables, opposite, yau_twist
+from bihomalt.algebra import BiHomAlgebra, _pairing, _term_tables, _walk, yau_twist
 from bihomalt.cohomology import Cochain, _coboundary, cochain_space
 from bihomalt.exactnum import Matrix, Subspace, _lift, nullspace_of_sparse_rows
 from bihomalt.representation import Representation, adjoint, semidirect
@@ -171,24 +172,40 @@ def product_corpus():
     return items
 
 
+def opposite(alg: BiHomAlgebra) -> BiHomAlgebra:
+    """Aᵒᵖ = (mu(y, x), β, α), built from its definition: its left law is the right law of A."""
+    n = alg.dim
+    return BiHomAlgebra(n, [[alg.mu[j][i] for j in range(n)] for i in range(n)], alg.beta, alg.alpha)
+
+
 def cocycle_sector(ext: BiHomAlgebra, n: int, right: bool) -> dict:
     """The V-output at inputs in A of the left-law pairing of ext = A⊕V, or of opposite(ext) when right.
 
     A dict {(x, y, z): rational vector} over every triple with x ≤ y, the keys the
-    pairing yields, read through the law helper that the extensions call: its
-    classifier records each value and names no failure.
+    pairing yields, read through the walk that the extensions make: its classifiers
+    record each value and name no failure.  The values are checked against the
+    pairing of the diamond tables of ext and of opposite(ext), built here, so the
+    walk's transposed tables have an independent reference.
     """
-    law = opposite(ext) if right else ext
-    tables = _term_tables(law, law.mu)
+    tables = {side: _term_tables(law, law.mu) for side, law in ((False, ext), (True, opposite(ext)))}
     m = ext.dim - n
     values = {(x, y, z): (Fraction(0),) * m for x in range(n) for y in range(x, n) for z in range(n)}
+    expected = dict(values)
+    if tables[right] is not None:
+        d, inner, outer = tables[right]
+        for x, y, z, val in _pairing(ext.dim, outer, inner):
+            if (x, y, z) in expected:
+                expected[x, y, z] = tuple(Fraction(v, d**2) for v in val[n:])
+    # the walk builds the tables of both laws over one denominator
+    den = lcm(*(t[0] for t in tables.values() if t is not None))
 
-    def record(x, y, z, val):
-        if (x, y, z) in values:
-            values[x, y, z] = tuple(Fraction(v, tables[0] ** 2) for v in val[n:])
+    def record(side, x, y, z, val):
+        if side == right and (x, y, z) in values:
+            values[x, y, z] = tuple(Fraction(v, den**2) for v in val[n:])
         return None
 
-    assert _alternative_witness(ext, right, record) == {}
+    assert _walk(ext, lambda twist, t, c: None, record) == {}
+    assert values == expected
     return values
 
 

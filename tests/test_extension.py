@@ -6,7 +6,7 @@ import pytest
 import bihomalt.algebra as algebra
 import bihomalt.extension as extension
 import bihomalt.representation as representation
-from bihomalt.algebra import BiHomAlgebra, _alternative_witness, validate
+from bihomalt.algebra import BiHomAlgebra, _walk, validate
 from bihomalt.cohomology import Cochain, cochain_space, delta2, twist_witness
 from bihomalt.errors import InputError, MathCheckError, PreconditionError
 from bihomalt.exactnum import Matrix
@@ -29,6 +29,7 @@ from bihomalt.representation import (
 from conftest import (
     base_corpus,
     cocycle_sector,
+    cocycle_space,
     make_d2,
     make_e1,
     make_p2,
@@ -140,11 +141,41 @@ def test_the_cocycle_conditions_leave_the_base_algebras_failures_to_validate():
     report = validate(ext)
     assert not (report.alpha_multiplicative or report.left_alternative or report.right_alternative)
     # the A-output of the same law pairings: unfiltered, the left law would have raised left_condition
-    def every_failure(x, y, z, val):
-        return ("law", (x, y, z)) if any(val) else None
+    def every_failure(right, x, y, z, val):
+        return ("right" if right else "left", (x, y, z)) if any(val) else None
 
-    assert _alternative_witness(ext, False, every_failure) == {"law": (0, 0, 0)}
-    assert _alternative_witness(ext, True, every_failure) == {"law": (0, 0, 0)}
+    assert _walk(ext, lambda twist, t, c: None, every_failure) == {"left": (0, 0, 0), "right": (0, 0, 0)}
+
+
+def test_an_accepted_extension_has_the_validation_report_of_its_base():
+    # no product with an input in V has an A-component and every V-output sector is checked by the
+    # extension, so `extend` reports validate(A) for E_theta; failures included, at the same witnesses
+    rng = Random(97)
+    accepted = 0
+    for _, alg in product_corpus() + [("H", make_quaternions())]:
+        builds = (
+            (lambda theta: central_extension(alg, 1, theta), _trivial(alg)),
+            (lambda theta: t_theta_extension(alg, adjoint(alg), theta), adjoint(alg)),
+            (lambda theta: t_star_theta_extension(alg, adjoint(alg), theta), coadjoint(alg)),
+        )
+        for build, rep in builds:
+            cocycles = cocycle_space(alg, rep, 2)
+            for _ in range(3):
+                data = [Fraction(0)] * cocycles.ambient_dim
+                for vec in cocycles.basis:
+                    c = random_fraction(rng)
+                    data = [d + c * v for d, v in zip(data, vec)]
+                try:
+                    ext = build(Cochain(2, alg.dim, rep.mod_dim, data))
+                except MathCheckError:
+                    continue  # a left cocycle may fail the right condition
+                assert validate(ext).as_dict() == validate(alg).as_dict()
+                accepted += 1
+    assert accepted >= 60
+    bad = BiHomAlgebra(1, [[[1]]], Matrix([[2]]), Matrix([[1]]))
+    report = validate(central_extension(bad, 1, [[[0]]])).as_dict()
+    assert report == validate(bad).as_dict()
+    assert report["witnesses"]["left_alternative"] == report["witnesses"]["right_alternative"] == [0, 0, 0]
 
 
 def test_t_theta_e1_hand_case(e1):

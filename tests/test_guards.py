@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import bihomalt.algebra as algebra
 import bihomalt.cohomology as cohomology
 import bihomalt.exactnum as exactnum
 from bihomalt.algebra import BiHomAlgebra, validate
@@ -194,42 +195,61 @@ def test_one_twist_check_and_one_twist_row_builder():
     assert not any(isinstance(node, ast.For) for node in ast.walk(commutation))
 
 
-def test_one_law_pairing_for_validation_and_extensions():
+def test_one_law_pairing_for_validation_and_extensions(monkeypatch):
     # the alternative laws are read off one pairing helper; the extensions read their cocycle conditions
-    # off the laws of the algebra they return, with no coboundary operator and no opposite algebra of their own,
-    # and the module axioms are the sectors of the laws of A⊕V, one pass per law
+    # off the laws of the algebra they return, with no coboundary operator of their own,
+    # and the module axioms are the sectors of the laws of A⊕V
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     paired = sorted(name for source in sources.values() for name in _callers(source, "_pairing"))
-    assert paired == ["_alternative_witness", "_pairing_sum"]
-    # validate, validate_representation and the extensions are three classifiers over the twist rows and the law
-    # values of one algebra: one pass per twist and one per law each, and twist_witness a reader with one name
-    readers = ["_checked_extension", "_checked_extension", "validate", "validate", "validate_representation", "validate_representation"]
-    laws = sorted(name for source in sources.values() for name in _callers(source, "_alternative_witness"))
-    assert laws == readers
+    assert paired == ["_pairing_sum", "_walk"]
+    # validate, validate_representation and the extensions are three classifiers over one walk of one
+    # algebra each, and twist_witness a reader of the twist rows with one name
+    walks = sorted(name for source in sources.values() for name in _callers(source, "_walk"))
+    assert walks == ["_checked_extension", "validate", "validate_representation"]
     rows = sorted(name for source in sources.values() for name in _callers(source, "_intertwining_witness"))
-    assert rows == sorted(readers + ["twist_witness"])
-    forbidden = ("_coboundary", "opposite")
-    assert _named_calls(sources["extension.py"], "extension.py", forbidden) == []
+    assert rows == ["_walk", "twist_witness"]
+    assert _named_calls(sources["extension.py"], "extension.py", ("_coboundary",)) == []
+    # the right law is the left law of Aᵒᵖ on transposed tables of A: both laws read one rescaling of five
+    # transports, with no second algebra and no second build
+    walk = _function_source(sources["algebra.py"], "_walk")
+    assert len(_named_calls(walk, "_walk", ("_common_denominator",))) == 1
+    octonions = make_twisted_octonions()
+    builds, transports = [], []
+    real_denominator, real_transport = algebra._common_denominator, algebra.transport
+
+    def counted_denominator(parts):
+        builds.append(len(parts))
+        return real_denominator(parts)
+
+    def counted_transport(*args):
+        transports.append(len(args))
+        return real_transport(*args)
+
+    monkeypatch.setattr(algebra, "_common_denominator", counted_denominator)
+    monkeypatch.setattr(algebra, "transport", counted_transport)
+    assert validate(octonions).ok
+    assert builds == [5] and len(transports) == 5
 
 
 def test_every_check_on_a_sum_algebra_reads_the_one_block_sum():
-    # no second implementation of the intertwining relations or of theta's twist check, and no sector bounds:
-    # each reader's classifier picks its sectors out of full passes
+    # no second implementation of the intertwining relations, of theta's twist check or of the right law, and no
+    # sector bounds: each reader's classifiers pick its sectors out of one full walk
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    retired = ("_witnesses", "intertwining", "_twisted", "_law_failures", "opposite", "_alternative_witness")
     defined = [
         node.name
         for source in sources.values()
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name in ("_witnesses", "intertwining", "_twisted", "_law_failures")
+        if isinstance(node, ast.FunctionDef) and node.name in retired
     ]
     assert defined == []
     # no input bound on the pairing (the old `inputs`) and no output bound on a law classifier (the old `start`)
-    algebra = sources["algebra.py"]
+    algebra_source = sources["algebra.py"]
     params = {
-        name: [arg.arg for arg in ast.parse(_function_source(algebra, name)).body[0].args.args]
-        for name in ("_alternative_witness", "_intertwining_witness")
+        name: [arg.arg for arg in ast.parse(_function_source(algebra_source, name)).body[0].args.args]
+        for name in ("_walk", "_intertwining_witness")
     }
-    assert params == {"_alternative_witness": ["alg", "right", "classify"], "_intertwining_witness": ["flat", "twists", "out", "classify"]}
+    assert params == {"_walk": ["alg", "rows", "laws"], "_intertwining_witness": ["flat", "twists", "out", "classify"]}
     imported = {
         alias.name
         for node in ast.walk(ast.parse(sources["extension.py"]))
@@ -237,7 +257,7 @@ def test_every_check_on_a_sum_algebra_reads_the_one_block_sum():
         for alias in node.names
     }
     assert not imported & {"twist_witness", "validate_representation"}
-    # every extension builds its algebra in one place, and the T_theta precondition is read off the same passes
+    # every extension builds its algebra in one place, and the T_theta precondition is read off the same walk
     assert _callers(sources["extension.py"], "block_sum") == ["_checked_extension"]
 
 
