@@ -6,7 +6,8 @@ quadratic identity, mu ⋄ mu = 0, where ⋄ is the four-term diamond pairing
 
     (a ⋄ b)(x, y, z) = a(b(βx, αy), βz) − a(αβx, b(αy, z)) + (x ↔ y)
 
-of the deformation equations.  With the twisted associator
+of the deformation equations, which read every order of a series d_t off
+one pairing of its tables (`_series_tables`).  With the twisted associator
 as(x, y, z) = (x·y)·β(z) − α(x)·(y·z), (mu ⋄ mu)(x, y, z) is
 as(βx, αy, z) + as(βy, αx, z): the left law.  On the opposite algebra
 Aᵒᵖ = (mu(y, x), β, α), whose tables are those of A transposed, it is the
@@ -217,21 +218,28 @@ def _table_sum(parts) -> tuple[int, list]:
 
 
 def _diamond_pairs(a: Matrix, b: Matrix) -> tuple:
-    """The (left, right) twists of the tables b1, b2, a1, a2 of `_term_tables` for α = a, β = b; None is the identity."""
+    """The (left, right) twists of the tables b1, b2, a1, a2 of `_series_tables` for α = a, β = b; None is the identity."""
     return (b, a), (a, None), (None, b), (a * b, None)
 
 
-def _term_tables(alg: BiHomAlgebra, tensor):
-    """The tables one bilinear term t brings to the diamond pairing, or None when t = 0.
+def _series_tables(alg: BiHomAlgebra, terms, top: int):
+    """(d, outer, inner): the diamond tables of d_t = Σ t^i terms[i] on A ⊗ Q[t]/(t^(top+1)), at its t⁰ inputs.
 
-    Returns (d, inner, outer) with every entry scaled to an integer by one common
-    denominator d: inner = (t(βe_x, αe_y) by [x][y], t(αe_y, e_z) by [y][z]) and
-    outer = (t(e_p, βe_z) by [p][z], t(αβe_x, e_q) by [x][q]), each an n-vector.
+    Entries are integers over one denominator d; a vector has (top+1)·n entries, block k the t^k
+    coefficient.  inner = (d_t(βe_x, αe_y) by [x][y], d_t(αe_y, e_z) by [y][z]) and the block-Toeplitz
+    outer = (d_t(e_p t^s, βe_z) by [s·n+p][z], d_t(αβe_x, e_q t^s) by [x][s·n+q]), so block k of a value
+    of `_pairing(n, outer, inner)` is Σ_{i+j=k} d_i ⋄ d_j.
     """
-    if not any(x for row in tensor for cell in row for x in cell):
-        return None
-    den, (b1, b2, a1, a2) = _common_denominator([transport(tensor, None, l, r) for l, r in _diamond_pairs(alg.alpha, alg.beta)])
-    return den, (b1, b2), (a1, a2)
+    n, ids, orders, pairs = alg.dim, range(alg.dim), range(top + 1), _diamond_pairs(alg.alpha, alg.beta)
+    den, tables = _common_denominator([transport(t, None, l, r) for t in terms for l, r in pairs])
+
+    def series(part, i, j, shift=0):  # block k is entry [i][j] of table part (b1, b2, a1, a2) of d_(k−shift)
+        return [v for k in orders for v in (tables[4 * (k - shift) + part][i][j] if 0 <= k - shift < len(terms) else [0] * n)]
+
+    b1, b2 = [[series(0, x, y) for y in ids] for x in ids], [[series(1, y, z) for z in ids] for y in ids]
+    a1 = [[series(2, p, z, s) for z in ids] for s in orders for p in ids]
+    a2 = [[series(3, x, q, s) for s in orders for q in ids] for x in ids]
+    return den, (a1, a2), (b1, b2)
 
 
 def _pairing(n: int, outer, inner):

@@ -11,6 +11,9 @@ where ⋄ is the four-term diamond pairing.  The k = 0 condition is the
 alternativity of mu itself, and since mu ⋄ f + f ⋄ mu is exactly the
 degree-2 coboundary operator with adjoint coefficients, the order-k
 condition reads  delta2(d_k) + sum_{i+j=k, i,j>=1} d_i ⋄ d_j = 0.
+As ⋄ is Q[t]-bilinear, order k is block k of one pass (`_paired`) over the
+tables of d_t on A ⊗ Q[t]/(t^(m+1)) at its t⁰ inputs (`algebra._series_tables`);
+the obstruction at m is block m of d_0 ... d_{m−1}, and `diamond` block 0.
 
 Equivalence, gauges and trivialization rest on one series identity,
 phi_t ∘ d_t = d'_t ∘ (phi_t ⊗ phi_t).  Both sides come order by order from
@@ -21,10 +24,9 @@ of transports; a gauge by id − t^level f takes its inverse from `_inverse`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import _NO_WITNESSES, BiHomAlgebra, _first_difference, _pairing, _table_sum, _term_tables, transport
+from .algebra import _NO_WITNESSES, BiHomAlgebra, _first_difference, _first_witnesses, _pairing, _series_tables, _table_sum, transport
 from .cohomology import Cochain, _preimage, twist_witness
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import Matrix, _Immutable
@@ -50,11 +52,11 @@ class TruncatedDeformation(_Immutable):
         return len(self.terms)
 
     def term(self, i: int) -> Cochain:
-        """d_i with d_0 = mu."""
-        if i == 0:
-            n = self.alg.dim
-            return Cochain(2, n, n, [x for row in self.alg.mu for cell in row for x in cell])
-        return self.terms[i - 1]
+        """d_i with d_0 = mu, for i = 0 ... m."""
+        if not 0 <= i <= self.order:
+            raise InputError(f"deformation term index must be between 0 and {self.order}, got {i}")
+        n = self.alg.dim
+        return self.terms[i - 1] if i else Cochain.from_nested(2, n, n, self.alg.mu)
 
     def padded(self, order: int) -> "TruncatedDeformation":
         """The same deformation viewed at a higher truncation order."""
@@ -113,19 +115,33 @@ def _require_compatible_terms(defm: TruncatedDeformation):
             )
 
 
-def _pairing_sum(n: int, pairs) -> Cochain:
-    """Σ a ⋄ b over (tables of a, tables of b) pairs, divided once per output coordinate."""
-    parts = [(ta[0] * tb[0], _pairing(n, ta[2], tb[1])) for ta, tb in pairs if ta and tb]
-    den = lcm(*(d for d, _ in parts))
-    total = [0] * n**4
-    for d, vals in parts:
-        f = den // d
-        for x, y, z, val in vals:
-            for pos in {(x * n + y) * n + z, (y * n + x) * n + z}:
-                for c, v in enumerate(val):
-                    if v:
-                        total[pos * n + c] += f * v
-    return Cochain(3, n, n, [Fraction(t, den) if t else ZERO for t in total])
+def _series(defm: TruncatedDeformation, top: int) -> list:
+    """The nested tensors d_0 ... d_min(top, m) of d_t: its terms through order top."""
+    return [defm.alg.mu, *(t.nested() for t in defm.terms[:top])]
+
+
+def _paired(alg: BiHomAlgebra, a: list, b: list, top: int) -> tuple[int, list, dict]:
+    """(den, values, failed): one pass of `_pairing` of the series a ⋄ b through t^top, at the t⁰ inputs.
+
+    a and b list nested tensors by order; a series paired with itself builds its tables once.  Block k
+    of a value (x, y, z, val), val[k·n : (k+1)·n], is Σ_{i+j=k} a_i ⋄ b_j at (e_x, e_y, e_z) over den;
+    failed maps each order whose block is non-zero to its first witness, by order.
+    """
+    da, outer, inner = _series_tables(alg, a, top)
+    db, _, inner = (da, None, inner) if b is a else _series_tables(alg, b, top)
+    n, values = alg.dim, list(_pairing(alg.dim, outer, inner))
+    failed = _first_witnesses((k, (x, y, z)) for x, y, z, val in values for k in range(top + 1) if any(val[k * n : (k + 1) * n]))
+    return da * db, values, dict(sorted(failed.items()))
+
+
+def _block(n: int, den: int, values, k: int) -> Cochain:
+    """Block k of the values of `_paired` as a trilinear map, symmetric in its first two inputs."""
+    total = [ZERO] * n**4
+    for x, y, z, val in values:
+        block = [Fraction(v, den) for v in val[k * n : (k + 1) * n]]
+        for pos in ((x * n + y) * n + z, (y * n + x) * n + z):
+            total[pos * n : (pos + 1) * n] = block
+    return Cochain(3, n, n, total)
 
 
 def diamond(alg: BiHomAlgebra, a: Cochain, b: Cochain) -> Cochain:
@@ -134,55 +150,30 @@ def diamond(alg: BiHomAlgebra, a: Cochain, b: Cochain) -> Cochain:
     a ⋄ b (x,y,z) = a(b(βx,αy), βz) − a(αβx, b(αy,z))
                   + a(b(βy,αx), βz) − a(αβy, b(αx,z))
     """
-    ta = _term_tables(alg, a.nested())
-    tb = ta if b is a else _term_tables(alg, b.nested())
-    return _pairing_sum(alg.dim, [(ta, tb)])
-
-
-def _residual(defm: TruncatedDeformation, tables: dict, k: int, lowest: int) -> Cochain:
-    """Σ d_i ⋄ d_{k−i} over lowest ≤ i ≤ k − lowest; tables holds each term's tables by index."""
-    pairs = []
-    for i in range(lowest, k - lowest + 1):
-        j = k - i
-        if i > defm.order or j > defm.order:
-            continue
-        for t in (i, j):
-            if t not in tables:
-                tables[t] = _term_tables(defm.alg, defm.term(t).nested())
-        pairs.append((tables[i], tables[j]))
-    return _pairing_sum(defm.alg.dim, pairs)
+    ta = [a.nested()]
+    den, values, _ = _paired(alg, ta, ta if b is a else [b.nested()], 0)
+    return _block(alg.dim, den, values, 0)
 
 
 def check_deformation(defm: TruncatedDeformation) -> DeformationReport:
-    """Check the deformation equations at every order k = 0 ... m."""
-    return _check_orders(defm, {})
-
-
-def _check_orders(defm: TruncatedDeformation, tables: dict) -> DeformationReport:
+    """Check the deformation equations at every order k = 0 ... m, all read off one pairing of d_t."""
     _require_compatible_terms(defm)
-    flags = []
-    witnesses = {}
-    for k in range(defm.order + 1):
-        witness = _residual(defm, tables, k, 0).first_nonzero()
-        flags.append(witness is None)
-        if witness is not None:
-            witnesses[k] = witness
-    return DeformationReport(tuple(flags), witnesses)
+    series = _series(defm, defm.order)
+    _, _, failed = _paired(defm.alg, series, series, defm.order)
+    return DeformationReport(tuple(k not in failed for k in range(defm.order + 1)), failed)
 
 
 def obstruction(defm: TruncatedDeformation, m: int) -> Cochain:
-    """sum_{i=1}^{m-1} d_i ⋄ d_{m-i}, defined once the deformation holds through m−1."""
+    """sum_{i=1}^{m-1} d_i ⋄ d_{m-i}, block m of d_0 ... d_{m−1}, once its blocks below m vanish."""
     if m < 1:
         raise InputError("obstruction order must be at least 1")
-    # the padded deformation shares d_0 ... d_order, so their tables serve both passes
-    tables = {}
-    report = _check_orders(defm.padded(max(defm.order, m - 1)), tables)
-    if not report.ok_through(m - 1):
-        bad = next(k for k, ok in enumerate(report.order_ok) if not ok and k <= m - 1)
-        raise PreconditionError(
-            f"deformation equations fail at order {bad} (witness {report.witnesses[bad]})"
-        )
-    return _residual(defm, tables, m, 1)
+    _require_compatible_terms(defm)
+    series = _series(defm, m - 1)
+    den, values, failed = _paired(defm.alg, series, series, m)
+    bad = min(failed, default=m)
+    if bad < m:
+        raise PreconditionError(f"deformation equations fail at order {bad} (witness {failed[bad]})")
+    return _block(defm.alg.dim, den, values, m)
 
 
 def extend_one_order(defm: TruncatedDeformation) -> Optional[Cochain]:
@@ -195,17 +186,17 @@ def extend_one_order(defm: TruncatedDeformation) -> Optional[Cochain]:
     return _preimage(defm.alg, adjoint(defm.alg), 2)([-x for x in obs.data])
 
 
-def _coefficient(terms: dict, out: dict, left: dict, right: dict, k: int) -> tuple[int, list]:
+def _coefficient(terms: list, out: dict, left: dict, right: dict, k: int) -> tuple[int, list]:
     """The order-k coefficient of out_t ∘ d_t ∘ (left_t ⊗ right_t), as integer numerators over one denominator.
 
-    terms maps an order i to the nested tensor of d_i; out, left and right map an
+    terms lists the nested tensors of d_t by order; out, left and right map an
     order to a matrix, None standing for the identity.  A missing order is zero.
     The coefficient is Σ out_o ∘ d_i ∘ (left_p ⊗ right_q) over i + o + p + q = k.
     """
     return _table_sum(
         [
             transport(t, out[o], left[p], right[k - i - o - p])
-            for i, t in terms.items()
+            for i, t in enumerate(terms)
             for o in out
             for p in left
             if k - i - o - p in right
@@ -234,6 +225,8 @@ def check_equivalence(
     The terms of phi must commute with both twists.
     """
     alg = d.alg
+    if order < 0:
+        raise InputError("equivalence order must be at least 0")
     if d_prime.alg.dim != alg.dim:
         raise InputError("deformations live over algebras of different dimensions")
     if phi.order < order:
@@ -243,7 +236,7 @@ def check_equivalence(
     if not all(t.commutes_with(alg.alpha) and t.commutes_with(alg.beta) for t in phi.terms):
         return False
     ident, phis = {0: None}, {0: None, **dict(enumerate(phi.terms, start=1))}
-    lhs, rhs = ({i: x.term(i).nested() for i in range(min(x.order, order) + 1)} for x in (d, d_prime))
+    lhs, rhs = (_series(x, order) for x in (d, d_prime))
     return all(
         _first_difference(_coefficient(lhs, phis, ident, ident, k), _coefficient(rhs, ident, phis, phis, k)) is None
         for k in range(order + 1)
@@ -262,8 +255,7 @@ def gauge(defm: TruncatedDeformation, f: Matrix, level: int, order: int) -> Trun
         raise InputError("gauge level must be at least 1")
     if not (f.commutes_with(alg.alpha) and f.commutes_with(alg.beta)):
         raise PreconditionError("gauge generator must commute with both twists")
-    padded = defm.padded(max(defm.order, order))
-    terms = {k: padded.term(k).nested() for k in range(order + 1)}
+    terms = _series(defm, order)
     chi, chi_inv = {0: None, level: f.scale(-1)}, _inverse(f, level, order)
     new_terms = []
     for k in range(1, order + 1):
@@ -287,8 +279,7 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
     current = defm.padded(max(defm.order, max_order))
     report = check_deformation(current)
     if not report.ok_through(max_order):
-        bad = next(k for k, ok in enumerate(report.order_ok) if not ok)
-        raise PreconditionError(f"deformation equations fail at order {bad}")
+        raise PreconditionError(f"deformation equations fail at order {min(report.witnesses)}")
     preimage = _preimage(alg, adjoint(alg), 1)  # δ1 is factored once for every level
     total = {0: Matrix.identity(n)}  # composed map original -> current, by order
     for level in range(1, max_order + 1):

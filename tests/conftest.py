@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from bihomalt.algebra import BiHomAlgebra, _pairing, _term_tables, _walk, yau_twist
+from bihomalt.algebra import BiHomAlgebra, _pairing, _series_tables, _walk, yau_twist
 from bihomalt.cohomology import Cochain, _coboundary, cochain_space
 from bihomalt.exactnum import Matrix, Subspace, _lift, nullspace_of_sparse_rows
 from bihomalt.representation import Representation, adjoint, semidirect
@@ -187,17 +187,16 @@ def cocycle_sector(ext: BiHomAlgebra, n: int, right: bool) -> dict:
     pairing of the diamond tables of ext and of opposite(ext), built here, so the
     walk's transposed tables have an independent reference.
     """
-    tables = {side: _term_tables(law, law.mu) for side, law in ((False, ext), (True, opposite(ext)))}
+    tables = {side: _series_tables(law, [law.mu], 0) for side, law in ((False, ext), (True, opposite(ext)))}
     m = ext.dim - n
     values = {(x, y, z): (Fraction(0),) * m for x in range(n) for y in range(x, n) for z in range(n)}
     expected = dict(values)
-    if tables[right] is not None:
-        d, inner, outer = tables[right]
-        for x, y, z, val in _pairing(ext.dim, outer, inner):
-            if (x, y, z) in expected:
-                expected[x, y, z] = tuple(Fraction(v, d**2) for v in val[n:])
+    d, outer, inner = tables[right]
+    for x, y, z, val in _pairing(ext.dim, outer, inner):
+        if (x, y, z) in expected:
+            expected[x, y, z] = tuple(Fraction(v, d**2) for v in val[n:])
     # the walk builds the tables of both laws over one denominator
-    den = lcm(*(t[0] for t in tables.values() if t is not None))
+    den = lcm(*(t[0] for t in tables.values()))
 
     def record(side, x, y, z, val):
         if side == right and (x, y, z) in values:

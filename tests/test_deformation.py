@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -138,22 +139,96 @@ def test_diamond_equals_the_pointwise_formula():
             assert diamond(alg, x, y) == naive_diamond(alg, x, y)
 
 
-def test_residuals_share_term_tables_and_equal_the_pointwise_sums():
+def _pointwise_sum(alg, pairs):
+    """Σ naive_diamond(a, b) over the (a, b) pairs, the zero trilinear map when there are none."""
+    n = alg.dim
+    pieces = [naive_diamond(alg, a, b).data for a, b in pairs]
+    return Cochain(3, n, n, [sum(vals, Fraction(0)) for vals in zip(*pieces)] if pieces else [Fraction(0)] * n**4)
+
+
+def test_each_order_is_a_block_of_one_series_pairing_equal_to_the_pointwise_sum():
     rng = Random(29)
     for _, alg in base_corpus():
-        terms = [random_compatible_term(alg, rng), Cochain.zero(2, alg.dim, alg.dim), random_compatible_term(alg, rng)]
+        n = alg.dim
+        terms = [random_compatible_term(alg, rng), Cochain.zero(2, n, n), random_compatible_term(alg, rng)]
         defm = TruncatedDeformation(alg, terms)
-        expected = []
-        tables = {}  # as check_deformation does, every order reads one table per term
-        for k in range(defm.order + 1):
-            pieces = [naive_diamond(alg, defm.term(i), defm.term(k - i)) for i in range(k + 1)]
-            total = Cochain(3, alg.dim, alg.dim, [sum(vals, Fraction(0)) for vals in zip(*(p.data for p in pieces))])
-            assert deformation._residual(defm, tables, k, 0) == total
-            expected.append(total.first_nonzero())
-        assert sorted(tables) == list(range(defm.order + 1))
+        m = defm.order
+        totals = [_pointwise_sum(alg, [(defm.term(i), defm.term(k - i)) for i in range(k + 1)]) for k in range(m + 1)]
+        series = deformation._series(defm, m)
+        den, values, _ = deformation._paired(alg, series, series, m)
+        seen = set()
+        for x, y, z, val in values:
+            assert x <= y and len(val) == (m + 1) * n
+            seen.add((x, y, z))
+            for k, total in enumerate(totals):
+                block = tuple(Fraction(v, den) for v in val[k * n : (k + 1) * n])
+                assert block == total.value(x, y, z) == total.value(y, x, z)
+        assert seen == {(x, y, z) for x in range(n) for y in range(x, n) for z in range(n)}
         report = check_deformation(defm)
+        expected = [total.first_nonzero() for total in totals]
         assert report.order_ok == tuple(w is None for w in expected)
         assert report.witnesses == {k: w for k, w in enumerate(expected) if w is not None}
+        assert list(report.witnesses) == sorted(report.witnesses)
+
+
+def test_obstruction_is_the_order_m_sum_without_d0_at_every_m():
+    # m ≤ order leaves out d_0 ⋄ d_m and d_m ⋄ d_0; above the order every missing term is zero
+    rng = Random(37)
+    h = make_quaternions()
+    e1 = make_e1()
+    cases = [
+        gauge(null_deformation(h), _random_integer_matrix(rng, 4), 1, 3),
+        TruncatedDeformation(e1, [scalar_term(3), scalar_term(-2)]),
+    ]
+    for defm in cases:
+        alg, order = defm.alg, defm.order
+        zero = Cochain.zero(2, alg.dim, alg.dim)
+        terms = [defm.term(i) for i in range(order + 1)] + [zero] * (order + 2)
+        for m in range(1, order + 2):
+            expected = _pointwise_sum(alg, [(terms[i], terms[m - i]) for i in range(1, m)])
+            assert obstruction(defm, m) == expected
+            if m <= order:
+                # the deformation holds at order m, so the obstruction is −δ2(d_m) = −(d_0 ⋄ d_m + d_m ⋄ d_0)
+                full = _pointwise_sum(alg, [(terms[0], terms[m]), (terms[m], terms[0])])
+                assert [a + b for a, b in zip(expected.data, full.data)] == [0] * len(full.data)
+        # at m = order + 2 the precondition reads order + 1, where the missing d_(order+1) leaves the obstruction
+        top = obstruction(defm, order + 1)
+        if top.is_zero():
+            assert obstruction(defm, order + 2) == _pointwise_sum(alg, [(terms[i], terms[order + 2 - i]) for i in range(1, order + 2)])
+        else:
+            with pytest.raises(PreconditionError, match=re.escape(f"order {order + 1} (witness {top.first_nonzero()})")):
+                obstruction(defm, order + 2)
+    assert not obstruction(cases[0], 2).is_zero() and not obstruction(cases[0], 4).is_zero()
+    assert obstruction(cases[1], 4).is_zero()
+
+
+def _noncocycle(alg):
+    """A twist-compatible bilinear term f with δ2(f) ≠ 0."""
+    rep = adjoint(alg)
+    terms = (Cochain(2, alg.dim, alg.dim, vec) for vec in cochain_space(alg, rep, 2).basis)
+    return next(f for f in terms if not delta2(alg, rep, f).is_zero())
+
+
+def test_obstruction_names_the_first_failing_order(d2):
+    f, zero = _noncocycle(d2), Cochain.zero(2, 2, 2)
+    late = TruncatedDeformation(d2, [zero, f])  # the equations hold through order 1 and fail at order 2
+    witness = check_deformation(late).witnesses[2]
+    assert obstruction(late, 2).is_zero()  # d_2 takes no part in the order-2 obstruction
+    for m in (3, 4, 5):
+        with pytest.raises(PreconditionError, match=re.escape(f"deformation equations fail at order 2 (witness {witness})")):
+            obstruction(late, m)
+    early = TruncatedDeformation(d2, [f, f])
+    witness = check_deformation(early).witnesses[1]
+    with pytest.raises(PreconditionError, match=re.escape(f"fail at order 1 (witness {witness})")):
+        obstruction(early, 4)
+
+
+def test_obstruction_rejects_an_incompatible_term_above_m_minus_1(d2):
+    bad = from_function(2, 2, 2, lambda i, j: (Fraction(1), Fraction(0)))
+    defm = TruncatedDeformation(d2, [Cochain.zero(2, 2, 2), bad])
+    for m in (1, 2):
+        with pytest.raises(PreconditionError, match="deformation term 2 does not commute"):
+            obstruction(defm, m)
 
 
 def test_twisted_octonion_gauge_deformation_checks_and_trivializes():
@@ -292,6 +367,21 @@ def test_check_equivalence_e1_hand_case(e1):
     phi = FormalIsomorphism((Matrix([[1]]),))
     # phi_1(mu(e,e)) + d_1(e,e) = 2e equals mu(phi_1 e, e) + mu(e, phi_1 e) + d'_1 = 2e
     assert check_equivalence(d, d_prime, phi, 1)
+
+
+def test_check_equivalence_rejects_a_negative_order(e1):
+    # order −1 has no equation to compare, so it is bad input, not a vacuous pass
+    defm = TruncatedDeformation(e1, [scalar_term(1)])
+    with pytest.raises(InputError, match="at least 0"):
+        check_equivalence(defm, defm, FormalIsomorphism(()), -1)
+
+
+def test_term_rejects_indices_outside_0_to_m(e1):
+    defm = TruncatedDeformation(e1, [scalar_term(1), scalar_term(2)])
+    assert [defm.term(i).data for i in range(3)] == [(1,), (1,), (2,)]
+    for i in (-1, -3, 3, 10):
+        with pytest.raises(InputError, match="between 0 and 2"):
+            defm.term(i)
 
 
 def test_check_equivalence_rejects_twist_breaking_phi(d2):

@@ -15,9 +15,11 @@ import pytest
 
 import bihomalt.algebra as algebra
 import bihomalt.cohomology as cohomology
+import bihomalt.deformation as deformation
 import bihomalt.exactnum as exactnum
 from bihomalt.algebra import BiHomAlgebra, validate
 from bihomalt.cohomology import complex_report
+from bihomalt.deformation import TruncatedDeformation, check_deformation, gauge, null_deformation, obstruction
 from bihomalt.exactnum import Matrix, Subspace
 from bihomalt.representation import adjoint, validate_representation
 
@@ -196,12 +198,12 @@ def test_one_twist_check_and_one_twist_row_builder():
 
 
 def test_one_law_pairing_for_validation_and_extensions(monkeypatch):
-    # the alternative laws are read off one pairing helper; the extensions read their cocycle conditions
-    # off the laws of the algebra they return, with no coboundary operator of their own,
-    # and the module axioms are the sectors of the laws of A⊕V
+    # the alternative laws and the deformation equations are read off one pairing helper; the extensions
+    # read their cocycle conditions off the laws of the algebra they return, with no coboundary operator of
+    # their own, and the module axioms are the sectors of the laws of A⊕V
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     paired = sorted(name for source in sources.values() for name in _callers(source, "_pairing"))
-    assert paired == ["_pairing_sum", "_walk"]
+    assert paired == ["_paired", "_walk"]
     # validate, validate_representation and the extensions are three classifiers over one walk of one
     # algebra each, and twist_witness a reader of the twist rows with one name
     walks = sorted(name for source in sources.values() for name in _callers(source, "_walk"))
@@ -229,6 +231,49 @@ def test_one_law_pairing_for_validation_and_extensions(monkeypatch):
     monkeypatch.setattr(algebra, "transport", counted_transport)
     assert validate(octonions).ok
     assert builds == [5] and len(transports) == 5
+
+
+def test_every_deformation_equation_is_one_pairing_of_the_series(monkeypatch):
+    # check_deformation, obstruction and diamond read every order off one pairing of d_t = Σ t^i d_i, built by
+    # the one series builder: no per-term tables, no per-order residual and no table cache
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    retired = ("_term_tables", "_pairing_sum", "_residual", "_check_orders")
+    defined = [
+        node.name
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name in retired
+    ]
+    assert defined == []
+    built = sorted(name for source in sources.values() for name in _callers(source, "_series_tables"))
+    assert set(built) == {"_paired"}
+    series = _function_source(sources["algebra.py"], "_series_tables")
+    assert len(_named_calls(series, "_series_tables", ("_common_denominator",))) == 1
+    # at run time an order-m check is one pass over one build of 4(m+1) transports; the per-order
+    # reading made (m+1)(m+2)/2 passes over m+1 builds
+    passes, builds = [], []
+    real_pairing, real_denominator = deformation._pairing, algebra._common_denominator
+
+    def counted_pairing(*args):
+        passes.append(1)
+        return real_pairing(*args)
+
+    def counted_denominator(parts):
+        builds.append(len(parts))
+        return real_denominator(parts)
+
+    monkeypatch.setattr(deformation, "_pairing", counted_pairing)
+    monkeypatch.setattr(algebra, "_common_denominator", counted_denominator)
+    defm = gauge(null_deformation(make_d2()), Matrix.diagonal([1, 2]), 1, 4)
+    for m in range(5):
+        del passes[:], builds[:]
+        assert check_deformation(TruncatedDeformation(defm.alg, defm.terms[:m])).ok
+        assert (len(passes), builds) == (1, [4 * (m + 1)])
+    # the obstruction pairs d_0 ... d_min(order, m−1) through t^m, its precondition included
+    for m in (1, 3, 5):
+        del passes[:], builds[:]
+        obstruction(defm, m)
+        assert (len(passes), builds) == (1, [4 * min(defm.order + 1, m)])
 
 
 def test_every_check_on_a_sum_algebra_reads_the_one_block_sum():
@@ -394,6 +439,7 @@ def _unnamed_definitions(sources: dict[str, str], reached=()) -> list[str]:
 
 # functions that nothing in src/ names and that stay, each with the reason
 KEPT_WITHOUT_A_CALLER = {
+    "Cochain.first_nonzero": "exported with Cochain, documented in README and tested; the deformation checks read their witnesses off the pairing",
     "Matrix.diagonal": "the README example builds its twists with it",
     "Subspace.from_spanning": "bench/spans.py wraps it by name in METHODS",
 }
