@@ -13,14 +13,15 @@ as(βx, αy, z) + as(βy, αx, z): the left law.  On the opposite algebra
 Aᵒᵖ = (mu(y, x), β, α), whose tables are those of A transposed, it is the
 right law with its inputs reversed.  The pairing is contracted on integer
 tables that `transport` reads off the structure constants, so no identity
-is evaluated point by point.  Twist compatibility, out∘f = f∘(T_1 ⊗ ... ⊗ T_k),
-is the kernel of the integer rows of `_twist_rows`, which span cochain spaces
+is evaluated point by point.  Every linear condition Σ sign·action(f(args)) = 0
+on a multilinear f has one row builder, `_term_rows`: the coboundaries, the
+product rules of the operator spaces and twist compatibility,
+out∘f = f∘(T_1 ⊗ ... ⊗ T_k), whose rows (`_twist_rows`) span cochain spaces
 and the commutant.  A given algebra is checked in one walk (`_walk`): a pass
 per twist over these rows and both laws over one build of tables, each
-failure sorted through a classifier of the reader.  There are three
-readers: `validate` names every failure,
-`validate_representation` the sectors of A⊕V with one input in V (the
-intertwining relations and the module axioms) and the extensions the
+failure sorted through a classifier of the reader.  There are three readers:
+`validate` names every failure, `validate_representation` the sectors of A⊕V with one
+input in V (the intertwining relations and the module axioms) and the extensions the
 V-output of A⊕_θV (θ's twist compatibility and the cocycle conditions).
 """
 
@@ -301,6 +302,24 @@ def _expand(dims: Sequence[int], mod_dim: int, supports) -> dict[int, int]:
     return form
 
 
+def _term_rows(dims: Sequence[int], m: int, terms) -> list[dict[int, int]]:
+    """The m integer rows, one per output coordinate c, of Σ sign·action(f(args)) over the (sign, action, args) terms.
+
+    f is stored flat as in `_expand`, args are the integer supports of the arguments and action[c] lists
+    the (c_in, weight) pairs that row c takes from coordinate c_in of f(args); zero entries are dropped.
+    """
+    rows = [{} for _ in range(m)]
+    for sign, action, args in terms:
+        form = _expand(dims, m, args).items()
+        for row, mix in zip(rows, action):
+            for c_in, s in mix:
+                s *= sign
+                for off, coeff in form:
+                    key = off + c_in
+                    row[key] = row.get(key, 0) + s * coeff
+    return [{k: v for k, v in row.items() if v} for row in rows]
+
+
 def _twist_rows(twists: Sequence[Matrix], out: Matrix):
     """Yield (t, c, row): the integer row of out(f(e_t)) − f(twists[0] e_t0, twists[1] e_t1, ...) = 0 at coordinate c.
 
@@ -314,17 +333,10 @@ def _twist_rows(twists: Sequence[Matrix], out: Matrix):
     dims, m = [twist.nrows for twist in twists], out.nrows
     d_out, out_rows = _integer_columns(out.transpose())
     ints = [_integer_columns(twist) for twist in twists]
-    scale = prod(d for d, _ in ints)
-    for pos, t in enumerate(itertools.product(*map(range, dims))):
-        base = pos * m
-        args = [cols[i] for i, (_, cols) in zip(t, ints)]
-        transformed = [(off, d_out * coeff) for off, coeff in _expand(dims, m, args).items()]
-        for c, out_row in enumerate(out_rows):
-            row = {base + c_in: e * scale for c_in, e in out_row}
-            for off, coeff in transformed:
-                key = off + c
-                row[key] = row.get(key, 0) - coeff
-            row = {k: v for k, v in row.items() if v}
+    scale, ident = prod(d for d, _ in ints), [[(c, 1)] for c in range(m)]
+    for t in itertools.product(*map(range, dims)):
+        units, twisted = [[(i, 1)] for i in t], [cols[i] for i, (_, cols) in zip(t, ints)]
+        for c, row in enumerate(_term_rows(dims, m, ((scale, out_rows, units), (-d_out, ident, twisted)))):
             if row:
                 yield t, c, row
 
@@ -419,6 +431,8 @@ def yau_twist(alg: BiHomAlgebra, a2: Matrix, b2: Matrix) -> BiHomAlgebra:
     The candidate is validated before being returned; a rejection carries the
     full report so callers can see which identity broke.
     """
+    if any((m.nrows, m.ncols) != (alg.dim, alg.dim) for m in (a2, b2)):
+        raise InputError(f"Yau twists must be {alg.dim}x{alg.dim} matrices")
     d, table = transport(alg.mu, None, a2, b2)
     mu = [[[Fraction(v, d) for v in vec] for vec in row] for row in table]
     candidate = BiHomAlgebra(alg.dim, mu, a2 * alg.alpha, b2 * alg.beta)

@@ -9,8 +9,8 @@ rows, and a given cochain is decided on the same rows.
 
 The coboundaries δ1–δ3 are only ever applied to columns: compatible basis
 vectors, images, or one cochain.  `_coboundary(alg, rep)` builds their one
-factor table and returns δ·columns, multiplying each row of δ into the
-columns as the row is built, so no operator is stored.
+factor table and returns δ·columns: each row of δ is read off the term formula
+by `algebra._term_rows` and multiplied into the columns, so no operator is stored.
 
 The complex is truncated above degree three: degree-4 cochains exist only
 as the codomain of the degree-3 operator.
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .algebra import BiHomAlgebra, _common_denominator, _expand, _intertwining_witness, _twist_rows, transport
+from .algebra import BiHomAlgebra, _common_denominator, _intertwining_witness, _term_rows, _twist_rows, transport
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
     Matrix,
@@ -243,17 +243,7 @@ def _coboundary(alg: BiHomAlgebra, rep: Representation) -> Callable[[int, list],
         terms, den, dims = formulas[degree], d ** (degree + 1), (n,) * degree
         out = {}
         for pos, t in enumerate(itertools.product(range(n), repeat=degree + 1)):
-            rows = [{} for _ in range(m)]
-            for sign, action, args in terms(*t):
-                form = _expand(dims, m, args).items()
-                # an action mixes the output coordinates: row c takes coordinate c_in of f(args)
-                for row, mix in zip(rows, action):
-                    for c_in, s in mix:
-                        s *= sign
-                        for off, coeff in form:
-                            key = off + c_in
-                            row[key] = row.get(key, 0) + s * coeff
-            for c, row in enumerate(rows):
+            for c, row in enumerate(_term_rows(dims, m, terms(*t))):
                 acc = {}
                 for col, x in row.items():
                     if col in by_coord:

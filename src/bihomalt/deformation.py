@@ -150,6 +150,7 @@ def diamond(alg: BiHomAlgebra, a: Cochain, b: Cochain) -> Cochain:
     a ⋄ b (x,y,z) = a(b(βx,αy), βz) − a(αβx, b(αy,z))
                   + a(b(βy,αx), βz) − a(αβy, b(αx,z))
     """
+    TruncatedDeformation(alg, (a, b))  # the shape check of a deformation's terms
     ta = [a.nested()]
     den, values, _ = _paired(alg, ta, ta if b is a else [b.nested()], 0)
     return _block(alg.dim, den, values, 0)
@@ -222,13 +223,13 @@ def check_equivalence(
 
     Order-k condition, on basis pairs, for k = 0 ... order:
         the order-k coefficient of phi_t ∘ d_t equals that of d'_t ∘ (phi_t ⊗ phi_t).
-    The terms of phi must commute with both twists.
+    Both deformations must share their twists, and the terms of phi must commute with them.
     """
     alg = d.alg
     if order < 0:
         raise InputError("equivalence order must be at least 0")
-    if d_prime.alg.dim != alg.dim:
-        raise InputError("deformations live over algebras of different dimensions")
+    if (d_prime.alg.alpha, d_prime.alg.beta) != (alg.alpha, alg.beta):
+        raise InputError("deformations live over algebras of different dimensions or twists")
     if phi.order < order:
         raise InputError("isomorphism truncation order is too small")
     if any((t.nrows, t.ncols) != (alg.dim, alg.dim) for t in phi.terms):
@@ -253,6 +254,8 @@ def gauge(defm: TruncatedDeformation, f: Matrix, level: int, order: int) -> Trun
     n = alg.dim
     if level < 1:
         raise InputError("gauge level must be at least 1")
+    if order < 0:
+        raise InputError("gauge order must be at least 0")
     if not (f.commutes_with(alg.alpha) and f.commutes_with(alg.beta)):
         raise PreconditionError("gauge generator must commute with both twists")
     terms = _series(defm, order)

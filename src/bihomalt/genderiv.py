@@ -13,7 +13,9 @@ W = alpha^k beta^l the defining rules are, on all pairs (x, y):
 Each space is the solution set of a sparse linear system over the stacked
 entries of the unknown endomorphisms; projected spaces keep one witness
 tuple per basis element.  The rows [X, alpha] = [X, beta] = 0 of each block
-are the degree-1 rows of `algebra._twist_rows`, read through X[c][t] = f(e_t)_c.
+are the degree-1 rows of `algebra._twist_rows`, read through X[c][t] = f(e_t)_c,
+and a product rule is the three δ1 terms of the W-twisted adjoint, read by
+`algebra._term_rows` with the blocks as one map f(e_b, e_t) = X_b e_t.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .algebra import BiHomAlgebra, _common_denominator, _twist_rows, transport
+from .algebra import BiHomAlgebra, _common_denominator, _term_rows, _twist_rows, transport
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import ZERO, Matrix, Subspace, _independent, nullspace_of_sparse_rows
+from .exactnum import ZERO, Matrix, Subspace, _independent, nullspace_of_sparse_rows, support
 
 # Per kind: the number of stacked unknown endomorphisms (blocks; the space is the
 # first) and its product rules (out, left, right, right_sign), each standing for
@@ -114,11 +116,12 @@ def _commutation_rows(mat: Matrix, block: int) -> list[dict[int, int]]:
     return [rows[key] for key in sorted(rows)]
 
 
-def _product_rule_rows(alg: BiHomAlgebra, w: Matrix, rules) -> list[dict[int, int]]:
+def _product_rule_rows(alg: BiHomAlgebra, w: Matrix, blocks: int, rules) -> list[dict[int, int]]:
     """Sparse integer rows of each product rule (see _RULES), rule by rule, then by (i, j, c).
 
-    mu(e_i, e_j), mu(e_p, W e_j) and mu(W e_i, e_q) come from `transport` over one
-    common denominator D, so every row is D times its rational form.
+    The stacked blocks are one map f(e_b, e_t) = X_b e_t, so a rule at (i, j) is the `_term_rows` of its
+    terms X_out(mu(e_i, e_j)), mu(X_left e_i, W e_j) and mu(W e_i, X_right e_j).  mu(e_i, e_j), mu(e_p, W e_j)
+    and mu(W e_i, e_q) come from `transport` over one common denominator D, so every row is D times its rational form.
     """
     n = alg.dim
     _, (mu, left, right) = _common_denominator(
@@ -128,28 +131,17 @@ def _product_rule_rows(alg: BiHomAlgebra, w: Matrix, rules) -> list[dict[int, in
     # pairs, and right_at[i][c] likewise the (q, coefficient) pairs of mu(W e_i, X e_j)
     left_at = [[[(p, left[p][j][c]) for p in range(n) if left[p][j][c]] for c in range(n)] for j in range(n)]
     right_at = [[[(q, right[i][q][c]) for q in range(n) if right[i][q][c]] for c in range(n)] for i in range(n)]
+    unit, e = [[(b, 1)] for b in range(blocks)], [[(i, 1)] for i in range(n)]  # e[c] is also row c of the identity
     rows = []
     for out_block, left_block, right_block, right_sign in rules:
         for i in range(n):
             for j in range(n):
-                out = [(k_, v) for k_, v in enumerate(mu[i][j]) if v]
-                for c in range(n):
-                    row: dict[int, int] = {}
-                    if out_block is not None:
-                        base = out_block * n * n + c * n
-                        for k_, coeff in out:
-                            row[base + k_] = coeff
-                    if left_block is not None:
-                        base = left_block * n * n + i
-                        for p, coeff in left_at[j][c]:
-                            row[base + p * n] = row.get(base + p * n, 0) - coeff
-                    if right_block is not None:
-                        base = right_block * n * n + j
-                        for q, coeff in right_at[i][c]:
-                            row[base + q * n] = row.get(base + q * n, 0) - right_sign * coeff
-                    row = {k_: v for k_, v in row.items() if v}
-                    if row:
-                        rows.append(row)
+                terms = ((1, e, out_block, support(mu[i][j])), (-1, left_at[j], left_block, e[i]),
+                         (-right_sign, right_at[i], right_block, e[j]))
+                args = [(sign, action, (unit[b], arg)) for sign, action, b, arg in terms if b is not None]
+                # each row from the flat (b, t, c) layout to row-major X_b[c][t]
+                rows += [{k - k % (n * n) + k % n * n + k // n % n: v for k, v in row.items()}
+                         for row in _term_rows((blocks, n), n, args) if row]
     return rows
 
 
@@ -160,7 +152,7 @@ def _operator_rows(alg: BiHomAlgebra, kind: str, k: int, l: int) -> tuple[int, l
     of the blocks.
     """
     blocks, rules = _RULES[kind]
-    rows = _product_rule_rows(alg, twist_power(alg, k, l), rules) if rules else []
+    rows = _product_rule_rows(alg, twist_power(alg, k, l), blocks, rules)
     for block in range(blocks):
         rows += _commutation_rows(alg.alpha, block) + _commutation_rows(alg.beta, block)
     return blocks, rows

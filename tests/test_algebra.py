@@ -196,6 +196,21 @@ def test_yau_twist_rejects_nonmultiplicative_map():
     assert err.value.report is not None
 
 
+@pytest.mark.parametrize(
+    "a2, b2",
+    [
+        (Matrix.identity(3), Matrix.identity(2)),
+        (Matrix.identity(2), Matrix.identity(1)),
+        (Matrix([[1, 0, 0], [0, 1, 0]]), Matrix.identity(2)),
+        (Matrix.identity(2), Matrix([[1, 0], [0, 1], [0, 0]])),
+    ],
+    ids=["3x3", "1x1", "2x3", "3x2"],
+)
+def test_yau_twist_rejects_twists_that_are_not_n_by_n(d2, a2, b2):
+    with pytest.raises(InputError, match="Yau twists must be 2x2 matrices"):
+        yau_twist(d2, a2, b2)
+
+
 def test_validate_reports_identities_separately():
     # e0·e0 = e1, e1·e0 = e0: as(e0,e0,e0) = e0 ≠ 0, so both identities fail
     # while the (identity) twists stay multiplicative

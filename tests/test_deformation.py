@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from bihomalt import deformation, exactnum
+from bihomalt.algebra import BiHomAlgebra, validate
 from bihomalt.cohomology import Cochain, cochain_space, delta2, delta3
 from bihomalt.deformation import (
     FormalIsomorphism,
@@ -87,6 +88,18 @@ def test_diamond_with_zero_is_zero(d2):
     mu = TruncatedDeformation(d2, []).term(0)
     assert diamond(d2, zero, mu).is_zero()
     assert diamond(d2, mu, zero).is_zero()
+
+
+@pytest.mark.parametrize(
+    "term",
+    [Cochain.zero(3, 2, 2), Cochain.zero(1, 2, 2), Cochain(2, 3, 3, [1] + [0] * 26), Cochain.zero(2, 3, 3)],
+    ids=["degree-3", "degree-1", "dim-3", "zero-dim-3"],
+)
+def test_diamond_rejects_terms_that_are_not_bilinear_maps_of_the_algebra(d2, term):
+    mu = TruncatedDeformation(d2, []).term(0)
+    for a, b in ((term, mu), (mu, term), (term, term)):
+        with pytest.raises(InputError, match="bilinear maps A x A -> A"):
+            diamond(d2, a, b)
 
 
 def test_diamond_of_mu_is_alternativity_defect():
@@ -374,6 +387,27 @@ def test_check_equivalence_rejects_a_negative_order(e1):
     defm = TruncatedDeformation(e1, [scalar_term(1)])
     with pytest.raises(InputError, match="at least 0"):
         check_equivalence(defm, defm, FormalIsomorphism(()), -1)
+
+
+def test_check_equivalence_rejects_deformations_over_other_twists():
+    # both zero products on Q² are valid algebras, but diag(1, 2) and I are different twists
+    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    plain = BiHomAlgebra(2, zero, Matrix.identity(2), Matrix.identity(2))
+    twisted = BiHomAlgebra(2, zero, Matrix.diagonal([1, 2]), Matrix.identity(2))
+    assert validate(plain).ok and validate(twisted).ok
+    for d, d_prime in ((plain, twisted), (twisted, plain)):
+        with pytest.raises(InputError, match="different dimensions or twists"):
+            check_equivalence(null_deformation(d), null_deformation(d_prime), FormalIsomorphism(()), 0)
+    assert check_equivalence(null_deformation(twisted), null_deformation(twisted), FormalIsomorphism(()), 0)
+
+
+def test_gauge_rejects_a_negative_order(e1):
+    # a negative order used to return the order-0 deformation silently
+    defm = TruncatedDeformation(e1, [scalar_term(1)])
+    for order in (-1, -5):
+        with pytest.raises(InputError, match="gauge order must be at least 0"):
+            gauge(defm, Matrix([[1]]), 1, order)
+    assert gauge(defm, Matrix([[1]]), 1, 0).order == 0
 
 
 def test_term_rejects_indices_outside_0_to_m(e1):

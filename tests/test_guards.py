@@ -197,6 +197,16 @@ def test_one_twist_check_and_one_twist_row_builder():
     assert not any(isinstance(node, ast.For) for node in ast.walk(commutation))
 
 
+def test_one_row_builder_for_every_linear_condition():
+    # twist compatibility, δ1–δ3 and the product rules of the operator spaces are (sign, action, arguments)
+    # terms read by one row builder, the one reader of the multilinear expansion
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    expanded = sorted(name for source in sources.values() for name in _callers(source, "_expand"))
+    assert expanded == ["_term_rows"]
+    built = sorted(name for source in sources.values() for name in _callers(source, "_term_rows"))
+    assert built == ["_coboundary", "_product_rule_rows", "_twist_rows"]
+
+
 def test_one_law_pairing_for_validation_and_extensions(monkeypatch):
     # the alternative laws and the deformation equations are read off one pairing helper; the extensions
     # read their cocycle conditions off the laws of the algebra they return, with no coboundary operator of
