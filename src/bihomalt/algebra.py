@@ -18,11 +18,12 @@ on a multilinear f has one row builder, `_term_rows`: the coboundaries, the
 product rules of the operator spaces and twist compatibility,
 out∘f = f∘(T_1 ⊗ ... ⊗ T_k), whose rows (`_twist_rows`) span cochain spaces
 and the commutant.  A given algebra is checked in one walk (`_walk`): a pass
-per twist over these rows and both laws over one build of tables, each
-failure sorted through a classifier of the reader.  There are three readers:
-`validate` names every failure, `validate_representation` the sectors of A⊕V with one
-input in V (the intertwining relations and the module axioms) and the extensions the
-V-output of A⊕_θV (θ's twist compatibility and the cocycle conditions).
+per twist over these rows and both laws over one build of tables.  One
+classifier pair, `_sectors(n)`, names each failure of an algebra on A⊕_θV,
+A spanned by the first n basis vectors: the algebra's own identities, θ's
+twist compatibility and cocycle conditions, and the bimodule axioms of V.
+Its readers only pick their fields: `validate` walks with n = dim, and
+`validate_representation` and the extensions read the walk of A⊕_θV.
 """
 
 from __future__ import annotations
@@ -389,6 +390,33 @@ def _walk(alg: BiHomAlgebra, rows, laws) -> dict:
     return _first_witnesses(itertools.chain(*twisted, values))
 
 
+def _sectors(n: int):
+    """(rows, laws): the classifiers of `_walk` naming every failure of an algebra on A⊕_θV, A spanned by e_0 ... e_(n−1).
+
+    At inputs in A: an A-output by the algebra's own names, a V-output by the θ key "alpha", "beta",
+    "left" or "right" (a law value failing in both parts by its V-part), each witness in its law's order.
+    One input in V: phi_left at (p,) from (e_p, v), phi_right at (q,) from (v, e_q) (psi_* for β), the squares
+    at (x, y) from x ≤ y < n ≤ z, the exchanges at (x, z) from x < n ≤ y, z < n.  Two: nothing, as V·V = 0.
+    """
+
+    def rows(twist, t, c):
+        if max(t) < n:
+            return (twist if c >= n else f"{twist}_multiplicative"), t
+        return f"{'psi' if twist == 'beta' else 'phi'}_{'left' if t[0] < n else 'right'}", (min(t),)
+
+    def laws(right, x, y, z, val):
+        if x >= n or not any(val):  # the cheap index test first
+            return None
+        side, other = ("right", "left") if right else ("left", "right")
+        if y < n <= z:
+            return f"{side}_square", (x, y)
+        if z < n <= y:
+            return f"{other}_exchange", (x, z)
+        return (side if any(val[n:]) else f"{side}_alternative"), ((z, x, y) if right else (x, y, z))
+
+    return rows, laws
+
+
 def _reported(report_type, found: dict):
     """The report with a flag per field and the witnesses that found holds, None meaning no failure."""
     names = report_type._fields[:-1]
@@ -402,16 +430,7 @@ def validate(alg: BiHomAlgebra) -> AlgebraReport:
     Each witness is the first failing basis tuple in lexicographic order: (i, j, k)
     with i ≤ j for the left law and with j ≤ k for the right law.
     """
-    found = {
-        "commuting": None if alg.alpha.commutes_with(alg.beta) else (),
-        **_walk(
-            alg,
-            # twist(e_i·e_j) against twist(e_i)·twist(e_j)
-            lambda twist, t, c: (f"{twist}_multiplicative", t),
-            # every non-zero law value, with its triple in the law's order
-            lambda right, x, y, z, val: (("right_alternative", (z, x, y)) if right else ("left_alternative", (x, y, z))) if any(val) else None,
-        ),
-    }
+    found = {"commuting": None if alg.alpha.commutes_with(alg.beta) else (), **_walk(alg, *_sectors(alg.dim))}
     return _reported(AlgebraReport, found)
 
 

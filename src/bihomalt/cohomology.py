@@ -83,6 +83,8 @@ class Cochain(_Immutable):
         """The V-vector at a basis index tuple."""
         if len(idx) != self.degree:
             raise InputError("index tuple length must equal the degree")
+        if not all(0 <= i < self.alg_dim for i in idx):
+            raise InputError(f"basis index out of range 0..{self.alg_dim - 1}")
         off = self._offset(idx)
         return self.data[off : off + self.mod_dim]
 

@@ -77,6 +77,8 @@ class FormalIsomorphism(NamedTuple):
         return len(self.terms)
 
     def term(self, i: int, dim: int) -> Matrix:
+        if i < 0:
+            raise InputError(f"formal isomorphism term index must be non-negative, got {i}")
         if i == 0:
             return Matrix.identity(dim)
         if i <= len(self.terms):

@@ -4,22 +4,22 @@ A T_theta extension lets a bimodule V act on A⊕V, with theta a 2-cocycle
 correction; a central extension is the T_theta extension over the trivial
 module (V acted on trivially and fixed pointwise by the extended twists),
 and the T*_theta variant is the same construction through the dual
-bimodule.  All three build E_θ = A⊕V once and read every condition off the
-V-output of one walk of it (`algebra._walk`: its multiplicativity rows and
-both laws): at inputs in A, θ's twist compatibility and the cocycle
-conditions; with an input in V, where θ does not enter, the representation.
-A failure names the violated condition with a witness.  No product with an
-input in V has an A-component, so the A-output of the same walk is that of
-the base algebra: an accepted E_θ has the validation report of A.
+bimodule.  All three build E_θ = A⊕V once and read every condition off one
+walk of it (`representation._walk_sum`, named by `algebra._sectors`): the
+representation report first, where θ does not enter, then the V-output at
+inputs in A, θ's twist compatibility and the cocycle conditions.  A failure
+names the violated condition with a witness.  No product with an input in V
+has an A-component, so the A-output of the same walk is that of the base
+algebra: an accepted E_θ has the validation report of A.
 """
 
 from __future__ import annotations
 
-from .algebra import BiHomAlgebra, _walk
+from .algebra import BiHomAlgebra, _reported
 from .cohomology import Cochain
 from .errors import InputError, MathCheckError, PreconditionError
 from .exactnum import Matrix, Subspace, nullspace_of_sparse_rows
-from .representation import Representation, block_sum, dual
+from .representation import Representation, RepresentationReport, _walk_sum, dual
 
 
 def annihilator(alg: BiHomAlgebra) -> Subspace:
@@ -79,25 +79,12 @@ _T_THETA_CONDITIONS = {
 def _checked_extension(alg: BiHomAlgebra, rep: Representation, theta, conditions) -> BiHomAlgebra:
     """E_θ = block_sum(alg, rep, theta), or an error naming the first failure.
 
-    The representation comes first (φψ = ψφ and every sector with an input in
-    V), then the smaller twist witness, α⊕φ first on a tie, then the left and
-    the right condition.
+    The representation comes first (the `RepresentationReport` of the same
+    walk), then the smaller twist witness, α⊕φ first on a tie, then the left
+    and the right condition.
     """
-    theta = _as_cochain2(alg.dim, rep.mod_dim, theta)
-    ext = block_sum(alg, rep, theta)
-    n = alg.dim
-
-    def sector(key, inputs, witness):
-        # a V-output at inputs in A is a condition on θ; with an input in V it belongs to the representation
-        return (key, witness) if max(inputs) < n else ("module", ())
-
-    found = _walk(
-        ext,
-        lambda twist, t, c: sector(twist, t, t) if c >= n else None,
-        # x ≤ y, so (y, z) holds every input's largest index
-        lambda right, x, y, z, v: (sector("right", (y, z), (z, x, y)) if right else sector("left", (y, z), (x, y, z))) if any(v[n:]) else None,
-    )
-    if "module" in found or not rep.phi.commutes_with(rep.psi):
+    ext, found = _walk_sum(alg, rep, _as_cochain2(alg.dim, rep.mod_dim, theta))
+    if not _reported(RepresentationReport, found).ok:
         raise PreconditionError("coefficients are not a valid representation")
     for keys in (("alpha", "beta"), ("left",), ("right",)):
         failed = [(found[key], key) for key in keys if key in found]

@@ -152,7 +152,7 @@ def _operator_rows(alg: BiHomAlgebra, kind: str, k: int, l: int) -> tuple[int, l
     of the blocks.
     """
     blocks, rules = _RULES[kind]
-    rows = _product_rule_rows(alg, twist_power(alg, k, l), blocks, rules)
+    rows = _product_rule_rows(alg, twist_power(alg, k, l), blocks, rules) if rules else []  # U has no W
     for block in range(blocks):
         rows += _commutation_rows(alg.alpha, block) + _commutation_rows(alg.beta, block)
     return blocks, rows

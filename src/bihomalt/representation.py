@@ -8,8 +8,8 @@ checked in polarized form, and two "exchange" axioms bilinear in (x, y).
 All eight are sectors with one input in V of the semidirect product A⊕V,
 of the multiplicativity of its twists and of its two laws, so V is a
 bimodule exactly when A⊕V is BiHom-alternative.  They are read off one
-walk of A⊕V (`algebra._walk`: its multiplicativity rows and both laws), as
-`validate` and the extensions read theirs.
+walk of A⊕V (`_walk_sum`: its multiplicativity rows and both laws, named by
+`algebra._sectors`), the walk whose other fields the extensions read.
 
 The dual representation lives on V* in dual-basis coordinates, where the
 matrix of a transposed map is the matrix transpose and the pairing is the
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import _NO_WITNESSES, BiHomAlgebra, _report_dict, _reported, _walk, transport, validate
+from .algebra import _NO_WITNESSES, BiHomAlgebra, _report_dict, _reported, _sectors, _walk, transport, validate
 from .errors import InputError, PreconditionError
 from .exactnum import Matrix, _Immutable
 
@@ -92,35 +92,10 @@ def _action_tensors(rep: Representation) -> tuple[list, list]:
     return tuple([list(zip(*m.rows)) for m in acts] for acts in (rep.l, rep.r))
 
 
-def _action_sectors(n: int):
-    """The classifier of the multiplicativity rows of A⊕V, A spanned by the first n basis vectors.
-
-    At an output in V, (e_p, v) is the left action's intertwining relation at (p,) and (v, e_q) the right's at (q,).
-    """
-
-    def classify(twist, t, c):
-        if c >= n and min(t) < n <= max(t):
-            return f"{'psi' if twist == 'beta' else 'phi'}_{'left' if t[0] < n else 'right'}", (min(t),)
-        return None
-
-    return classify
-
-
-def _module_sectors(n: int):
-    """The classifier of the sectors of the two laws of A⊕V with one input in V, A spanned by the first n basis vectors.
-
-    x ≤ y < n ≤ z is the square axiom at (x, y); x < n ≤ y, z < n the exchange axiom at (x, z).
-    """
-
-    def classify(right, x, y, z, val):
-        if x < n and any(val):
-            if y < n <= z:
-                return ("right_square" if right else "left_square"), (x, y)
-            if z < n <= y:
-                return ("left_exchange" if right else "right_exchange"), (x, z)
-        return None
-
-    return classify
+def _walk_sum(alg: BiHomAlgebra, rep: Representation, theta=None) -> tuple[BiHomAlgebra, dict]:
+    """(E, found): E = block_sum(alg, rep, theta) and its `_walk` named by `_sectors(alg.dim)`, with "commuting" (φψ = ψφ)."""
+    ext = block_sum(alg, rep, theta)
+    return ext, {"commuting": None if rep.phi.commutes_with(rep.psi) else (), **_walk(ext, *_sectors(alg.dim))}
 
 
 def validate_representation(alg: BiHomAlgebra, rep: Representation) -> RepresentationReport:
@@ -142,11 +117,7 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
     index in lexicographic order: (i,) for an intertwining relation, (i, j)
     with i ≤ j for the square axioms and any (i, j) for the exchange axioms.
     """
-    found = {
-        "commuting": None if rep.phi.commutes_with(rep.psi) else (),
-        **_walk(block_sum(alg, rep), _action_sectors(alg.dim), _module_sectors(alg.dim)),
-    }
-    return _reported(RepresentationReport, found)
+    return _reported(RepresentationReport, _walk_sum(alg, rep)[1])
 
 
 def _require_valid(alg: BiHomAlgebra, rep: Representation, purpose: str):

@@ -70,6 +70,15 @@ def test_cochain_space_d2_adjoint_degree1_is_diagonal(d2):
         assert f.value(1)[0] == 0
 
 
+@pytest.mark.parametrize("idx", [(-1, 0), (5, 0), (0, 2), (0, -3)])
+def test_a_cochain_value_reads_only_basis_indices(idx):
+    # a negative index would wrap to another tuple's value and one past the end would read an empty slice
+    f = Cochain(2, 2, 1, [1, 2, 3, 4])
+    with pytest.raises(InputError, match="^basis index out of range 0..1$"):
+        f.value(*idx)
+    assert [f.value(i, j) for i in range(2) for j in range(2)] == [(1,), (2,), (3,), (4,)]
+
+
 def test_delta1_e1_adjoint(e1):
     rep = adjoint(e1)
     f = Cochain(1, 1, 1, (1,))

@@ -374,6 +374,16 @@ def test_check_equivalence_identity(e1):
     assert check_equivalence(defm, defm, phi, 0)
 
 
+def test_a_formal_isomorphism_has_no_term_of_negative_order():
+    # term(-1) would read terms[-2], a stored term, instead of failing
+    f = Matrix([[1, 2], [0, 1]])
+    phi = FormalIsomorphism((f, f * f))
+    assert [phi.term(i, 2) for i in range(4)] == [Matrix.identity(2), f, f * f, Matrix.zero(2, 2)]
+    for i in (-1, -2, -3):
+        with pytest.raises(InputError, match=f"^formal isomorphism term index must be non-negative, got {i}$"):
+            phi.term(i, 2)
+
+
 def test_check_equivalence_e1_hand_case(e1):
     d = TruncatedDeformation(e1, [scalar_term(1)])
     d_prime = TruncatedDeformation(e1, [scalar_term(0)])

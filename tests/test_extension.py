@@ -260,6 +260,29 @@ def test_t_theta_rejects_invalid_rep(e1):
         t_theta_extension(e1, bad, Cochain.zero(2, 1, 1))
 
 
+@pytest.mark.parametrize("part", ["l", "r", "phi", "psi"])
+def test_the_t_theta_precondition_is_the_representation_verdict(part):
+    # the precondition is read off the RepresentationReport of the one walk of E_theta, whatever theta is
+    rng = Random(f"precondition:{part}")
+    verdicts = set()
+    draws = [(alg, random_valid_representation(alg, rng)) for _, alg in product_corpus() + [("H", make_quaternions())] for _ in range(2)]
+    for alg, base in draws:
+        for rep in (base, perturb_representation(base, rng, part)):
+            valid = validate_representation(alg, rep).ok
+            size = rep.mod_dim * alg.dim**2
+            for theta in (Cochain.zero(2, alg.dim, rep.mod_dim), Cochain(2, alg.dim, rep.mod_dim, [random_fraction(rng) for _ in range(size)])):
+                try:
+                    t_theta_extension(alg, rep, theta)
+                    rejected = False
+                except PreconditionError:
+                    rejected = True
+                except MathCheckError:
+                    rejected = False
+                assert rejected == (not valid)
+            verdicts.add(valid)
+    assert verdicts == {True, False}
+
+
 def test_t_star_zero_theta_is_coadjoint_semidirect(e1):
     ext = t_star_theta_extension(e1, adjoint(e1), Cochain.zero(2, 1, 1))
     assert ext == semidirect(e1, coadjoint(e1))
@@ -425,7 +448,9 @@ def test_an_invalid_module_raises_the_precondition_before_any_theta_check(rep):
 
 def test_t_theta_walks_one_algebra(monkeypatch):
     # one block_sum, one pass over its rows per twist and one over its pairing per law: the precondition is
-    # read off the same passes, with no second algebra and no per-action or per-cochain twist check
+    # read off the same passes, with no second algebra and no per-action or per-cochain twist check; the
+    # extension builds E_theta only through the walk of representation._walk_sum
+    assert not hasattr(extension, "block_sum")
     counts = {"block_sum": 0, "_twist_rows": 0, "_pairing": 0}
 
     def counted(module, name):
@@ -437,7 +462,7 @@ def test_t_theta_walks_one_algebra(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((extension, "block_sum"), (representation, "block_sum"), (algebra, "_twist_rows"), (algebra, "_pairing")):
+    for module, name in ((representation, "block_sum"), (algebra, "_twist_rows"), (algebra, "_pairing")):
         counted(module, name)
     h = make_quaternions()
     t_theta_extension(h, adjoint(h), Cochain.zero(2, 4, 4))

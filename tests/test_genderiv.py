@@ -455,6 +455,22 @@ def test_the_commutant_is_the_space_of_degree1_adjoint_cochains(alg):
     assert u.dim == c1.dim and u.contains(c1) and c1.contains(u)
 
 
+@pytest.mark.parametrize("alg", [a for _, a in _commutant_cases()], ids=[name for name, _ in _commutant_cases()])
+def test_the_kind_u_ignores_the_exponents(alg):
+    # U has no product rule, so no W = αᵏβˡ is formed: a singular twist at a negative exponent is no error
+    u = commutant(alg)
+    for k, l in ((-1, 0), (0, -2), (3, 1), (-2, -1)):
+        assert space_of_kind(alg, "U", k, l) == u
+
+
+def test_the_kind_u_needs_no_invertible_twist():
+    singular = BiHomAlgebra(2, zero_bilinear(2), Matrix.diagonal([1, 0]), Matrix.identity(2))
+    assert commutant(singular).dim == 2
+    assert space_of_kind(singular, "U", -1, 0) == commutant(singular)
+    with pytest.raises(PreconditionError):
+        space_of_kind(singular, "Der", -1, 0)
+
+
 # -- Der_(k,l) against the degree-1 cocycles of the W-twisted adjoint ------------------------
 
 

@@ -214,10 +214,12 @@ def test_one_law_pairing_for_validation_and_extensions(monkeypatch):
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     paired = sorted(name for source in sources.values() for name in _callers(source, "_pairing"))
     assert paired == ["_paired", "_walk"]
-    # validate, validate_representation and the extensions are three classifiers over one walk of one
-    # algebra each, and twist_witness a reader of the twist rows with one name
+    # validate walks A and _walk_sum walks A⊕_θV for validate_representation and the extensions, both
+    # named by the one classifier pair; twist_witness is a reader of the twist rows with one name
     walks = sorted(name for source in sources.values() for name in _callers(source, "_walk"))
-    assert walks == ["_checked_extension", "validate", "validate_representation"]
+    assert walks == ["_walk_sum", "validate"]
+    summed = sorted(name for source in sources.values() for name in _callers(source, "_walk_sum"))
+    assert summed == ["_checked_extension", "validate_representation"]
     rows = sorted(name for source in sources.values() for name in _callers(source, "_intertwining_witness"))
     assert rows == ["_walk", "twist_witness"]
     assert _named_calls(sources["extension.py"], "extension.py", ("_coboundary",)) == []
@@ -286,11 +288,31 @@ def test_every_deformation_equation_is_one_pairing_of_the_series(monkeypatch):
         assert (len(passes), builds) == (1, [4 * min(defm.order + 1, m)])
 
 
+def _walk_calls(source: str) -> list[ast.Call]:
+    """Every call of `_walk` in a source, bare or as an attribute."""
+    return [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_walk"
+    ]
+
+
+def _passes_sectors(call: ast.Call) -> bool:
+    """True iff the call is _walk(alg, *_sectors(...)): the one classifier pair, unpacked."""
+    if len(call.args) != 2 or call.keywords or not isinstance(call.args[1], ast.Starred):
+        return False
+    pair = call.args[1].value
+    return isinstance(pair, ast.Call) and getattr(pair.func, "id", None) == "_sectors"
+
+
 def test_every_check_on_a_sum_algebra_reads_the_one_block_sum():
     # no second implementation of the intertwining relations, of theta's twist check or of the right law, and no
-    # sector bounds: each reader's classifiers pick its sectors out of one full walk
+    # sector bounds: one classifier pair names every sector of one full walk, and each reader picks its fields
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    retired = ("_witnesses", "intertwining", "_twisted", "_law_failures", "opposite", "_alternative_witness")
+    retired = (
+        "_witnesses", "intertwining", "_twisted", "_law_failures", "opposite", "_alternative_witness",
+        "_action_sectors", "_module_sectors",
+    )
     defined = [
         node.name
         for source in sources.values()
@@ -312,8 +334,33 @@ def test_every_check_on_a_sum_algebra_reads_the_one_block_sum():
         for alias in node.names
     }
     assert not imported & {"twist_witness", "validate_representation"}
-    # every extension builds its algebra in one place, and the T_theta precondition is read off the same walk
-    assert _callers(sources["extension.py"], "block_sum") == ["_checked_extension"]
+    # block_sum and _walk meet only in _walk_sum, every _walk call passes *_sectors(...), and the classifier
+    # pair is defined once: no reader holds a classifier of its own, as a nested def or a lambda
+    meets = [
+        set(name for source in sources.values() for name in _callers(source, callee)) for callee in ("block_sum", "_walk")
+    ]
+    assert set.intersection(*meets) == {"_walk_sum"}
+    calls = [call for source in sources.values() for call in _walk_calls(source)]
+    assert len(calls) == 2 and all(_passes_sectors(call) for call in calls)
+    assert sorted(name for source in sources.values() for name in _callers(source, "_sectors")) == ["_walk_sum", "validate"]
+    readers = [
+        ast.parse(_function_source(sources[module], name))
+        for module, name in (
+            ("algebra.py", "validate"),
+            ("representation.py", "_walk_sum"),
+            ("representation.py", "validate_representation"),
+            ("extension.py", "_checked_extension"),
+        )
+    ]
+    nested = [node for tree in readers for node in ast.walk(tree) if isinstance(node, (ast.Lambda, ast.FunctionDef))]
+    assert len(nested) == len(readers)  # each reader's own definition, nothing inside it
+    # every extension builds its algebra through that one walk, and the T_theta precondition is the
+    # RepresentationReport of the same walk
+    assert _callers(sources["extension.py"], "block_sum") == []
+    assert _callers(sources["extension.py"], "_walk_sum") == ["_checked_extension"]
+    checked = _function_source(sources["extension.py"], "_checked_extension")
+    assert _named_calls(checked, "_checked_extension", ("_reported",)) != []
+    assert "RepresentationReport" in checked
 
 
 def test_the_module_axioms_have_no_table_algebra_of_their_own():
