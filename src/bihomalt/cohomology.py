@@ -11,6 +11,9 @@ The coboundaries δ1–δ3 are only ever applied to columns: compatible basis
 vectors, images, or one cochain.  `_coboundary(alg, rep)` builds their one
 factor table and returns δ·columns: each row of δ is read off the term formula
 by `algebra._term_rows` and multiplied into the columns, so no operator is stored.
+Each degree is set up in one place, `_stage`: the compatible basis as primitive
+integer columns, one walk of δ over them and the images of the degree below, and
+the exactness guard.  `complex_report` reads two stages and `_preimage` one.
 
 The complex is truncated above degree three: degree-4 cochains exist only
 as the codomain of the degree-3 operator.
@@ -294,34 +297,39 @@ class ComplexReport(NamedTuple):
         return self._asdict()
 
 
-def _primitive_columns(basis: Subspace) -> list[dict[int, int]]:
-    """Each basis column as a primitive integer vector {coordinate: entry}: a positive multiple of it."""
+def _stage(alg: BiHomAlgebra, rep: Representation, delta: Callable, degree: int, below: Sequence = ()) -> tuple:
+    """One degree of the complex: (columns, rows), rows = δ·(columns + below) in one walk, below being the
+    sparse images of the degree below.  The columns are the compatible basis as primitive integer vectors,
+    positive multiples of it on which a rank, a zero test or a solve is unchanged."""
     columns = []
-    for entries in basis.columns:
+    for entries in cochain_space(alg, rep, degree).columns:
         d = lcm(*(v.denominator for v in entries.values()))
         col = {i: v.numerator * (d // v.denominator) for i, v in entries.items()}
         g = gcd(*col.values())
         columns.append({i: v // g for i, v in col.items()} if g != 1 else col)
-    return columns
+    rows = delta(degree, columns + list(below))
+    # coboundaries must be cocycles: exactness guard, not a user-facing check
+    escaped = bool(below) and any(map(_eliminate(columns, rep.mod_dim * alg.dim**degree).reduce, below))
+    if escaped or any(j >= len(columns) for row in rows.values() for j in row):
+        raise InternalError("coboundary escaped the compatible cochain space" if escaped else "coboundary is not a cocycle")
+    return columns, rows
 
 
 def _preimage(alg: BiHomAlgebra, rep: Representation, degree: int) -> Callable[[Sequence], Optional[Cochain]]:
     """The map g ↦ a twist-compatible degree-`degree` cochain f with δf = g, or None when there is none.
 
-    δ is applied to the primitive compatible columns and their images are
-    factored once, here; g is given as flat coordinates.  f is the combination
-    of the columns with every free coordinate zero.
+    The stage's images are factored once, here; g is given as flat coordinates.
+    f is the combination of the columns with every free coordinate zero.
     """
-    space = cochain_space(alg, rep, degree)
-    columns = _primitive_columns(space)
-    images = _transpose(_coboundary(alg, rep)(degree, columns).items())
+    columns, rows = _stage(alg, rep, _coboundary(alg, rep), degree)
+    images = _transpose(rows.items())
     read = _factor([images.get(j, {}) for j in range(len(columns))], rep.mod_dim * alg.dim ** (degree + 1))
 
     def preimage(g: Sequence) -> Optional[Cochain]:
         coeffs = read(dict(support(g)))
         if coeffs is None:
             return None
-        return Cochain(degree, alg.dim, rep.mod_dim, _lift(columns, coeffs, space.ambient_dim))
+        return Cochain(degree, alg.dim, rep.mod_dim, _lift(columns, coeffs, rep.mod_dim * alg.dim**degree))
 
     return preimage
 
@@ -332,23 +340,10 @@ def complex_report(alg: BiHomAlgebra, rep: Representation, degree: int) -> Compl
         raise InputError("cohomology reports exist for degrees 2 and 3 only")
     # δ∘δ = 0 needs the module axioms
     _require_valid(alg, rep, "cohomology")
-    space = cochain_space(alg, rep, degree)
-    prev_space = cochain_space(alg, rep, degree - 1)
-    # a rank or a zero test is the same on non-zero multiples of the basis vectors,
-    # so both are read off primitive integer columns
-    columns = _primitive_columns(space)
-    prev_columns = _primitive_columns(prev_space)
     delta = _coboundary(alg, rep)
-    prev_rows = delta(degree - 1, prev_columns)
-    dim_b = _eliminate(prev_rows.values(), prev_space.dim).rank
-    images = list(_transpose(prev_rows.items()).values())
-    # one walk of δ_n over the basis and the images: an entry at column len(columns) or above is δ∘δ ≠ 0
-    rows = delta(degree, columns + images)
-    # coboundaries must be cocycles: exactness guard, not a user-facing check
-    escaped = bool(images) and any(map(_eliminate(columns, space.ambient_dim).reduce, images))
-    if escaped or any(j >= len(columns) for row in rows.values() for j in row):
-        raise InternalError(
-            "coboundary escaped the compatible cochain space" if escaped else "coboundary is not a cocycle"
-        )
-    dim_z = space.dim - _eliminate(rows.values(), space.dim).rank
-    return ComplexReport(degree, space.dim, dim_z, dim_b, dim_z - dim_b)
+    prev_columns, prev_rows = _stage(alg, rep, delta, degree - 1)
+    dim_b = _eliminate(prev_rows.values(), len(prev_columns)).rank
+    # one walk of δ_n over the basis and the images of δ_(n−1)
+    columns, rows = _stage(alg, rep, delta, degree, list(_transpose(prev_rows.items()).values()))
+    dim_z = len(columns) - _eliminate(rows.values(), len(columns)).rank
+    return ComplexReport(degree, len(columns), dim_z, dim_b, dim_z - dim_b)

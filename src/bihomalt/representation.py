@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import _NO_WITNESSES, BiHomAlgebra, _report_dict, _reported, _sectors, _walk, transport, validate
+from .algebra import _NO_WITNESSES, AlgebraReport, BiHomAlgebra, _report_dict, _reported, _sectors, _walk, transport, validate
 from .errors import InputError, PreconditionError
 from .exactnum import Matrix, _Immutable
 
@@ -122,12 +122,16 @@ def validate_representation(alg: BiHomAlgebra, rep: Representation) -> Represent
 
 def _require_valid(alg: BiHomAlgebra, rep: Representation, purpose: str):
     """PreconditionError unless alg is BiHom-alternative and rep is a valid representation over it."""
-    report = validate(alg)
+    # the adjoint of a valid algebra needs no check: A⊕A is A ⊗ Q[ε]/(ε²); any other rep is read off one
+    # walk of A⊕V, whose sectors at inputs in A carry validate's names
+    found = None if rep == adjoint(alg) else _walk_sum(alg, rep)[1]
+    report = validate(alg) if found is None else _reported(
+        AlgebraReport, {**found, "commuting": None if alg.alpha.commutes_with(alg.beta) else ()}
+    )
     if not report.ok:
         name, w = min(report.witnesses.items())
         raise PreconditionError(f"{purpose} needs a BiHom-alternative algebra (fails {name} at {tuple(w)})")
-    # the adjoint of a valid algebra needs no check: A⊕A is A ⊗ Q[ε]/(ε²)
-    if rep != adjoint(alg) and not validate_representation(alg, rep).ok:
+    if found is not None and not _reported(RepresentationReport, found).ok:
         raise PreconditionError(f"{purpose} needs a valid representation")
 
 

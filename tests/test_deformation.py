@@ -1,12 +1,13 @@
 import re
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from bihomalt import deformation, exactnum
 from bihomalt.algebra import BiHomAlgebra, validate
-from bihomalt.cohomology import Cochain, cochain_space, delta2, delta3
+from bihomalt.cohomology import Cochain, cochain_space, complex_report, delta2, delta3
 from bihomalt.deformation import (
     FormalIsomorphism,
     TruncatedDeformation,
@@ -21,13 +22,16 @@ from bihomalt.deformation import (
 )
 from bihomalt.errors import InputError, PreconditionError
 from bihomalt.exactnum import Matrix
-from bihomalt.representation import adjoint
+from bihomalt.fileio import load_deformation
+from bihomalt.representation import adjoint, semidirect
 
 from conftest import (
     OCTONION_TWISTS,
     base_corpus,
     change_basis,
+    make_d2,
     make_e1,
+    make_p2,
     make_quaternions,
     make_twisted_octonions,
     make_zero1,
@@ -36,6 +40,8 @@ from conftest import (
     random_signed_permutation,
 )
 from oracle_naive import evaluate, from_function, naive_diamond, naive_gauge
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def scalar_term(c):
@@ -347,16 +353,51 @@ def test_extend_one_order_zero_obstruction(e1):
 
 
 def test_extend_one_order_produces_valid_extension_randomized():
+    # a draw with no next term is obstructed: its obstruction is a non-zero 3-cocycle that is no coboundary.
+    # Every Z1 draw is obstructed, and every E1 and D2 draw extends
     rng = Random(53)
-    for _, alg in base_corpus():
+    obstructed = []
+    for name, alg in base_corpus():
         for _ in range(4):
             d1 = random_cocycle(alg, rng)
             defm = TruncatedDeformation(alg, [d1])
             nxt = extend_one_order(defm)
             if nxt is None:
+                obs = obstruction(defm, 2)
+                assert not obs.is_zero()
+                assert delta3(alg, adjoint(alg), obs).is_zero()
+                obstructed.append(name)
                 continue
             extended = TruncatedDeformation(alg, [*defm.terms, nxt])
             assert check_deformation(extended).ok
+    assert obstructed == ["Z1"] * 4
+
+
+def _epsilon_squared_term(alg: BiHomAlgebra) -> Cochain:
+    """d1(uε, vε) = uv on SD(A) = A ⊕ Aε, e_(n+i) = e_i ε: the deformation A[ε]/(ε² − t) of A[ε]/(ε²)."""
+    n = alg.dim
+    nested = [[[0] * 2 * n for _ in range(2 * n)] for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            nested[n + i][n + j][:n] = alg.mu[i][j]
+    return Cochain.from_nested(2, 2 * n, 2 * n, nested)
+
+
+@pytest.mark.parametrize("build, pin", [(make_e1, (8, 4, 3, 1)), (make_d2, (24, 8, 5, 3))], ids=["P2", "SD(D2)"])
+def test_epsilon_squared_t_is_a_deformation_that_is_not_trivial(build, pin):
+    # SD(E1) is P2 = E1[ε]/(ε²), and golden/inputs/p2_eps.bhd holds its deformation E1[ε]/(ε² − t)
+    alg = build()
+    sd = semidirect(alg, adjoint(alg))
+    assert tuple(complex_report(sd, adjoint(sd), 2))[1:] == pin
+    defm = TruncatedDeformation(sd, [_epsilon_squared_term(alg)])
+    if build is make_e1:
+        assert sd == make_p2()
+        golden = load_deformation(str(GOLDEN_INPUTS / "p2_eps.bhd"))
+        assert (golden.alg, golden.terms) == (defm.alg, defm.terms)
+    # every deformation equation holds with d1 alone, d1 is no coboundary, and the next term is zero
+    assert check_deformation(defm.padded(4)).ok
+    assert trivialize(defm, 3) is None
+    assert extend_one_order(defm).is_zero()
 
 
 def test_extend_one_order_zero_algebra(zero1):

@@ -63,6 +63,46 @@ def test_the_scan_sees_every_form():
     ]
 
 
+def _stdout_uses(source: str, name: str) -> list[str]:
+    """Every call of print and every touch of sys.stdout (an attribute, or a name imported from sys), by line."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            found.append((node.lineno, "print"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("stdout", "__stdout__", "*")]
+    return [f"{name}:{line} {kind}" for line, kind in sorted(found)]
+
+
+def test_only_the_cli_writes_to_stdout():
+    # stdout is the byte-identical report: the library around the CLI prints nothing and holds no handle on it,
+    # so anything else it records (timings, sizes) goes to stderr or a file
+    sources = sorted(p for p in SRC.glob("*.py") if p.name != "cli.py")
+    assert len(sources) >= 10
+    assert [hit for p in sources for hit in _stdout_uses(p.read_text(), p.name)] == []
+    assert _stdout_uses((SRC / "cli.py").read_text(), "cli.py") != []
+
+
+def test_the_stdout_scan_sees_every_form():
+    probe = (
+        "import sys\n"
+        "from sys import stdout\n"
+        "def f(x):\n"
+        "    print(x)\n"
+        "    sys.stdout.write(x)\n"
+        "    sys.stderr.write(x)\n"
+        "    return sys.__stdout__\n"
+    )
+    assert _stdout_uses(probe, "probe.py") == [
+        "probe.py:2 stdout",
+        "probe.py:4 print",
+        "probe.py:5 stdout",
+        "probe.py:7 __stdout__",
+    ]
+
+
 def _imported_modules(source: str, name: str) -> set[str]:
     """The last dotted component of every module a source imports from."""
     found = set()
@@ -214,12 +254,13 @@ def test_one_law_pairing_for_validation_and_extensions(monkeypatch):
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     paired = sorted(name for source in sources.values() for name in _callers(source, "_pairing"))
     assert paired == ["_paired", "_walk"]
-    # validate walks A and _walk_sum walks A⊕_θV for validate_representation and the extensions, both
-    # named by the one classifier pair; twist_witness is a reader of the twist rows with one name
+    # validate walks A and _walk_sum walks A⊕_θV for validate_representation, the extensions and the
+    # precondition of cohomology and the dual, all named by the one classifier pair; twist_witness is a
+    # reader of the twist rows with one name
     walks = sorted(name for source in sources.values() for name in _callers(source, "_walk"))
     assert walks == ["_walk_sum", "validate"]
     summed = sorted(name for source in sources.values() for name in _callers(source, "_walk_sum"))
-    assert summed == ["_checked_extension", "validate_representation"]
+    assert summed == ["_checked_extension", "_require_valid", "validate_representation"]
     rows = sorted(name for source in sources.values() for name in _callers(source, "_intertwining_witness"))
     assert rows == ["_walk", "twist_witness"]
     assert _named_calls(sources["extension.py"], "extension.py", ("_coboundary",)) == []
@@ -349,6 +390,7 @@ def test_every_check_on_a_sum_algebra_reads_the_one_block_sum():
             ("algebra.py", "validate"),
             ("representation.py", "_walk_sum"),
             ("representation.py", "validate_representation"),
+            ("representation.py", "_require_valid"),
             ("extension.py", "_checked_extension"),
         )
     ]
@@ -390,6 +432,17 @@ def test_coboundary_is_one_function_of_columns():
     assert defined == []
     callers = sorted(name for source in sources.values() for name in _callers(source, "_coboundary"))
     assert callers == ["_delta", "_preimage", "complex_report"]
+
+
+def test_each_degree_of_the_complex_is_set_up_in_one_stage():
+    # the compatible space, its primitive columns, the walk of δ and the exactness guard of a degree are built
+    # by _stage alone: complex_report reads two stages and _preimage one, with no cochain space of their own
+    source = (SRC / "cohomology.py").read_text()
+    assert _callers(source, "cochain_space") == ["_stage"]
+    assert sorted(_callers(source, "_stage")) == ["_preimage", "complex_report", "complex_report"]
+    assert "_primitive_columns" not in source
+    stage = _function_source(source, "_stage")
+    assert len(_named_calls(stage, "_stage", ("delta",))) == 1
 
 
 def test_one_factor_table_for_every_coboundary_degree():

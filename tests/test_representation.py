@@ -3,14 +3,17 @@ from random import Random
 
 import pytest
 
-from bihomalt.algebra import validate
-from bihomalt import cohomology
+from bihomalt import algebra, cohomology, representation
+from bihomalt.algebra import AlgebraReport, BiHomAlgebra, _reported, validate
 from bihomalt.cohomology import Cochain, cochain_space, complex_report
 from bihomalt.errors import InputError, PreconditionError
 from bihomalt.exactnum import Matrix
 from bihomalt.extension import t_star_theta_extension, t_theta_extension
 from bihomalt.representation import (
     Representation,
+    RepresentationReport,
+    _require_valid,
+    _walk_sum,
     adjoint,
     coadjoint,
     dual,
@@ -19,6 +22,7 @@ from bihomalt.representation import (
 )
 
 from conftest import (
+    argument_twisted_adjoint,
     base_corpus,
     change_basis,
     conjugate_representation,
@@ -342,3 +346,90 @@ def test_perturbed_module_axioms_are_the_sectors_of_the_semidirect_laws(name, bu
         report, expected = validate_representation(alg, bad).as_dict(), naive_representation_report(alg, bad)
         for key in INTERTWINING:
             assert (report[key], report["witnesses"].get(key)) == (expected[key], expected["witnesses"].get(key))
+
+
+# -- the precondition of cohomology and the dual: both reports off one walk of A⊕V --------------------
+
+
+def _one_walk_cases():
+    """(name, algebra, representation): the adjoint, a random valid and a perturbed module of E1, D2, H
+    and twisted O; random algebras and modules with non-commuting twists; E1 with α = (2), which is not
+    multiplicative."""
+    rng = Random("one walk")
+    cases = []
+    for name, build in [("E1", make_e1), ("D2", make_d2), ("H", make_quaternions), ("TO", make_twisted_octonions)]:
+        alg = build()
+        valid = random_valid_representation(alg, rng)
+        reps = {"adjoint": adjoint(alg), "valid": valid, "perturbed": perturb_representation(valid, rng)}
+        cases += [(f"{name} {kind}", alg, rep) for kind, rep in reps.items()]
+    for k in range(12):
+        alg = random_noncommuting_algebra(rng)
+        cases.append((f"noncommuting {k} adjoint", alg, adjoint(alg)))
+        cases.append((f"noncommuting {k} module", alg, random_noncommuting_representation(alg, rng)))
+    e1 = BiHomAlgebra(1, [[[1]]], Matrix([[2]]), Matrix.identity(1))
+    cases += [("E1 α=2 adjoint", e1, adjoint(e1)), ("E1 α=2 trivial", e1, trivial_representation(rng, 1, 2))]
+    return cases
+
+
+def _two_walk_verdict(alg, rep):
+    """The precondition's message as two walks give it: the algebra's failure first, then the module's."""
+    report = validate(alg)
+    if not report.ok:
+        name, w = min(report.witnesses.items())
+        return f"cohomology needs a BiHom-alternative algebra (fails {name} at {tuple(w)})"
+    if rep != adjoint(alg) and not validate_representation(alg, rep).ok:
+        return "cohomology needs a valid representation"
+    return None
+
+
+def test_the_precondition_reads_both_reports_off_one_walk_of_the_sum():
+    # A's own sectors of A⊕V carry validate's names and witnesses, so the algebra's report and the
+    # module's are one walk apart from the two separate checks, and the precondition says what they say
+    verdicts = set()
+    for name, alg, rep in _one_walk_cases():
+        found = _walk_sum(alg, rep)[1]
+        commuting = None if alg.alpha.commutes_with(alg.beta) else ()
+        assert _reported(AlgebraReport, {**found, "commuting": commuting}) == validate(alg), name
+        assert _reported(RepresentationReport, found) == validate_representation(alg, rep), name
+        expected = _two_walk_verdict(alg, rep)
+        try:
+            _require_valid(alg, rep, "cohomology")
+            verdict = None
+        except PreconditionError as exc:
+            verdict = str(exc)
+        assert verdict == expected, name
+        verdicts.add(expected.split(" (")[0] if expected else None)
+    assert verdicts == {
+        None,
+        "cohomology needs a BiHom-alternative algebra",
+        "cohomology needs a valid representation",
+    }
+
+
+@pytest.mark.parametrize("check", ["_require_valid", "complex_report"])
+def test_a_module_other_than_the_adjoint_is_checked_in_one_walk(monkeypatch, check):
+    d2 = make_d2()
+    rep = argument_twisted_adjoint(d2, 1, 0)
+    assert rep != adjoint(d2)
+    walks = []
+    real_walk = algebra._walk
+
+    def counted_walk(*args):
+        walks.append(args[0].dim)
+        return real_walk(*args)
+
+    monkeypatch.setattr(algebra, "_walk", counted_walk)
+    monkeypatch.setattr(representation, "_walk", counted_walk)
+    if check == "_require_valid":
+        _require_valid(d2, rep, "cohomology")
+    else:
+        assert complex_report(d2, rep, 2).dim_C > 0
+    assert walks == [4]  # A⊕V, never A alone
+
+
+def test_a_module_over_another_dimension_is_refused_before_the_algebra_is_checked():
+    # the shape of the module comes first, as at every other entry point: the walk of A⊕V needs it
+    e1 = BiHomAlgebra(1, [[[1]]], Matrix([[2]]), Matrix.identity(1))
+    assert not validate(e1).ok
+    with pytest.raises(InputError, match="^representation is over an algebra of dimension 2, not 1$"):
+        _require_valid(e1, adjoint(make_d2()), "cohomology")
