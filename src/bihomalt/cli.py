@@ -14,28 +14,27 @@ interpreter's digit limit for integer-string conversion is reported as an
 error with exit 2, naming its digit count and the limit.  When stdout is a
 pipe that nobody reads, the report is dropped silently: nothing goes to
 stderr and the exit code is still the report's own.
+
+A process pays only for its verb: this module imports what reading an
+algebra needs, and each command imports the rest of the library it runs.
+`main()` freezes the heap (`gc.freeze`) on the way out, so the interpreter's
+exit does not collect the cycles of every loaded module one by one; exit
+handlers and stream flushes still run.  `run()` is the in-process entry
+point and freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 
+# fileio needs algebra, exactnum and errors; each command below imports the rest of the library it runs
 from . import fileio
 from .algebra import validate
-from .cohomology import complex_report
-from .deformation import (
-    TruncatedDeformation,
-    check_deformation,
-    extend_one_order,
-    trivialize,
-)
 from .errors import InputError, MathCheckError, PreconditionError
-from .extension import central_extension, t_star_theta_extension, t_theta_extension
-from .genderiv import space_of_kind
-from .representation import _require_valid, adjoint, dual, semidirect, validate_representation
 
 PASS, FAIL, ERROR, INTERNAL = 0, 1, 2, 3
 
@@ -90,6 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _rep_or_adjoint(alg, path):
+    from .representation import adjoint
+
     if path is None:
         return adjoint(alg)
     return fileio.load_representation(path)
@@ -106,6 +107,8 @@ def _cmd_validate(args):
 
 
 def _cmd_rep(args):
+    from .representation import _require_valid, dual, semidirect, validate_representation
+
     alg = fileio.load_algebra(args.algebra)
     if args.subverb == "validate":
         rep = _rep_or_adjoint(alg, args.representation)
@@ -125,6 +128,8 @@ def _cmd_rep(args):
 
 
 def _cmd_cohomology(args):
+    from .cohomology import complex_report
+
     alg = fileio.load_algebra(args.algebra)
     rep = _rep_or_adjoint(alg, args.representation)
     report = complex_report(alg, rep, args.degree)
@@ -132,6 +137,8 @@ def _cmd_cohomology(args):
 
 
 def _cmd_deform(args):
+    from .deformation import TruncatedDeformation, check_deformation, extend_one_order, trivialize
+
     defm = fileio.load_deformation(args.deformation)
     if args.subverb == "check":
         report = check_deformation(defm)
@@ -164,6 +171,8 @@ def _cmd_deform(args):
 
 
 def _cmd_extend(args):
+    from .extension import central_extension, t_star_theta_extension, t_theta_extension
+
     alg = fileio.load_algebra(args.algebra)
     cochain, target = fileio.load_cochain(args.cocycle)
     if cochain.degree != 2:
@@ -190,6 +199,8 @@ def _cmd_extend(args):
 
 
 def _cmd_derivations(args):
+    from .genderiv import space_of_kind
+
     alg = fileio.load_algebra(args.algebra)
     space = space_of_kind(alg, _KIND_NAMES[args.kind], args.k, args.l)
     payload = {
@@ -259,7 +270,11 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        sys.exit(run(sys.argv[1:]))
+    finally:
+        # the exit then skips collecting every loaded module's cycles; atexit handlers and flushes still run
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -15,14 +15,16 @@ literals, so byte-identical output is reproducible.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .algebra import BiHomAlgebra
-from .cohomology import Cochain
-from .deformation import FormalIsomorphism, TruncatedDeformation
 from .errors import InputError
 from .exactnum import Matrix, format_rational, parse_rational
-from .representation import Representation
+
+if TYPE_CHECKING:  # the parsers import these themselves, so loading an algebra loads no other module
+    from .cohomology import Cochain
+    from .deformation import FormalIsomorphism, TruncatedDeformation
+    from .representation import Representation
 
 
 def _fail(path: str, message: str):
@@ -108,6 +110,8 @@ def algebra_to_json(alg: BiHomAlgebra) -> dict:
 
 
 def parse_representation(obj: Any, path: str = "representation") -> Representation:
+    from .representation import Representation
+
     obj = _expect_dict(obj, path, ("alg_dim", "mod_dim", "l", "r", "phi", "psi"))
     n = _expect_int(obj["alg_dim"], f"{path}.alg_dim")
     m = _expect_int(obj["mod_dim"], f"{path}.mod_dim")
@@ -134,6 +138,8 @@ def representation_to_json(rep: Representation) -> dict:
 
 def parse_cochain(obj: Any, path: str = "cochain") -> tuple[Cochain, str]:
     """Returns the cochain and its target tag ("module" or "dual")."""
+    from .cohomology import Cochain
+
     obj = _expect_dict(obj, path, ("degree", "alg_dim", "mod_dim", "tensor"))
     degree = _expect_int(obj["degree"], f"{path}.degree")
     n = _expect_int(obj["alg_dim"], f"{path}.alg_dim")
@@ -150,6 +156,9 @@ def parse_cochain(obj: Any, path: str = "cochain") -> tuple[Cochain, str]:
 
 
 def parse_deformation(obj: Any, path: str = "deformation") -> TruncatedDeformation:
+    from .cohomology import Cochain
+    from .deformation import TruncatedDeformation
+
     obj = _expect_dict(obj, path, ("algebra", "terms"))
     alg = parse_algebra(obj["algebra"], f"{path}.algebra")
     n = alg.dim

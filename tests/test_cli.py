@@ -333,11 +333,15 @@ def test_derivations_beyond_the_output_digit_limit_exit2(files, capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _process_env():
+    """This environment with the package's sources first on the import path of a child process."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("verb, name, code", [("validate", "d2", 0), ("validate", "broken", 1), ("rep semidirect", "d2", 0)])
 def test_a_closed_stdout_keeps_the_exit_code_and_a_silent_stderr(files, unbuffered, verb, name, code):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in _process_env().items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
@@ -348,6 +352,42 @@ def test_a_closed_stdout_keeps_the_exit_code_and_a_silent_stderr(files, unbuffer
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["validate", "e1"], 0), (["validate", "broken"], 1), (["validate", "missing"], 2), (["cohomology", "--degree", "4"], 2)],
+    ids=["pass", "fail", "unreadable", "usage"],
+)
+def test_a_process_reports_what_run_reports(files, tmp_path, capsys, argv, code):
+    # python -m bihomalt.cli exits through main(): the exit code and stdout bytes are run()'s, and only
+    # argparse's usage error writes to stderr
+    paths = {**files, "missing": str(tmp_path / "missing.bha")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    try:
+        assert run(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    expected = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "bihomalt.cli", *argv], capture_output=True, env=_process_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out.encode(), expected.err.encode())
+    usage = argv[0] == "cohomology"
+    assert (proc.stdout == b"", proc.stderr != b"") == (usage, usage)
+
+
+def test_main_freezes_the_heap_and_still_runs_exit_handlers(files):
+    # the interpreter's exit then skips collecting every module's cycles; an exit handler registered before
+    # main() runs after it and sees the frozen objects, which os._exit would have skipped
+    probe = (
+        "import atexit, gc, sys\n"
+        "import bihomalt.cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['bihomalt', 'validate', sys.argv[1]]\n"
+        "bihomalt.cli.main()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, files["e1"]], capture_output=True, env=_process_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"frozen True\n")
+    assert json.loads(proc.stdout)["status"] == "pass"
 
 
 def test_determinism_byte_identical(files, capsys):

@@ -6,6 +6,7 @@ stops guarding.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import bihomalt
 import bihomalt.algebra as algebra
 import bihomalt.cohomology as cohomology
 import bihomalt.deformation as deformation
@@ -203,12 +205,101 @@ def test_operator_rows_and_twist_checks_read_integer_tables():
     assert [hit for name, source in scanned for hit in _named_calls(source, name, POINTWISE)] == []
 
 
+FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+def package():
+    return {m for m in sys.modules if m.partition('.')[0] == 'bihomalt'}
+before = set(sys.modules)
+import bihomalt.cli
+steps = {'dataclasses': 'dataclasses' in set(sys.modules) - before, 'import': sorted(package())}
+for argv in json.loads(sys.argv[1]):
+    loaded = package()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = bihomalt.cli.run(argv)
+    steps[argv[0]] = [code, sorted(package() - loaded)]
+print(json.dumps(steps))
+"""
+
+
 def test_the_cli_starts_without_dataclasses():
-    # dataclasses and the inspect module it pulls in cost about half of the import time of bihomalt.cli
-    probe = "import sys; before = set(sys.modules); import bihomalt.cli; print('dataclasses' in set(sys.modules) - before)"
+    # dataclasses and the inspect module it pulls in cost about half of the import time of bihomalt.cli; the
+    # CLI imports only what reading an algebra needs, and each command adds the modules of its verb
+    e1 = str(SRC.parents[1] / "data" / "e1.bha")
+    argvs = [["validate", e1], ["derivations", "--kind", "der", "--k", "0", "--l", "0", e1]]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    probe = [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(argvs)]
+    out = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {
+        "dataclasses": False,
+        "import": ["bihomalt", "bihomalt.algebra", "bihomalt.cli", "bihomalt.errors", "bihomalt.exactnum", "bihomalt.fileio"],
+        "validate": [0, []],
+        "derivations": [0, ["bihomalt.genderiv"]],
+    }
+
+
+# what `bihomalt` exported when __init__ imported every submodule, by defining module
+PUBLIC_API = {
+    "algebra": ("AlgebraMap", "AlgebraReport", "BiHomAlgebra", "associator", "is_morphism", "validate", "yau_twist"),
+    "cohomology": ("Cochain", "ComplexReport", "cochain_space", "complex_report", "delta1", "delta2", "delta3"),
+    "deformation": (
+        "DeformationReport", "FormalIsomorphism", "TruncatedDeformation", "check_deformation", "check_equivalence",
+        "diamond", "extend_one_order", "gauge", "null_deformation", "obstruction", "trivialize",
+    ),
+    "errors": ("BihomError", "InputError", "InternalError", "MathCheckError", "PreconditionError"),
+    "exactnum": ("Matrix", "Scalar", "Subspace", "rank_nullspace", "solve", "subspace_ops"),
+    "extension": ("annihilator", "central_extension", "t_star_theta_extension", "t_theta_extension"),
+    "genderiv": (
+        "OperatorSpace", "TwistExponents", "bracket", "centroid_space", "commutant", "derivation_space",
+        "generalized_derivation_space", "quasi_centroid_space", "quasi_derivation_space", "sgder_decompose",
+        "sgder_space",
+    ),
+    "representation": (
+        "Representation", "RepresentationReport", "adjoint", "coadjoint", "dual", "semidirect",
+        "validate_representation",
+    ),
+}
+
+
+def test_the_public_api_is_unchanged():
+    assert sorted(bihomalt.__all__) == sorted(name for names in PUBLIC_API.values() for name in names)
+    assert set(bihomalt.__all__) <= set(dir(bihomalt))
+    namespace = {}
+    exec("from bihomalt import *", namespace)
+    assert set(bihomalt.__all__) <= set(namespace)
+    for module, names in PUBLIC_API.items():
+        home = importlib.import_module(f"bihomalt.{module}")
+        for name in names:
+            assert getattr(bihomalt, name) is getattr(home, name) is namespace[name], name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bihomalt.no_such_name  # noqa: B018
+    assert not hasattr(bihomalt, "_require_valid")
+
+
+EXIT_MACHINERY = {("gc", "freeze"), ("gc", "disable"), ("gc", "collect"), ("os", "_exit")}
+
+
+def _exit_machinery(source: str) -> list[str]:
+    """Each call of gc.freeze, gc.disable, gc.collect or os._exit, and each import of one of them by name,
+    named by the top-level definition that holds it."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{owner} {node.module}.{a.name}" for a in node.names if (node.module, a.name) in EXIT_MACHINERY]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+                if (node.func.value.id, node.func.attr) in EXIT_MACHINERY:
+                    found.append(f"{owner} {node.func.value.id}.{node.func.attr}")
+    return found
+
+
+def test_only_main_freezes_the_heap():
+    # run() and the library never leave a frozen heap or a changed collector behind in their caller's process;
+    # main() freezes it once, on the way out of a CLI process
+    found = {p.name: _exit_machinery(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: hits for name, hits in found.items() if hits} == {"cli.py": ["main gc.freeze"]}
+    probe = "from gc import collect\nimport os\ndef f(x):\n    x.collect()\n    gc.disable()\n    os._exit(0)\n"
+    assert _exit_machinery(probe) == ["<module> gc.collect", "f gc.disable", "f os._exit"]
 
 
 def _callers(source: str, callee: str) -> list[str]:
@@ -522,9 +613,9 @@ def _bench_imports() -> list[tuple[str, str]]:
 def _unnamed_definitions(sources: dict[str, str], reached=()) -> list[str]:
     """Top-level functions and methods that no source names outside their own definition.
 
-    A name counts wherever it is read, as an attribute or imported, so a function
-    exported from __init__ is named there.  Dunder methods and the names in reached
-    are skipped.
+    A name counts wherever it is read, as an attribute or imported, and where
+    __init__'s export table (_EXPORTS) lists it, so a function exported from
+    __init__ is named there.  Dunder methods and the names in reached are skipped.
     """
     trees = {file: ast.parse(source) for file, source in sources.items()}
     field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
@@ -534,6 +625,8 @@ def _unnamed_definitions(sources: dict[str, str], reached=()) -> list[str]:
         for node in ast.walk(tree)
         if type(node) in field
     ]
+    exported = _assigned_literal(sources["__init__.py"], "_EXPORTS") if "__init__.py" in sources else {}
+    mentions += [("__init__.py", 0, name) for names in exported.values() for name in names]
     found = []
     for file, tree in trees.items():
         defined = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
@@ -649,3 +742,4 @@ def test_the_import_and_call_scans_see_every_form():
     )
     assert _unnamed_definitions({"probe.py": dead}, {"reached"}) == ["loop"]
     assert _unnamed_definitions({"probe.py": dead, "other.py": "x = loop"}) == ["C.reached"]
+    assert _unnamed_definitions({"probe.py": dead, "__init__.py": "_EXPORTS = {'probe': ('loop',)}"}, {"reached"}) == []
