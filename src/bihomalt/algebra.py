@@ -84,15 +84,6 @@ class BiHomAlgebra(_Immutable):
                 raise InputError(f"{name} must be a {dim}x{dim} matrix")
         self._set(dim=dim, mu=mu, alpha=alpha, beta=beta)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BiHomAlgebra)
-            and self.dim == other.dim
-            and self.mu == other.mu
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-        )
-
     def __repr__(self):
         return f"BiHomAlgebra(dim={self.dim})"
 
@@ -111,15 +102,6 @@ class AlgebraMap(_Immutable):
         if matrix.nrows != target_dim or matrix.ncols != source_dim:
             raise InputError("morphism matrix shape does not match declared dimensions")
         self._set(source_dim=source_dim, target_dim=target_dim, matrix=matrix)
-
-    def _key(self):
-        return self.source_dim, self.target_dim, self.matrix
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraMap) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"AlgebraMap(source_dim={self.source_dim}, target_dim={self.target_dim}, matrix={self.matrix!r})"

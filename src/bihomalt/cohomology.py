@@ -62,13 +62,6 @@ class Cochain(_Immutable):
             )
         self._set(degree=degree, alg_dim=alg_dim, mod_dim=mod_dim, data=data)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and (self.degree, self.alg_dim, self.mod_dim) == (other.degree, other.alg_dim, other.mod_dim)
-            and self.data == other.data
-        )
-
     def __repr__(self):
         return f"Cochain(degree={self.degree}, alg_dim={self.alg_dim}, mod_dim={self.mod_dim})"
 

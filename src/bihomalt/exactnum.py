@@ -93,7 +93,11 @@ def support(u) -> list[tuple[int, Fraction]]:
 
 
 class _Immutable:
-    """A value class: its slots are set once, through `_set`, and never assigned again."""
+    """A value class: its slots are set once, through `_set`, and never assigned again.
+
+    Two values are equal when they have the same class and equal slots, and a
+    value hashes as the tuple of its slots.
+    """
 
     __slots__ = ()
 
@@ -103,6 +107,15 @@ class _Immutable:
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _slot_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._slot_values() == other._slot_values()
+
+    def __hash__(self):
+        return hash(self._slot_values())
 
 
 class Matrix(_Immutable):
@@ -135,12 +148,6 @@ class Matrix(_Immutable):
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(e) for e in row) for row in self.rows)
@@ -435,6 +442,8 @@ class Subspace(_Immutable):
     """
 
     __slots__ = ("ambient_dim", "columns")
+    # identity equality: bases are not canonical, so two spaces are equal by containment, and dict columns do not hash
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, ambient_dim: int, basis: Iterable[Sequence]):
         basis = [vector(v) for v in basis]

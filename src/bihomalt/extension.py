@@ -18,23 +18,14 @@ from __future__ import annotations
 from .algebra import BiHomAlgebra, _reported
 from .cohomology import Cochain
 from .errors import InputError, MathCheckError, PreconditionError
-from .exactnum import Matrix, Subspace, nullspace_of_sparse_rows
-from .representation import Representation, RepresentationReport, _walk_sum, dual
+from .exactnum import Matrix, Subspace, _sparse_rows, nullspace_of_sparse_rows
+from .representation import Representation, RepresentationReport, _walk_sum, adjoint, dual
 
 
 def annihilator(alg: BiHomAlgebra) -> Subspace:
-    """{a : a·A = A·a = 0}, computed as one nullspace."""
-    n = alg.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            right = {p: alg.mu[p][i][k] for p in range(n) if alg.mu[p][i][k] != 0}
-            if right:
-                rows.append(right)
-            left = {p: alg.mu[i][p][k] for p in range(n) if alg.mu[i][p][k] != 0}
-            if left:
-                rows.append(left)
-    return nullspace_of_sparse_rows(rows, n)
+    """{a : a·A = A·a = 0}, the kernel of every adjoint action, as e_i·a = l(e_i)a and a·e_i = r(e_i)a."""
+    ad = adjoint(alg)
+    return nullspace_of_sparse_rows(_sparse_rows(row for m in (*ad.l, *ad.r) for row in m.rows), alg.dim)
 
 
 def _as_cochain2(alg_dim: int, mod_dim: int, tensor) -> Cochain:

@@ -45,16 +45,6 @@ class Representation(_Immutable):
                 raise InputError(f"action and twist matrices must be {mod_dim}x{mod_dim}")
         self._set(alg_dim=alg_dim, mod_dim=mod_dim, l=l, r=r, phi=phi, psi=psi)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Representation)
-            and (self.alg_dim, self.mod_dim) == (other.alg_dim, other.mod_dim)
-            and self.l == other.l
-            and self.r == other.r
-            and self.phi == other.phi
-            and self.psi == other.psi
-        )
-
     def __repr__(self):
         return f"Representation(alg_dim={self.alg_dim}, mod_dim={self.mod_dim})"
 

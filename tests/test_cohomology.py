@@ -30,6 +30,7 @@ from conftest import (
     make_octonions,
     make_quaternions,
     make_twisted_octonions,
+    make_z1,
     make_zero1,
     random_fraction,
     random_signed_permutation,
@@ -207,6 +208,26 @@ def test_delta2_tau12_symmetry():
                 for j in range(alg.dim):
                     for k in range(alg.dim):
                         assert out.value(i, j, k) == out.value(j, i, k)
+
+
+def _make_sd_d2():
+    d2 = make_d2()
+    return semidirect(d2, adjoint(d2))
+
+
+DELTA2_ALGEBRAS = {"Z1": make_z1, "E1": make_e1, "D2": make_d2, "SD(D2)": _make_sd_d2, "H": make_quaternions, "twisted O": make_twisted_octonions}
+
+
+@pytest.mark.parametrize("name", DELTA2_ALGEBRAS)
+def test_delta2_rows_are_symmetric_in_the_first_two_inputs(name):
+    # (δ2 f)(x, y, z) = (δ2 f)(y, x, z) for compatible f, so the row of (i, j, k, c) equals that of (j, i, k, c)
+    alg = DELTA2_ALGEBRAS[name]()
+    n = alg.dim
+    for rep in (adjoint(alg), random_valid_representation(alg, Random(name))):
+        m = rep.mod_dim
+        out = _coboundary(alg, rep)(2, list(cochain_space(alg, rep, 2).columns))
+        for i, j, k, c in itertools.product(range(n), range(n), range(n), range(m)):
+            assert out.get(((i * n + j) * n + k) * m + c) == out.get(((j * n + i) * n + k) * m + c), (i, j, k, c)
 
 
 def test_delta_outputs_are_compatible_cochains():

@@ -42,6 +42,7 @@ from conftest import (
 from oracle_naive import evaluate, from_function, naive_diamond, naive_gauge
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def scalar_term(c):
@@ -52,6 +53,14 @@ def test_null_deformation_passes_everywhere():
     for _, alg in base_corpus():
         report = check_deformation(null_deformation(alg))
         assert report.ok and report.order_ok == (True,)
+
+
+@pytest.mark.parametrize("path", [DATA / "e1_deformation.bhd", GOLDEN_INPUTS / "z3_deformation.bhd", GOLDEN_INPUTS / "p2_eps.bhd"], ids=lambda p: p.name)
+def test_two_loads_of_one_deformation_are_one_value(path):
+    # a deformation is a value: equal base algebra and terms make equal, equally hashed deformations
+    first, second = load_deformation(str(path)), load_deformation(str(path))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first.padded(first.order + 1) != first
 
 
 def test_e1_order1_deformation_passes(e1):
@@ -393,7 +402,7 @@ def test_epsilon_squared_t_is_a_deformation_that_is_not_trivial(build, pin):
     if build is make_e1:
         assert sd == make_p2()
         golden = load_deformation(str(GOLDEN_INPUTS / "p2_eps.bhd"))
-        assert (golden.alg, golden.terms) == (defm.alg, defm.terms)
+        assert golden == defm
     # every deformation equation holds with d1 alone, d1 is no coboundary, and the next term is zero
     assert check_deformation(defm.padded(4)).ok
     assert trivialize(defm, 3) is None

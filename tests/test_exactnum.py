@@ -1,14 +1,21 @@
 from fractions import Fraction
+from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bihomalt.algebra import AlgebraMap, BiHomAlgebra
+from bihomalt.cohomology import Cochain
+from bihomalt.deformation import TruncatedDeformation
 from bihomalt.errors import InputError, PreconditionError
 from bihomalt.exactnum import (
     Matrix,
     Subspace,
     _eliminate,
+    _Eliminator,
+    _Immutable,
     _factor,
     _independent,
     _transpose,
@@ -21,7 +28,9 @@ from bihomalt.exactnum import (
     unit_vector,
     vector,
 )
+from bihomalt.representation import Representation, adjoint
 
+from conftest import make_d2, make_e1
 from oracle_naive import dense_inverse, dense_kernel_basis, dense_rref, dense_solve, greedy_independent
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -365,3 +374,111 @@ def test_singular_matrices_have_no_inverse_or_negative_power():
         with pytest.raises(PreconditionError):
             m.power(-2)
         assert m.power(0) == Matrix.identity(m.nrows)
+
+
+# two values of each value class that differ in every slot, each built afresh on every call
+VALUE_PAIRS = {
+    Matrix: lambda: (Matrix([[1, 2]]), Matrix([[1], [2]])),
+    AlgebraMap: lambda: (AlgebraMap(1, 2, Matrix([[1], [0]])), AlgebraMap(2, 1, Matrix([[1, 0]]))),
+    Cochain: lambda: (Cochain(1, 1, 1, [1]), Cochain(2, 2, 2, range(8))),
+    BiHomAlgebra: lambda: (make_e1(), make_d2()),
+    Representation: lambda: (adjoint(make_e1()), adjoint(make_d2())),
+    TruncatedDeformation: lambda: (TruncatedDeformation(make_e1(), [Cochain(2, 1, 1, [1])]), TruncatedDeformation(make_d2(), [])),
+}
+
+
+def _with_slots(value, cls=None, **changed):
+    """A value of cls (value's class by default) with value's slots, but for the changed ones."""
+    cls = cls or type(value)
+    out = object.__new__(cls)
+    out._set(**{**{name: getattr(value, name) for name in type(value).__slots__}, **changed})
+    return out
+
+
+@pytest.mark.parametrize("build", VALUE_PAIRS.values(), ids=[cls.__name__ for cls in VALUE_PAIRS])
+def test_values_compare_and_hash_by_their_slots(build):
+    (a, b), (again, _) = build(), build()
+    assert again is not a and again == a and not again != a and hash(again) == hash(a)
+    assert len({a, again, b}) == 2
+    for name in type(a).__slots__:
+        assert getattr(a, name) != getattr(b, name)
+        changed = _with_slots(a, **{name: getattr(b, name)})
+        assert changed != a and a != changed, name
+    twin = _with_slots(a, type("Twin", (type(a),), {"__slots__": ()}))
+    assert twin != a and a != twin
+    assert a != tuple(getattr(a, name) for name in type(a).__slots__)
+
+
+def test_every_value_class_but_subspace_has_the_value_laws():
+    # the value-law test covers every value class; Subspace alone keeps identity equality
+    assert set(VALUE_PAIRS) == set(_Immutable.__subclasses__()) - {Subspace}
+    assert all(type(value) is cls for cls, build in VALUE_PAIRS.items() for value in build())
+
+
+def test_subspaces_with_equal_columns_compare_by_identity():
+    # bases are not canonical, so two spans of one basis are equal only as sets, through containment
+    a, b = Subspace(2, [(1, 2)]), Subspace(2, [(1, 2)])
+    assert a.columns == b.columns and a.contains(b) and b.contains(a)
+    assert a == a and a != b and len({a, b}) == 2
+
+
+def _stored_rows_broken(elim) -> list:
+    """The stored (pivot, row) pairs that break the eliminator's invariant, which _reduce relies on."""
+    return [
+        (p, row)
+        for p, row in elim.pivot_rows.items()
+        if not (
+            p == min(row)
+            and row[p] > 0
+            and all(type(v) is int for v in row.values())
+            and gcd(*row.values()) == 1
+            and not any(q in row for q in elim.pivot_rows if q != p)
+        )
+    ]
+
+
+def _random_rows(kind: str, rng: Random, count: int, ncols: int) -> list[dict]:
+    rows = []
+    for _ in range(count):
+        if kind == "sparse":
+            row = {c: rng.choice((-1, 1)) for c in rng.sample(range(ncols), rng.randint(1, 3))}
+        elif kind == "dense":
+            row = {c: rng.randint(-3, 3) for c in range(ncols)}
+        else:
+            row = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense", "fraction"])
+def test_every_stored_row_keeps_the_eliminator_invariant(monkeypatch, kind):
+    # after each store, by insert or by _factor's tagged columns, every stored row has its pivot at its minimal
+    # column, a positive pivot entry, integer entries of gcd 1, and no other stored pivot among its columns
+    stores = []
+    plain_store = _Eliminator._store
+
+    def checked_store(elim, row):
+        pivot = plain_store(elim, row)
+        stores.append(_stored_rows_broken(elim))
+        return pivot
+
+    monkeypatch.setattr(_Eliminator, "_store", checked_store)
+    rng = Random(f"invariant-{kind}")
+    for ncols in (4, 7, 10):
+        rows = _random_rows(kind, rng, 2 * ncols, ncols)
+        elim = _Eliminator(ncols)
+        for row in rows:
+            elim.insert(row)
+        read = _factor(rows, ncols)
+        assert read(rows[0]) is not None
+    assert len(stores) > 20 and stores == [[] for _ in stores]
+
+
+def test_the_invariant_check_sees_every_broken_row():
+    elim = _Eliminator(4)
+    elim.pivot_rows.update({0: {0: 1, 2: 3}, 1: {1: 2, 3: 4}, 2: {2: -1}, 3: {0: 1, 3: 1}})
+    assert [p for p, _ in _stored_rows_broken(elim)] == [0, 1, 2, 3]
+    elim.pivot_rows = {0: {0: 2, 1: Fraction(1)}}
+    assert [p for p, _ in _stored_rows_broken(elim)] == [0]
+    elim.pivot_rows = {0: {0: 2, 1: 3}, 2: {2: 1, 3: -1}}
+    assert _stored_rows_broken(elim) == []

@@ -676,6 +676,51 @@ def test_reports_serialize_exactly_their_fields():
         assert all(isinstance(w, list) for w in out.get("witnesses", {}).values())
 
 
+VALUE_PROTOCOL = {"__eq__", "__hash__"}
+
+
+def _value_protocol_overrides(source: str) -> list[str]:
+    """Each definition or assignment of __eq__ or __hash__ in a class with _Immutable among its bases, as "Class: source"."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and any(getattr(b, "id", getattr(b, "attr", None)) == "_Immutable" for b in cls.bases)):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                continue
+            if names & VALUE_PROTOCOL:
+                found.append(f"{cls.name}: {ast.get_source_segment(source, node).splitlines()[0]}")
+    return found
+
+
+def test_value_classes_compare_and_hash_by_their_slots_alone():
+    # _Immutable is the one value protocol; Subspace alone opts out to identity, as its bases are not canonical
+    found = [hit for p in sorted(SRC.glob("*.py")) for hit in _value_protocol_overrides(p.read_text())]
+    assert found == ["Subspace: __eq__, __hash__ = object.__eq__, object.__hash__"]
+    assert (Subspace.__eq__, Subspace.__hash__) == (object.__eq__, object.__hash__)
+
+
+def test_the_value_protocol_scan_sees_every_form():
+    probe = (
+        "class A(_Immutable):\n    def __eq__(self, other):\n        return True\n"
+        "class B(exactnum._Immutable):\n    __hash__ = None\n"
+        "class C(_Immutable):\n    x: int = 0\n    __eq__: object = object.__eq__\n    def _key(self):\n        return 1\n"
+        "class D:\n    def __eq__(self, other):\n        return False\n    def __hash__(self):\n        return 0\n"
+        "def f():\n    class E(_Immutable):\n        (__eq__, y), __hash__ = (1, 2), 3\n    return E\n"
+    )
+    assert _value_protocol_overrides(probe) == [
+        "A: def __eq__(self, other):",
+        "B: __hash__ = None",
+        "C: __eq__: object = object.__eq__",
+        "E: (__eq__, y), __hash__ = (1, 2), 3",
+    ]
+
+
 def _no_dense_basis(space):
     raise AssertionError("a dense Subspace basis was built")
 
