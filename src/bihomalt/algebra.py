@@ -31,11 +31,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm, prod
-from types import MappingProxyType
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, MathCheckError
-from .exactnum import Matrix, _Immutable, support, vec_sub, vector
+from .exactnum import Matrix, _Immutable, _Report, support, vec_sub, vector
 
 BilinearTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -103,35 +102,11 @@ class AlgebraMap(_Immutable):
             raise InputError("morphism matrix shape does not match declared dimensions")
         self._set(source_dim=source_dim, target_dim=target_dim, matrix=matrix)
 
-    def __repr__(self):
-        return f"AlgebraMap(source_dim={self.source_dim}, target_dim={self.target_dim}, matrix={self.matrix!r})"
 
-
-# the default witness map of a report: read-only, so no report can change another's
-_NO_WITNESSES = MappingProxyType({})
-
-
-class AlgebraReport(NamedTuple):
+class AlgebraReport(_Report):
     """Per-identity validation flags with a witness index tuple for each failure."""
 
-    commuting: bool
-    alpha_multiplicative: bool
-    beta_multiplicative: bool
-    left_alternative: bool
-    right_alternative: bool
-    witnesses: dict = _NO_WITNESSES
-
-    @property
-    def ok(self) -> bool:
-        return all(self[:-1])  # every flag; the witness map is the last field
-
-    def as_dict(self) -> dict:
-        return _report_dict(self)
-
-
-def _report_dict(report) -> dict:
-    """A report's fields in order, with each witness index tuple as a list."""
-    return {**report._asdict(), "witnesses": {k: list(v) for k, v in report.witnesses.items()}}
+    __slots__ = ("commuting", "alpha_multiplicative", "beta_multiplicative", "left_alternative", "right_alternative", "witnesses")
 
 
 def associator(alg: BiHomAlgebra, x: Sequence, y: Sequence, z: Sequence) -> tuple[Fraction, ...]:
@@ -401,7 +376,7 @@ def _sectors(n: int):
 
 def _reported(report_type, found: dict):
     """The report with a flag per field and the witnesses that found holds, None meaning no failure."""
-    names = report_type._fields[:-1]
+    names = report_type.__slots__[:-1]
     witnesses = {name: found[name] for name in names if found.get(name) is not None}
     return report_type(*(name not in witnesses for name in names), witnesses)
 
@@ -439,7 +414,7 @@ def yau_twist(alg: BiHomAlgebra, a2: Matrix, b2: Matrix) -> BiHomAlgebra:
     candidate = BiHomAlgebra(alg.dim, mu, a2 * alg.alpha, b2 * alg.beta)
     report = validate(candidate)
     if not report.ok:
-        failed = [k for k, v in report.as_dict().items() if v is False]
+        failed = list(report.witnesses)
         raise MathCheckError(
             f"twisted product is not a BiHom-alternative algebra (failed: {', '.join(failed)})",
             condition=failed[0] if failed else None,

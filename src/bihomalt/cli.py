@@ -48,46 +48,6 @@ _KIND_NAMES = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bihomalt",
-        description="Exact computations on BiHom-alternative algebras given by rational structure constants.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="check the defining identities of an algebra file")
-    p.add_argument("algebra")
-
-    p = sub.add_parser("rep", help="representation operations")
-    p.add_argument("subverb", choices=["validate", "dual", "coadjoint", "semidirect"])
-    p.add_argument("algebra")
-    p.add_argument("representation", nargs="?")
-
-    p = sub.add_parser("cohomology", help="cocycle/coboundary/cohomology dimensions")
-    p.add_argument("--degree", type=int, choices=[2, 3], required=True)
-    p.add_argument("algebra")
-    p.add_argument("representation", nargs="?")
-
-    p = sub.add_parser("deform", help="formal deformation checks")
-    p.add_argument("subverb", choices=["check", "extend", "trivialize"])
-    p.add_argument("deformation")
-    p.add_argument("--max-order", type=int, default=None)
-
-    p = sub.add_parser("extend", help="central / T / T* extensions")
-    p.add_argument("subverb", choices=["central", "ttheta", "tstar"])
-    p.add_argument("algebra")
-    p.add_argument("cocycle")
-    p.add_argument("representation", nargs="?")
-
-    p = sub.add_parser("derivations", help="derivation-type operator spaces")
-    p.add_argument("--kind", choices=sorted(_KIND_NAMES), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("algebra")
-
-    return parser
-
-
 def _rep_or_adjoint(alg, path):
     from .representation import adjoint
 
@@ -96,31 +56,27 @@ def _rep_or_adjoint(alg, path):
     return fileio.load_representation(path)
 
 
+def _verdict(report) -> tuple:
+    """The status, payload and diagnostics of a validation report: each failed flag at its witness."""
+    diagnostics = [f"{name} at {tuple(w)}" for name, w in sorted(report.witnesses.items())]
+    return ("pass" if report.ok else "fail"), {"report": report.as_dict()}, diagnostics
+
+
 def _cmd_validate(args):
-    alg = fileio.load_algebra(args.algebra)
-    report = validate(alg)
-    diagnostics = [
-        f"{name} at {tuple(w)}" for name, w in sorted(report.witnesses.items())
-    ]
-    status = "pass" if report.ok else "fail"
-    return status, {"report": report.as_dict()}, diagnostics
+    return _verdict(validate(fileio.load_algebra(args.algebra)))
 
 
 def _cmd_rep(args):
     from .representation import _require_valid, dual, semidirect, validate_representation
 
     alg = fileio.load_algebra(args.algebra)
+    rep = _rep_or_adjoint(alg, args.representation)
     if args.subverb == "validate":
-        rep = _rep_or_adjoint(alg, args.representation)
-        report = validate_representation(alg, rep)
-        diagnostics = [f"{name} at {tuple(w)}" for name, w in sorted(report.witnesses.items())]
-        return ("pass" if report.ok else "fail"), {"report": report.as_dict()}, diagnostics
+        return _verdict(validate_representation(alg, rep))
     if args.subverb in ("dual", "coadjoint"):
         # the coadjoint is the dual of the adjoint; the dual of an invalid input would be a vacuous pass
-        rep = _rep_or_adjoint(alg, args.representation)
         _require_valid(alg, rep, "the dual")
         return "pass", {"representation": fileio.representation_to_json(dual(alg, rep))}, []
-    rep = _rep_or_adjoint(alg, args.representation)
     product = semidirect(alg, rep)
     report = validate(product)
     payload = {"algebra": fileio.algebra_to_json(product), "report": report.as_dict()}
@@ -221,26 +177,64 @@ _UNREAD = {
     "deform extend": "--max-order",
 }
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "rep": _cmd_rep,
-    "cohomology": _cmd_cohomology,
-    "deform": _cmd_deform,
-    "extend": _cmd_extend,
-    "derivations": _cmd_derivations,
+# verb -> (help, command, the (name, keywords) of each add_argument call of its parser)
+_VERBS = {
+    "validate": ("check the defining identities of an algebra file", _cmd_validate, [("algebra", {})]),
+    "rep": ("representation operations", _cmd_rep, [
+        ("subverb", {"choices": ["validate", "dual", "coadjoint", "semidirect"]}),
+        ("algebra", {}),
+        ("representation", {"nargs": "?"}),
+    ]),
+    "cohomology": ("cocycle/coboundary/cohomology dimensions", _cmd_cohomology, [
+        ("--degree", {"type": int, "choices": [2, 3], "required": True}),
+        ("algebra", {}),
+        ("representation", {"nargs": "?"}),
+    ]),
+    "deform": ("formal deformation checks", _cmd_deform, [
+        ("subverb", {"choices": ["check", "extend", "trivialize"]}),
+        ("deformation", {}),
+        ("--max-order", {"type": int, "default": None}),
+    ]),
+    "extend": ("central / T / T* extensions", _cmd_extend, [
+        ("subverb", {"choices": ["central", "ttheta", "tstar"]}),
+        ("algebra", {}),
+        ("cocycle", {}),
+        ("representation", {"nargs": "?"}),
+    ]),
+    "derivations": ("derivation-type operator spaces", _cmd_derivations, [
+        ("--kind", {"choices": sorted(_KIND_NAMES), "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--l", {"type": int, "required": True}),
+        ("algebra", {}),
+    ]),
 }
 
 
+def build_parser(verb) -> argparse.ArgumentParser:
+    """The parser of every verb, with the arguments of `verb` alone: argparse reads no other verb's."""
+    parser = argparse.ArgumentParser(
+        prog="bihomalt",
+        description="Exact computations on BiHom-alternative algebras given by rational structure constants.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_text, _, arguments) in _VERBS.items():
+        p = sub.add_parser(name, help=help_text)
+        for argument, keywords in arguments if name == verb else ():
+            p.add_argument(argument, **keywords)
+    return parser
+
+
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the top-level parser has no option that takes a value, so the first element of argv that names a verb is
+    # the verb argparse dispatches to
+    args = build_parser(next((arg for arg in argv if arg in _VERBS), None)).parse_args(argv)
     command = args.verb if not hasattr(args, "subverb") else f"{args.verb} {args.subverb}"
     try:
         unread = _UNREAD.get(command)
         value = unread and getattr(args, unread.lstrip("-").replace("-", "_"))
         if value is not None:
             raise InputError(f"{command} takes no {unread} argument (got {value})")
-        status, payload, diagnostics = _COMMANDS[args.verb](args)
+        status, payload, diagnostics = _VERBS[args.verb][1](args)
         code = PASS if status == "pass" else FAIL
     except (InputError, PreconditionError) as exc:
         status, payload, diagnostics, code = "error", {}, [str(exc)], ERROR

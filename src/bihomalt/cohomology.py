@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import BiHomAlgebra, _common_denominator, _intertwining_witness, _term_rows, _twist_rows, transport
 from .errors import InputError, InternalError, PreconditionError
@@ -32,6 +32,7 @@ from .exactnum import (
     Matrix,
     Subspace,
     _Immutable,
+    _Record,
     _eliminate,
     _factor,
     _lift,
@@ -279,15 +280,8 @@ def delta3(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
     return _delta(alg, rep, f, 3)
 
 
-class ComplexReport(NamedTuple):
-    degree: int
-    dim_C: int
-    dim_Z: int
-    dim_B: int
-    dim_H: int
-
-    def as_dict(self) -> dict:
-        return self._asdict()
+class ComplexReport(_Record):
+    __slots__ = ("degree", "dim_C", "dim_Z", "dim_B", "dim_H")
 
 
 def _stage(alg: BiHomAlgebra, rep: Representation, delta: Callable, degree: int, below: Sequence = ()) -> tuple:

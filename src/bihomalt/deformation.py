@@ -24,12 +24,12 @@ of transports; a gauge by id − t^level f takes its inverse from `_inverse`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .algebra import _NO_WITNESSES, BiHomAlgebra, _first_difference, _first_witnesses, _pairing, _series_tables, _table_sum, transport
+from .algebra import BiHomAlgebra, _first_difference, _first_witnesses, _pairing, _series_tables, _table_sum, transport
 from .cohomology import Cochain, _preimage, twist_witness
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import Matrix, _Immutable
+from .exactnum import Matrix, _Immutable, _Record, _Report
 from .representation import adjoint
 
 ZERO = Fraction(0)
@@ -67,10 +67,10 @@ class TruncatedDeformation(_Immutable):
         return TruncatedDeformation(self.alg, self.terms + (zero,) * extra)
 
 
-class FormalIsomorphism(NamedTuple):
+class FormalIsomorphism(_Record):
     """phi_t = id + phi_1 t + ... + phi_m t^m; each term commutes with the twists."""
 
-    terms: tuple[Matrix, ...]
+    __slots__ = ("terms",)
 
     @property
     def order(self) -> int:
@@ -86,11 +86,10 @@ class FormalIsomorphism(NamedTuple):
         return Matrix.zero(dim, dim)
 
 
-class DeformationReport(NamedTuple):
+class DeformationReport(_Report):
     """Per-order residual check of the deformation equations."""
 
-    order_ok: tuple[bool, ...]
-    witnesses: dict = _NO_WITNESSES
+    __slots__ = ("order_ok", "witnesses")
 
     @property
     def ok(self) -> bool:
@@ -98,12 +97,6 @@ class DeformationReport(NamedTuple):
 
     def ok_through(self, k: int) -> bool:
         return all(self.order_ok[: k + 1])
-
-    def as_dict(self) -> dict:
-        return {
-            "order_ok": list(self.order_ok),
-            "witnesses": {str(k): list(v) for k, v in self.witnesses.items()},
-        }
 
 
 def _require_compatible_terms(defm: TruncatedDeformation):

@@ -21,6 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError
@@ -96,7 +97,8 @@ class _Immutable:
     """A value class: its slots are set once, through `_set`, and never assigned again.
 
     Two values are equal when they have the same class and equal slots, and a
-    value hashes as the tuple of its slots.
+    value hashes as the tuple of its slots.  A value prints as
+    Name(slot=value, ...) unless its class prints a shorter form.
     """
 
     __slots__ = ()
@@ -116,6 +118,52 @@ class _Immutable:
 
     def __hash__(self):
         return hash(self._slot_values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+    def __setstate__(self, state):
+        # copy and pickle restore a value from the state of the default reduce, (None, {slot: value})
+        self._set(**state[1])
+
+
+class _Record(_Immutable):
+    """A result record: its fields are its `__slots__`, given by position or by name, or left to `_defaults`."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        given = {**self._defaults, **dict(zip(fields, values)), **named}
+        if len(values) > len(fields) or given.keys() != set(fields) or not named.keys().isdisjoint(fields[: len(values)]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        self._set(**given)
+
+    def as_dict(self) -> dict:
+        """The fields in order, each tuple as a list and each witness map as {str(key): list}."""
+        return {name: _plain(getattr(self, name)) for name in self.__slots__}
+
+
+def _plain(value):
+    if isinstance(value, (dict, MappingProxyType)):
+        return {str(k): list(w) for k, w in value.items()}
+    return list(value) if isinstance(value, tuple) else value
+
+
+class _Report(_Record):
+    """Flags, then a witness map holding a witness tuple for each failed flag."""
+
+    __slots__ = ()
+    _defaults = {"witnesses": MappingProxyType({})}  # read-only, so no report can change another's
+
+    @property
+    def ok(self) -> bool:
+        return all(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __reduce__(self):
+        # the default witness map, a mappingproxy, does not pickle; a copy holds an equal dict
+        return type(self), (*self._slot_values()[:-1], dict(self.witnesses))
 
 
 class Matrix(_Immutable):

@@ -21,11 +21,11 @@ and a product rule is the three δ1 terms of the W-twisted adjoint, read by
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .algebra import BiHomAlgebra, _common_denominator, _term_rows, _twist_rows, transport
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import ZERO, Matrix, Subspace, _independent, nullspace_of_sparse_rows, support
+from .exactnum import ZERO, Matrix, Subspace, _independent, _Record, nullspace_of_sparse_rows, support
 
 # Per kind: the number of stacked unknown endomorphisms (blocks; the space is the
 # first) and its product rules (out, left, right, right_sign), each standing for
@@ -45,23 +45,19 @@ _RULES = {
 KINDS = tuple(_RULES)
 
 
-class TwistExponents(NamedTuple):
-    k: int
-    l: int
+class TwistExponents(_Record):
+    __slots__ = ("k", "l")
 
 
-class OperatorSpace(NamedTuple):
+class OperatorSpace(_Record):
     """A basis of endomorphisms of an alg_dim-dimensional algebra, each commuting with both twists.
 
     For projected kinds every basis matrix carries the witness tuple it was
     solved with (D' for QDer; (D', D'') for GDer and SGDer).
     """
 
-    kind: str
-    exponents: Optional[TwistExponents]
-    alg_dim: int
-    basis: tuple[Matrix, ...]
-    witnesses: tuple[tuple[Matrix, ...], ...] = ()
+    __slots__ = ("kind", "exponents", "alg_dim", "basis", "witnesses")
+    _defaults = {"witnesses": ()}
 
     @property
     def dim(self) -> int:

@@ -21,11 +21,10 @@ is what makes V* a representation with no extra hypotheses.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from .algebra import _NO_WITNESSES, AlgebraReport, BiHomAlgebra, _report_dict, _reported, _sectors, _walk, transport, validate
+from .algebra import AlgebraReport, BiHomAlgebra, _reported, _sectors, _walk, transport, validate
 from .errors import InputError, PreconditionError
-from .exactnum import Matrix, _Immutable
+from .exactnum import Matrix, _Immutable, _Report
 
 ZERO = Fraction(0)
 
@@ -55,26 +54,11 @@ def _require_module_over(alg: BiHomAlgebra, rep: Representation):
         raise InputError(f"representation is over an algebra of dimension {rep.alg_dim}, not {alg.dim}")
 
 
-class RepresentationReport(NamedTuple):
+class RepresentationReport(_Report):
     """Axiom flags; each failed axiom carries a witness basis tuple."""
 
-    commuting: bool
-    phi_left: bool
-    phi_right: bool
-    psi_left: bool
-    psi_right: bool
-    left_square: bool
-    right_square: bool
-    right_exchange: bool
-    left_exchange: bool
-    witnesses: dict = _NO_WITNESSES
-
-    @property
-    def ok(self) -> bool:
-        return all(self[:-1])  # every flag; the witness map is the last field
-
-    def as_dict(self) -> dict:
-        return _report_dict(self)
+    __slots__ = ("commuting", "phi_left", "phi_right", "psi_left", "psi_right", "left_square", "right_square",
+                 "right_exchange", "left_exchange", "witnesses")
 
 
 def _action_tensors(rep: Representation) -> tuple[list, list]:

@@ -362,8 +362,7 @@ def _records():
 @pytest.mark.parametrize("a, b, hashable", _records())
 def test_result_records_are_immutable_values(a, b, hashable):
     assert a == b and a is not b
-    fields = getattr(type(a), "_fields", None) or type(a).__slots__
-    for name in fields:
+    for name in type(a).__slots__:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, name))
     if hashable:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -461,3 +462,83 @@ def test_unexpected_exception_is_an_internal_error_report(files, capsys, monkeyp
         "payload": {},
         "diagnostics": [diagnostic],
     }
+
+
+DESCRIPTION = cli.build_parser(None).description
+
+
+def _reference_parser(verb):
+    """The parser with every verb's arguments, built from the same verb table as build_parser."""
+    parser = argparse.ArgumentParser(prog="bihomalt", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_text, _, arguments) in cli._VERBS.items():
+        p = sub.add_parser(name, help=help_text)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
+    return parser
+
+
+E1, D2, E1_DEFORMATION, E1_THETA = "data/e1.bha", "data/d2.bha", "data/e1_deformation.bhd", "data/e1_theta.bhc"
+
+PARSER_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    *([verb, "-h"] for verb in ("validate", "rep", "cohomology", "deform", "extend", "derivations")),
+    ["bogus", E1],
+    ["--", "validate", E1],
+    ["-x", "validate", E1],
+    ["-h", "validate", E1],
+    ["--degree", "2", "cohomology", E1],
+    ["validate", "rep"],
+    ["cohomology", "--degree", "2", "validate"],
+    ["rep", "validate"],
+    ["cohomology", "--degree", "4"],
+    ["cohomology", "--degree", "4", "e1.bha"],
+    ["derivations", "--kind", "der", "--k", "x", "--l", "0", E1],
+    ["extend", "central", E1, E1_THETA, "/nonexistent.bhr"],
+    ["rep", "coadjoint", D2, "/nonexistent.bhr"],
+    ["deform", "check", E1_DEFORMATION, "--max-order", "3"],
+    ["deform", "extend", E1_DEFORMATION, "--max-order", "3"],
+    ["deform", "trivialize", E1_DEFORMATION, "--max-order", "-3"],
+    ["validate", E1],
+    *(["rep", subverb, D2] for subverb in ("validate", "dual", "coadjoint", "semidirect")),
+    ["cohomology", "--degree", "3", D2],
+    *(["deform", subverb, E1_DEFORMATION] for subverb in ("check", "extend", "trivialize")),
+    ["extend", "central", E1, E1_THETA],
+    ["extend", "ttheta", E1, E1_THETA],
+    ["derivations", "--kind", "qder", "--k", "1", "--l", "-1", D2],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=[" ".join(argv) or "no-arguments" for argv in PARSER_CORPUS])
+def test_the_one_verb_parser_reads_every_command_line_as_the_full_parser(capsys, monkeypatch, argv):
+    # build_parser adds the arguments of argv's verb alone; exit code, stdout and stderr are the full parser's
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    outcome = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", _reference_parser)
+    assert _outcome(capsys, argv) == outcome
+
+
+def test_a_command_line_adds_only_its_verbs_arguments(capsys, monkeypatch):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(parser, *names, **keywords):
+        calls.append((parser, names))
+        return add_argument(parser, *names, **keywords)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    assert run(["validate", E1]) == 0
+    helps = [parser for parser, names in calls if names == ("-h", "--help")]
+    assert len({id(parser) for parser in helps}) == len(helps) == 7  # the top-level parser and one per verb
+    assert [names for _, names in calls if names != ("-h", "--help")] == [("algebra",)]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -6,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bihomalt.algebra import AlgebraMap, BiHomAlgebra
-from bihomalt.cohomology import Cochain
-from bihomalt.deformation import TruncatedDeformation
+from bihomalt.algebra import AlgebraMap, AlgebraReport, BiHomAlgebra, validate
+from bihomalt.cohomology import Cochain, ComplexReport
+from bihomalt.deformation import DeformationReport, FormalIsomorphism, TruncatedDeformation
 from bihomalt.errors import InputError, PreconditionError
 from bihomalt.exactnum import (
     Matrix,
@@ -16,6 +18,8 @@ from bihomalt.exactnum import (
     _eliminate,
     _Eliminator,
     _Immutable,
+    _Record,
+    _Report,
     _factor,
     _independent,
     _transpose,
@@ -28,7 +32,8 @@ from bihomalt.exactnum import (
     unit_vector,
     vector,
 )
-from bihomalt.representation import Representation, adjoint
+from bihomalt.genderiv import OperatorSpace, TwistExponents
+from bihomalt.representation import Representation, RepresentationReport, adjoint
 
 from conftest import make_d2, make_e1
 from oracle_naive import dense_inverse, dense_kernel_basis, dense_rref, dense_solve, greedy_independent
@@ -376,6 +381,8 @@ def test_singular_matrices_have_no_inverse_or_negative_power():
         assert m.power(0) == Matrix.identity(m.nrows)
 
 
+I1, I2 = Matrix.identity(1), Matrix.identity(2)
+
 # two values of each value class that differ in every slot, each built afresh on every call
 VALUE_PAIRS = {
     Matrix: lambda: (Matrix([[1, 2]]), Matrix([[1], [2]])),
@@ -384,7 +391,17 @@ VALUE_PAIRS = {
     BiHomAlgebra: lambda: (make_e1(), make_d2()),
     Representation: lambda: (adjoint(make_e1()), adjoint(make_d2())),
     TruncatedDeformation: lambda: (TruncatedDeformation(make_e1(), [Cochain(2, 1, 1, [1])]), TruncatedDeformation(make_d2(), [])),
+    AlgebraReport: lambda: (AlgebraReport(*[True] * 5), AlgebraReport(*[False] * 5, {"commuting": ()})),
+    RepresentationReport: lambda: (RepresentationReport(*[True] * 9), RepresentationReport(*[False] * 9, {"phi_left": (0,)})),
+    ComplexReport: lambda: (ComplexReport(2, 4, 3, 1, 2), ComplexReport(3, 5, 4, 2, 1)),
+    DeformationReport: lambda: (DeformationReport((True,)), DeformationReport((True, False), {1: (0, 0, 0)})),
+    FormalIsomorphism: lambda: (FormalIsomorphism((I1,)), FormalIsomorphism(())),
+    TwistExponents: lambda: (TwistExponents(1, -1), TwistExponents(k=0, l=2)),
+    OperatorSpace: lambda: (OperatorSpace("Der", TwistExponents(0, 0), 1, (I1,)), OperatorSpace("QDer", None, 2, (I2,), ((I2,),))),
 }
+
+# a witness map is a dict, so a report holding one does not hash, as for any frozen value holding one
+UNHASHABLE = {AlgebraReport, RepresentationReport, DeformationReport}
 
 
 def _with_slots(value, cls=None, **changed):
@@ -398,8 +415,12 @@ def _with_slots(value, cls=None, **changed):
 @pytest.mark.parametrize("build", VALUE_PAIRS.values(), ids=[cls.__name__ for cls in VALUE_PAIRS])
 def test_values_compare_and_hash_by_their_slots(build):
     (a, b), (again, _) = build(), build()
-    assert again is not a and again == a and not again != a and hash(again) == hash(a)
-    assert len({a, again, b}) == 2
+    assert again is not a and again == a and not again != a
+    if type(a) in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(again) == hash(a) and len({a, again, b}) == 2
     for name in type(a).__slots__:
         assert getattr(a, name) != getattr(b, name)
         changed = _with_slots(a, **{name: getattr(b, name)})
@@ -409,10 +430,57 @@ def test_values_compare_and_hash_by_their_slots(build):
     assert a != tuple(getattr(a, name) for name in type(a).__slots__)
 
 
+def _value_classes(cls=_Immutable) -> set:
+    """Every class of the library below cls, however deep."""
+    below = {c for sub in cls.__subclasses__() for c in {sub, *_value_classes(sub)}}
+    return {c for c in below if c.__module__.startswith("bihomalt.")}
+
+
 def test_every_value_class_but_subspace_has_the_value_laws():
-    # the value-law test covers every value class; Subspace alone keeps identity equality
-    assert set(VALUE_PAIRS) == set(_Immutable.__subclasses__()) - {Subspace}
+    # the value-law test covers every value class and every record; Subspace alone keeps identity equality
+    assert set(VALUE_PAIRS) == _value_classes() - {Subspace, _Record, _Report}
     assert all(type(value) is cls for cls, build in VALUE_PAIRS.items() for value in build())
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("build", VALUE_PAIRS.values(), ids=[cls.__name__ for cls in VALUE_PAIRS])
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, _pickled], ids=["copy", "deepcopy", "pickle"])
+def test_every_value_copies_and_pickles_as_an_equal_value(build, duplicate):
+    for value in build():
+        again = duplicate(value)
+        assert type(again) is type(value) and again == value
+
+
+def test_no_record_equals_a_tuple_unpacks_or_indexes():
+    report, iso = ComplexReport(2, 1, 1, 1, 0), FormalIsomorphism((I1,))
+    assert report != (2, 1, 1, 1, 0) and iso != ((I1,),)
+    for record in (report, iso):
+        with pytest.raises(TypeError):
+            _, *_ = record
+        with pytest.raises(TypeError):
+            record[0]
+
+
+@pytest.mark.parametrize(
+    "values, named",
+    [((2, 1, 1, 1), {}), ((2, 1, 1, 1, 0, 9), {}), ((2, 1, 1, 1, 0), {"dim_X": 0}), ((2, 1, 1, 1, 0), {"degree": 3})],
+    ids=["missing", "extra", "unknown", "repeated"],
+)
+def test_a_record_takes_each_field_once(values, named):
+    with pytest.raises(TypeError):
+        ComplexReport(*values, **named)
+    assert ComplexReport(2, 1, 1, dim_B=1, dim_H=0) == ComplexReport(2, 1, 1, 1, 0)
+
+
+def test_a_record_prints_as_its_fields():
+    # the text a typing.NamedTuple printed
+    assert repr(validate(make_e1())) == (
+        "AlgebraReport(commuting=True, alpha_multiplicative=True, beta_multiplicative=True,"
+        " left_alternative=True, right_alternative=True, witnesses={})"
+    )
 
 
 def test_subspaces_with_equal_columns_compare_by_identity():

@@ -672,7 +672,7 @@ def test_reports_serialize_exactly_their_fields():
     assert {r.ok for r in reports[:4]} == {True, False}
     for report in reports:
         out = report.as_dict()
-        assert list(out) == list(report._fields)
+        assert list(out) == list(report.__slots__)
         assert all(isinstance(w, list) for w in out.get("witnesses", {}).values())
 
 
@@ -719,6 +719,57 @@ def test_the_value_protocol_scan_sees_every_form():
         "C: __eq__: object = object.__eq__",
         "E: (__eq__, y), __hash__ = (1, 2), 3",
     ]
+
+
+RECORDS = (
+    "AlgebraReport", "RepresentationReport", "ComplexReport", "DeformationReport", "FormalIsomorphism", "TwistExponents",
+    "OperatorSpace",
+)
+
+
+def _tuple_records(source: str) -> list[str]:
+    """Each use of NamedTuple or namedtuple, as a name, an attribute or an import, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", getattr(node, "attr", None))]
+        found += [f"{node.lineno} {n}" for n in names if n and n.rpartition(".")[2] in ("NamedTuple", "namedtuple")]
+    return found
+
+
+def _records_of(source: str) -> set[str]:
+    """The classes of source that subclass _Record, directly or through another class of source."""
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    bases = {c.name: {getattr(b, "id", getattr(b, "attr", None)) for b in c.bases} for c in classes}
+    records = {"_Record"}
+    while grown := {name for name, of in bases.items() if of & records} - records:
+        records |= grown
+    return records - {"_Record"}
+
+
+def test_every_result_is_a_record_and_none_is_a_tuple():
+    # the results compare by class and fields, as every value class does, and never like a tuple
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert [f"{name}:{hit}" for name, source in sources.items() for hit in _tuple_records(source)] == []
+    assert set(RECORDS) <= _records_of("\n".join(sources.values()))
+    assert all(issubclass(getattr(bihomalt, name), exactnum._Record) for name in RECORDS)
+
+
+def test_the_record_scans_see_every_form():
+    probe = (
+        "from typing import NamedTuple, Optional\n"
+        "import collections.namedtuple\n"
+        "class A(NamedTuple):\n    x: int\n"
+        "B = collections.namedtuple('B', 'x')\n"
+        "C = typing.NamedTuple('C', [])\n"
+        "class _Report(exactnum._Record):\n    pass\n"
+        "class D(_Report):\n    pass\n"
+        "class E(_Immutable):\n    pass\n"
+    )
+    assert _tuple_records(probe) == ["1 NamedTuple", "2 collections.namedtuple", "3 NamedTuple", "5 namedtuple", "6 NamedTuple"]
+    assert _records_of(probe) == {"_Report", "D"}
 
 
 def _no_dense_basis(space):
