@@ -34,7 +34,7 @@ from math import lcm, prod
 from typing import Optional, Sequence
 
 from .errors import InputError, MathCheckError
-from .exactnum import Matrix, _Immutable, _Report, support, vec_sub, vector
+from .exactnum import ZERO, Matrix, _Immutable, _Report, _integer_columns, support, vec_sub, vector
 
 BilinearTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -50,18 +50,14 @@ def bilinear_tensor(entries, dim: int) -> BilinearTensor:
 
 
 def apply_bilinear(tensor: BilinearTensor, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-    """Evaluate the bilinear map on coordinate vectors, skipping zero coefficients."""
-    dim_out = len(tensor[0][0])
-    acc = [Fraction(0)] * dim_out
-    for i, a in support(x):
-        row = tensor[i]
-        for j, b in support(y):
-            cell = row[j]
-            ab = a * b
-            for k, c in enumerate(cell):
-                if c != 0:
-                    acc[k] += ab * c
-    return tuple(acc)
+    """Evaluate the bilinear map on coordinate vectors: its transport by the columns of x and y, both
+    cut to their non-zero coordinates, so two unit vectors read one cell of the tensor."""
+    xs, ys = dict(support(x)), dict(support(y))
+    if not (xs and ys):
+        return (ZERO,) * len(tensor[0][0])
+    block = [[tensor[i][j] for j in ys] for i in xs]
+    d, table = transport(block, None, Matrix(zip(xs.values())), Matrix(zip(ys.values())))
+    return tuple(Fraction(v, d) for v in table[0][0])
 
 
 class BiHomAlgebra(_Immutable):
@@ -116,15 +112,6 @@ def associator(alg: BiHomAlgebra, x: Sequence, y: Sequence, z: Sequence) -> tupl
     left = alg.product(alg.product(x, y), alg.beta.apply(z))
     right = alg.product(alg.alpha.apply(x), alg.product(y, z))
     return vec_sub(left, right)
-
-
-def _integer_columns(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(d, columns): column j of d·m as its non-zero (row, integer) pairs."""
-    d = lcm(*(x.denominator for row in m.rows for x in row))
-    return d, [
-        [(p, x.numerator * (d // x.denominator)) for p, x in enumerate(col) if x]
-        for col in zip(*m.rows)
-    ]
 
 
 def _lincomb(coeffs, vecs) -> list[int]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .algebra import BiHomAlgebra, _common_denominator, _intertwining_witness, _term_rows, _twist_rows, transport
@@ -35,6 +34,7 @@ from .exactnum import (
     _Record,
     _eliminate,
     _factor,
+    _integer_row,
     _lift,
     _transpose,
     nullspace_of_sparse_rows,
@@ -287,13 +287,9 @@ class ComplexReport(_Record):
 def _stage(alg: BiHomAlgebra, rep: Representation, delta: Callable, degree: int, below: Sequence = ()) -> tuple:
     """One degree of the complex: (columns, rows), rows = δ·(columns + below) in one walk, below being the
     sparse images of the degree below.  The columns are the compatible basis as primitive integer vectors,
-    positive multiples of it on which a rank, a zero test or a solve is unchanged."""
-    columns = []
-    for entries in cochain_space(alg, rep, degree).columns:
-        d = lcm(*(v.denominator for v in entries.values()))
-        col = {i: v.numerator * (d // v.denominator) for i, v in entries.items()}
-        g = gcd(*col.values())
-        columns.append({i: v // g for i, v in col.items()} if g != 1 else col)
+    positive multiples of it on which a rank, a zero test or a solve is unchanged: a kernel column has 1 at
+    its free coordinate, so clearing its denominators leaves entries of gcd 1."""
+    columns = [_integer_row(entries)[0] for entries in cochain_space(alg, rep, degree).columns]
     rows = delta(degree, columns + list(below))
     # coboundaries must be cocycles: exactness guard, not a user-facing check
     escaped = bool(below) and any(map(_eliminate(columns, rep.mod_dim * alg.dim**degree).reduce, below))

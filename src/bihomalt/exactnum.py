@@ -222,32 +222,23 @@ class Matrix(_Immutable):
         if self.ncols != other.nrows:
             raise InputError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         # in integers over one denominator per factor, so each entry is one Fraction, built once
-        ds, do = (lcm(*(x.denominator for row in m.rows for x in row)) for m in (self, other))
-        orows = [[x.numerator * (do // x.denominator) for x in row] for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [0] * other.ncols
-            for k, a in enumerate(row):
-                if a:
-                    a = a.numerator * (ds // a.denominator)
-                    for j, b in enumerate(orows[k]):
-                        if b:
-                            acc[j] += a * b
-            out.append([Fraction(v, ds * do) if v else ZERO for v in acc])
-        return Matrix(out)
+        ds, left = _integer_columns(self)
+        do, right = _integer_columns(other)
+        cols = []
+        for col in right:
+            acc = [0] * self.nrows
+            for k, b in col:
+                for i, a in left[k]:
+                    acc[i] += a * b
+            cols.append(acc)
+        d = ds * do
+        return Matrix([Fraction(col[i], d) if col[i] else ZERO for col in cols] for i in range(self.nrows))
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         if len(vec) != self.ncols:
             raise InputError(f"vector length {len(vec)} does not match {self.nrows}x{self.ncols}")
-        acc = [ZERO] * self.nrows
-        for j, a in enumerate(vec):
-            if a == 0:
-                continue
-            for i in range(self.nrows):
-                b = self.rows[i][j]
-                if b != 0:
-                    acc[i] += b * a
-        return tuple(acc)
+        # the product with the column vec; the empty vector makes no matrix, and any map sends it to zero
+        return (self * Matrix(zip(vec))).column(0) if vec else (ZERO,) * self.nrows
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows))
@@ -307,6 +298,12 @@ def _integer_row(row: dict) -> tuple[dict[int, int], int]:
         if v.denominator != 1:
             d = lcm(d, v.denominator)
     return {c: v.numerator * (d // v.denominator) for c, v in items}, d
+
+
+def _integer_columns(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(d, columns): column j of d·m as its non-zero (row, integer) pairs, d the lcm of the denominators."""
+    d = lcm(*(x.denominator for row in m.rows for x in row))
+    return d, [[(p, x.numerator * (d // x.denominator)) for p, x in enumerate(col) if x] for col in zip(*m.rows)]
 
 
 class _Eliminator:
@@ -521,13 +518,7 @@ class Subspace(_Immutable):
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """The basis vectors as dense tuples of Fractions."""
-        dense = []
-        for col in self.columns:
-            vec = [ZERO] * self.ambient_dim
-            for i, a in col.items():
-                vec[i] = a
-            dense.append(tuple(vec))
-        return tuple(dense)
+        return tuple(tuple(_lift((col,), (ONE,), self.ambient_dim)) for col in self.columns)
 
     @property
     def dim(self) -> int:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bihomalt.algebra import (
     AlgebraMap,
     BiHomAlgebra,
+    apply_bilinear,
     associator,
     is_morphism,
     transport,
@@ -333,43 +334,51 @@ def test_transport_equals_pointwise_evaluation():
         assert _as_fractions(*transport(t.nested(), None, left, None)) == expected
 
 
-# -- the result records: immutable values -------------------------------------------------
+# -- point evaluations against plain Fraction sums ------------------------------------------
+
+# every entry non-zero, so each evaluation reads every table entry
+dense_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
 
 
-def _records():
-    """Pairs of equal, separately built records of every result class, and whether they hash."""
-    from bihomalt.algebra import AlgebraReport
-    from bihomalt.cohomology import ComplexReport
-    from bihomalt.deformation import DeformationReport, FormalIsomorphism
-    from bihomalt.genderiv import OperatorSpace, TwistExponents
-    from bihomalt.representation import RepresentationReport
-
-    one = Matrix.identity(1)
-    makers = [
-        (lambda: AlgebraMap(1, 2, Matrix([[1], [0]])), True),
-        (lambda: AlgebraMap(source_dim=1, target_dim=2, matrix=Matrix([[1], [0]])), True),
-        (lambda: AlgebraReport(True, True, True, True, False, {"right_alternative": (0, 0, 0)}), False),
-        (lambda: RepresentationReport(*[True] * 9), False),
-        (lambda: ComplexReport(2, 4, 3, 1, 2), True),
-        (lambda: DeformationReport((True, False), {1: (0, 0, 0)}), False),
-        (lambda: FormalIsomorphism((one,)), True),
-        (lambda: TwistExponents(k=1, l=-1), True),
-        (lambda: OperatorSpace("Der", TwistExponents(0, 0), 1, (one,)), True),
-    ]
-    return [(make(), make(), hashable) for make, hashable in makers]
+def _fraction_bilinear(t, x, y):
+    """t(x, y) by the definition: Σ x_i·y_j·t[i][j] in Fraction sums."""
+    pairs = [(i, j) for i in range(len(x)) for j in range(len(y))]
+    return tuple(sum((x[i] * y[j] * t[i][j][k] for i, j in pairs), Fraction(0)) for k in range(len(t[0][0])))
 
 
-@pytest.mark.parametrize("a, b, hashable", _records())
-def test_result_records_are_immutable_values(a, b, hashable):
-    assert a == b and a is not b
-    for name in type(a).__slots__:
-        with pytest.raises(AttributeError):
-            setattr(a, name, getattr(b, name))
-    if hashable:
-        assert hash(a) == hash(b)
-    else:  # a witness dict inside, as for any frozen value holding one
-        with pytest.raises(TypeError):
-            hash(a)
+def _fraction_apply(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m.rows)
+
+
+@st.composite
+def bilinear_evaluations(draw):
+    """(t, x, y): an n×p table of m-vectors, possibly rectangular, and dense x of length n and y of length p."""
+    n, p, m = (draw(st.integers(1, 4)) for _ in range(3))
+    cells = st.lists(st.lists(dense_rationals | st.just(Fraction(0)), min_size=m, max_size=m), min_size=p, max_size=p)
+    t = draw(st.lists(cells, min_size=n, max_size=n))
+    return t, draw(st.lists(dense_rationals, min_size=n, max_size=n)), draw(st.lists(dense_rationals, min_size=p, max_size=p))
+
+
+@given(bilinear_evaluations())
+@settings(max_examples=50, deadline=None)
+def test_apply_bilinear_equals_the_fraction_sums(case):
+    t, x, y = case
+    # dense, either side zero, and y with a zero coordinate
+    for args in ((x, y), ([0] * len(x), y), (x, [0] * len(y)), (x, [0, *y[1:]])):
+        value = apply_bilinear(t, *args)
+        assert value == _fraction_bilinear(t, *args)
+        assert all(type(v) is Fraction for v in value)
+
+
+@given(random_algebras(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_and_associator_equal_the_fraction_sums_at_dense_vectors(alg, data):
+    x, y, z = (data.draw(st.lists(dense_rationals, min_size=alg.dim, max_size=alg.dim)) for _ in range(3))
+    mu = alg.mu
+    assert alg.product(x, y) == _fraction_bilinear(mu, x, y)
+    left = _fraction_bilinear(mu, _fraction_bilinear(mu, x, y), _fraction_apply(alg.beta, z))
+    right = _fraction_bilinear(mu, _fraction_apply(alg.alpha, x), _fraction_bilinear(mu, y, z))
+    assert associator(alg, x, y, z) == tuple(a - b for a, b in zip(left, right))
 
 
 def test_reports_share_no_mutable_default():

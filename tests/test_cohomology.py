@@ -6,6 +6,7 @@ import pytest
 
 import bihomalt.cohomology as cohomology
 import bihomalt.representation as representation
+from bihomalt.algebra import yau_twist
 from bihomalt.cohomology import (
     Cochain,
     _coboundary,
@@ -353,6 +354,42 @@ def test_quaternion_degree3_pin():
     assert moved != h
     again = complex_report(moved, adjoint(moved), 3)
     assert (again.dim_C, again.dim_Z, again.dim_B, again.dim_H) == (256, 160, 51, 109)
+
+
+def _sign_automorphisms(alg):
+    """The diagonal sign matrices s with s_k = s_i·s_j wherever μ(e_i, e_j) has an e_k-coefficient."""
+    n = alg.dim
+    terms = [(i, j, k) for i, j, k in itertools.product(range(n), repeat=3) if alg.mu[i][j][k]]
+    signs = itertools.product((1, -1), repeat=n)
+    return [Matrix.diagonal(s) for s in signs if all(s[k] == s[i] * s[j] for i, j, k in terms)]
+
+
+def _group_rank(a, b):
+    """The rank over F_2 of the group that two commuting involutions generate: log2 of its order."""
+    return len({Matrix.identity(a.nrows), a, b, a * b}).bit_length() - 1
+
+
+# (H², H³) as (C, Z, B, H) for each rank of ⟨α, β⟩
+H_SIGN_TWISTS = {
+    0: ((64, 13, 13, 0), (256, 160, 51, 109)),
+    1: ((32, 7, 7, 0), (128, 80, 25, 55)),
+    2: ((16, 4, 4, 0), (64, 40, 12, 28)),
+}
+
+
+def test_the_sign_twists_of_h_have_the_cohomology_of_their_group_rank():
+    # all 16 ordered pairs of H's sign automorphisms, Yau-twisted, in adjoint coefficients
+    h = make_quaternions()
+    signs = _sign_automorphisms(h)
+    assert len(signs) == 4
+    ranks = []
+    for a, b in itertools.product(signs, repeat=2):
+        alg = yau_twist(h, a, b)
+        rank = _group_rank(alg.alpha, alg.beta)
+        reports = (complex_report(alg, adjoint(alg), degree) for degree in (2, 3))
+        assert tuple((r.dim_C, r.dim_Z, r.dim_B, r.dim_H) for r in reports) == H_SIGN_TWISTS[rank], (a, b)
+        ranks.append(rank)
+    assert sorted(ranks) == [0] + [1] * 9 + [2] * 6
 
 
 def test_twisted_octonion_degree2_pin():

@@ -392,7 +392,11 @@ def _epsilon_squared_term(alg: BiHomAlgebra) -> Cochain:
     return Cochain.from_nested(2, 2 * n, 2 * n, nested)
 
 
-@pytest.mark.parametrize("build, pin", [(make_e1, (8, 4, 3, 1)), (make_d2, (24, 8, 5, 3))], ids=["P2", "SD(D2)"])
+@pytest.mark.parametrize(
+    "build, pin",
+    [(make_e1, (8, 4, 3, 1)), (make_d2, (24, 8, 5, 3)), (make_quaternions, (512, 58, 57, 1))],
+    ids=["P2", "SD(D2)", "SD(H)"],
+)
 def test_epsilon_squared_t_is_a_deformation_that_is_not_trivial(build, pin):
     # SD(E1) is P2 = E1[ε]/(ε²), and golden/inputs/p2_eps.bhd holds its deformation E1[ε]/(ε² − t)
     alg = build()

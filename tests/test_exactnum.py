@@ -370,6 +370,68 @@ def test_inverse_and_power_equal_the_dense_references(m):
             expected = expected * base
 
 
+# -- products, matrix-vector products and dense bases against plain Fraction sums ----------
+
+
+def _dense_product(a, b, width):
+    """The rows of a·b by the definition, b having width columns."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(width)] for row in a]
+
+
+def _rows_with_zeros(draw, nrows, ncols):
+    """nrows rows of ncols rationals, with a drawn set of rows and of columns all zero."""
+    rows = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1))) if ncols else set()
+    return [[Fraction(0) if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+
+
+@st.composite
+def product_factors(draw):
+    """(a, b, width): the rows of an r×k and a k×width factor, width possibly 0, with zero rows and columns."""
+    r, k, width = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    return _rows_with_zeros(draw, r, k), _rows_with_zeros(draw, k, width), width
+
+
+@given(product_factors())
+@settings(max_examples=50, deadline=None)
+def test_products_equal_the_fraction_sums(factors):
+    a, b, width = factors
+    product = Matrix(a) * Matrix(b)
+    assert (product.nrows, product.ncols) == (len(a), width)
+    assert product == Matrix(_dense_product(a, b, width))
+    assert all(type(v) is Fraction for row in product.rows for v in row)
+
+
+@given(product_factors(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_matrix_vector_products_equal_the_fraction_sums(factors, data):
+    a, _, _ = factors
+    ncols = len(a[0])
+    vec = data.draw(st.one_of(st.just([0] * ncols), st.lists(rationals, min_size=ncols, max_size=ncols)))
+    out = Matrix(a).apply(vec)
+    assert out == tuple(sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in a)
+    assert all(type(v) is Fraction for v in out)
+    with pytest.raises(InputError, match=f"vector length {ncols + 1} does not match {len(a)}x{ncols}"):
+        Matrix(a).apply([*vec, 1])
+
+
+def test_a_map_from_the_zero_space_sends_its_vector_to_zero():
+    assert Matrix([[], []]).apply(()) == (0, 0)
+    assert Matrix([[1], [2]]) * Matrix([[]]) == Matrix([[], []])
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_dense_bases_equal_the_given_and_the_rref_vectors(m):
+    # a kernel's dense basis is the RREF's, one vector per free column; a given independent basis reads back as given
+    kernel = rank_nullspace(m)[1]
+    assert kernel.basis == tuple(dense_kernel_basis(m.rows, m.ncols))
+    independent = [m.rows[i] for i in greedy_independent(m.rows)]
+    assert Subspace(m.ncols, independent).basis == tuple(independent)
+    assert all(type(v) is tuple and all(type(a) is Fraction for a in v) for v in kernel.basis)
+
+
 def test_singular_matrices_have_no_inverse_or_negative_power():
     for rows in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
         m = Matrix(rows)
@@ -386,7 +448,7 @@ I1, I2 = Matrix.identity(1), Matrix.identity(2)
 # two values of each value class that differ in every slot, each built afresh on every call
 VALUE_PAIRS = {
     Matrix: lambda: (Matrix([[1, 2]]), Matrix([[1], [2]])),
-    AlgebraMap: lambda: (AlgebraMap(1, 2, Matrix([[1], [0]])), AlgebraMap(2, 1, Matrix([[1, 0]]))),
+    AlgebraMap: lambda: (AlgebraMap(1, 2, Matrix([[1], [0]])), AlgebraMap(source_dim=2, target_dim=1, matrix=Matrix([[1, 0]]))),
     Cochain: lambda: (Cochain(1, 1, 1, [1]), Cochain(2, 2, 2, range(8))),
     BiHomAlgebra: lambda: (make_e1(), make_d2()),
     Representation: lambda: (adjoint(make_e1()), adjoint(make_d2())),
@@ -423,6 +485,8 @@ def test_values_compare_and_hash_by_their_slots(build):
         assert hash(again) == hash(a) and len({a, again, b}) == 2
     for name in type(a).__slots__:
         assert getattr(a, name) != getattr(b, name)
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
         changed = _with_slots(a, **{name: getattr(b, name)})
         assert changed != a and a != changed, name
     twin = _with_slots(a, type("Twin", (type(a),), {"__slots__": ()}))

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -186,11 +187,17 @@ def test_no_pointwise_evaluation_in_the_kernel_paths():
 POINTWISE = ("product", "left_at", "right_at", "evaluate", "apply")
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _function_source(source: str, name: str) -> str:
-    """The source of the top-level function of that name, nested definitions included."""
-    tree = ast.parse(source)
-    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
-    return ast.get_source_segment(source, node)
+    """The source of the top-level function of that name, or of the method Class.method, nested definitions included."""
+    *owner, leaf = name.split(".")
+    body = ast.parse(source).body
+    if owner:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == owner[0]).body
+    node = next(n for n in body if isinstance(n, FUNCTIONS) and n.name == leaf)
+    return textwrap.dedent(ast.get_source_segment(source, node, padded=True))
 
 
 def test_operator_rows_and_twist_checks_read_integer_tables():
@@ -770,6 +777,93 @@ def test_the_record_scans_see_every_form():
     )
     assert _tuple_records(probe) == ["1 NamedTuple", "2 collections.namedtuple", "3 NamedTuple", "5 namedtuple", "6 NamedTuple"]
     assert _records_of(probe) == {"_Report", "D"}
+
+
+def _reads(node: ast.AST, attr: str) -> bool:
+    """Whether node reads attr: as an attribute (x.attr) or through getattr(x, "attr")."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == attr
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "getattr"
+        and any(isinstance(a, ast.Constant) and a.value == attr for a in node.args[1:])
+    )
+
+
+def _attribute_readers(source: str, attr: str) -> list[str]:
+    """The definitions that read attr, each once and in order: a function by its name, a method as
+    Class.method, the rest of a class body as Class, and code outside any definition as "<module>"."""
+    owners = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            owners += [(f"{node.name}.{sub.name}" if isinstance(sub, FUNCTIONS) else node.name, sub) for sub in node.body]
+        else:
+            owners.append((node.name if isinstance(node, FUNCTIONS) else "<module>", node))
+    found = []
+    for name, node in owners:
+        if name not in found and any(_reads(sub, attr) for sub in ast.walk(node)):
+            found.append(name)
+    return found
+
+
+def _for_statements(source: str) -> list[str]:
+    """The first line of each for statement; a comprehension is no for statement."""
+    return [ast.unparse(n).splitlines()[0] for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.For, ast.AsyncFor))]
+
+
+# each site that once copied an arithmetic kernel, and the kernel it now calls instead
+KERNEL_CALLS = {
+    ("exactnum.py", "Matrix.__mul__"): "_integer_columns",
+    ("exactnum.py", "Subspace.basis"): "_lift",
+    ("algebra.py", "apply_bilinear"): "transport",
+    ("cohomology.py", "_stage"): "_integer_row",
+}
+LOOP_FREE = (
+    ("exactnum.py", "Matrix.apply"), ("exactnum.py", "Subspace.basis"), ("algebra.py", "apply_bilinear"), ("cohomology.py", "_stage"),
+)
+
+
+def test_one_implementation_per_arithmetic_operation():
+    # denominators are cleared in exactnum's kernels; outside them only the integer table of a tensor and the
+    # integer data of a flat multilinear map are read off their denominators, and the point evaluations run no
+    # loop of their own
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    readers = sorted(
+        f"{file[:-3]}.{name}"
+        for file, source in sources.items()
+        if file != "exactnum.py"
+        for name in _attribute_readers(source, "denominator")
+    )
+    assert readers == ["algebra._intertwining_witness", "algebra.transport"]
+    for (file, name), kernel in KERNEL_CALLS.items():
+        assert _named_calls(_function_source(sources[file], name), name, (kernel,)), (name, kernel)
+    apply = ast.parse(_function_source(sources["exactnum.py"], "Matrix.apply"))
+    assert any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(apply))
+    loops = {name: _for_statements(_function_source(sources[file], name)) for file, name in LOOP_FREE}
+    assert loops == {name: [] for _, name in LOOP_FREE}
+
+
+def test_the_kernel_scans_see_every_form():
+    probe = (
+        "d = Fraction(1, 2).denominator\n"
+        "def f(x):\n    return lcm(*(v.denominator for v in x))\n"
+        "def g(x):\n    return getattr(x, 'denominator', 1)\n"
+        "def h(x):\n    return x.numerator, getattr(x, 'numerator')\n"
+        "class C:\n    scale = staticmethod(lambda v: v.denominator)\n"
+        "    def m(self):\n        for v in self.x:\n            yield v\n"
+        "    async def a(self):\n        async for v in self.x:\n            yield v.denominator\n"
+        "    def n(self):\n        return exactnum._lift(self.c, (1,), 2) + [t for t in self] + self * other\n"
+        "    def k(self):\n        def inner():\n            for t in self:\n                pass\n        return inner\n"
+    )
+    assert _attribute_readers(probe, "denominator") == ["<module>", "f", "g", "C", "C.a"]
+    assert _attribute_readers(probe, "numerator") == ["h"]
+    assert _for_statements(_function_source(probe, "C.m")) == ["for v in self.x:"]
+    assert _for_statements(_function_source(probe, "C.a")) == ["async for v in self.x:"]
+    assert _for_statements(_function_source(probe, "C.n")) == []
+    assert _for_statements(_function_source(probe, "C.k")) == ["for t in self:"]
+    assert _for_statements(_function_source(probe, "g")) == []
+    assert _named_calls(_function_source(probe, "C.n"), "C.n", ("_lift",)) == ["C.n:2 _lift"]
+    assert _named_calls(_function_source(probe, "f"), "f", ("_lift",)) == []
 
 
 def _no_dense_basis(space):
