@@ -10,7 +10,7 @@ import importlib
 # submodule -> the names it exports here
 _EXPORTS = {
     "algebra": ("AlgebraMap", "AlgebraReport", "BiHomAlgebra", "associator", "is_morphism", "validate", "yau_twist"),
-    "cohomology": ("Cochain", "ComplexReport", "cochain_space", "complex_report", "delta1", "delta2", "delta3"),
+    "cohomology": ("Cochain", "ComplexReport", "cochain_space", "complex_report", "delta"),
     "deformation": (
         "DeformationReport",
         "FormalIsomorphism",

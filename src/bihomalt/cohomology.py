@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 from .algebra import BiHomAlgebra, _common_denominator, _intertwining_witness, _term_rows, _twist_rows, transport
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import (
+    ZERO,
     Matrix,
     Subspace,
     _Immutable,
@@ -44,8 +45,6 @@ from .exactnum import (
     vector,
 )
 from .representation import Representation, _action_tensors, _require_module_over, _require_valid
-
-ZERO = Fraction(0)
 
 
 class Cochain(_Immutable):
@@ -145,9 +144,7 @@ def compatibility_witness(
     return min((w for w in (w_phi, w_psi) if w is not None), default=None)
 
 
-def _require_cochain(alg: BiHomAlgebra, rep: Representation, f: Cochain, degree: int):
-    if f.degree != degree:
-        raise InputError(f"expected a degree-{degree} cochain")
+def _require_cochain(alg: BiHomAlgebra, rep: Representation, f: Cochain):
     if f.alg_dim != alg.dim or f.mod_dim != rep.mod_dim:
         raise InputError("cochain shape does not match algebra and coefficients")
     w = compatibility_witness(alg, rep, f)
@@ -256,28 +253,15 @@ def _coboundary(alg: BiHomAlgebra, rep: Representation) -> Callable[[int, list],
     return delta
 
 
-def _delta(alg: BiHomAlgebra, rep: Representation, f: Cochain, degree: int) -> Cochain:
-    """δf for a twist-compatible degree-`degree` cochain f: δ applied to the one column f."""
-    _require_cochain(alg, rep, f, degree)
-    data = [ZERO] * (f.mod_dim * f.alg_dim ** (degree + 1))
-    for r, row in _coboundary(alg, rep)(degree, [dict(support(f.data))]).items():
-        data[r] = row[0]
-    return Cochain(degree + 1, f.alg_dim, f.mod_dim, data)
+def delta(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
+    """δf, a cochain of degree f.degree + 1, for a twist-compatible f of degree 1, 2 or 3: δ applied to the column f.
 
-
-def delta1(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    """(d f)(x,y) = l(x)f(y) + r(y)f(x) − f(x·y)."""
-    return _delta(alg, rep, f, 1)
-
-
-def delta2(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    """The eight-term degree-2 operator, symmetric under swapping its first two inputs."""
-    return _delta(alg, rep, f, 2)
-
-
-def delta3(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    """The ten-term degree-3 operator; composed with delta2 it vanishes."""
-    return _delta(alg, rep, f, 3)
+    Degree 1: (δf)(x,y) = l(x)f(y) + r(y)f(x) − f(x·y).  Degree 2: the eight-term operator, symmetric under
+    swapping its first two inputs.  Degree 3: the ten-term operator, with δ3∘δ2 = 0.
+    """
+    _require_cochain(alg, rep, f)
+    image = _transpose(_coboundary(alg, rep)(f.degree, [dict(support(f.data))]).items()).get(0, {})
+    return Cochain(f.degree + 1, f.alg_dim, f.mod_dim, _lift([image], (1,), f.mod_dim * f.alg_dim ** (f.degree + 1)))
 
 
 class ComplexReport(_Record):

@@ -10,7 +10,7 @@ order k:
 where ⋄ is the four-term diamond pairing.  The k = 0 condition is the
 alternativity of mu itself, and since mu ⋄ f + f ⋄ mu is exactly the
 degree-2 coboundary operator with adjoint coefficients, the order-k
-condition reads  delta2(d_k) + sum_{i+j=k, i,j>=1} d_i ⋄ d_j = 0.
+condition reads  δ(d_k) + sum_{i+j=k, i,j>=1} d_i ⋄ d_j = 0.
 As ⋄ is Q[t]-bilinear, order k is block k of one pass (`_paired`) over the
 tables of d_t on A ⊗ Q[t]/(t^(m+1)) at its t⁰ inputs (`algebra._series_tables`);
 the obstruction at m is block m of d_0 ... d_{m−1}, and `diamond` block 0.
@@ -29,10 +29,8 @@ from typing import Optional, Sequence
 from .algebra import BiHomAlgebra, _first_difference, _first_witnesses, _pairing, _series_tables, _table_sum, transport
 from .cohomology import Cochain, _preimage, twist_witness
 from .errors import InputError, InternalError, PreconditionError
-from .exactnum import Matrix, _Immutable, _Record, _Report
+from .exactnum import ZERO, Matrix, _Immutable, _Record, _Report
 from .representation import adjoint
-
-ZERO = Fraction(0)
 
 
 class TruncatedDeformation(_Immutable):
@@ -175,7 +173,7 @@ def obstruction(defm: TruncatedDeformation, m: int) -> Cochain:
 def extend_one_order(defm: TruncatedDeformation) -> Optional[Cochain]:
     """A term d_m completing a valid order-(m−1) deformation to order m, if one exists.
 
-    Solves delta2(d_m) = −obstruction over the twist-compatible bilinear maps;
+    Solves δ(d_m) = −obstruction over the twist-compatible bilinear maps;
     None means the obstruction class in degree-3 cohomology is nonzero.
     """
     obs = obstruction(defm, defm.order + 1)
@@ -266,7 +264,7 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
     """Gauge away a deformation step by step, or None at the first non-coboundary term.
 
     At each stage n is the lowest order with d_n ≠ 0; when d_n is a degree-2
-    coboundary delta1(f_n), conjugating by id − t^n f_n clears every order
+    coboundary δ(f_n), conjugating by id − t^n f_n clears every order
     through n.  The composite isomorphism maps the original deformation to
     the null one.
     """

@@ -24,9 +24,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraReport, BiHomAlgebra, _reported, _sectors, _walk, transport, validate
 from .errors import InputError, PreconditionError
-from .exactnum import Matrix, _Immutable, _Report
-
-ZERO = Fraction(0)
+from .exactnum import ZERO, Matrix, _Immutable, _Report
 
 
 class Representation(_Immutable):

@@ -8,7 +8,7 @@ bases and operator evaluation are never reused on the oracle side.
 
 import itertools
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 
 def action_at(mats, x):
@@ -617,3 +617,59 @@ def naive_twist_witness(cochain, twist_in, twist_out):
         if twist_out.apply(cochain.value(*idx)) != evaluate(cochain, *[cols[i] for i in idx]):
             return idx
     return None
+
+
+CERTIFICATE_PRIME = 2**31 - 1
+
+
+def rank_mod_p(rows, p=CERTIFICATE_PRIME):
+    """Rank over F_p of sparse rational rows {column: value}, each cleared of its denominators first.
+
+    An integer matrix has no larger rank modulo p than over Q, so this is a lower bound for the rational rank.
+    """
+    pivots = {}  # leading column -> stored row, 1 there
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (scale // v.denominator) % p for c, v in row.items()}
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            stored = pivots.get(lead)
+            if stored is None:
+                inverse = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inverse % p for c, v in row.items()}
+                break
+            factor = row[lead]
+            for c, v in stored.items():
+                x = (row.get(c, 0) - factor * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def certified_rank(rows, kernel, ncols, p=CERTIFICATE_PRIME):
+    """The rank of the sparse rows {column: value} on ncols columns, proven, or None when the certificate fails.
+
+    The kernel vectors {column: value} must be in kernel form (each is 1 at a coordinate of its own where
+    every other vector is 0, so they are independent), and rows·kernel = 0 must hold exactly: then
+    rank ≤ ncols − len(kernel).  The rank modulo p bounds it from below; the two bounds must meet.
+    """
+    by_coord = {}  # coordinate -> {kernel vector: entry}
+    for k, vec in enumerate(kernel):
+        for c, v in vec.items():
+            if v:
+                by_coord.setdefault(c, {})[k] = v
+    own = {next(iter(at)) for at in by_coord.values() if len(at) == 1 and next(iter(at.values())) == 1}
+    if len(own) != len(kernel):
+        return None
+    for row in rows:
+        acc = {}
+        for c, x in row.items():
+            for k, v in by_coord.get(c, {}).items():
+                acc[k] = acc.get(k, 0) + x * v
+        if any(acc.values()):
+            return None
+    rank = rank_mod_p(rows, p)
+    return rank if rank + len(kernel) == ncols else None

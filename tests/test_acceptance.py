@@ -20,8 +20,7 @@ from bihomalt.cohomology import (
     _preimage,
     cochain_space,
     complex_report,
-    delta2,
-    delta3,
+    delta,
 )
 from bihomalt.deformation import (
     FormalIsomorphism,
@@ -157,7 +156,7 @@ def test_criterion_02_tau12_symmetry():
             rep = adjoint(alg)
             for _ in range(50):
                 f = random_compatible_cochain(alg, rep, 2, rng)
-                out = delta2(alg, rep, f)
+                out = delta(alg, rep, f)
                 for i, j, k in itertools.product(range(alg.dim), repeat=3):
                     assert out.value(i, j, k) == out.value(j, i, k), (name, i, j, k)
 
@@ -238,7 +237,7 @@ def test_criterion_06_obstructions_are_cocycles():
                 defm = TruncatedDeformation(alg, [d1])
                 obs = obstruction(defm, 2)
                 assert obs == diamond(alg, d1, d1)
-                assert delta3(alg, rep, obs).is_zero(), name
+                assert delta(alg, rep, obs).is_zero(), name
 
 
 def test_criterion_07_order1_cocycle_condition():
@@ -251,7 +250,7 @@ def test_criterion_07_order1_cocycle_condition():
                 d1 = random_compatible_cochain(alg, rep, 2, rng)
                 defm = TruncatedDeformation(alg, [d1])
                 report = check_deformation(defm)
-                is_cocycle = delta2(alg, rep, d1).is_zero()
+                is_cocycle = delta(alg, rep, d1).is_zero()
                 assert report.order_ok[1] == is_cocycle, name
                 seen_noncocycle = seen_noncocycle or not is_cocycle
             if name == "D2":
@@ -369,7 +368,7 @@ def test_criterion_10_extensions():
             rep = adjoint(alg)
             for _ in range(17):
                 theta = random_compatible_cochain(alg, rep, 2, rng)
-                residual = delta2(alg, rep, theta)
+                residual = delta(alg, rep, theta)
                 sector = cocycle_sector(block_sum(alg, rep, theta), alg.dim, False)
                 assert sector == {key: residual.value(*key) for key in sector}
 

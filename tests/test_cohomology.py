@@ -13,14 +13,12 @@ from bihomalt.cohomology import (
     cochain_space,
     compatibility_witness,
     complex_report,
-    delta1,
-    delta2,
-    delta3,
+    delta,
     twist_witness,
 )
 from bihomalt.deformation import TruncatedDeformation, trivialize
 from bihomalt.errors import InputError, InternalError, PreconditionError
-from bihomalt.exactnum import Matrix
+from bihomalt.exactnum import Matrix, _eliminate
 from bihomalt.representation import Representation, adjoint, semidirect, validate_representation
 
 from conftest import (
@@ -39,7 +37,14 @@ from conftest import (
     trivial_representation,
     twist_preserving_signed_permutation,
 )
-from oracle_naive import evaluate, from_function, naive_complex_dims, naive_delta_rows, naive_twist_witness
+from oracle_naive import (
+    certified_rank,
+    evaluate,
+    from_function,
+    naive_complex_dims,
+    naive_delta_rows,
+    naive_twist_witness,
+)
 
 
 def random_cochain_in(space, n, m, degree, rng):
@@ -84,7 +89,7 @@ def test_a_cochain_value_reads_only_basis_indices(idx):
 def test_delta1_e1_adjoint(e1):
     rep = adjoint(e1)
     f = Cochain(1, 1, 1, (1,))
-    out = delta1(e1, rep, f)
+    out = delta(e1, rep, f)
     assert out.value(0, 0) == (Fraction(1),)
 
 
@@ -93,28 +98,28 @@ def test_delta1_zero_over_z1(z1):
     space = cochain_space(z1, rep, 1)
     rng = Random(5)
     f = random_cochain_in(space, 2, 2, 1, rng)
-    assert delta1(z1, rep, f).is_zero()
+    assert delta(z1, rep, f).is_zero()
 
 
 def test_delta1_of_zero_is_zero(d2):
     rep = adjoint(d2)
-    assert delta1(d2, rep, Cochain.zero(1, 2, 2)).is_zero()
+    assert delta(d2, rep, Cochain.zero(1, 2, 2)).is_zero()
 
 
 def test_delta2_e1_adjoint_collapses(e1):
     rep = adjoint(e1)
     f = Cochain(2, 1, 1, (Fraction(5),))
-    assert delta2(e1, rep, f).is_zero()
+    assert delta(e1, rep, f).is_zero()
 
 
 def test_all_deltas_vanish_over_zero_algebra(z1):
     # every operator term involves the product or an action, all zero here
     rng = Random(13)
     rep = adjoint(z1)
-    for degree, op in ((1, delta1), (2, delta2), (3, delta3)):
+    for degree in (1, 2, 3):
         space = cochain_space(z1, rep, degree)
         f = random_cochain_in(space, 2, 2, degree, rng)
-        assert op(z1, rep, f).is_zero()
+        assert delta(z1, rep, f).is_zero()
 
 
 def _twist_check_algebras(rng):
@@ -162,26 +167,32 @@ def test_delta2_rejects_incompatible_cochain(d2):
     f = from_function(2, 2, 2, lambda i, j: (Fraction(1), Fraction(1)))
     assert compatibility_witness(d2, rep, f) is not None
     with pytest.raises(PreconditionError):
-        delta2(d2, rep, f)
+        delta(d2, rep, f)
 
 
 def test_delta3_e1_adjoint(e1):
     rep = adjoint(e1)
     f = Cochain(3, 1, 1, (Fraction(3),))
-    assert delta3(e1, rep, f).is_zero()
+    assert delta(e1, rep, f).is_zero()
 
 
 def test_delta_composites_vanish_on_corpus_adjoint():
+    # δ∘δ = 0 through the one δ, from degree 1 to 3 and from 2 to 4, on every compatible basis cochain
     for _, alg in base_corpus():
         rep = adjoint(alg)
-        c1 = cochain_space(alg, rep, 1)
-        for vec in c1.basis:
-            f = Cochain(1, alg.dim, rep.mod_dim, vec)
-            assert delta2(alg, rep, delta1(alg, rep, f)).is_zero()
-        c2 = cochain_space(alg, rep, 2)
-        for vec in c2.basis:
-            f = Cochain(2, alg.dim, rep.mod_dim, vec)
-            assert delta3(alg, rep, delta2(alg, rep, f)).is_zero()
+        for degree in (1, 2):
+            for vec in cochain_space(alg, rep, degree).basis:
+                twice = delta(alg, rep, delta(alg, rep, Cochain(degree, alg.dim, rep.mod_dim, vec)))
+                assert twice.degree == degree + 2
+                assert twice.is_zero()
+
+
+def test_delta_of_a_degree4_cochain_is_an_input_error():
+    # the complex is truncated above degree three: a degree-4 cochain exists only as an image of δ
+    for _, alg in base_corpus():
+        rep = adjoint(alg)
+        with pytest.raises(InputError, match="coboundary operators exist for degrees 1, 2, 3"):
+            delta(alg, rep, Cochain.zero(4, alg.dim, rep.mod_dim))
 
 
 def test_delta_composites_vanish_on_random_reps():
@@ -191,10 +202,10 @@ def test_delta_composites_vanish_on_random_reps():
             rep = random_valid_representation(alg, rng)
             c1 = cochain_space(alg, rep, 1)
             f = random_cochain_in(c1, alg.dim, rep.mod_dim, 1, rng)
-            assert delta2(alg, rep, delta1(alg, rep, f)).is_zero()
+            assert delta(alg, rep, delta(alg, rep, f)).is_zero()
             c2 = cochain_space(alg, rep, 2)
             g = random_cochain_in(c2, alg.dim, rep.mod_dim, 2, rng)
-            assert delta3(alg, rep, delta2(alg, rep, g)).is_zero()
+            assert delta(alg, rep, delta(alg, rep, g)).is_zero()
 
 
 def test_delta2_tau12_symmetry():
@@ -204,7 +215,7 @@ def test_delta2_tau12_symmetry():
         space = cochain_space(alg, rep, 2)
         for _ in range(10):
             f = random_cochain_in(space, alg.dim, rep.mod_dim, 2, rng)
-            out = delta2(alg, rep, f)
+            out = delta(alg, rep, f)
             for i in range(alg.dim):
                 for j in range(alg.dim):
                     for k in range(alg.dim):
@@ -235,10 +246,11 @@ def test_delta_outputs_are_compatible_cochains():
     rng = Random(37)
     for _, alg in base_corpus():
         rep = adjoint(alg)
-        for degree, op in ((1, delta1), (2, delta2), (3, delta3)):
+        for degree in (1, 2, 3):
             space = cochain_space(alg, rep, degree)
             f = random_cochain_in(space, alg.dim, rep.mod_dim, degree, rng)
-            out = op(alg, rep, f)
+            out = delta(alg, rep, f)
+            assert (out.degree, out.alg_dim, out.mod_dim) == (degree + 1, alg.dim, rep.mod_dim)
             assert compatibility_witness(alg, rep, out) is None
 
 
@@ -248,7 +260,7 @@ def test_delta1_twist_naturality():
         rep = adjoint(alg)
         space = cochain_space(alg, rep, 1)
         f = random_cochain_in(space, alg.dim, rep.mod_dim, 1, rng)
-        out = delta1(alg, rep, f)
+        out = delta(alg, rep, f)
         acols = [alg.alpha.column(i) for i in range(alg.dim)]
         bcols = [alg.beta.column(i) for i in range(alg.dim)]
         for i in range(alg.dim):
@@ -392,6 +404,63 @@ def test_the_sign_twists_of_h_have_the_cohomology_of_their_group_rank():
     assert sorted(ranks) == [0] + [1] * 9 + [2] * 6
 
 
+# H² as (C, Z, B, H) for each rank of ⟨α, β⟩ on O
+O_SIGN_TWISTS_H2 = {0: (512, 50, 50, 0), 1: (256, 26, 26, 0), 2: (128, 14, 14, 0)}
+
+
+def test_the_sign_twists_of_o_fall_into_three_classes_by_group_rank():
+    # O's twists are the identity, so the Yau twist of O by (a, b) has twists (a, b) and its class is read off
+    # the pair; H² is computed for the first pair of each class, and H³ at rank 1
+    o = make_octonions()
+    signs = _sign_automorphisms(o)
+    assert len(signs) == 8
+    classes = {}
+    for a, b in itertools.product(signs, repeat=2):
+        classes.setdefault(_group_rank(a, b), []).append((a, b))
+    assert {rank: len(pairs) for rank, pairs in classes.items()} == {0: 1, 1: 21, 2: 42}
+    for rank, pairs in classes.items():
+        alg = yau_twist(o, *pairs[0])
+        assert (alg.alpha, alg.beta) == pairs[0]
+        h2 = complex_report(alg, adjoint(alg), 2)
+        assert (h2.dim_C, h2.dim_Z, h2.dim_B, h2.dim_H) == O_SIGN_TWISTS_H2[rank], rank
+    alg = yau_twist(o, *classes[1][0])
+    h3 = complex_report(alg, adjoint(alg), 3)
+    assert (h3.dim_C, h3.dim_Z, h3.dim_B, h3.dim_H) == (2048, 1153, 230, 923)
+
+
+def _certificate(alg, degree):
+    """(δ's rows on the compatible columns of a degree, its kernel from the library's eliminator, ncols)."""
+    rep = adjoint(alg)
+    columns, rows = cohomology._stage(alg, rep, _coboundary(alg, rep), degree)
+    return list(rows.values()), _eliminate(rows.values(), len(columns)).kernel_columns(), len(columns)
+
+
+@pytest.mark.parametrize(
+    "make, pin", [(make_quaternions, (256, 160, 51, 109)), (make_twisted_octonions, (1024, 577, 114, 463))], ids=["H", "twisted-O"]
+)
+def test_the_degree3_ranks_are_certified(make, pin):
+    # dim Z³ = C³ − rank δ3 and dim B³ = rank δ2, each rank proven by a rank modulo p and an exact kernel
+    alg = make()
+    certificates = [_certificate(alg, degree) for degree in (2, 3)]
+    rank2, rank3 = (certified_rank(*certificate) for certificate in certificates)
+    dim_c = certificates[1][2]
+    assert None not in (rank2, rank3)
+    assert (dim_c, dim_c - rank3, rank2, dim_c - rank3 - rank2) == pin
+
+
+def test_a_broken_rank_certificate_fails():
+    rows, kernel, ncols = _certificate(make_quaternions(), 3)
+    assert certified_rank(rows, kernel, ncols) == 96
+    # one kernel vector dropped: the bounds no longer meet
+    assert certified_rank(rows, kernel[1:], ncols) is None
+    # one δ entry changed where a kernel vector is non-zero: that vector leaves the kernel
+    c = max(kernel[0])
+    broken = [{**rows[0], c: rows[0].get(c, 0) + 1}, *rows[1:]]
+    assert certified_rank(broken, kernel, ncols) is None
+    # a kernel vector scaled: still in the kernel and independent, but not in kernel form
+    assert certified_rank(rows, [{c: 2 * v for c, v in kernel[0].items()}, *kernel[1:]], ncols) is None
+
+
 def test_twisted_octonion_degree2_pin():
     to = make_twisted_octonions()
     dims = complex_report(to, adjoint(to), 2)
@@ -511,7 +580,7 @@ def test_coboundary_of_the_zero_cochain_walks_no_row(monkeypatch):
 
     # the twist_witness precondition reads rows too, so only the rows that δ itself builds are counted
     monkeypatch.setattr(cohomology, "_term_rows", counted)
-    assert delta2(to, rep, Cochain.zero(2, to.dim, rep.mod_dim)).is_zero()
+    assert delta(to, rep, Cochain.zero(2, to.dim, rep.mod_dim)).is_zero()
     assert built == []
 
 

@@ -7,7 +7,7 @@ import bihomalt.algebra as algebra
 import bihomalt.extension as extension
 import bihomalt.representation as representation
 from bihomalt.algebra import BiHomAlgebra, _walk, validate
-from bihomalt.cohomology import Cochain, cochain_space, delta2, twist_witness
+from bihomalt.cohomology import Cochain, cochain_space, delta, twist_witness
 from bihomalt.errors import InputError, MathCheckError, PreconditionError
 from bihomalt.exactnum import Matrix
 from bihomalt.extension import (
@@ -105,7 +105,7 @@ def test_central_conditions_match_trivial_coefficient_cocycles():
                 for i in range(n)
                 for j in range(n)
             )
-            in_z2 = compatible and delta2(alg, trivial, omega).is_zero()
+            in_z2 = compatible and delta(alg, trivial, omega).is_zero()
             left_family_passes = True
             try:
                 central_extension(alg, 1, omega.nested())
@@ -124,11 +124,9 @@ def test_t_theta_zero_theta_is_semidirect(d2):
 
 
 def test_t_theta_coboundary_theta(e1):
-    from bihomalt.cohomology import delta1
-
     rep = adjoint(e1)
     g = Cochain(1, 1, 1, (Fraction(3),))
-    theta = delta1(e1, rep, g)
+    theta = delta(e1, rep, g)
     ext = t_theta_extension(e1, rep, theta)
     assert validate(ext).ok
 
@@ -199,7 +197,7 @@ def test_t_theta_left_residual_equals_delta2():
                 c = random_fraction(rng)
                 data = [d + c * v for d, v in zip(data, vec)]
             theta = Cochain(2, alg.dim, rep.mod_dim, data)
-            residual = delta2(alg, rep, theta)
+            residual = delta(alg, rep, theta)
             sector = cocycle_sector(block_sum(alg, rep, theta), alg.dim, False)
             assert sector == {key: residual.value(*key) for key in sector}
             nonzero += not residual.is_zero()

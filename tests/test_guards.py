@@ -136,6 +136,56 @@ def test_the_library_imports_the_standard_library_only():
     assert roots and sorted(roots - set(sys.stdlib_module_names) - {"bihomalt"}) == []
 
 
+def _constant_bindings(source: str, names) -> list[str]:
+    """The names among `names` that a source binds at module level: by assignment, or by an import from a
+    module other than exactnum."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] != "exactnum":
+            found += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in found if name in names]
+
+
+def test_one_zero_and_one_one():
+    # exactnum binds the shared ZERO and ONE and every other module imports them, so the zeros of a zero cochain
+    # are the object that support() passes over by identity
+    bound = {p.name: _constant_bindings(p.read_text(), ("ZERO", "ONE")) for p in SRC.glob("*.py")}
+    assert {name: names for name, names in bound.items() if names} == {"exactnum.py": ["ZERO", "ONE"]}
+    assert all(x is exactnum.ZERO for x in cohomology.Cochain.zero(2, 2, 2).data)
+
+
+def test_the_constant_scan_sees_every_form():
+    probe = (
+        "from .exactnum import ZERO\n"
+        "from fractions import Fraction as ONE\n"
+        "import ZERO\n"
+        "ZERO = Fraction(0)\n"
+        "X, (ONE, Y) = 1, (2, 3)\n"
+        "ZERO: Fraction = Fraction(0)\n"
+        "ONE += 0\n"
+        "def f():\n    ZERO = 1\n"
+    )
+    assert _constant_bindings(probe, ("ZERO", "ONE")) == ["ONE", "ZERO", "ZERO", "ONE", "ZERO", "ONE"]
+
+
+ORACLE = SRC.parents[1] / "tests" / "oracle_naive.py"
+
+
+def test_the_rank_certificate_imports_nothing_from_the_library():
+    # the certificate is a second route to a rank: its checker reads no bihomalt code, and the oracle module
+    # imports the standard library only at its top level
+    source = ORACLE.read_text()
+    top = [ast.get_source_segment(source, n) for n in ast.parse(source).body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert top and _import_roots("\n".join(top), ORACLE.name) <= set(sys.stdlib_module_names)
+    for name in ("rank_mod_p", "certified_rank"):
+        assert _import_roots(_function_source(source, name), name) == set()
+
+
 def _pointwise_calls(source: str, name: str) -> list[str]:
     """Calls of a method named evaluate or from_function, by line."""
     found = []
@@ -247,7 +297,7 @@ def test_the_cli_starts_without_dataclasses():
 # what `bihomalt` exported when __init__ imported every submodule, by defining module
 PUBLIC_API = {
     "algebra": ("AlgebraMap", "AlgebraReport", "BiHomAlgebra", "associator", "is_morphism", "validate", "yau_twist"),
-    "cohomology": ("Cochain", "ComplexReport", "cochain_space", "complex_report", "delta1", "delta2", "delta3"),
+    "cohomology": ("Cochain", "ComplexReport", "cochain_space", "complex_report", "delta"),
     "deformation": (
         "DeformationReport", "FormalIsomorphism", "TruncatedDeformation", "check_deformation", "check_equivalence",
         "diamond", "extend_one_order", "gauge", "null_deformation", "obstruction", "trivialize",
@@ -525,11 +575,11 @@ def test_coboundary_is_one_function_of_columns():
         node.name
         for source in sources.values()
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name in ("_coboundary_rows", "_restrict", "_delta_terms")
+        if isinstance(node, ast.FunctionDef) and node.name in ("_coboundary_rows", "_restrict", "_delta_terms", "_delta")
     ]
     assert defined == []
     callers = sorted(name for source in sources.values() for name in _callers(source, "_coboundary"))
-    assert callers == ["_delta", "_preimage", "complex_report"]
+    assert callers == ["_preimage", "complex_report", "delta"]
 
 
 def test_each_degree_of_the_complex_is_set_up_in_one_stage():
@@ -817,9 +867,11 @@ KERNEL_CALLS = {
     ("exactnum.py", "Subspace.basis"): "_lift",
     ("algebra.py", "apply_bilinear"): "transport",
     ("cohomology.py", "_stage"): "_integer_row",
+    ("cohomology.py", "delta"): "_lift",
 }
 LOOP_FREE = (
     ("exactnum.py", "Matrix.apply"), ("exactnum.py", "Subspace.basis"), ("algebra.py", "apply_bilinear"), ("cohomology.py", "_stage"),
+    ("cohomology.py", "delta"),
 )
 
 
