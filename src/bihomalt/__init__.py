@@ -9,7 +9,7 @@ import importlib
 
 # submodule -> the names it exports here
 _EXPORTS = {
-    "algebra": ("AlgebraMap", "AlgebraReport", "BiHomAlgebra", "associator", "is_morphism", "validate", "yau_twist"),
+    "algebra": ("AlgebraReport", "BiHomAlgebra", "associator", "is_morphism", "validate", "yau_twist"),
     "cohomology": ("Cochain", "ComplexReport", "cochain_space", "complex_report", "delta"),
     "deformation": (
         "DeformationReport",
@@ -25,11 +25,10 @@ _EXPORTS = {
         "trivialize",
     ),
     "errors": ("BihomError", "InputError", "InternalError", "MathCheckError", "PreconditionError"),
-    "exactnum": ("Matrix", "Scalar", "Subspace", "rank_nullspace", "solve", "subspace_ops"),
+    "exactnum": ("Matrix", "Subspace", "rank_nullspace", "solve", "subspace_ops"),
     "extension": ("annihilator", "central_extension", "t_star_theta_extension", "t_theta_extension"),
     "genderiv": (
         "OperatorSpace",
-        "TwistExponents",
         "bracket",
         "centroid_space",
         "commutant",

@@ -88,17 +88,6 @@ class BiHomAlgebra(_Immutable):
         return apply_bilinear(self.mu, x, y)
 
 
-class AlgebraMap(_Immutable):
-    """A linear map between algebras, candidate for being a morphism."""
-
-    __slots__ = ("source_dim", "target_dim", "matrix")
-
-    def __init__(self, source_dim: int, target_dim: int, matrix: Matrix):
-        if matrix.nrows != target_dim or matrix.ncols != source_dim:
-            raise InputError("morphism matrix shape does not match declared dimensions")
-        self._set(source_dim=source_dim, target_dim=target_dim, matrix=matrix)
-
-
 class AlgebraReport(_Report):
     """Per-identity validation flags with a witness index tuple for each failure."""
 
@@ -215,14 +204,10 @@ def _pairing(n: int, outer, inner):
                 yield x, y, z, [f - s - t for f, s, t in zip(first, second[x][y], second[y][x])]
 
 
-def _first_difference(p, q) -> Optional[tuple[int, int]]:
-    """The first basis pair (i, j) where two (d, table) transports differ as rationals, or None."""
+def _same(p, q) -> bool:
+    """Whether two (d, table) transports are equal as rationals on every basis pair."""
     (dp, tp), (dq, tq) = p, q
-    for i, (prow, qrow) in enumerate(zip(tp, tq)):
-        for j, (pvec, qvec) in enumerate(zip(prow, qrow)):
-            if any(dq * s != dp * t for s, t in zip(pvec, qvec)):
-                return (i, j)
-    return None
+    return all(dq * s == dp * t for prow, qrow in zip(tp, tq) for pvec, qvec in zip(prow, qrow) for s, t in zip(pvec, qvec))
 
 
 def _expand(dims: Sequence[int], mod_dim: int, supports) -> dict[int, int]:
@@ -378,14 +363,13 @@ def validate(alg: BiHomAlgebra) -> AlgebraReport:
     return _reported(AlgebraReport, found)
 
 
-def is_morphism(f: AlgebraMap, a: BiHomAlgebra, b: BiHomAlgebra) -> bool:
-    """True iff f carries the product and both twists of a to those of b."""
-    if f.source_dim != a.dim or f.target_dim != b.dim:
+def is_morphism(m: Matrix, a: BiHomAlgebra, b: BiHomAlgebra) -> bool:
+    """True iff the b.dim × a.dim matrix m carries the product and both twists of a to those of b."""
+    if (m.nrows, m.ncols) != (b.dim, a.dim):
         raise InputError("morphism dimensions do not match the algebras")
-    m = f.matrix
     if m * a.alpha != b.alpha * m or m * a.beta != b.beta * m:
         return False
-    return _first_difference(transport(a.mu, m), transport(b.mu, None, m, m)) is None
+    return _same(transport(a.mu, m), transport(b.mu, None, m, m))
 
 
 def yau_twist(alg: BiHomAlgebra, a2: Matrix, b2: Matrix) -> BiHomAlgebra:

@@ -230,8 +230,6 @@ def _coboundary(alg: BiHomAlgebra, rep: Representation) -> Callable[[int, list],
     }
 
     def delta(degree: int, columns: list) -> dict[int, dict]:
-        if degree not in formulas:
-            raise InputError("coboundary operators exist for degrees 1, 2, 3")
         # walk each δ row's columns through the column entries there; no entry, no row to walk
         by_coord = _transpose(enumerate(columns))
         if not by_coord:
@@ -259,6 +257,8 @@ def delta(alg: BiHomAlgebra, rep: Representation, f: Cochain) -> Cochain:
     Degree 1: (δf)(x,y) = l(x)f(y) + r(y)f(x) − f(x·y).  Degree 2: the eight-term operator, symmetric under
     swapping its first two inputs.  Degree 3: the ten-term operator, with δ3∘δ2 = 0.
     """
+    if f.degree > 3:
+        raise InputError("coboundary operators exist for degrees 1, 2, 3")
     _require_cochain(alg, rep, f)
     image = _transpose(_coboundary(alg, rep)(f.degree, [dict(support(f.data))]).items()).get(0, {})
     return Cochain(f.degree + 1, f.alg_dim, f.mod_dim, _lift([image], (1,), f.mod_dim * f.alg_dim ** (f.degree + 1)))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import BiHomAlgebra, _first_difference, _first_witnesses, _pairing, _series_tables, _table_sum, transport
+from .algebra import BiHomAlgebra, _first_witnesses, _pairing, _same, _series_tables, _table_sum, transport
 from .cohomology import Cochain, _preimage, twist_witness
 from .errors import InputError, InternalError, PreconditionError
 from .exactnum import ZERO, Matrix, _Immutable, _Record, _Report
@@ -232,8 +232,7 @@ def check_equivalence(
     ident, phis = {0: None}, {0: None, **dict(enumerate(phi.terms, start=1))}
     lhs, rhs = (_series(x, order) for x in (d, d_prime))
     return all(
-        _first_difference(_coefficient(lhs, phis, ident, ident, k), _coefficient(rhs, ident, phis, phis, k)) is None
-        for k in range(order + 1)
+        _same(_coefficient(lhs, phis, ident, ident, k), _coefficient(rhs, ident, phis, phis, k)) for k in range(order + 1)
     )
 
 

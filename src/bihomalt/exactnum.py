@@ -26,8 +26,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -45,15 +45,11 @@ _RULES = {
 KINDS = tuple(_RULES)
 
 
-class TwistExponents(_Record):
-    __slots__ = ("k", "l")
-
-
 class OperatorSpace(_Record):
     """A basis of endomorphisms of an alg_dim-dimensional algebra, each commuting with both twists.
 
-    For projected kinds every basis matrix carries the witness tuple it was
-    solved with (D' for QDer; (D', D'') for GDer and SGDer).
+    exponents is the pair (k, l) of W = alpha^k beta^l, None for U.  For projected kinds every basis
+    matrix carries the witness tuple it was solved with (D' for QDer; (D', D'') for GDer and SGDer).
     """
 
     __slots__ = ("kind", "exponents", "alg_dim", "basis", "witnesses")
@@ -201,7 +197,7 @@ def space_of_kind(alg: BiHomAlgebra, kind: str, k: int, l: int) -> OperatorSpace
     blocks, rows = _operator_rows(alg, kind, k, l)
     kernel = nullspace_of_sparse_rows(rows, blocks * n * n)
     sols = [tuple(_unflatten(col, n, b * n * n) for b in range(blocks)) for col in kernel.columns]
-    exps = None if kind == "U" else TwistExponents(k, l)
+    exps = None if kind == "U" else (k, l)
     if blocks == 1:
         return OperatorSpace(kind, exps, n, tuple(s[0] for s in sols))
     return OperatorSpace(kind, exps, n, *_project_first_block(kernel.columns, sols, n))

@@ -98,6 +98,45 @@ def make_twisted_octonions():
     return yau_twist(make_octonions(), Matrix.diagonal(a), Matrix.diagonal(b))
 
 
+def make_matrix_algebra():
+    """M2(Q) in the basis e11, e12, e21, e22 of matrix units, e_ij·e_kl = δ_jk e_il, with identity twists."""
+    units = [(i, j) for i in range(2) for j in range(2)]
+    mu = [[[int(j == k and (i, l) == unit) for unit in units] for k, l in units] for i, j in units]
+    return BiHomAlgebra(4, mu, Matrix.identity(4), Matrix.identity(4))
+
+
+def make_split_octonions():
+    """The split octonions as Zorn vector matrices (a, u, v, b), a and b rational, u and v in Q³:
+
+        (a, u, v, b)(a', u', v', b') = (aa' + u·v', au' + b'u − v×v', a'v + bv' + u×u', bb' + v·u'),
+
+    in the basis a, u1, u2, u3, v1, v2, v3, b, with identity twists."""
+
+    def dot(x, y):
+        return sum(s * t for s, t in zip(x, y))
+
+    def cross(x, y):
+        return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+
+    def mul(p, q):
+        (a, u, v, b), (a2, u2, v2, b2) = ((x[0], x[1:4], x[4:7], x[7]) for x in (p, q))
+        return (
+            [a * a2 + dot(u, v2)]
+            + [a * s + b2 * t - c for s, t, c in zip(u2, u, cross(v, v2))]
+            + [a2 * s + b * t + c for s, t, c in zip(v, v2, cross(u, u2))]
+            + [b * b2 + dot(v, u2)]
+        )
+
+    basis = [[int(i == j) for j in range(8)] for i in range(8)]
+    return BiHomAlgebra(8, [[mul(x, y) for y in basis] for x in basis], Matrix.identity(8), Matrix.identity(8))
+
+
+def torus(t1, t2) -> Matrix:
+    """The automorphism u_i ↦ t_i u_i, v_i ↦ v_i / t_i of the split octonions, with t3 = 1/(t1·t2)."""
+    ts = [Fraction(t1), Fraction(t2), 1 / Fraction(t1 * t2)]
+    return Matrix.diagonal([1, *ts, *(1 / t for t in ts), 1])
+
+
 def change_basis(alg: BiHomAlgebra, s: Matrix) -> BiHomAlgebra:
     """The same algebra in the basis given by the columns of the invertible matrix s."""
     s_inv = s.inverse()

@@ -6,7 +6,7 @@ import pytest
 
 import bihomalt.cohomology as cohomology
 import bihomalt.representation as representation
-from bihomalt.algebra import yau_twist
+from bihomalt.algebra import is_morphism, validate, yau_twist
 from bihomalt.cohomology import (
     Cochain,
     _coboundary,
@@ -26,14 +26,17 @@ from conftest import (
     change_basis,
     make_d2,
     make_e1,
+    make_matrix_algebra,
     make_octonions,
     make_quaternions,
+    make_split_octonions,
     make_twisted_octonions,
     make_z1,
     make_zero1,
     random_fraction,
     random_signed_permutation,
     random_valid_representation,
+    torus,
     trivial_representation,
     twist_preserving_signed_permutation,
 )
@@ -187,8 +190,11 @@ def test_delta_composites_vanish_on_corpus_adjoint():
                 assert twice.is_zero()
 
 
-def test_delta_of_a_degree4_cochain_is_an_input_error():
-    # the complex is truncated above degree three: a degree-4 cochain exists only as an image of δ
+def test_delta_of_a_degree4_cochain_is_an_input_error(monkeypatch):
+    # the complex is truncated above degree three: a degree-4 cochain exists only as an image of δ, and it is
+    # refused before its n⁴·m coordinates are checked for compatibility or a factor table is built
+    for name in ("compatibility_witness", "_coboundary"):
+        monkeypatch.setattr(cohomology, name, lambda *_, name=name: pytest.fail(f"{name} ran on a degree-4 cochain"))
     for _, alg in base_corpus():
         rep = adjoint(alg)
         with pytest.raises(InputError, match="coboundary operators exist for degrees 1, 2, 3"):
@@ -428,6 +434,51 @@ def test_the_sign_twists_of_o_fall_into_three_classes_by_group_rank():
     assert (h3.dim_C, h3.dim_Z, h3.dim_B, h3.dim_H) == (2048, 1153, 230, 923)
 
 
+def _dims(alg, degree):
+    r = complex_report(alg, adjoint(alg), degree)
+    return (r.dim_C, r.dim_Z, r.dim_B, r.dim_H)
+
+
+@pytest.mark.parametrize(
+    "forms, pins",
+    [
+        ((make_quaternions, make_matrix_algebra), {2: (64, 13, 13, 0), 3: (256, 160, 51, 109)}),
+        ((make_octonions, make_split_octonions), {2: (512, 50, 50, 0)}),
+    ],
+    ids=["H-M2(Q)", "O-split-O"],
+)
+def test_two_forms_of_one_algebra_over_q_i_have_one_cohomology(forms, pins):
+    # H and M2(Q), and O and the split octonions, become isomorphic over Q(i); a rational matrix keeps its
+    # rank over Q(i), so each pair has one set of dimensions, computed here for both forms
+    for make in forms:
+        alg = make()
+        assert validate(alg).ok
+        assert {degree: _dims(alg, degree) for degree in pins} == pins, make.__name__
+
+
+@pytest.mark.parametrize(
+    "make, twists, pins",
+    [
+        (make_split_octonions, (torus(2, 3), torus(5, 7)), {2: (56, 8, 8, 0), 3: (346, 186, 48, 138)}),
+        # elements of order two: a sign twist of group rank 2, with twisted O's dimensions
+        (make_split_octonions, (torus(-1, 1), torus(1, -1)), {2: (128, 14, 14, 0)}),
+        (
+            make_matrix_algebra,
+            (Matrix.diagonal([1, 2, Fraction(1, 2), 1]), Matrix.diagonal([1, 3, Fraction(1, 3), 1])),
+            {2: (20, 5, 5, 0), 3: (70, 42, 15, 27)},
+        ),
+    ],
+    ids=["split-O-torus(2,3)-torus(5,7)", "split-O-torus(-1,1)-torus(1,-1)", "M2(Q)-diag(2,1)-diag(3,1)"],
+)
+def test_yau_twists_by_torus_elements(make, twists, pins):
+    # the twists are commuting automorphisms, of infinite order but for the sign pair; M2(Q)'s are the
+    # conjugations by diag(2, 1) and diag(3, 1)
+    base = make()
+    assert all(is_morphism(t, base, base) for t in twists)
+    alg = yau_twist(base, *twists)
+    assert {degree: _dims(alg, degree) for degree in pins} == pins
+
+
 def _certificate(alg, degree):
     """(δ's rows on the compatible columns of a degree, its kernel from the library's eliminator, ncols)."""
     rep = adjoint(alg)
@@ -435,17 +486,28 @@ def _certificate(alg, degree):
     return list(rows.values()), _eliminate(rows.values(), len(columns)).kernel_columns(), len(columns)
 
 
+def _semidirect_twisted_octonions():
+    to = make_twisted_octonions()
+    return semidirect(to, adjoint(to))
+
+
 @pytest.mark.parametrize(
-    "make, pin", [(make_quaternions, (256, 160, 51, 109)), (make_twisted_octonions, (1024, 577, 114, 463))], ids=["H", "twisted-O"]
+    "make, degree, pin",
+    [
+        (make_quaternions, 3, (256, 160, 51, 109)),
+        (make_twisted_octonions, 3, (1024, 577, 114, 463)),
+        (_semidirect_twisted_octonions, 2, (1024, 60, 59, 1)),
+    ],
+    ids=["H-3", "twisted-O-3", "SD(TO)-2"],
 )
-def test_the_degree3_ranks_are_certified(make, pin):
-    # dim Z³ = C³ − rank δ3 and dim B³ = rank δ2, each rank proven by a rank modulo p and an exact kernel
+def test_the_ranks_are_certified(make, degree, pin):
+    # dim Zⁿ = Cⁿ − rank δn and dim Bⁿ = rank δ(n−1), each rank proven by a rank modulo p and an exact kernel
     alg = make()
-    certificates = [_certificate(alg, degree) for degree in (2, 3)]
-    rank2, rank3 = (certified_rank(*certificate) for certificate in certificates)
+    certificates = [_certificate(alg, d) for d in (degree - 1, degree)]
+    rank_below, rank = (certified_rank(*certificate) for certificate in certificates)
     dim_c = certificates[1][2]
-    assert None not in (rank2, rank3)
-    assert (dim_c, dim_c - rank3, rank2, dim_c - rank3 - rank2) == pin
+    assert None not in (rank_below, rank)
+    assert (dim_c, dim_c - rank, rank_below, dim_c - rank - rank_below) == pin
 
 
 def test_a_broken_rank_certificate_fails():

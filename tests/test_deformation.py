@@ -23,6 +23,7 @@ from bihomalt.deformation import (
 from bihomalt.errors import InputError, PreconditionError
 from bihomalt.exactnum import Matrix
 from bihomalt.fileio import load_deformation
+from bihomalt.genderiv import commutant
 from bihomalt.representation import adjoint, semidirect
 
 from conftest import (
@@ -417,6 +418,16 @@ def test_epsilon_squared_t_is_a_deformation_that_is_not_trivial(build, pin):
     assert check_deformation(defm.padded(4)).ok
     assert trivialize(defm, 3) is None
     assert extend_one_order(defm).is_zero()
+    # non-triviality is gauge-invariant: conjugating by id − t·f, f a random element of the commutant, keeps
+    # a deformation that no level of trivialize can gauge away
+    rng = Random(7)
+    f = Matrix.zero(sd.dim, sd.dim)
+    for u in commutant(sd).basis:
+        f = f + u.scale(rng.randint(-2, 2))
+    assert f != Matrix.zero(sd.dim, sd.dim)
+    moved = gauge(defm, f, 1, 3)
+    assert check_deformation(moved).ok
+    assert trivialize(moved, 3) is None
 
 
 def test_extend_one_order_zero_algebra(zero1):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bihomalt.algebra import AlgebraMap, AlgebraReport, BiHomAlgebra, validate
+from bihomalt.algebra import AlgebraReport, BiHomAlgebra, validate
 from bihomalt.cohomology import Cochain, ComplexReport
 from bihomalt.deformation import DeformationReport, FormalIsomorphism, TruncatedDeformation
 from bihomalt.errors import InputError, PreconditionError
@@ -32,7 +32,7 @@ from bihomalt.exactnum import (
     unit_vector,
     vector,
 )
-from bihomalt.genderiv import OperatorSpace, TwistExponents
+from bihomalt.genderiv import OperatorSpace
 from bihomalt.representation import Representation, RepresentationReport, adjoint
 
 from conftest import make_d2, make_e1
@@ -448,7 +448,6 @@ I1, I2 = Matrix.identity(1), Matrix.identity(2)
 # two values of each value class that differ in every slot, each built afresh on every call
 VALUE_PAIRS = {
     Matrix: lambda: (Matrix([[1, 2]]), Matrix([[1], [2]])),
-    AlgebraMap: lambda: (AlgebraMap(1, 2, Matrix([[1], [0]])), AlgebraMap(source_dim=2, target_dim=1, matrix=Matrix([[1, 0]]))),
     Cochain: lambda: (Cochain(1, 1, 1, [1]), Cochain(2, 2, 2, range(8))),
     BiHomAlgebra: lambda: (make_e1(), make_d2()),
     Representation: lambda: (adjoint(make_e1()), adjoint(make_d2())),
@@ -458,8 +457,7 @@ VALUE_PAIRS = {
     ComplexReport: lambda: (ComplexReport(2, 4, 3, 1, 2), ComplexReport(3, 5, 4, 2, 1)),
     DeformationReport: lambda: (DeformationReport((True,)), DeformationReport((True, False), {1: (0, 0, 0)})),
     FormalIsomorphism: lambda: (FormalIsomorphism((I1,)), FormalIsomorphism(())),
-    TwistExponents: lambda: (TwistExponents(1, -1), TwistExponents(k=0, l=2)),
-    OperatorSpace: lambda: (OperatorSpace("Der", TwistExponents(0, 0), 1, (I1,)), OperatorSpace("QDer", None, 2, (I2,), ((I2,),))),
+    OperatorSpace: lambda: (OperatorSpace("Der", (0, 0), 1, (I1,)), OperatorSpace("QDer", None, 2, (I2,), ((I2,),))),
 }
 
 # a witness map is a dict, so a report holding one does not hash, as for any frozen value holding one

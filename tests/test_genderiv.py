@@ -471,6 +471,13 @@ def test_the_kind_u_needs_no_invertible_twist():
         space_of_kind(singular, "Der", -1, 0)
 
 
+def test_the_exponents_are_the_pair_k_l(d2):
+    # a space records the (k, l) of its W = αᵏβˡ as a plain pair; U forms no W and records None
+    der = space_of_kind(d2, "Der", 1, -1)
+    assert der.exponents == (1, -1) and der.as_dict()["exponents"] == [1, -1]
+    assert space_of_kind(d2, "U", 1, -1).exponents is None
+
+
 # -- Der_(k,l) against the degree-1 cocycles of the W-twisted adjoint ------------------------
 
 
