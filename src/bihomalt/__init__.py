@@ -20,7 +20,6 @@ _EXPORTS = {
         "diamond",
         "extend_one_order",
         "gauge",
-        "null_deformation",
         "obstruction",
         "trivialize",
     ),
@@ -30,14 +29,10 @@ _EXPORTS = {
     "genderiv": (
         "OperatorSpace",
         "bracket",
-        "centroid_space",
         "commutant",
         "derivation_space",
-        "generalized_derivation_space",
-        "quasi_centroid_space",
-        "quasi_derivation_space",
         "sgder_decompose",
-        "sgder_space",
+        "space_of_kind",
     ),
     "representation": (
         "Representation",

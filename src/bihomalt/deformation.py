@@ -74,15 +74,6 @@ class FormalIsomorphism(_Record):
     def order(self) -> int:
         return len(self.terms)
 
-    def term(self, i: int, dim: int) -> Matrix:
-        if i < 0:
-            raise InputError(f"formal isomorphism term index must be non-negative, got {i}")
-        if i == 0:
-            return Matrix.identity(dim)
-        if i <= len(self.terms):
-            return self.terms[i - 1]
-        return Matrix.zero(dim, dim)
-
 
 class DeformationReport(_Report):
     """Per-order residual check of the deformation equations."""
@@ -92,9 +83,6 @@ class DeformationReport(_Report):
     @property
     def ok(self) -> bool:
         return all(self.order_ok)
-
-    def ok_through(self, k: int) -> bool:
-        return all(self.order_ok[: k + 1])
 
 
 def _require_compatible_terms(defm: TruncatedDeformation):
@@ -273,7 +261,7 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
     n = alg.dim
     current = defm.padded(max(defm.order, max_order))
     report = check_deformation(current)
-    if not report.ok_through(max_order):
+    if not all(report.order_ok[: max_order + 1]):
         raise PreconditionError(f"deformation equations fail at order {min(report.witnesses)}")
     preimage = _preimage(alg, adjoint(alg), 1)  # δ1 is factored once for every level
     total = {0: Matrix.identity(n)}  # composed map original -> current, by order
@@ -294,7 +282,3 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
             for k in range(max_order + 1)
         }
     return FormalIsomorphism(tuple(total.get(k, Matrix.zero(n, n)) for k in range(1, max_order + 1)))
-
-
-def null_deformation(alg: BiHomAlgebra) -> TruncatedDeformation:
-    return TruncatedDeformation(alg, ())

@@ -73,8 +73,9 @@ def _digit_count(n: int) -> int:
 
 
 def vector(entries) -> tuple[Fraction, ...]:
-    # Fractions are immutable, so entries that already are one are kept as they are
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+    # Fractions are immutable, so entries that already are one are kept as they are; any other entry is
+    # read as a file scalar is, so a float or a bool is refused
+    return tuple(e if type(e) is Fraction else parse_rational(e) for e in entries)
 
 
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
@@ -188,7 +189,7 @@ class Matrix(_Immutable):
 
     @staticmethod
     def diagonal(entries) -> "Matrix":
-        entries = [Fraction(e) for e in entries]
+        entries = vector(entries)
         n = len(entries)
         return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
@@ -211,7 +212,7 @@ class Matrix(_Immutable):
         return Matrix(tuple(-a for a in row) for row in self.rows)
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
+        c = parse_rational(c)
         return Matrix(tuple(c * a for a in row) for row in self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":

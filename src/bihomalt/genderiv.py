@@ -165,26 +165,6 @@ def derivation_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
     return space_of_kind(alg, "Der", k, l)
 
 
-def quasi_derivation_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    return space_of_kind(alg, "QDer", k, l)
-
-
-def generalized_derivation_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    return space_of_kind(alg, "GDer", k, l)
-
-
-def sgder_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    return space_of_kind(alg, "SGDer", k, l)
-
-
-def centroid_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    return space_of_kind(alg, "Centroid", k, l)
-
-
-def quasi_centroid_space(alg: BiHomAlgebra, k: int, l: int) -> OperatorSpace:
-    return space_of_kind(alg, "QuasiCentroid", k, l)
-
-
 def space_of_kind(alg: BiHomAlgebra, kind: str, k: int, l: int) -> OperatorSpace:
     """The operator space of a kind in KINDS at W = alpha^k beta^l (U ignores k and l).
 
@@ -209,7 +189,7 @@ def sgder_decompose(alg: BiHomAlgebra, k: int, l: int, d: Matrix) -> tuple[Matri
     Uses the stored witness D' of the symmetric space: q = (d + D')/2 and
     c = (d − D')/2; both memberships are re-verified before returning.
     """
-    sg = sgder_space(alg, k, l)
+    sg = space_of_kind(alg, "SGDer", k, l)
     coeffs = sg.coefficients_of(d)
     if coeffs is None:
         raise PreconditionError("matrix is not in the symmetric generalized-derivation space")
@@ -221,8 +201,8 @@ def sgder_decompose(alg: BiHomAlgebra, k: int, l: int, d: Matrix) -> tuple[Matri
     half = Fraction(1, 2)
     q = (d + d_prime).scale(half)
     ccomp = (d - d_prime).scale(half)
-    if not quasi_derivation_space(alg, k, l).contains_matrix(q):
+    if not space_of_kind(alg, "QDer", k, l).contains_matrix(q):
         raise InternalError("quasi-derivation part escaped its space")
-    if not quasi_centroid_space(alg, k, l).contains_matrix(ccomp):
+    if not space_of_kind(alg, "QuasiCentroid", k, l).contains_matrix(ccomp):
         raise InternalError("quasi-centroid part escaped its space")
     return q, ccomp

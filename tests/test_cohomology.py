@@ -416,7 +416,8 @@ O_SIGN_TWISTS_H2 = {0: (512, 50, 50, 0), 1: (256, 26, 26, 0), 2: (128, 14, 14, 0
 
 def test_the_sign_twists_of_o_fall_into_three_classes_by_group_rank():
     # O's twists are the identity, so the Yau twist of O by (a, b) has twists (a, b) and its class is read off
-    # the pair; H² is computed for the first pair of each class, and H³ at rank 1
+    # the pair.  Rank 1 has three shapes, α = I, β = I and α = β, which a change of basis keeps, so three orbits;
+    # H² is computed for the first pair of each class and of each rank-1 shape, and H³ at rank 1
     o = make_octonions()
     signs = _sign_automorphisms(o)
     assert len(signs) == 8
@@ -424,11 +425,18 @@ def test_the_sign_twists_of_o_fall_into_three_classes_by_group_rank():
     for a, b in itertools.product(signs, repeat=2):
         classes.setdefault(_group_rank(a, b), []).append((a, b))
     assert {rank: len(pairs) for rank, pairs in classes.items()} == {0: 1, 1: 21, 2: 42}
-    for rank, pairs in classes.items():
-        alg = yau_twist(o, *pairs[0])
-        assert (alg.alpha, alg.beta) == pairs[0]
-        h2 = complex_report(alg, adjoint(alg), 2)
-        assert (h2.dim_C, h2.dim_Z, h2.dim_B, h2.dim_H) == O_SIGN_TWISTS_H2[rank], rank
+    ident, shapes = Matrix.identity(8), {}
+    for a, b in classes[1]:
+        shape = "α = I" if a == ident else "β = I" if b == ident else "α = β" if a == b else "other"
+        shapes.setdefault(shape, []).append((a, b))
+    assert {shape: len(pairs) for shape, pairs in shapes.items()} == {"α = I": 7, "β = I": 7, "α = β": 7}
+    firsts = {0: [classes[0][0]], 1: [pairs[0] for pairs in shapes.values()], 2: [classes[2][0]]}
+    for rank, pairs in firsts.items():
+        for pair in pairs:
+            alg = yau_twist(o, *pair)
+            assert (alg.alpha, alg.beta) == pair
+            h2 = complex_report(alg, adjoint(alg), 2)
+            assert (h2.dim_C, h2.dim_Z, h2.dim_B, h2.dim_H) == O_SIGN_TWISTS_H2[rank], (rank, pair)
     alg = yau_twist(o, *classes[1][0])
     h3 = complex_report(alg, adjoint(alg), 3)
     assert (h3.dim_C, h3.dim_Z, h3.dim_B, h3.dim_H) == (2048, 1153, 230, 923)
@@ -460,6 +468,9 @@ def test_two_forms_of_one_algebra_over_q_i_have_one_cohomology(forms, pins):
     "make, twists, pins",
     [
         (make_split_octonions, (torus(2, 3), torus(5, 7)), {2: (56, 8, 8, 0), 3: (346, 186, 48, 138)}),
+        # torus(1, 1) is the identity
+        (make_split_octonions, (torus(2, 1), torus(1, 1)), {2: (160, 20, 20, 0), 3: (1120, 616, 140, 476)}),
+        (make_split_octonions, (torus(2, 1), torus(2, 1)), {2: (160, 20, 20, 0)}),
         # elements of order two: a sign twist of group rank 2, with twisted O's dimensions
         (make_split_octonions, (torus(-1, 1), torus(1, -1)), {2: (128, 14, 14, 0)}),
         (
@@ -468,11 +479,17 @@ def test_two_forms_of_one_algebra_over_q_i_have_one_cohomology(forms, pins):
             {2: (20, 5, 5, 0), 3: (70, 42, 15, 27)},
         ),
     ],
-    ids=["split-O-torus(2,3)-torus(5,7)", "split-O-torus(-1,1)-torus(1,-1)", "M2(Q)-diag(2,1)-diag(3,1)"],
+    ids=[
+        "split-O-torus(2,3)-torus(5,7)",
+        "split-O-torus(2,1)-torus(1,1)",
+        "split-O-torus(2,1)-torus(2,1)",
+        "split-O-torus(-1,1)-torus(1,-1)",
+        "M2(Q)-diag(2,1)-diag(3,1)",
+    ],
 )
 def test_yau_twists_by_torus_elements(make, twists, pins):
-    # the twists are commuting automorphisms, of infinite order but for the sign pair; M2(Q)'s are the
-    # conjugations by diag(2, 1) and diag(3, 1)
+    # the twists are commuting automorphisms, of infinite order but for the sign pair and the identity;
+    # M2(Q)'s are the conjugations by diag(2, 1) and diag(3, 1)
     base = make()
     assert all(is_morphism(t, base, base) for t in twists)
     alg = yau_twist(base, *twists)

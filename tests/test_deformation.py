@@ -16,7 +16,6 @@ from bihomalt.deformation import (
     diamond,
     extend_one_order,
     gauge,
-    null_deformation,
     obstruction,
     trivialize,
 )
@@ -52,7 +51,7 @@ def scalar_term(c):
 
 def test_null_deformation_passes_everywhere():
     for _, alg in base_corpus():
-        report = check_deformation(null_deformation(alg))
+        report = check_deformation(TruncatedDeformation(alg, ()))
         assert report.ok and report.order_ok == (True,)
 
 
@@ -206,7 +205,7 @@ def test_obstruction_is_the_order_m_sum_without_d0_at_every_m():
     h = make_quaternions()
     e1 = make_e1()
     cases = [
-        gauge(null_deformation(h), _random_integer_matrix(rng, 4), 1, 3),
+        gauge(TruncatedDeformation(h, ()), _random_integer_matrix(rng, 4), 1, 3),
         TruncatedDeformation(e1, [scalar_term(3), scalar_term(-2)]),
     ]
     for defm in cases:
@@ -266,12 +265,12 @@ def test_twisted_octonion_gauge_deformation_checks_and_trivializes():
     rng = Random(31)
     # integer entries inside the joint (α, β) eigenspaces, so f commutes with both twists
     f = Matrix([[rng.choice([-2, -1, 1, 2]) if (a[i], b[i]) == (a[j], b[j]) else 0 for j in range(8)] for i in range(8)])
-    defm = gauge(null_deformation(to), f, 1, 4)
+    defm = gauge(TruncatedDeformation(to, ()), f, 1, 4)
     assert defm.order == 4 and not defm.term(1).is_zero()
     assert check_deformation(defm).ok
     iso = trivialize(defm, 4)
     assert iso is not None and iso.order == 4
-    assert check_equivalence(defm, null_deformation(to).padded(4), iso, 4)
+    assert check_equivalence(defm, TruncatedDeformation(to, ()).padded(4), iso, 4)
 
 
 def test_order1_condition_is_cocycle_condition():
@@ -291,7 +290,7 @@ def test_order1_condition_is_cocycle_condition():
 
 
 def test_obstruction_m1_empty(d2):
-    assert obstruction(null_deformation(d2), 1).is_zero()
+    assert obstruction(TruncatedDeformation(d2, ()), 1).is_zero()
 
 
 def test_first_nonzero_term_is_a_cocycle():
@@ -310,7 +309,7 @@ def test_first_nonzero_term_is_a_cocycle():
                 d_p = Cochain(2, alg.dim, alg.dim, data)
                 defm = TruncatedDeformation(alg, [zero] * (p - 1) + [d_p])
                 report = check_deformation(defm)
-                assert report.ok_through(p) == delta(alg, rep, d_p).is_zero()
+                assert report.ok == delta(alg, rep, d_p).is_zero()
 
 
 def test_obstruction_m2_is_diamond_square(e1):
@@ -445,16 +444,6 @@ def test_check_equivalence_identity(e1):
     assert check_equivalence(defm, defm, phi, 0)
 
 
-def test_a_formal_isomorphism_has_no_term_of_negative_order():
-    # term(-1) would read terms[-2], a stored term, instead of failing
-    f = Matrix([[1, 2], [0, 1]])
-    phi = FormalIsomorphism((f, f * f))
-    assert [phi.term(i, 2) for i in range(4)] == [Matrix.identity(2), f, f * f, Matrix.zero(2, 2)]
-    for i in (-1, -2, -3):
-        with pytest.raises(InputError, match=f"^formal isomorphism term index must be non-negative, got {i}$"):
-            phi.term(i, 2)
-
-
 def test_check_equivalence_e1_hand_case(e1):
     d = TruncatedDeformation(e1, [scalar_term(1)])
     d_prime = TruncatedDeformation(e1, [scalar_term(0)])
@@ -476,10 +465,11 @@ def test_check_equivalence_rejects_deformations_over_other_twists():
     plain = BiHomAlgebra(2, zero, Matrix.identity(2), Matrix.identity(2))
     twisted = BiHomAlgebra(2, zero, Matrix.diagonal([1, 2]), Matrix.identity(2))
     assert validate(plain).ok and validate(twisted).ok
-    for d, d_prime in ((plain, twisted), (twisted, plain)):
+    null_plain, null_twisted = TruncatedDeformation(plain, ()), TruncatedDeformation(twisted, ())
+    for d, d_prime in ((null_plain, null_twisted), (null_twisted, null_plain)):
         with pytest.raises(InputError, match="different dimensions or twists"):
-            check_equivalence(null_deformation(d), null_deformation(d_prime), FormalIsomorphism(()), 0)
-    assert check_equivalence(null_deformation(twisted), null_deformation(twisted), FormalIsomorphism(()), 0)
+            check_equivalence(d, d_prime, FormalIsomorphism(()), 0)
+    assert check_equivalence(null_twisted, null_twisted, FormalIsomorphism(()), 0)
 
 
 def test_gauge_rejects_a_negative_order(e1):
@@ -500,7 +490,7 @@ def test_term_rejects_indices_outside_0_to_m(e1):
 
 
 def test_check_equivalence_rejects_twist_breaking_phi(d2):
-    defm = null_deformation(d2).padded(1)
+    defm = TruncatedDeformation(d2, ()).padded(1)
     phi = FormalIsomorphism((Matrix([[0, 1], [0, 0]]),))
     assert not check_equivalence(defm, defm, phi, 1)
 
@@ -551,7 +541,7 @@ def test_check_equivalence_reads_phi_through_the_order_only():
 
 
 def test_trivialize_null_is_identity(d2):
-    iso = trivialize(null_deformation(d2), 3)
+    iso = trivialize(TruncatedDeformation(d2, ()), 3)
     assert iso is not None
     assert all(m.is_zero() for m in iso.terms)
 
@@ -566,7 +556,7 @@ def test_trivialize_e1_scalar_deformations(e1):
         assert iso is not None
         final = gauge_like_apply(defm, iso, 5)
         assert all(final.term(k).is_zero() for k in range(1, 6))
-        assert check_equivalence(defm, null_deformation(e1).padded(5), iso, 5)
+        assert check_equivalence(defm, TruncatedDeformation(e1, ()).padded(5), iso, 5)
 
 
 def gauge_like_apply(defm, iso, order):
@@ -577,7 +567,7 @@ def gauge_like_apply(defm, iso, order):
     """
     alg = defm.alg
     n = alg.dim
-    phis = [iso.term(i, n) for i in range(order + 1)]
+    phis = [Matrix.identity(n), *iso.terms][: order + 1]
     inv = {0: Matrix.identity(n)}
     for k in range(1, order + 1):
         acc = Matrix.zero(n, n)
@@ -640,14 +630,14 @@ def _gauge_cases():
     """
     rng = Random(97)
     h = make_quaternions()
-    h_defm = gauge(null_deformation(h), _random_integer_matrix(rng, 4), 1, 8)
+    h_defm = gauge(TruncatedDeformation(h, ()), _random_integer_matrix(rng, 4), 1, 8)
     cases = [(h_defm, _random_integer_matrix(rng, 4), level, 8) for level in (1, 2, 3)]
     cases.append((h_defm, Matrix([[Fraction(1, 2) * (i + j) for j in range(4)] for i in range(4)]), 2, 8))
     edge = Random(98)  # its own stream, so the twisted-O case draws as before
     cases += [(h_defm, _random_integer_matrix(edge, 4), level, order) for level, order in ((9, 8), (8, 8), (1, 5), (2, 3))]
     cases.append((h_defm, Matrix([[Fraction(i - 2 * j, 3) for j in range(4)] for i in range(4)]), 3, 8))
     to = make_twisted_octonions()
-    to_defm = gauge(null_deformation(to), _twist_commuting_generator(rng), 1, 4)
+    to_defm = gauge(TruncatedDeformation(to, ()), _twist_commuting_generator(rng), 1, 4)
     cases.append((to_defm, _twist_commuting_generator(rng), 1, 4))
     return cases
 

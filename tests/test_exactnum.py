@@ -60,6 +60,33 @@ def test_rationals_parse_and_format():
             parse_rational(bad)
 
 
+# every library constructor that takes scalars, fed one scalar
+SCALAR_TAKERS = {
+    "vector": lambda x: vector([x]),
+    "Matrix": lambda x: Matrix([[x]]),
+    "Matrix.diagonal": lambda x: Matrix.diagonal([x]),
+    "Matrix.scale": lambda x: Matrix([[1]]).scale(x),
+    "Subspace": lambda x: Subspace(1, [(x,)]),
+    "solve": lambda x: solve(Matrix([[1]]), (x,)),
+    "BiHomAlgebra": lambda x: BiHomAlgebra(1, [[[x]]], Matrix([[1]]), Matrix([[1]])),
+    "Cochain": lambda x: Cochain(1, 1, 1, [x]),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, True, "1.5"], ids=["float", "bool", "decimal-string"])
+@pytest.mark.parametrize("take", SCALAR_TAKERS.values(), ids=SCALAR_TAKERS)
+def test_library_scalars_are_read_like_file_scalars(take, bad):
+    # Fraction(0.1) is the binary float, not 1/10, and Fraction(True) is 1; a file refuses both
+    with pytest.raises(InputError, match="^not a rational literal: "):
+        take(bad)
+
+
+def test_library_scalars_take_ints_fractions_and_rational_strings():
+    assert vector([2, "-3/4", Fraction(1, 3)]) == (Fraction(2), Fraction(-3, 4), Fraction(1, 3))
+    assert Matrix.diagonal(["1/2", 3]) == Matrix([[Fraction(1, 2), 0], [0, 3]])
+    assert Matrix([[2, "1/3"]]).scale("3/2") == Matrix([[3, Fraction(1, 2)]])
+
+
 def test_rank_nullspace_zero_matrix():
     rank, ker = rank_nullspace(Matrix.zero(2, 2))
     assert rank == 0 and ker.dim == 2

@@ -11,14 +11,9 @@ from bihomalt.exactnum import Matrix, Subspace
 from bihomalt.genderiv import (
     OperatorSpace,
     bracket,
-    centroid_space,
     commutant,
     derivation_space,
-    generalized_derivation_space,
-    quasi_centroid_space,
-    quasi_derivation_space,
     sgder_decompose,
-    sgder_space,
     space_of_kind,
     twist_power,
 )
@@ -128,33 +123,33 @@ def test_derivation_dims_match_naive_solver():
 
 
 def test_qder_e1_dim1(e1):
-    assert quasi_derivation_space(e1, 0, 0).dim == 1
+    assert space_of_kind(e1, "QDer", 0, 0).dim == 1
 
 
 def test_qder_z1_dim4(z1):
-    assert quasi_derivation_space(z1, 0, 0).dim == 4
+    assert space_of_kind(z1, "QDer", 0, 0).dim == 4
 
 
 def test_gder_e1_dim1(e1):
-    assert generalized_derivation_space(e1, 0, 0).dim == 1
-    assert sgder_space(e1, 0, 0).dim == 1
+    assert space_of_kind(e1, "GDer", 0, 0).dim == 1
+    assert space_of_kind(e1, "SGDer", 0, 0).dim == 1
 
 
 def test_gder_z1_dim4(z1):
-    assert generalized_derivation_space(z1, 0, 0).dim == 4
-    assert sgder_space(z1, 0, 0).dim == 4
+    assert space_of_kind(z1, "GDer", 0, 0).dim == 4
+    assert space_of_kind(z1, "SGDer", 0, 0).dim == 4
 
 
 def test_centroid_e1_dim1(e1):
-    assert centroid_space(e1, 0, 0).dim == 1
+    assert space_of_kind(e1, "Centroid", 0, 0).dim == 1
 
 
 def test_centroid_z1_is_u(z1):
-    assert centroid_space(z1, 0, 0).dim == 4
+    assert space_of_kind(z1, "Centroid", 0, 0).dim == 4
 
 
 def test_centroid_d2_scalars(d2):
-    space = centroid_space(d2, 0, 0)
+    space = space_of_kind(d2, "Centroid", 0, 0)
     assert space.dim == 1
     m = space.basis[0]
     assert m.rows[0][0] == m.rows[1][1] != 0
@@ -165,11 +160,11 @@ def test_inclusion_chain_on_corpus():
     for name, alg in base_corpus():
         for k, l in EXPONENT_GRID:
             der = derivation_space(alg, k, l).as_subspace()
-            qder = quasi_derivation_space(alg, k, l).as_subspace()
-            sg = sgder_space(alg, k, l).as_subspace()
-            gder = generalized_derivation_space(alg, k, l).as_subspace()
-            cent = centroid_space(alg, k, l).as_subspace()
-            qcent = quasi_centroid_space(alg, k, l).as_subspace()
+            qder = space_of_kind(alg, "QDer", k, l).as_subspace()
+            sg = space_of_kind(alg, "SGDer", k, l).as_subspace()
+            gder = space_of_kind(alg, "GDer", k, l).as_subspace()
+            cent = space_of_kind(alg, "Centroid", k, l).as_subspace()
+            qcent = space_of_kind(alg, "QuasiCentroid", k, l).as_subspace()
             assert qder.contains(der), (name, k, l)
             assert sg.contains(qder), (name, k, l)
             assert gder.contains(sg), (name, k, l)
@@ -191,24 +186,24 @@ def test_der_centroid_bracket_lands_in_centroid():
     for _, alg in base_corpus():
         for (k, l), (s, t) in itertools.product([(0, 0), (1, 1)], repeat=2):
             for d in derivation_space(alg, k, l).basis:
-                for theta in centroid_space(alg, s, t).basis:
-                    assert centroid_space(alg, k + s, l + t).contains_matrix(bracket(d, theta))
+                for theta in space_of_kind(alg, "Centroid", s, t).basis:
+                    assert space_of_kind(alg, "Centroid", k + s, l + t).contains_matrix(bracket(d, theta))
 
 
 def test_centroid_inside_qder_with_doubling_witness():
     for _, alg in base_corpus():
         for k, l in ((0, 0), (1, 0)):
-            qder = quasi_derivation_space(alg, k, l)
-            for theta in centroid_space(alg, k, l).basis:
+            qder = space_of_kind(alg, "QDer", k, l)
+            for theta in space_of_kind(alg, "Centroid", k, l).basis:
                 assert qder.contains_matrix(theta)
 
 
 def test_qc_bracket_in_qder():
     for _, alg in base_corpus():
         for (k, l), (s, t) in itertools.product([(0, 0), (0, 1)], repeat=2):
-            qc1 = quasi_centroid_space(alg, k, l)
-            qc2 = quasi_centroid_space(alg, s, t)
-            target = quasi_derivation_space(alg, k + s, l + t)
+            qc1 = space_of_kind(alg, "QuasiCentroid", k, l)
+            qc2 = space_of_kind(alg, "QuasiCentroid", s, t)
+            target = space_of_kind(alg, "QDer", k + s, l + t)
             for a in qc1.basis:
                 for b in qc2.basis:
                     assert target.contains_matrix(bracket(a, b))
@@ -218,23 +213,23 @@ def test_bracket_closure_of_gder_qder_centroid():
     # the three families are closed under the commutator, with exponents adding
     pairs = [((0, 0), (1, 0)), ((0, 1), (1, 0)), ((0, 0), (0, 0))]
     for _, alg in base_corpus():
-        for space_fn in (generalized_derivation_space, quasi_derivation_space, centroid_space):
+        for kind in ("GDer", "QDer", "Centroid"):
             for (k, l), (s, t) in pairs:
-                left = space_fn(alg, k, l)
-                right = space_fn(alg, s, t)
-                target = space_fn(alg, k + s, l + t)
+                left = space_of_kind(alg, kind, k, l)
+                right = space_of_kind(alg, kind, s, t)
+                target = space_of_kind(alg, kind, k + s, l + t)
                 for a in left.basis:
                     for b in right.basis:
-                        assert target.contains_matrix(bracket(a, b)), space_fn.__name__
+                        assert target.contains_matrix(bracket(a, b)), kind
 
 
 def test_subalgebra_closure_under_twist_shifts():
     for _, alg in base_corpus():
         for k, l in ((0, 0), (1, 0)):
-            for space_fn in (generalized_derivation_space, quasi_derivation_space, centroid_space):
-                space = space_fn(alg, k, l)
-                shifted_a = space_fn(alg, k + 1, l)
-                shifted_b = space_fn(alg, k, l + 1)
+            for kind in ("GDer", "QDer", "Centroid"):
+                space = space_of_kind(alg, kind, k, l)
+                shifted_a = space_of_kind(alg, kind, k + 1, l)
+                shifted_b = space_of_kind(alg, kind, k, l + 1)
                 for m in space.basis:
                     assert shifted_a.contains_matrix(alg.alpha * m)
                     assert shifted_b.contains_matrix(alg.beta * m)
@@ -251,9 +246,9 @@ def test_commutant_closed_under_twist_composition():
 def test_sgder_equals_qder_plus_qc():
     for _, alg in base_corpus():
         for k, l in ((0, 0), (1, 1), (-1, 0)):
-            sg = sgder_space(alg, k, l).as_subspace()
-            qder = quasi_derivation_space(alg, k, l).as_subspace()
-            qc = quasi_centroid_space(alg, k, l).as_subspace()
+            sg = space_of_kind(alg, "SGDer", k, l).as_subspace()
+            qder = space_of_kind(alg, "QDer", k, l).as_subspace()
+            qc = space_of_kind(alg, "QuasiCentroid", k, l).as_subspace()
             total = qder.sum(qc)
             assert total.contains(sg) and sg.contains(total)
 
@@ -263,8 +258,8 @@ def test_sgder_decompose_derivation_gives_zero_centroid_part(d2):
     d = der.basis[0]
     q, c = sgder_decompose(d2, 0, 0, d)
     assert q + c == d
-    assert quasi_derivation_space(d2, 0, 0).contains_matrix(q)
-    assert quasi_centroid_space(d2, 0, 0).contains_matrix(c)
+    assert space_of_kind(d2, "QDer", 0, 0).contains_matrix(q)
+    assert space_of_kind(d2, "QuasiCentroid", 0, 0).contains_matrix(c)
 
 
 def test_sgder_decompose_on_zero_algebra(z1):
@@ -286,7 +281,7 @@ def test_sgder_decompose_rejects_outsiders(d2):
 )
 @pytest.mark.parametrize("call", ["coefficients_of", "contains_matrix", "sgder_decompose"])
 def test_matrices_of_the_wrong_shape_are_input_errors(d2, call, m):
-    qder = quasi_derivation_space(d2, 0, 0)
+    qder = space_of_kind(d2, "QDer", 0, 0)
     assert qder.dim > 0
     with pytest.raises(InputError, match="expected a 2x2 matrix"):
         if call == "sgder_decompose":
@@ -353,15 +348,20 @@ class _NoMatrix:
 
 
 @pytest.mark.parametrize(
-    "space, message",
+    "broken, message",
     [
-        ("quasi_derivation_space", "quasi-derivation part escaped"),
-        ("quasi_centroid_space", "quasi-centroid part escaped"),
+        ("QDer", "quasi-derivation part escaped"),
+        ("QuasiCentroid", "quasi-centroid part escaped"),
     ],
 )
-def test_sgder_decompose_guards_raise_internal_error(monkeypatch, d2, space, message):
+def test_sgder_decompose_guards_raise_internal_error(monkeypatch, d2, broken, message):
     d = derivation_space(d2, 0, 0).basis[0]
-    monkeypatch.setattr(genderiv, space, lambda alg, k, l: _NoMatrix())
+    real = genderiv.space_of_kind
+
+    def space_of_kind(alg, kind, k, l):
+        return _NoMatrix() if kind == broken else real(alg, kind, k, l)
+
+    monkeypatch.setattr(genderiv, "space_of_kind", space_of_kind)
     with pytest.raises(InternalError, match=message):
         sgder_decompose(d2, 0, 0, d)
 

@@ -22,7 +22,7 @@ import bihomalt.deformation as deformation
 import bihomalt.exactnum as exactnum
 from bihomalt.algebra import BiHomAlgebra, validate
 from bihomalt.cohomology import complex_report
-from bihomalt.deformation import TruncatedDeformation, check_deformation, gauge, null_deformation, obstruction
+from bihomalt.deformation import TruncatedDeformation, check_deformation, gauge, obstruction
 from bihomalt.exactnum import Matrix, Subspace
 from bihomalt.representation import adjoint, validate_representation
 
@@ -300,15 +300,13 @@ PUBLIC_API = {
     "cohomology": ("Cochain", "ComplexReport", "cochain_space", "complex_report", "delta"),
     "deformation": (
         "DeformationReport", "FormalIsomorphism", "TruncatedDeformation", "check_deformation", "check_equivalence",
-        "diamond", "extend_one_order", "gauge", "null_deformation", "obstruction", "trivialize",
+        "diamond", "extend_one_order", "gauge", "obstruction", "trivialize",
     ),
     "errors": ("BihomError", "InputError", "InternalError", "MathCheckError", "PreconditionError"),
     "exactnum": ("Matrix", "Subspace", "rank_nullspace", "solve", "subspace_ops"),
     "extension": ("annihilator", "central_extension", "t_star_theta_extension", "t_theta_extension"),
     "genderiv": (
-        "OperatorSpace", "bracket", "centroid_space", "commutant", "derivation_space",
-        "generalized_derivation_space", "quasi_centroid_space", "quasi_derivation_space", "sgder_decompose",
-        "sgder_space",
+        "OperatorSpace", "bracket", "commutant", "derivation_space", "sgder_decompose", "space_of_kind",
     ),
     "representation": (
         "Representation", "RepresentationReport", "adjoint", "coadjoint", "dual", "semidirect",
@@ -471,7 +469,7 @@ def test_every_deformation_equation_is_one_pairing_of_the_series(monkeypatch):
 
     monkeypatch.setattr(deformation, "_pairing", counted_pairing)
     monkeypatch.setattr(algebra, "_common_denominator", counted_denominator)
-    defm = gauge(null_deformation(make_d2()), Matrix.diagonal([1, 2]), 1, 4)
+    defm = gauge(TruncatedDeformation(make_d2(), ()), Matrix.diagonal([1, 2]), 1, 4)
     for m in range(5):
         del passes[:], builds[:]
         assert check_deformation(TruncatedDeformation(defm.alg, defm.terms[:m])).ok
@@ -716,6 +714,70 @@ def test_every_library_function_has_a_caller():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     reached = {name for _, name in _bench_imports()}
     assert _unnamed_definitions(sources, reached) == sorted(KEPT_WITHOUT_A_CALLER)
+
+
+def _forwarding_functions(source: str, names) -> list[str]:
+    """The top-level functions among names whose body, docstring aside, is one `return f(...)`.
+
+    Each argument of the call, starred or keyword, is one of the function's own parameters or a literal.
+    """
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in names:
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+            continue
+        a = node.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None}
+        call = body[0].value
+        args = [x.value if isinstance(x, ast.Starred) else x for x in call.args] + [k.value for k in call.keywords]
+        if all(isinstance(x, ast.Name) and x.id in params or _is_literal(x) for x in args):
+            found.append(node.name)
+    return found
+
+
+def _is_literal(node: ast.AST) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+# exports that only forward one call and stay, each with the reason
+FORWARDS_KEPT = {
+    "commutant": "U takes no exponents, so this is its one spelling without dummy ones",
+    "derivation_space": "bench/test_bench.py imports it",
+    "semidirect": "the paper's name for the extension at theta = 0; block_sum is not exported",
+}
+
+
+def test_no_export_only_forwards_to_another_call():
+    # an export that restates one call its caller can make is a second spelling of that call
+    exports = _assigned_literal((SRC / "__init__.py").read_text(), "_EXPORTS")
+    sources = {module: (SRC / f"{module}.py").read_text() for module in exports}
+    found = [name for module, names in exports.items() for name in _forwarding_functions(sources[module], names)]
+    assert sorted(found) == sorted(FORWARDS_KEPT)
+
+
+def test_the_forwarding_scan_sees_every_form():
+    probe = (
+        "def doc(alg, k):\n    \"\"\"A docstring.\"\"\"\n    return space(alg, 'Der', k, None, -1, ())\n"
+        "def star(a, *rest, key, **opts):\n    return f(a, *rest, key=key, flag=True, **opts)\n"
+        "def method(a):\n    return a.g(a)\n"
+        "def bare():\n    return f()\n"
+        "def computed(a):\n    return f(a + 1)\n"
+        "def attribute(a):\n    return f(a.x)\n"
+        "def nested(a):\n    return f(g(a))\n"
+        "def outer(a):\n    return f(b)\n"
+        "def two(a):\n    b = a\n    return f(b)\n"
+        "def value(a):\n    return a\n"
+        "def unlisted(a):\n    return f(a)\n"
+        "class C:\n    def doc(self):\n        return f(self)\n"
+    )
+    names = {"doc", "star", "method", "bare", "computed", "attribute", "nested", "outer", "two", "value"}
+    assert _forwarding_functions(probe, names) == ["doc", "star", "method", "bare"]
 
 
 def test_fileio_reads_and_writes_rationals_in_one_place():
