@@ -17,8 +17,10 @@ the obstruction at m is block m of d_0 ... d_{m−1}, and `diamond` block 0.
 
 Equivalence, gauges and trivialization rest on one series identity,
 phi_t ∘ d_t = d'_t ∘ (phi_t ⊗ phi_t).  Both sides come order by order from
-`_coefficient`, the coefficients of out_t ∘ d_t ∘ (left_t ⊗ right_t) as sums
-of transports; a gauge by id − t^level f takes its inverse from `_inverse`.
+`_coefficient`, the coefficients of sums of out_t ∘ d_t ∘ (left_t ⊗ right_t)
+as sums of transports.  A gauge by chi_t = id − t^L f never forms chi_t⁻¹:
+chi_t ∘ g_t = e_t is solved by the recursion g_k = e_k + f·g_(k−L), for the
+gauged terms and for the composite map of a trivialization alike.
 """
 
 from __future__ import annotations
@@ -168,30 +170,24 @@ def extend_one_order(defm: TruncatedDeformation) -> Optional[Cochain]:
     return _preimage(defm.alg, adjoint(defm.alg), 2)([-x for x in obs.data])
 
 
-def _coefficient(terms: list, out: dict, left: dict, right: dict, k: int) -> tuple[int, list]:
-    """The order-k coefficient of out_t ∘ d_t ∘ (left_t ⊗ right_t), as integer numerators over one denominator.
+def _coefficient(k: int, *series) -> tuple[int, list]:
+    """The order-k coefficient of Σ out_t ∘ d_t ∘ (left_t ⊗ right_t), as integer numerators over one denominator.
 
-    terms lists the nested tensors of d_t by order; out, left and right map an
-    order to a matrix, None standing for the identity.  A missing order is zero.
-    The coefficient is Σ out_o ∘ d_i ∘ (left_p ⊗ right_q) over i + o + p + q = k.
+    Each series is (terms, out, left, right): terms lists the nested tensors of d_t by
+    order; out, left and right map an order to a matrix, None standing for the identity.
+    A missing order is zero.  The coefficient is Σ out_o ∘ d_i ∘ (left_p ⊗ right_q) over
+    i + o + p + q = k.
     """
     return _table_sum(
         [
             transport(t, out[o], left[p], right[k - i - o - p])
+            for terms, out, left, right in series
             for i, t in enumerate(terms)
             for o in out
             for p in left
             if k - i - o - p in right
         ]
     )
-
-
-def _inverse(f: Matrix, level: int, order: int) -> dict:
-    """(id − t^level f)⁻¹ = Σ_i f^i t^{i·level} through the given order, None standing for f^0."""
-    series, power = {0: None}, f
-    for k in range(level, order + 1, level):
-        series[k], power = power, power * f
-    return series
 
 
 def check_equivalence(
@@ -220,15 +216,17 @@ def check_equivalence(
     ident, phis = {0: None}, {0: None, **dict(enumerate(phi.terms, start=1))}
     lhs, rhs = (_series(x, order) for x in (d, d_prime))
     return all(
-        _same(_coefficient(lhs, phis, ident, ident, k), _coefficient(rhs, ident, phis, phis, k)) for k in range(order + 1)
+        _same(_coefficient(k, (lhs, phis, ident, ident)), _coefficient(k, (rhs, ident, phis, phis)))
+        for k in range(order + 1)
     )
 
 
 def gauge(defm: TruncatedDeformation, f: Matrix, level: int, order: int) -> TruncatedDeformation:
     """Conjugate by chi_t = id − t^level f, truncated at the given order.
 
-    New terms: d'_t = chi_t^{-1} ∘ d_t ∘ (chi_t ⊗ chi_t), with
-    chi_t^{-1} = sum_i f^i t^{i·level} (finite below the truncation).
+    New terms: d'_t = chi_t^{-1} ∘ d_t ∘ (chi_t ⊗ chi_t).  The orders below the level are
+    those of d_t; from the level up, chi_t ∘ d'_t = d_t ∘ (chi_t ⊗ chi_t) gives the recursion
+    d'_k = [d_t ∘ (chi_t ⊗ chi_t)]_k + f ∘ d'_(k−level).
     """
     alg = defm.alg
     n = alg.dim
@@ -238,13 +236,13 @@ def gauge(defm: TruncatedDeformation, f: Matrix, level: int, order: int) -> Trun
         raise InputError("gauge order must be at least 0")
     if not (f.commutes_with(alg.alpha) and f.commutes_with(alg.beta)):
         raise PreconditionError("gauge generator must commute with both twists")
-    terms = _series(defm, order)
-    chi, chi_inv = {0: None, level: f.scale(-1)}, _inverse(f, level, order)
-    new_terms = []
-    for k in range(1, order + 1):
-        den, total = _coefficient(terms, chi_inv, chi, chi, k)
-        new_terms.append(Cochain(2, n, n, [Fraction(v, den) for row in total for vec in row for v in vec]))
-    return TruncatedDeformation(alg, new_terms)
+    terms, ident, chi = _series(defm, order), {0: None}, {0: None, level: f.scale(-1)}
+    # d'_k = d_k below the level, zero past the stored order
+    gauged = (terms + [Cochain.zero(2, n, n).nested()] * order)[: min(level, order + 1)]
+    for k in range(level, order + 1):
+        den, total = _coefficient(k, (terms, ident, chi, chi), (gauged, {level: f}, ident, ident))
+        gauged.append([[[Fraction(v, den) for v in vec] for vec in row] for row in total])
+    return TruncatedDeformation(alg, [Cochain(2, n, n, [v for row in t for vec in row for v in vec]) for t in gauged[1:]])
 
 
 def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIsomorphism]:
@@ -264,7 +262,7 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
     if not all(report.order_ok[: max_order + 1]):
         raise PreconditionError(f"deformation equations fail at order {min(report.witnesses)}")
     preimage = _preimage(alg, adjoint(alg), 1)  # δ1 is factored once for every level
-    total = {0: Matrix.identity(n)}  # composed map original -> current, by order
+    total = [Matrix.identity(n), *[Matrix.zero(n, n)] * max_order]  # composed map original -> current, by order
     for level in range(1, max_order + 1):
         if current.term(level).is_zero():
             continue
@@ -275,10 +273,7 @@ def trivialize(defm: TruncatedDeformation, max_order: int) -> Optional[FormalIso
         current = gauge(current, f, level, max_order)
         if not current.term(level).is_zero():
             raise InternalError(f"gauging did not clear the order-{level} term")
-        # the step map old -> new is chi^{-1}
-        step = {**_inverse(f, level, max_order), 0: Matrix.identity(n)}
-        total = {
-            k: sum((step[a] * total[k - a] for a in step if k - a in total), Matrix.zero(n, n))
-            for k in range(max_order + 1)
-        }
-    return FormalIsomorphism(tuple(total.get(k, Matrix.zero(n, n)) for k in range(1, max_order + 1)))
+        # the step map old -> new is chi^{-1}: chi ∘ new = old, solved upwards in place
+        for k in range(level, max_order + 1):
+            total[k] = total[k] + f * total[k - level]
+    return FormalIsomorphism(tuple(total[1:]))

@@ -11,8 +11,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
-import pytest
-
 from bihomalt.algebra import validate
 from bihomalt.cohomology import (
     Cochain,
@@ -32,7 +30,6 @@ from bihomalt.deformation import (
     obstruction,
     trivialize,
 )
-from bihomalt.errors import MathCheckError
 from bihomalt.exactnum import Matrix
 from bihomalt.extension import (
     annihilator,

@@ -626,7 +626,9 @@ def _gauge_cases():
     """(deformation, generator, level, order): H at levels 1–3 and order 8, twisted O at order 4.
 
     Between them, the series edge cases on H: level above the order, level equal to
-    the order, an order below that of the deformation, and a rational generator at level 3.
+    the order, an order below that of the deformation, a rational generator at level 3,
+    and the null deformation at levels 2–4 and orders 0–5, whose orders between 1 and
+    the level have no transport of d_t to sum.
     """
     rng = Random(97)
     h = make_quaternions()
@@ -636,6 +638,12 @@ def _gauge_cases():
     edge = Random(98)  # its own stream, so the twisted-O case draws as before
     cases += [(h_defm, _random_integer_matrix(edge, 4), level, order) for level, order in ((9, 8), (8, 8), (1, 5), (2, 3))]
     cases.append((h_defm, Matrix([[Fraction(i - 2 * j, 3) for j in range(4)] for i in range(4)]), 3, 8))
+    null = Random(99)
+    cases += [
+        (TruncatedDeformation(h, ()), _random_integer_matrix(null, 4), level, order)
+        for level in (2, 3, 4)
+        for order in range(6)
+    ]
     to = make_twisted_octonions()
     to_defm = gauge(TruncatedDeformation(to, ()), _twist_commuting_generator(rng), 1, 4)
     cases.append((to_defm, _twist_commuting_generator(rng), 1, 4))
@@ -645,8 +653,13 @@ def _gauge_cases():
 def test_gauge_equals_the_pointwise_conjugation():
     for defm, f, level, order in _gauge_cases():
         gauged = gauge(defm, f, level, order)
+        assert gauged.order == order
         assert gauged.terms == naive_gauge(defm, f, level, order).terms
-        assert not gauged.term(1).is_zero()
+        assert not defm.terms or not gauged.term(1).is_zero()
+        # a gauge keeps the orders below its level, and moves the one at the level
+        padded = defm.padded(max(defm.order, order))
+        assert all(gauged.term(k) == padded.term(k) for k in range(1, min(level, order + 1)))
+        assert order < level or gauged.term(level) != padded.term(level)
 
 
 def test_trivialize_is_unchanged_under_the_pointwise_gauge(monkeypatch):
@@ -656,6 +669,36 @@ def test_trivialize_is_unchanged_under_the_pointwise_gauge(monkeypatch):
     pointwise = [trivialize(defm, order) for defm, _, _, order in (cases[0], cases[-1])]
     assert all(iso is not None for iso in isos)
     assert isos == pointwise
+
+
+def test_gauge_and_trivialize_build_few_transports(monkeypatch):
+    # a gauge builds no transport below its level, and at most five per order from it up: four of
+    # d_t ∘ (chi_t ⊗ chi_t) and one of f ∘ d'_(k−level)
+    h_defm = _gauge_cases()[0][0]
+    to = make_twisted_octonions()
+    rng, f = Random(3), Matrix.zero(8, 8)
+    for u in commutant(to).basis:
+        f = f + u.scale(rng.randint(-2, 2))
+    to_defm = gauge(TruncatedDeformation(to, ()), f, 1, 8)
+    built, real = [], deformation.transport
+
+    def counted(*args):
+        built.append(len(args))
+        return real(*args)
+
+    monkeypatch.setattr(deformation, "transport", counted)
+    g = _random_integer_matrix(Random(5), 4)
+    for level in (1, 2, 3):
+        counts = []
+        for order in range(9):
+            built.clear()
+            gauge(h_defm, g, level, order)
+            counts.append(len(built))
+        assert counts[:level] == [0] * level
+        assert all(1 <= counts[k] - counts[k - 1] <= 5 for k in range(level, 9))
+    built.clear()
+    assert trivialize(to_defm, 8) is not None
+    assert len(built) < 336  # 336 when every gauge summed the whole inverse series through order 8
 
 
 def test_trivialize_factors_delta1_once(monkeypatch):

@@ -15,7 +15,6 @@ from bihomalt.genderiv import (
     derivation_space,
     sgder_decompose,
     space_of_kind,
-    twist_power,
 )
 from bihomalt.representation import adjoint
 
