@@ -110,6 +110,8 @@ class Cochain(_Immutable):
         data = []
 
         def walk(node, depth):
+            if not isinstance(node, (list, tuple)):
+                raise InputError(f"tensor entries nest in lists, got {type(node).__name__} {node!r:.40}")
             if depth == degree:
                 if len(node) != mod_dim:
                     raise InputError("tensor output length is inconsistent")

@@ -74,7 +74,9 @@ def _digit_count(n: int) -> int:
 
 def vector(entries) -> tuple[Fraction, ...]:
     # Fractions are immutable, so entries that already are one are kept as they are; any other entry is
-    # read as a file scalar is, so a float or a bool is refused
+    # read as a file scalar is, so a float or a bool is refused, and so is a string or a scalar as the vector
+    if isinstance(entries, str) or not hasattr(entries, "__iter__"):
+        raise InputError(f"expected a vector of rationals, got {type(entries).__name__} {entries!r:.40}")
     return tuple(e if type(e) is Fraction else parse_rational(e) for e in entries)
 
 
@@ -234,10 +236,15 @@ class Matrix(_Immutable):
         return Matrix([Fraction(col[i], d) if col[i] else ZERO for col in cols] for i in range(self.nrows))
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
+        vec = vector(vec)
         if len(vec) != self.ncols:
             raise InputError(f"vector length {len(vec)} does not match {self.nrows}x{self.ncols}")
-        # the product with the column vec; the empty vector makes no matrix, and any map sends it to zero
-        return (self * Matrix(zip(vec))).column(0) if vec else (ZERO,) * self.nrows
+        # the columns of self at the support of vec times its non-zero entries; a zero vector goes to zero
+        cols = support(vec)
+        if not cols:
+            return (ZERO,) * self.nrows
+        at, entries = zip(*cols)
+        return (Matrix([row[j] for j in at] for row in self.rows) * Matrix(zip(entries))).column(0)
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows))

@@ -12,10 +12,10 @@ W = alpha^k beta^l the defining rules are, on all pairs (x, y):
 
 Each space is the solution set of a sparse linear system over the stacked
 entries of the unknown endomorphisms; projected spaces keep one witness
-tuple per basis element.  The rows [X, alpha] = [X, beta] = 0 of each block
-are the degree-1 rows of `algebra._twist_rows`, read through X[c][t] = f(e_t)_c,
-and a product rule is the three δ1 terms of the W-twisted adjoint, read by
-`algebra._term_rows` with the blocks as one map f(e_b, e_t) = X_b e_t.
+tuple per basis element.  The blocks are one map f(e_b, e_t) = X_b e_t: the
+rows [X_b, alpha] = [X_b, beta] = 0 are the `algebra._twist_rows` of ((I, T), T),
+a product rule is the three δ1 terms of the W-twisted adjoint, read by
+`algebra._term_rows`, and every row is read into X_b[c][t] = f(e_b, e_t)_c once.
 """
 
 from __future__ import annotations
@@ -96,20 +96,8 @@ def twist_power(alg: BiHomAlgebra, k: int, l: int) -> Matrix:
         raise PreconditionError(f"negative twist exponent needs an invertible twist: {exc}") from exc
 
 
-def _commutation_rows(mat: Matrix, block: int) -> list[dict[int, int]]:
-    """Sparse integer rows of X·mat − mat·X = 0 for the unknown block X, by entry (i, j) of X in row-major order.
-
-    Reading X[c][t] as f(e_t)_c, the row at (i, j) is the degree-1 twist row of
-    mat at (e_j, coordinate i), negated.
-    """
-    n = mat.nrows
-    base = block * n * n
-    rows = {(c, t): {base + k % n * n + k // n: -v for k, v in row.items()} for (t,), c, row in _twist_rows((mat,), mat)}
-    return [rows[key] for key in sorted(rows)]
-
-
 def _product_rule_rows(alg: BiHomAlgebra, w: Matrix, blocks: int, rules) -> list[dict[int, int]]:
-    """Sparse integer rows of each product rule (see _RULES), rule by rule, then by (i, j, c).
+    """Sparse integer rows of each product rule (see _RULES) in the flat (b, t, c) layout, by rule, then (i, j, c).
 
     The stacked blocks are one map f(e_b, e_t) = X_b e_t, so a rule at (i, j) is the `_term_rows` of its
     terms X_out(mu(e_i, e_j)), mu(X_left e_i, W e_j) and mu(W e_i, X_right e_j).  mu(e_i, e_j), mu(e_p, W e_j)
@@ -131,29 +119,23 @@ def _product_rule_rows(alg: BiHomAlgebra, w: Matrix, blocks: int, rules) -> list
                 terms = ((1, e, out_block, support(mu[i][j])), (-1, left_at[j], left_block, e[i]),
                          (-right_sign, right_at[i], right_block, e[j]))
                 args = [(sign, action, (unit[b], arg)) for sign, action, b, arg in terms if b is not None]
-                # each row from the flat (b, t, c) layout to row-major X_b[c][t]
-                rows += [{k - k % (n * n) + k % n * n + k // n % n: v for k, v in row.items()}
-                         for row in _term_rows((blocks, n), n, args) if row]
+                rows += [row for row in _term_rows((blocks, n), n, args) if row]
     return rows
 
 
 def _operator_rows(alg: BiHomAlgebra, kind: str, k: int, l: int) -> tuple[int, list[dict[int, int]]]:
-    """(blocks, rows): the product-rule rows of a kind, then both commutation conditions on each block.
+    """(blocks, rows): the product-rule rows of a kind, then the rows of T·X_b − X_b·T = 0 for T = alpha, beta.
 
-    The rows hold integers; the space is their kernel over the stacked entries
-    of the blocks.
+    The blocks are one map f(e_b, e_t) = X_b e_t, so the commutation rows are the twist rows of ((I, T), T),
+    by twist, block, t and c.  The rows hold integers; the space is their kernel over the stacked entries
+    of the blocks, in row-major order.
     """
     blocks, rules = _RULES[kind]
+    n = alg.dim
     rows = _product_rule_rows(alg, twist_power(alg, k, l), blocks, rules) if rules else []  # U has no W
-    for block in range(blocks):
-        rows += _commutation_rows(alg.alpha, block) + _commutation_rows(alg.beta, block)
-    return blocks, rows
-
-
-def _project_first_block(columns, sols, n: int) -> tuple[tuple[Matrix, ...], tuple[tuple[Matrix, ...], ...]]:
-    """(basis, witnesses): an independent basis of the first blocks, the kernel columns below n², witnesses aligned."""
-    kept = _independent([{i: v for i, v in col.items() if i < n * n} for col in columns], n * n)
-    return tuple(sols[i][0] for i in kept), tuple(tuple(sols[i][1:]) for i in kept)
+    rows += [row for t in (alg.alpha, alg.beta) for _, _, row in _twist_rows((Matrix.identity(blocks), t), t)]
+    # each row from the flat (b, t, c) layout to row-major X_b[c][t]
+    return blocks, [{i - i % (n * n) + i % n * n + i // n % n: v for i, v in row.items()} for row in rows]
 
 
 def commutant(alg: BiHomAlgebra) -> OperatorSpace:
@@ -175,12 +157,12 @@ def space_of_kind(alg: BiHomAlgebra, kind: str, k: int, l: int) -> OperatorSpace
         raise InputError(f"unknown operator-space kind {kind!r}")
     n = alg.dim
     blocks, rows = _operator_rows(alg, kind, k, l)
-    kernel = nullspace_of_sparse_rows(rows, blocks * n * n)
-    sols = [tuple(_unflatten(col, n, b * n * n) for b in range(blocks)) for col in kernel.columns]
-    exps = None if kind == "U" else (k, l)
-    if blocks == 1:
-        return OperatorSpace(kind, exps, n, tuple(s[0] for s in sols))
-    return OperatorSpace(kind, exps, n, *_project_first_block(kernel.columns, sols, n))
+    kernel = nullspace_of_sparse_rows(rows, blocks * n * n).columns
+    if blocks > 1:  # the columns whose first blocks are independent, below coordinate n²
+        kernel = [kernel[i] for i in _independent([{i: v for i, v in col.items() if i < n * n} for col in kernel], n * n)]
+    sols = [tuple(_unflatten(col, n, b * n * n) for b in range(blocks)) for col in kernel]
+    basis, witnesses = tuple(s[0] for s in sols), tuple(s[1:] for s in sols)
+    return OperatorSpace(kind, None if kind == "U" else (k, l), n, basis, witnesses if blocks > 1 else ())
 
 
 def sgder_decompose(alg: BiHomAlgebra, k: int, l: int, d: Matrix) -> tuple[Matrix, Matrix]:

@@ -222,6 +222,43 @@ def naive_gauge(defm, f, level, order):
     return TruncatedDeformation(defm.alg, new_terms)
 
 
+def naive_apply_isomorphism(defm, iso, order):
+    """d'_k from phi ∘ d_t = d'_t ∘ (phi ⊗ phi), via the power-series inverse of phi, point by point."""
+    from bihomalt.cohomology import Cochain
+    from bihomalt.deformation import TruncatedDeformation
+    from bihomalt.exactnum import Matrix
+
+    alg = defm.alg
+    n = alg.dim
+    phis = [Matrix.identity(n), *iso.terms][: order + 1]
+    inv = {0: Matrix.identity(n)}
+    for k in range(1, order + 1):
+        acc = Matrix.zero(n, n)
+        for i in range(1, k + 1):
+            acc = acc + phis[i] * inv[k - i]
+        inv[k] = acc.scale(-1)
+    padded = defm.padded(max(defm.order, order))
+    terms = []
+    for k in range(1, order + 1):
+        acc = [Fraction(0)] * (n**3)
+        for a in range(k + 1):
+            for b in range(k - a + 1):
+                if b > padded.order:
+                    continue
+                term = padded.term(b)
+                for c in range(k - a - b + 1):
+                    d_ord = k - a - b - c
+                    piece = from_function(
+                        2, n, n,
+                        lambda i_, j_: phis[a].apply(
+                            evaluate(term, inv[c].column(i_), inv[d_ord].column(j_))
+                        ),
+                    )
+                    acc = [x + y for x, y in zip(acc, piece.data)]
+        terms.append(Cochain(2, n, n, acc))
+    return TruncatedDeformation(alg, terms)
+
+
 def naive_right_cocycle_residual(alg, rep, theta):
     """The eight-term right condition on theta, point by point, symmetrized in (y, z)."""
     n = alg.dim
@@ -528,19 +565,19 @@ def naive_module_sectors(alg, rep):
 
 
 def _naive_commutation_rows(mat, block, n):
-    """Rational rows of X·mat − mat·X = 0 for the unknown block X."""
+    """Rational rows of mat·X − X·mat = 0 for the unknown block X, by the entry (c, t) of X·e_t at c."""
     rows = []
     base = block * n * n
-    for i in range(n):
-        for j in range(n):
+    for t in range(n):
+        for c in range(n):
             row = {}
             for p in range(n):
-                c = mat.rows[p][j]  # (X·mat)_{ij} term X[i][p] mat[p][j]
-                if c:
-                    row[base + i * n + p] = row.get(base + i * n + p, Fraction(0)) + c
-                c = mat.rows[i][p]  # (mat·X)_{ij} term mat[i][p] X[p][j]
-                if c:
-                    row[base + p * n + j] = row.get(base + p * n + j, Fraction(0)) - c
+                v = mat.rows[c][p]  # (mat·X)[c][t] term mat[c][p] X[p][t]
+                if v:
+                    row[base + p * n + t] = row.get(base + p * n + t, Fraction(0)) + v
+                v = mat.rows[p][t]  # (X·mat)[c][t] term X[c][p] mat[p][t]
+                if v:
+                    row[base + c * n + p] = row.get(base + c * n + p, Fraction(0)) - v
             row = {k: v for k, v in row.items() if v}
             if row:
                 rows.append(row)
@@ -597,15 +634,16 @@ NAIVE_OPERATOR_RULES = {
 
 
 def naive_operator_rows(alg, kind, k, l):
-    """(blocks, rows): the rational product-rule rows of a kind, then the commutation rows of each block."""
+    """(blocks, rows): the rational product-rule rows of a kind, then the commutation rows, by twist and block."""
     blocks, rules = NAIVE_OPERATOR_RULES[kind]
     rows = []
     if rules:
         w = alg.alpha.power(k) * alg.beta.power(l)
         for rule in rules:
             rows += _naive_product_rule_rows(alg, w, *rule)
-    for block in range(blocks):
-        rows += _naive_commutation_rows(alg.alpha, block, alg.dim) + _naive_commutation_rows(alg.beta, block, alg.dim)
+    for mat in (alg.alpha, alg.beta):
+        for block in range(blocks):
+            rows += _naive_commutation_rows(mat, block, alg.dim)
     return blocks, rows
 
 

@@ -68,7 +68,7 @@ from conftest import (
     random_unimodular,
 )
 from conftest import Random as _Random  # noqa: F401  (kept for symmetry with conftest)
-from oracle_naive import action_at, evaluate, from_function, naive_complex_dims
+from oracle_naive import action_at, naive_apply_isomorphism, naive_complex_dims
 
 
 @contextmanager
@@ -260,44 +260,11 @@ def test_criterion_08_rigidity_procedure():
             iso = trivialize(defm, 5)
             assert iso is not None
             assert check_equivalence(defm, TruncatedDeformation(e1, ()).padded(5), iso, 5)
-            gauged = _apply_isomorphism(defm, iso, 5)
+            gauged = naive_apply_isomorphism(defm, iso, 5)
             assert all(gauged.term(k).is_zero() for k in range(1, 6))
         zero1 = make_zero1()
         defm = TruncatedDeformation(zero1, [Cochain(2, 1, 1, (Fraction(1),))])
         assert trivialize(defm, 1) is None
-
-
-def _apply_isomorphism(defm, iso, order):
-    """d'_k from phi ∘ d_t = d'_t ∘ (phi ⊗ phi), via the power-series inverse of phi."""
-    alg = defm.alg
-    n = alg.dim
-    phis = [Matrix.identity(n), *iso.terms][: order + 1]
-    inv = {0: Matrix.identity(n)}
-    for k in range(1, order + 1):
-        acc = Matrix.zero(n, n)
-        for i in range(1, k + 1):
-            acc = acc + phis[i] * inv[k - i]
-        inv[k] = acc.scale(-1)
-    padded = defm.padded(max(defm.order, order))
-    terms = []
-    for k in range(1, order + 1):
-        acc = [Fraction(0)] * (n**3)
-        for a in range(k + 1):
-            for b in range(k - a + 1):
-                if b > padded.order:
-                    continue
-                term = padded.term(b)
-                for c in range(k - a - b + 1):
-                    d_ord = k - a - b - c
-                    piece = from_function(
-                        2, n, n,
-                        lambda i_, j_: phis[a].apply(
-                            evaluate(term, inv[c].column(i_), inv[d_ord].column(j_))
-                        ),
-                    )
-                    acc = [x + y for x, y in zip(acc, piece.data)]
-        terms.append(Cochain(2, n, n, acc))
-    return TruncatedDeformation(alg, terms)
 
 
 def test_criterion_09_equivalence_implies_cohomologous():

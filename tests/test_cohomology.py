@@ -6,7 +6,7 @@ import pytest
 
 import bihomalt.cohomology as cohomology
 import bihomalt.representation as representation
-from bihomalt.algebra import is_morphism, validate, yau_twist
+from bihomalt.algebra import BiHomAlgebra, is_morphism, validate, yau_twist
 from bihomalt.cohomology import (
     Cochain,
     _coboundary,
@@ -18,7 +18,7 @@ from bihomalt.cohomology import (
 )
 from bihomalt.deformation import TruncatedDeformation, trivialize
 from bihomalt.errors import InputError, InternalError, PreconditionError
-from bihomalt.exactnum import Matrix, _eliminate
+from bihomalt.exactnum import Matrix, _eliminate, _transpose
 from bihomalt.representation import Representation, adjoint, semidirect, validate_representation
 
 from conftest import (
@@ -212,6 +212,50 @@ def test_delta_composites_vanish_on_random_reps():
             c2 = cochain_space(alg, rep, 2)
             g = random_cochain_in(c2, alg.dim, rep.mod_dim, 2, rng)
             assert delta(alg, rep, delta(alg, rep, g)).is_zero()
+
+
+def _draws_by_law(per_class: int = 2) -> dict:
+    """The first draws of each (left law, right law) class, drawn as the alternative witness scan draws them.
+
+    Only draws with multiplicative twists and a non-zero product are kept.
+    """
+    rng, kept = Random(5), {}
+    for _ in range(1500):
+        n = rng.randint(2, 3)
+        mu = [[[rng.choice([0] * 8 + [1, -1]) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        alpha, beta = (Matrix.diagonal([rng.choice([1, -1, 0]) for _ in range(n)]) for _ in range(2))
+        alg = BiHomAlgebra(n, mu, alpha, beta)
+        report = validate(alg)
+        if report.alpha_multiplicative and report.beta_multiplicative and any(map(any, itertools.chain(*mu))):
+            drawn = kept.setdefault((report.left_alternative, report.right_alternative), [])
+            if len(drawn) < per_class:
+                drawn.append(alg)
+            if len(kept) == 4 and all(len(algs) == per_class for algs in kept.values()):
+                break
+    return kept
+
+
+def _adjoint_composites(alg: BiHomAlgebra) -> tuple[dict, dict]:
+    """δ2∘δ1 and δ3∘δ2 of the adjoint on the compatible bases, as their non-zero rows, with no precondition."""
+    rep = adjoint(alg)
+    delta = _coboundary(alg, rep)
+    composites = []
+    for degree in (1, 2):
+        space = cochain_space(alg, rep, degree)
+        images = _transpose(delta(degree, list(space.columns)).items())
+        composites.append(delta(degree + 1, [images.get(j, {}) for j in range(space.dim)]))
+    return tuple(composites)
+
+
+def test_the_adjoint_complex_needs_the_left_law_only():
+    # δ∘δ = 0 on the adjoint whenever the left law holds, whatever the right law does; the right law alone leaves
+    # δ2∘δ1 ≠ 0, while δ3∘δ2 = 0 on every draw, so a degree-3 guard cannot see a missing left law
+    draws = _draws_by_law()
+    assert {laws: len(algs) for laws, algs in draws.items()} == {laws: 2 for laws in itertools.product((False, True), repeat=2)}
+    for (left, right), algs in draws.items():
+        for alg in algs:
+            d21, d32 = _adjoint_composites(alg)
+            assert d32 == {} and (d21 == {}) == left, (left, right)
 
 
 def test_delta2_tau12_symmetry():

@@ -39,7 +39,7 @@ from conftest import (
     random_fraction,
     random_signed_permutation,
 )
-from oracle_naive import evaluate, from_function, naive_diamond, naive_gauge
+from oracle_naive import from_function, naive_apply_isomorphism, naive_diamond, naive_gauge
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -554,48 +554,9 @@ def test_trivialize_e1_scalar_deformations(e1):
         assert check_deformation(defm).ok
         iso = trivialize(defm, 5)
         assert iso is not None
-        final = gauge_like_apply(defm, iso, 5)
+        final = naive_apply_isomorphism(defm, iso, 5)
         assert all(final.term(k).is_zero() for k in range(1, 6))
         assert check_equivalence(defm, TruncatedDeformation(e1, ()).padded(5), iso, 5)
-
-
-def gauge_like_apply(defm, iso, order):
-    """Push a deformation forward along phi: d'_k = sum phi_a(d_b(inv_c x, inv_d y)).
-
-    This realizes phi ∘ d_t = d'_t ∘ (phi ⊗ phi) order by order, with inv the
-    power-series inverse of phi_t.
-    """
-    alg = defm.alg
-    n = alg.dim
-    phis = [Matrix.identity(n), *iso.terms][: order + 1]
-    inv = {0: Matrix.identity(n)}
-    for k in range(1, order + 1):
-        acc = Matrix.zero(n, n)
-        for i in range(1, k + 1):
-            acc = acc + phis[i] * inv[k - i]
-        inv[k] = acc.scale(-1)
-    terms = []
-    padded = defm.padded(max(defm.order, order))
-    for k in range(1, order + 1):
-        acc = [Fraction(0)] * (n * n * n)
-        for a in range(k + 1):
-            for b in range(k - a + 1):
-                if b > padded.order:
-                    continue
-                term = padded.term(b)
-                for c in range(k - a - b + 1):
-                    d_ord = k - a - b - c
-                    piece = from_function(
-                        2,
-                        n,
-                        n,
-                        lambda i_, j_: phis[a].apply(
-                            evaluate(term, inv[c].column(i_), inv[d_ord].column(j_))
-                        ),
-                    )
-                    acc = [x + y for x, y in zip(acc, piece.data)]
-        terms.append(Cochain(2, n, n, acc))
-    return TruncatedDeformation(alg, terms)
 
 
 def test_trivialize_fails_on_zero_algebra(zero1):

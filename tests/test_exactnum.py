@@ -87,6 +87,23 @@ def test_library_scalars_take_ints_fractions_and_rational_strings():
     assert Matrix([[2, "1/3"]]).scale("3/2") == Matrix([[3, Fraction(1, 2)]])
 
 
+# library arrays given a string or a scalar where a list belongs; a file refuses each of them
+ARRAY_TAKERS = {
+    "vector-of-a-string": (lambda: vector("105"), "^expected a vector of rationals, got str "),
+    "vector-of-a-scalar": (lambda: vector(5), "^expected a vector of rationals, got int "),
+    "Matrix-of-strings": (lambda: Matrix(["12", "34"]), "^expected a vector of rationals, got str "),
+    "Matrix-with-a-scalar-row": (lambda: Matrix([[1, 2], 3]), "^expected a vector of rationals, got int "),
+    "Cochain-of-strings": (lambda: Cochain.from_nested(1, 2, 2, ["12", "34"]), "^tensor entries nest in lists, got str "),
+    "Cochain-too-shallow": (lambda: Cochain.from_nested(2, 2, 1, [[1, 2], [3, 4]]), "^tensor entries nest in lists, got int "),
+}
+
+
+@pytest.mark.parametrize("take, message", ARRAY_TAKERS.values(), ids=ARRAY_TAKERS)
+def test_library_arrays_are_read_like_file_arrays(take, message):
+    with pytest.raises(InputError, match=message):
+        take()
+
+
 def test_rank_nullspace_zero_matrix():
     rank, ker = rank_nullspace(Matrix.zero(2, 2))
     assert rank == 0 and ker.dim == 2

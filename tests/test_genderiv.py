@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import bihomalt.cohomology as cohomology
 import bihomalt.genderiv as genderiv
 from bihomalt.algebra import BiHomAlgebra
-from bihomalt.cohomology import cochain_space
+from bihomalt.cohomology import cochain_space, complex_report
 from bihomalt.errors import InputError, InternalError, PreconditionError
 from bihomalt.exactnum import Matrix, Subspace
 from bihomalt.genderiv import (
@@ -16,7 +17,7 @@ from bihomalt.genderiv import (
     sgder_decompose,
     space_of_kind,
 )
-from bihomalt.representation import adjoint
+from bihomalt.representation import Representation, adjoint
 
 from random import Random
 
@@ -27,9 +28,13 @@ from conftest import (
     cocycle_space,
     make_d2,
     make_e1,
+    make_matrix_algebra,
     make_octonions,
+    make_p2,
+    make_quaternions,
     make_twisted_octonions,
     make_z1,
+    make_zero1,
     random_noncommuting_algebra,
     random_unimodular,
     twist_preserving_signed_permutation,
@@ -512,6 +517,55 @@ def test_derivations_are_the_degree1_cocycles_of_the_w_twisted_adjoint(alg):
     # with l(x) = L_{Wx} and r(y) = R_{Wy}, δ1 f = 0 reads f(xy) = f(x)W(y) + W(x)f(y), W = α^k β^l
     for k, l in CYCLE_EXPONENTS:
         assert _same(cocycle_space(alg, argument_twisted_adjoint(alg, k, l), 1), _flattened(derivation_space(alg, k, l))), (k, l)
+
+
+def _exported_z1_dim(alg: BiHomAlgebra, k: int, l: int) -> int:
+    """dim Z¹(A, ad_W) through the exported API: there are no 0-cochains, so Z¹ = C¹ − B²."""
+    ad_w = argument_twisted_adjoint(alg, k, l)
+    return cochain_space(alg, ad_w, 1).dim - complex_report(alg, ad_w, 2).dim_B
+
+
+def _named_algebras(*names):
+    builders = {"E1": make_e1, "Z1": make_z1, "zero": make_zero1, "D2": make_d2, "P2": make_p2, "H": make_quaternions,
+                "M2": make_matrix_algebra}
+    return [(name, builders[name]()) for name in names]
+
+
+def _exported_cycle_cases():
+    named = [(name, alg, CYCLE_EXPONENTS) for name, alg in _named_algebras("E1", "Z1", "zero", "D2", "P2", "H", "M2")]
+    return named + [("twisted-O", make_twisted_octonions(), [(0, 0), (1, 0)])]
+
+
+@pytest.mark.parametrize("alg, exponents", [c[1:] for c in _exported_cycle_cases()], ids=[c[0] for c in _exported_cycle_cases()])
+def test_der_is_z1_of_the_w_twisted_adjoint_through_the_exported_api(alg, exponents):
+    # the product-rule rows of genderiv against the δ1 of the cohomology, each read by its own module
+    for k, l in exponents:
+        assert derivation_space(alg, k, l).dim == _exported_z1_dim(alg, k, l), (k, l)
+
+
+def test_der_is_z1_fails_when_the_derivation_rule_flips_a_sign(monkeypatch):
+    # D(xy) = D(x)W(y) − W(x)D(y) is no derivation rule: the equality must see it
+    monkeypatch.setitem(genderiv._RULES, "Der", (1, ((0, 0, 0, -1),)))
+    for name, alg in _named_algebras("D2", "P2", "H", "M2"):
+        assert all(derivation_space(alg, k, l).dim != _exported_z1_dim(alg, k, l) for k, l in CYCLE_EXPONENTS), name
+
+
+def test_der_is_z1_fails_when_delta1_drops_a_term(monkeypatch):
+    # δ1 without its r(y)f(x) term, taken at the module with the right action zeroed: on E1 the dimensions
+    # differ, and on the others the exactness guard of the complex sees δ2∘δ1 ≠ 0 first
+    real = cohomology._coboundary
+
+    def dropped(alg, rep):
+        zero = [Matrix.zero(rep.mod_dim, rep.mod_dim)] * rep.alg_dim
+        without_r, delta = real(alg, Representation(rep.alg_dim, rep.mod_dim, rep.l, zero, rep.phi, rep.psi)), real(alg, rep)
+        return lambda degree, columns: (without_r if degree == 1 else delta)(degree, columns)
+
+    monkeypatch.setattr(cohomology, "_coboundary", dropped)
+    e1 = make_e1()
+    assert all(derivation_space(e1, k, l).dim != _exported_z1_dim(e1, k, l) for k, l in CYCLE_EXPONENTS)
+    for name, alg in _named_algebras("D2", "P2", "H", "M2"):
+        with pytest.raises(InternalError, match="^coboundary is not a cocycle$"):
+            _exported_z1_dim(alg, 1, 0)
 
 
 def test_the_plain_adjoint_gives_the_untwisted_derivations_only():

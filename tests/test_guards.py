@@ -380,12 +380,12 @@ def test_one_twist_check_and_one_twist_row_builder():
     # one row builder: cochain_space and the commutant rows span their spaces with it, and the witness
     # of a given tensor reads the same rows, with no transport table of its own
     built = sorted(name for source in sources.values() for name in _callers(source, "_twist_rows"))
-    assert built == ["_commutation_rows", "_intertwining_witness", "cochain_space"]
+    assert built == ["_intertwining_witness", "_operator_rows", "cochain_space"]
     witness = _function_source(sources["algebra.py"], "_intertwining_witness")
     assert _named_calls(witness, "_intertwining_witness", ("transport",)) == []
     genderiv = sources["genderiv.py"]
     assert _named_calls(genderiv, "genderiv.py", ("_integer_columns",)) == []
-    commutation = ast.parse(_function_source(genderiv, "_commutation_rows"))
+    commutation = ast.parse(_function_source(genderiv, "_operator_rows"))
     assert not any(isinstance(node, ast.For) for node in ast.walk(commutation))
 
 
